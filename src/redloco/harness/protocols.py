@@ -140,9 +140,10 @@ def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
             modes_log.append((masks == 0).astype(np.int64))
         actions = np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0)
         sd = runner.step(actions)
-        vx[t] = [w.robot.vx for w in runner.worlds]
+        vx[t] = runner.world.vx
         rewards[t] = sd.rewards
-        xz[t] = [(w.robot.x, w.robot.z) for w in runner.worlds]
+        xz[t, :, 0] = runner.world.x
+        xz[t, :, 1] = runner.world.z
     return EpisodeResult(vx, rewards, xz, tick_steps, traces,
                          np.array(modes_log), np.array(losses_log))
 
@@ -355,10 +356,10 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
         sd = runner.step(actions)
         failed |= sd.terminated
     # successful = finished upright and actually performed the commanded task
-    for i, w in enumerate(runner.worlds):
-        if not commands[i].zero_flag and w.commanded_distance > 0:
-            along = (w.robot.x - w.start_x) * np.cos(w.command.c_yaw)
-            failed[i] |= along / w.commanded_distance < 0.5
+    # (a zero command has no commanded distance)
+    w = runner.world
+    moving = w.commanded_distance > 0
+    failed[moving] |= w.along[moving] / w.commanded_distance[moving] < 0.5
     clean = [v for i in range(episodes) if not failed[i] for v in losses[i]]
     if not clean:
         raise ContractError("no successful calibration episodes")

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError
+from ..world.batch import BatchWorld
 from ..world.robot import PlanarWorld
-from ..world.terrain import Heightfield
 from .camera import STAGE_RANDOMIZED, STAGE_RAW, CameraModel, DepthImage, validate_camera
 
 
@@ -78,115 +78,105 @@ def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
     return depth
 
 
-def _ray_geometry(cam: CameraModel, body_x: float, body_z: float, body_pitch: float,
-                  d_pos: tuple[float, float] = (0.0, 0.0), d_pitch: float = 0.0,
-                  d_yaw: float = 0.0):
+def _ray_geometry(cam: CameraModel, body_x: np.ndarray, body_z: np.ndarray,
+                  body_pitch: np.ndarray, d_pos: np.ndarray, d_pitch: np.ndarray,
+                  d_yaw: np.ndarray):
+    """Camera pose and (E, H, W) ray directions of E bodies; ``d_pos`` is
+    (E, 2), the other arguments (E,)."""
     cp, sp = np.cos(body_pitch), np.sin(body_pitch)
-    cam_x = body_x + cp * cam.mount_forward - sp * cam.mount_up + d_pos[0]
-    cam_z = body_z + sp * cam.mount_forward + cp * cam.mount_up + d_pos[1]
+    cam_x = body_x + cp * cam.mount_forward - sp * cam.mount_up + d_pos[:, 0]
+    cam_z = body_z + sp * cam.mount_forward + cp * cam.mount_up + d_pos[:, 1]
     depression = cam.mount_pitch - body_pitch + d_pitch
-    rows = depression + np.linspace(-cam.fov_v / 2, cam.fov_v / 2, cam.height)
-    cols = d_yaw + np.linspace(-cam.fov_h / 2, cam.fov_h / 2, cam.width)
-    dz = -np.sin(rows)[:, None] * np.ones(cam.width)[None, :]
-    dx = np.cos(rows)[:, None] * np.cos(cols)[None, :]
+    rows = depression[:, None] + np.linspace(-cam.fov_v / 2, cam.fov_v / 2, cam.height)
+    cols = d_yaw[:, None] + np.linspace(-cam.fov_h / 2, cam.fov_h / 2, cam.width)
+    dz = np.broadcast_to(-np.sin(rows)[:, :, None], (len(rows), cam.height, cam.width))
+    dx = np.cos(rows)[:, :, None] * np.cos(cols)[:, None, :]
     return cam_x, cam_z, depression, dx, dz
 
 
 def render(world: PlanarWorld, camera: CameraModel, rng: np.random.Generator | None = None,
            randomize: bool = False) -> DepthImage:
-    """Render one depth frame from the robot's current pose.
+    """Render one depth frame from the robot's current pose (see `render_batch`)."""
+    if randomize and rng is None:
+        raise ContractError("randomized render requires an rng")
+    return render_batch([world], camera, [rng], randomize)[0]
+
+
+def _scene(worlds: BatchWorld | list[PlanarWorld]):
+    """Body x, z, pitch, the (E, cells) heights and void, and the cell size."""
+    keys = ("x", "z", "pitch", "heights", "void")
+    if isinstance(worlds, BatchWorld):
+        return (*(getattr(worlds, k) for k in keys), worlds.cfg.cell_size)
+    return (*(np.concatenate([getattr(w.batch, k) for w in worlds]) for k in keys),
+            worlds[0].cfg.cell_size)
+
+
+def render_batch(worlds: BatchWorld | list[PlanarWorld], camera: CameraModel,
+                 rngs: list[np.random.Generator], randomize: bool = True
+                 ) -> list[DepthImage]:
+    """One frame per env with a single shared ray march.
 
     With ``randomize``: uniform pose jitter (position, pitch, yaw) before
     casting, then proportional range noise, then additive Gaussian noise,
     then a re-clip into (0, max_range]. That composition order is pinned.
+    Each env draws from ``rngs[i]``: its 4 jitter uniforms in a first pass
+    over the envs, its 2 noise fields in a second.
     """
     validate_camera(camera)
-    if randomize and rng is None:
-        raise ContractError("randomized render requires an rng")
-    d_pos = (0.0, 0.0)
-    d_pitch = d_yaw = 0.0
+    x, z, pitch, heights, void, cell = _scene(worlds)
+    n = len(x)
+    shape = (camera.height, camera.width)
+    jitter = np.zeros((n, 4))          # d_x, d_z, d_pitch, d_yaw
     if randomize:
-        d_pos = (float(rng.uniform(-camera.pos_jitter, camera.pos_jitter)),
-                 float(rng.uniform(-camera.pos_jitter, camera.pos_jitter)))
-        d_pitch = float(rng.uniform(-camera.ang_jitter, camera.ang_jitter))
-        d_yaw = float(rng.uniform(-camera.ang_jitter, camera.ang_jitter))
-    r = world.robot
+        p, a = camera.pos_jitter, camera.ang_jitter
+        for i, rng in enumerate(rngs):
+            jitter[i] = (rng.uniform(-p, p), rng.uniform(-p, p),
+                         rng.uniform(-a, a), rng.uniform(-a, a))
     cam_x, cam_z, depression, dx, dz = _ray_geometry(
-        camera, r.x, r.z, r.pitch, d_pos, d_pitch, d_yaw)
-    hf = world.heightfield
-    flat_depth = march_rays(hf.heights, hf.void, hf.cell_size,
-                            np.full(dx.size, cam_x), np.full(dx.size, cam_z),
-                            dx.ravel(), dz.ravel(), camera.max_range)
-    data = flat_depth.reshape(camera.height, camera.width)
+        camera, x, z, pitch, jitter[:, :2], jitter[:, 2], jitter[:, 3])
+    per = camera.height * camera.width
+    depth = march_rays(heights, void, cell, np.repeat(cam_x, per),
+                       np.repeat(cam_z, per), dx.ravel(), dz.ravel(), camera.max_range,
+                       env_ids=np.repeat(np.arange(n, dtype=np.intp), per))
+    data = depth.reshape(n, *shape)
     if randomize:
-        data = data * (1.0 + camera.prop_noise_std * rng.standard_normal(data.shape))
-        data = data + camera.add_noise_std * rng.standard_normal(data.shape)
+        prop = np.empty((n, *shape))
+        add = np.empty((n, *shape))
+        for i, rng in enumerate(rngs):
+            prop[i] = rng.standard_normal(shape)
+            add[i] = rng.standard_normal(shape)
+        data = data * (1.0 + camera.prop_noise_std * prop)
+        data = data + camera.add_noise_std * add
     data = np.clip(data, camera.min_depth, camera.max_range)
     stage = STAGE_RANDOMIZED if randomize else STAGE_RAW
-    return DepthImage(data, (cam_x, cam_z, depression, d_yaw), stage)
-
-
-def render_batch(worlds: list[PlanarWorld], camera: CameraModel,
-                 rngs: list[np.random.Generator], randomize: bool = True
-                 ) -> list[DepthImage]:
-    """One frame per world with a single shared ray march."""
-    validate_camera(camera)
-    n = len(worlds)
-    per = camera.height * camera.width
-    x0 = np.empty(n * per)
-    z0 = np.empty(n * per)
-    dxs = np.empty(n * per)
-    dzs = np.empty(n * per)
-    env_ids = np.repeat(np.arange(n, dtype=np.intp), per)
-    poses = []
-    for i, (w, rng) in enumerate(zip(worlds, rngs)):
-        d_pos = (0.0, 0.0)
-        d_pitch = d_yaw = 0.0
-        if randomize:
-            d_pos = (float(rng.uniform(-camera.pos_jitter, camera.pos_jitter)),
-                     float(rng.uniform(-camera.pos_jitter, camera.pos_jitter)))
-            d_pitch = float(rng.uniform(-camera.ang_jitter, camera.ang_jitter))
-            d_yaw = float(rng.uniform(-camera.ang_jitter, camera.ang_jitter))
-        r = w.robot
-        cam_x, cam_z, depression, dx, dz = _ray_geometry(
-            camera, r.x, r.z, r.pitch, d_pos, d_pitch, d_yaw)
-        sl = slice(i * per, (i + 1) * per)
-        x0[sl] = cam_x
-        z0[sl] = cam_z
-        dxs[sl] = dx.ravel()
-        dzs[sl] = dz.ravel()
-        poses.append((cam_x, cam_z, depression, d_yaw))
-    heights = np.stack([w.heightfield.heights for w in worlds])
-    void = np.stack([w.heightfield.void for w in worlds])
-    cell = worlds[0].heightfield.cell_size
-    depth = march_rays(heights, void, cell, x0, z0, dxs, dzs, camera.max_range,
-                       env_ids=env_ids)
-    out = []
-    for i, (w, rng) in enumerate(zip(worlds, rngs)):
-        data = depth[i * per:(i + 1) * per].reshape(camera.height, camera.width)
-        if randomize:
-            data = data * (1.0 + camera.prop_noise_std * rng.standard_normal(data.shape))
-            data = data + camera.add_noise_std * rng.standard_normal(data.shape)
-        data = np.clip(data, camera.min_depth, camera.max_range)
-        out.append(DepthImage(data, poses[i],
-                              STAGE_RANDOMIZED if randomize else STAGE_RAW))
-    return out
+    return [DepthImage(data[i], (cam_x[i], cam_z[i], depression[i], jitter[i, 3]), stage)
+            for i in range(n)]
 
 
 def edge_truncate_resize(image: DepthImage, border: int) -> DepthImage:
     """Crop a pixel border, then bilinearly resample the interior back to the
     original resolution. Border 0 is an exact identity."""
-    h, w = image.data.shape
+    return DepthImage(_edge_truncate(image.data, border), image.pose_used, image.stage)
+
+
+def edge_truncate_batch(frames: list[DepthImage], border: int) -> list[DepthImage]:
+    """`edge_truncate_resize` of every frame, resampled as one (E, H, W) stack."""
+    data = _edge_truncate(np.stack([f.data for f in frames]), border)
+    return [DepthImage(d, f.pose_used, f.stage) for d, f in zip(data, frames)]
+
+
+def _edge_truncate(data: np.ndarray, border: int) -> np.ndarray:
+    h, w = data.shape[-2:]
     if border < 0 or 2 * border >= min(h, w):
         raise ContractError(f"border {border} too large for {h}x{w} frame")
     if border == 0:
-        return DepthImage(image.data.copy(), image.pose_used, image.stage)
-    inner = image.data[border:h - border, border:w - border]
-    return DepthImage(_bilinear_resize(inner, h, w), image.pose_used, image.stage)
+        return data.copy()
+    return _bilinear_resize(data[..., border:h - border, border:w - border], h, w)
 
 
 def _bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    in_h, in_w = src.shape
+    """Resample the last two axes of ``src`` to (out_h, out_w)."""
+    in_h, in_w = src.shape[-2:]
     ys = np.linspace(0.0, in_h - 1.0, out_h) if out_h > 1 else np.zeros(1)
     xs = np.linspace(0.0, in_w - 1.0, out_w) if out_w > 1 else np.zeros(1)
     y0 = np.floor(ys).astype(np.intp)
@@ -195,10 +185,10 @@ def _bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, in_w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    a = src[np.ix_(y0, x0)]
-    b = src[np.ix_(y0, x1)]
-    c = src[np.ix_(y1, x0)]
-    d = src[np.ix_(y1, x1)]
+    a = src[..., y0[:, None], x0]
+    b = src[..., y0[:, None], x1]
+    c = src[..., y1[:, None], x0]
+    d = src[..., y1[:, None], x1]
     top = a + (b - a) * fx
     bot = c + (d - c) * fx
     return top + (bot - top) * fy

@@ -15,8 +15,8 @@ import numpy as np
 from ..config import TrainConfig
 from ..estimators import DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer, VpEstimator, fuse_batch
 from ..selector.autoencoder import anomaly_scores
-from ..sensor import STAGE_RANDOMIZED, edge_truncate_resize, render_batch
-from ..world import OBS_DIM, PlanarWorld, compute_reward, make_command, update_curriculum
+from ..sensor import STAGE_RANDOMIZED, edge_truncate_batch, render_batch
+from ..world import OBS_DIM, BatchWorld, batch_reward, update_curriculum
 from ..nn import LayerStack
 
 
@@ -67,13 +67,9 @@ class VecRunner:
         self.fixed_commands = fixed_commands
         self.phase = 1
         self.env_rngs = env_rngs
-        levels = start_levels or [0] * self.n
-        self.worlds: list[PlanarWorld] = []
-        for i, kind in enumerate(kinds):
-            w = PlanarWorld(cfg.world, kind, env_rngs[i], level=levels[i])
-            if eval_mode and fixed_commands is not None:
-                w.reset_episode(command=fixed_commands[i])
-            self.worlds.append(w)
+        self.world = BatchWorld(cfg.world, kinds, env_rngs, start_levels)
+        if eval_mode and fixed_commands is not None:
+            self.world.reset(range(self.n), fixed_commands)
         h1 = cfg.net.history_len
         self.pbufs = [ProprioBuffer(h1, OBS_DIM) for _ in range(self.n)]
         self.dbufs = [DepthBuffer(cfg.net.depth_frames, cfg.camera.height,
@@ -88,18 +84,18 @@ class VecRunner:
         self.resets_since_tick = np.ones(self.n, dtype=bool)
         self._last_op_h = np.zeros((self.n, cfg.net.latent))
         self._last_vp_h = np.zeros((self.n, cfg.net.latent))
-        for i, w in enumerate(self.worlds):
-            self.pbufs[i].push(w.observation())
-        self._refresh_obs()
+        self._push_obs()
 
-    def _refresh_obs(self) -> None:
-        self.obs = np.stack([w.observation() for w in self.worlds])
+    def _push_obs(self) -> None:
+        self.obs = self.world.observation()
+        for buf, obs in zip(self.pbufs, self.obs):
+            buf.push(obs)
 
     def v_true(self) -> np.ndarray:
-        return np.array([[w.robot.vx, w.robot.vz] for w in self.worlds])
+        return np.column_stack([self.world.vx, self.world.vz])
 
-    def levels(self) -> list[int]:
-        return [w.level for w in self.worlds]
+    def levels(self) -> np.ndarray:
+        return self.world.level.copy()
 
     def policy_obs(self) -> np.ndarray:
         return np.concatenate([self.latents, self.obs], axis=1)
@@ -111,9 +107,9 @@ class VecRunner:
     # -- estimator tick ------------------------------------------------------
     def tick_estimators(self, noise_hook=None) -> TickData:
         cam = self.cfg.camera
-        frames = render_batch(self.worlds, cam, self.env_rngs, randomize=True)
+        frames = render_batch(self.world, cam, self.env_rngs, randomize=True)
         if cam.edge_border > 0:
-            frames = [edge_truncate_resize(f, cam.edge_border) for f in frames]
+            frames = edge_truncate_batch(frames, cam.edge_border)
         # deployment corruption lands on the processed image the networks consume
         if noise_hook is not None:
             frames = [noise_hook(i, f, self.global_step) for i, f in enumerate(frames)]
@@ -136,15 +132,12 @@ class VecRunner:
         if self.ae is not None:
             recon, _, _ = self.ae.forward(depth_pairs)
             losses = anomaly_scores(depth_pairs, recon, self.cfg.world, cam)
-        priv = [w.privileged() for w in self.worlds]
-        v_true = np.stack([p.v_true for p in priv])
-        h_f = np.stack([p.h_f for p in priv])
-        m_t = np.stack([p.m_t for p in priv])
-        self.m_t_held = m_t
+        priv = self.world.privileged()
+        self.m_t_held = priv.m_t
         resets_before = self.resets_since_tick.copy()
         self.resets_since_tick[...] = False
         return TickData(self.global_step, flat_obs, depth_pairs, op_out, vp_out,
-                        op_h0, vp_h0, v_true, h_f, m_t, losses, pair_valid,
+                        op_h0, vp_h0, priv.v_true, priv.h_f, priv.m_t, losses, pair_valid,
                         clean_stage, resets_before)
 
     def set_latents(self, masks: np.ndarray) -> None:
@@ -154,42 +147,30 @@ class VecRunner:
     # -- one sim step over all envs -------------------------------------------
     def step(self, actions: np.ndarray) -> StepData:
         cfg = self.cfg
-        rewards = np.empty(self.n)
-        lin = np.empty(self.n)
-        terminated = np.zeros(self.n, dtype=bool)
-        truncated = np.zeros(self.n, dtype=bool)
-        resets = np.zeros(self.n, dtype=bool)
-        collisions = np.zeros(self.n, dtype=bool)
-        for i, w in enumerate(self.worlds):
-            prev = w.snapshot()
-            ev = w.step(actions[i])
-            total, terms = compute_reward(prev, w, actions[i], w.command, ev, cfg.reward)
-            rewards[i] = total
-            lin[i] = terms["lin_vel_tracking"].value
-            terminated[i] = ev.terminated
-            truncated[i] = ev.truncated
-            collisions[i] = ev.collision
-            if ev.done:
-                if not self.eval_mode:
-                    along = (w.robot.x - w.start_x) * np.cos(w.command.c_yaw)
-                    w.level = update_curriculum(w.level, along, w.commanded_distance,
-                                                cfg.promote_ratio, cfg.demote_ratio)
-                    w.curriculum_phase = self.phase
-                cmd = self.fixed_commands[i] if (self.eval_mode and
-                                                 self.fixed_commands) else None
-                w.reset_episode(command=cmd)
+        w = self.world
+        ev = w.step(actions)
+        reward = batch_reward(w, w.prev_ax, w.prev_action, w.last_action, w.c_x, w.c_yaw,
+                              ev.collision, cfg.reward)
+        done = ev.done
+        ids = np.flatnonzero(done)
+        if ids.size:
+            if not self.eval_mode:
+                w.level[ids] = update_curriculum(w.level[ids], w.along[ids],
+                                                 w.commanded_distance[ids],
+                                                 cfg.promote_ratio, cfg.demote_ratio)
+                w.curriculum_phase[ids] = self.phase
+            w.reset(ids, [self.fixed_commands[i] for i in ids]
+                    if self.eval_mode and self.fixed_commands else None)
+            for i in ids:
                 self.pbufs[i].reset()
                 self.dbufs[i].reset()
-                self.op_hidden[i] = 0.0
-                self.vp_hidden[i] = 0.0
-                self.latents[i] = 0.0
-                self.m_t_held[i] = 0.0
-                self.resets_since_tick[i] = True
-                resets[i] = True
-            self.pbufs[i].push(w.observation())
-        self._refresh_obs()
+            for arr in (self.op_hidden, self.vp_hidden, self.latents, self.m_t_held):
+                arr[ids] = 0.0
+            self.resets_since_tick[ids] = True
+        self._push_obs()
         self.global_step += 1
-        return StepData(rewards, lin, terminated, truncated, resets, collisions)
+        return StepData(reward.total, reward.values["lin_vel_tracking"], ev.terminated,
+                        ev.truncated, done, ev.collision)
 
     def is_tick_step(self) -> bool:
         return self.global_step % self.cfg.selector.tick_period == 0

@@ -45,16 +45,15 @@ def sample_command(rng: np.random.Generator, curriculum_phase: int,
     return make_command(c_x, c_yaw)
 
 
-def update_curriculum(level: int, distance: float, commanded: float,
-                      promote_ratio: float = 0.8, demote_ratio: float = 0.4,
-                      n_levels: int = 10) -> int:
+def update_curriculum(level, distance, commanded, promote_ratio: float = 0.8,
+                      demote_ratio: float = 0.4, n_levels: int = 10):
     """Promote when the episode covered >= promote_ratio of the commanded
-    distance, demote below demote_ratio; zero-command episodes keep the level."""
-    if commanded <= 0.0:
-        return level
-    ratio = distance / commanded
-    if ratio >= promote_ratio:
-        level += 1
-    elif ratio < demote_ratio:
-        level -= 1
-    return min(max(level, 0), n_levels - 1)
+    distance, demote below demote_ratio; zero-command episodes keep the level.
+    Elementwise over arrays of episodes."""
+    level = np.asarray(level)
+    commanded = np.asarray(commanded, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = distance / commanded
+    moved = np.where(ratio >= promote_ratio, level + 1,
+                     np.where(ratio < demote_ratio, level - 1, level))
+    return np.where(commanded <= 0.0, level, np.clip(moved, 0, n_levels - 1))[()]

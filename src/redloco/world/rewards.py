@@ -13,9 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import RewardConfig, WorldConfig
+from ..config import RewardConfig
+from .batch import BatchWorld, StepEvents
 from .commands import Command
-from .robot import PlanarWorld, RobotState, StepEvents
+from .robot import PlanarWorld, RobotState
+
+# term name -> RewardConfig scale field, in summation order
+TERM_SCALES = {
+    "lin_vel_tracking": "lin_vel", "ang_vel_tracking": "ang_vel",
+    "collision": "collision", "joint_energy": "joint_energy",
+    "action_rate": "action_rate", "default_pos": "default_pos",
+    "hip_bias": "hip_bias", "joint_acc": "joint_acc", "orientation": "orientation",
+}
+PLANAR_ZERO = ("hip_bias",)
 
 
 @dataclass(frozen=True)
@@ -26,54 +36,68 @@ class RewardTerm:
     planar_zero: bool = False
 
 
-def linear_velocity_reward(c_x: float, v_along: float, v_norm: float) -> float:
-    """Capped projection tracking with a standstill branch at c_x = 0."""
-    if c_x != 0.0:
-        return min(v_along, c_x) / (c_x + 1e-5)
-    return 1.0 / (1.0 + v_norm)
+@dataclass
+class BatchReward:
+    total: np.ndarray                     # (E,)
+    values: dict[str, np.ndarray]         # raw, unweighted term per env
+    contributions: dict[str, np.ndarray]
+
+
+def linear_velocity_reward(c_x, v_along, v_norm):
+    """Capped projection tracking with a standstill branch at c_x = 0;
+    elementwise over arrays."""
+    c_x = np.asarray(c_x, dtype=np.float64)
+    return np.where(c_x != 0.0, np.minimum(v_along, c_x) / (c_x + 1e-5),
+                    1.0 / (1.0 + np.asarray(v_norm)))[()]
+
+
+def batch_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarray,
+                 action: np.ndarray, c_x: np.ndarray, c_yaw: np.ndarray,
+                 collision: np.ndarray, rcfg: RewardConfig) -> BatchReward:
+    """The reward of every env's last step, from its state after the step and
+    its ax and action before it. Squares of scalar-model quantities use
+    ``float_power``, C ``pow``; ``** 2`` on an array multiplies instead, which
+    rounds differently for about one value in a thousand."""
+    cfg = world.cfg
+    dt = cfg.dt
+    mult = dt if rcfg.dt_scaled else 1.0
+    vx = world.vx
+    v_along = vx * np.cos(c_yaw)
+    # angular-rate tracking: the gait-implied rate grows with the speed along
+    # the heading and is tracked against the rate the command implies. The
+    # capped tracking term pays nothing above c_x, so this is the term that
+    # makes running faster than commanded cost as running slower does
+    rate_err = rcfg.gait_rate_gain * (v_along - c_x)
+    support = world.support(world.x)
+    dev = (world.z - (support + cfg.stand_height)) / rcfg.default_pos_unit
+    values = {
+        "lin_vel_tracking": linear_velocity_reward(c_x, v_along, np.abs(vx)),
+        "ang_vel_tracking": np.exp(-np.float_power(rate_err, 2) / rcfg.ang_vel_sigma),
+        "collision": np.where(collision, 1.0, 0.0),
+        "joint_energy": np.abs(world.ax * vx),
+        "action_rate": ((action - prev_action) ** 2).sum(axis=1),
+        "default_pos": np.where(support > -np.inf,
+                                np.minimum(dev * dev, rcfg.default_pos_cap), 0.0),
+        "hip_bias": np.zeros(len(vx)),
+        "joint_acc": np.float_power((world.ax - prev_ax) / dt, 2),
+        "orientation": np.float_power(world.pitch, 2),
+    }
+    contributions = {name: np.zeros(len(vx)) if name in PLANAR_ZERO
+                     else getattr(rcfg, scale) * values[name] * mult
+                     for name, scale in TERM_SCALES.items()}
+    return BatchReward(sum(contributions.values()), values, contributions)
 
 
 def compute_reward(prev: RobotState, world: PlanarWorld, action, command: Command,
                    events: StepEvents, rcfg: RewardConfig
                    ) -> tuple[float, dict[str, RewardTerm]]:
-    cfg: WorldConfig = world.cfg
-    r = world.robot
-    a = np.asarray(action, dtype=np.float64)
-    dt = cfg.dt
-    mult = dt if rcfg.dt_scaled else 1.0
-
-    v_along = r.vx * np.cos(command.c_yaw)
-    v_norm = abs(r.vx)
-    lin = linear_velocity_reward(command.c_x, float(v_along), float(v_norm))
-
-    # angular-rate tracking: the gait-implied rate grows with the speed along
-    # the heading and is tracked against the rate the command implies. The
-    # capped tracking term pays nothing above c_x, so this is the term that
-    # makes running faster than commanded cost as running slower does
-    rate_err = rcfg.gait_rate_gain * (float(v_along) - command.c_x)
-    ang = float(np.exp(-(rate_err ** 2) / rcfg.ang_vel_sigma))
-    coll = 1.0 if events.collision else 0.0
-    energy = abs(r.ax * r.vx)
-    act_rate = float(np.sum((a - prev.last_action) ** 2))
-    support = world.support(r.x)
-    if support > -np.inf:
-        dev = (r.z - (support + cfg.stand_height)) / rcfg.default_pos_unit
-        default_pos = min(dev * dev, rcfg.default_pos_cap)
-    else:
-        default_pos = 0.0
-    joint_acc = ((r.ax - prev.ax) / dt) ** 2
-    orient = r.pitch ** 2
-
-    terms = {
-        "lin_vel_tracking": RewardTerm(lin, rcfg.lin_vel, rcfg.lin_vel * lin * mult),
-        "ang_vel_tracking": RewardTerm(ang, rcfg.ang_vel, rcfg.ang_vel * ang * mult),
-        "collision": RewardTerm(coll, rcfg.collision, rcfg.collision * coll * mult),
-        "joint_energy": RewardTerm(energy, rcfg.joint_energy, rcfg.joint_energy * energy * mult),
-        "action_rate": RewardTerm(act_rate, rcfg.action_rate, rcfg.action_rate * act_rate * mult),
-        "default_pos": RewardTerm(default_pos, rcfg.default_pos, rcfg.default_pos * default_pos * mult),
-        "hip_bias": RewardTerm(0.0, rcfg.hip_bias, 0.0, planar_zero=True),
-        "joint_acc": RewardTerm(joint_acc, rcfg.joint_acc, rcfg.joint_acc * joint_acc * mult),
-        "orientation": RewardTerm(orient, rcfg.orientation, rcfg.orientation * orient * mult),
-    }
-    total = float(sum(t.contribution for t in terms.values()))
-    return total, terms
+    """The reward of one env's step; ``prev`` is its state before the step."""
+    r = batch_reward(world.batch, np.array([prev.ax], dtype=np.float64),
+                     np.asarray(prev.last_action, dtype=np.float64)[None],
+                     np.asarray(action, dtype=np.float64)[None],
+                     np.array([command.c_x]), np.array([command.c_yaw]),
+                     np.array([events.collision]), rcfg)
+    terms = {name: RewardTerm(float(r.values[name][0]), getattr(rcfg, scale),
+                              float(r.contributions[name][0]), name in PLANAR_ZERO)
+             for name, scale in TERM_SCALES.items()}
+    return float(r.total[0]), terms

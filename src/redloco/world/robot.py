@@ -1,29 +1,27 @@
-"""Sagittal-plane hop-capable robot over a heightfield.
+"""One environment as a view of a one-env `BatchWorld`.
 
-The body is a point mass with a stand height and two virtual feet. Grounded
-motion follows the terrain for rises up to ``max_step``; taller faces block
-and log a collision; gaps under both feet terminate the episode. Hops are
-ballistic under gravity. A 4-phase oscillator driven by forward speed stands
-in for joint state. All randomness comes from the per-instance generator.
+`PlanarWorld` holds no dynamics, reward or label arithmetic of its own: it
+keeps the single-env interface (``w.robot.vx = ...``, ``w.heightfield = hf``,
+``w.step([a0, a1])``) for the CLI's depth renders and the tests, and
+delegates every computation to the batch code.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..config import WorldConfig
 from ..errors import ContractError
-from .commands import Command, make_command, sample_command
-from .terrain import Heightfield, generate_terrain
-
-OBS_DIM = 14
+from .batch import JOINT_PHASE0, BatchWorld, PrivilegedInfo, StepEvents
+from .commands import Command, make_command
+from .terrain import Heightfield
 
 
 @dataclass
 class RobotState:
+    """A copy of one env's body state."""
     x: float = 0.0
     z: float = 0.0
     vx: float = 0.0
@@ -33,30 +31,33 @@ class RobotState:
     ax: float = 0.0
     az: float = 0.0
     pitch_rate: float = 0.0
-    joint_phase: np.ndarray = field(default_factory=lambda: np.array(
-        [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]))
+    joint_phase: np.ndarray = field(default_factory=lambda: np.array(JOINT_PHASE0))
     last_action: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
 
-@dataclass
-class StepEvents:
-    collision: bool = False
-    hopped: bool = False
-    landed: bool = False
-    terminated: bool = False
-    termination: str | None = None
-    truncated: bool = False
-
-    @property
-    def done(self) -> bool:
-        return self.terminated or self.truncated
+STATE_FIELDS = tuple(f.name for f in fields(RobotState))
 
 
-@dataclass
-class PrivilegedInfo:
-    v_true: np.ndarray           # (2,) true body velocity
-    m_t: np.ndarray              # (K,) clearance profile ahead of the body
-    h_f: np.ndarray              # (2,) per-foot patch-mean clearance
+def _state_field(name: str) -> property:
+    def get(self):
+        return getattr(self._batch, name)[self._i]
+
+    def set(self, value) -> None:
+        getattr(self._batch, name)[self._i] = value
+
+    return property(get, set)
+
+
+class RobotView:
+    """Live body state of env i of a batch; assignments write into the batch."""
+
+    def __init__(self, batch: BatchWorld, i: int) -> None:
+        self._batch = batch
+        self._i = i
+
+
+for _name in STATE_FIELDS:
+    setattr(RobotView, _name, _state_field(_name))
 
 
 class PlanarWorld:
@@ -64,211 +65,49 @@ class PlanarWorld:
 
     def __init__(self, cfg: WorldConfig, kind: str, rng: np.random.Generator,
                  level: int = 0) -> None:
-        self.cfg = cfg
-        self.kind = kind
-        self.rng = rng
-        self.level = level
-        self.curriculum_phase = 1
-        self.heightfield: Heightfield = generate_terrain(kind, level, 0, cfg)
-        self.robot = RobotState()
-        self.command: Command = make_command(0.5)
-        self.motor_gain = 1.0
-        self.episode_step = 0
-        self.start_x = cfg.spawn_x
-        self.commanded_distance = 0.0
-        self.event_log: list[dict] = []
-        self._fall_z = 0.0
-        self.reset_episode()
+        self.batch = BatchWorld(cfg, [kind], [rng], [level])
+        self.robot = RobotView(self.batch, 0)
 
-    # -- episode management --------------------------------------------------
-    def reset_episode(self, command: Command | None = None,
-                      regenerate: bool = True) -> None:
-        cfg = self.cfg
-        if regenerate:
-            seed = int(self.rng.integers(0, 2 ** 31 - 1))
-            self.heightfield = generate_terrain(self.kind, self.level, seed, cfg)
-        solid = self.heightfield.heights[~self.heightfield.void]
-        base = float(solid.min()) if solid.size else 0.0
-        self._fall_z = base - cfg.fall_margin
-        self.command = command if command is not None else sample_command(
-            self.rng, self.curriculum_phase, cfg)
-        self.motor_gain = float(self.rng.uniform(*cfg.motor_gain_range))
-        r = RobotState()
-        r.x = cfg.spawn_x
-        r.vx = float(self.rng.uniform(*cfg.init_speed_range))
-        support = self.support(r.x)
-        r.z = support + cfg.stand_height
-        self.robot = r
-        self.episode_step = 0
-        self.start_x = r.x
-        self.commanded_distance = 0.0
-        self.event_log = [{"schema": "event/v1", "step": 0, "event": "reset",
-                           "kind": self.kind, "level": self.level,
-                           "c_x": self.command.c_x}]
+    @property
+    def cfg(self) -> WorldConfig:
+        return self.batch.cfg
 
-    def progress_ratio(self) -> float:
-        """Distance covered along the commanded heading over commanded distance."""
-        if self.commanded_distance <= 0.0:
-            return float("nan")
-        along = (self.robot.x - self.start_x) * np.cos(self.command.c_yaw)
-        return float(along / self.commanded_distance)
+    @property
+    def heightfield(self) -> Heightfield:
+        return self.batch.fields[0]
 
-    # -- terrain queries -------------------------------------------------------
-    def support(self, x: float) -> float:
-        """Highest solid ground under either foot; -inf when both are over void."""
-        best = -np.inf
-        for off in self.cfg.foot_offsets:
-            best = max(best, self.heightfield.height_at(x + off))
-        return best
+    @heightfield.setter
+    def heightfield(self, hf: Heightfield) -> None:
+        self.batch.set_terrain(0, hf)
+
+    @property
+    def command(self) -> Command:
+        return make_command(self.batch.c_x[0], self.batch.c_yaw[0])
+
+    @property
+    def motor_gain(self) -> float:
+        return float(self.batch.motor_gain[0])
+
+    def reset_episode(self, command: Command | None = None) -> None:
+        self.batch.reset([0], None if command is None else [command])
 
     def feet_over_void(self, x: float) -> bool:
-        return all(self.heightfield.is_void_at(x + off) for off in self.cfg.foot_offsets)
+        return bool(self.batch.support(np.array([x], dtype=np.float64))[0] == -np.inf)
 
-    # -- dynamics ----------------------------------------------------------------
     def step(self, action) -> StepEvents:
-        cfg = self.cfg
         a = np.asarray(action, dtype=np.float64)
-        if a.shape != (2,) or not np.isfinite(a).all():
-            raise ContractError(f"action must be 2 finite components, got {action!r}")
-        if np.abs(a).max() > 1.0 + 1e-9:
-            raise ContractError(f"action components must lie in [-1, 1], got {a}")
-        r = self.robot
-        dt = cfg.dt
-        ev = StepEvents()
-        prev_vx, prev_vz, prev_pitch, prev_ax = r.vx, r.vz, r.pitch, r.ax
+        if a.shape != (2,):
+            raise ContractError(f"action must be 2 components, got {action!r}")
+        return self.batch.step(a[None]).at(0)
 
-        if not r.airborne:
-            r.vx += (a[0] * cfg.accel_max * self.motor_gain - cfg.drag * r.vx) * dt
-            if a[1] > cfg.hop_threshold:
-                r.vz = float(a[1]) * cfg.v_hop
-                r.airborne = True
-                ev.hopped = True
-                self.event_log.append({"schema": "event/v1", "step": self.episode_step,
-                                       "event": "hop", "vz": r.vz})
-
-        old_x = r.x
-        old_support = self.support(old_x)
-        new_x = r.x + r.vx * dt
-
-        if r.airborne:
-            new_z = r.z + r.vz * dt - 0.5 * cfg.gravity * dt * dt
-            r.vz -= cfg.gravity * dt
-            support_new = self.support(new_x)
-            top = support_new + cfg.stand_height
-            if support_new > -np.inf and r.vz < 0 and new_z <= top:
-                if new_z >= top - cfg.max_step:
-                    # touch down near the surface
-                    r.x, r.z = new_x, top
-                    r.vx *= max(0.0, 1.0 - cfg.impact_loss * abs(r.vz))
-                    r.vz = 0.0
-                    r.airborne = False
-                    ev.landed = True
-                    self.event_log.append({"schema": "event/v1", "step": self.episode_step,
-                                           "event": "land", "x": r.x})
-                else:
-                    # came down against a face taller than a step
-                    ev.collision = True
-                    r.x, r.z = old_x, new_z
-                    r.vx = 0.0
-            elif support_new > -np.inf and new_z < top - cfg.max_step and r.vz >= 0:
-                # rising into a wall
-                ev.collision = True
-                r.x, r.z = old_x, new_z
-                r.vx = 0.0
-            else:
-                r.x, r.z = new_x, new_z
-            if r.z < self._fall_z:
-                ev.terminated = True
-                ev.termination = "fall"
-        else:
-            support_new = self.support(new_x)
-            if support_new == -np.inf:
-                r.x = new_x
-                ev.terminated = True
-                ev.termination = "fall"
-                self.event_log.append({"schema": "event/v1", "step": self.episode_step,
-                                       "event": "fall", "x": r.x})
-            else:
-                rise = support_new - old_support
-                if rise > cfg.max_step:
-                    ev.collision = True
-                    r.vx = 0.0
-                    self.event_log.append({"schema": "event/v1", "step": self.episode_step,
-                                           "event": "collision", "x": old_x})
-                elif rise < -cfg.max_step:
-                    # walked off an edge
-                    r.x = new_x
-                    r.airborne = True
-                    r.vz = 0.0
-                else:
-                    r.x = new_x
-                    r.z = support_new + cfg.stand_height
-
-        # posture relaxes toward an acceleration-proportional lean plus a
-        # random gait-impact wobble whose amplitude grows quadratically with
-        # speed (it feeds the orientation penalty), so a single observation
-        # cannot be inverted for the speed
-        if not r.airborne:
-            wobble = (cfg.pitch_wobble_per_speed * r.vx * abs(r.vx)
-                      * float(self.rng.uniform(-1.0, 1.0)))
-            target = cfg.pitch_gain * float(a[0]) + wobble
-            r.pitch += (target - r.pitch) * min(1.0, cfg.pitch_relax * dt)
-        if abs(r.pitch) > cfg.max_pitch:
-            ev.terminated = True
-            ev.termination = "pitch"
-
-        rate = cfg.osc_base_rate + cfg.osc_rate_per_speed * abs(r.vx)
-        r.joint_phase = np.mod(r.joint_phase + rate * dt, 2.0 * np.pi)
-
-        r.ax = (r.vx - prev_vx) / dt
-        r.az = (r.vz - prev_vz) / dt
-        r.pitch_rate = (r.pitch - prev_pitch) / dt
-        r.last_action = a.copy()
-
-        self.episode_step += 1
-        self.commanded_distance += self.command.c_x * dt
-        if self.episode_step >= cfg.episode_steps and not ev.terminated:
-            ev.truncated = True
-        return ev
-
-    # -- observations -------------------------------------------------------------
     def observation(self) -> np.ndarray:
-        """Proprioceptive vector: IMU-analog rates, gravity projection, command,
-        oscillator joints, previous action, contact flag. No absolute velocity."""
-        r = self.robot
-        return np.array([
-            0.1 * r.ax,
-            0.05 * r.az,
-            np.sin(r.pitch),
-            np.cos(r.pitch),
-            0.25 * r.pitch_rate,
-            self.command.c_x,
-            self.command.c_yaw,
-            *np.sin(r.joint_phase),
-            r.last_action[0],
-            r.last_action[1],
-            0.0 if r.airborne else 1.0,
-        ])
+        return self.batch.observation()[0]
 
     def privileged(self) -> PrivilegedInfo:
-        cfg = self.cfg
-        r = self.robot
-        lo, hi = cfg.profile_span
-        xs = r.x + np.linspace(lo, hi, cfg.profile_samples)
-        m_t = np.array([self._clearance(r.z, x) for x in xs])
-        foot_z = r.z - cfg.stand_height
-        half = cfg.foot_patch / 2.0
-        offsets = np.linspace(-half, half, cfg.patch_samples)
-        h_f = np.array([
-            np.mean([self._clearance(foot_z, r.x + f + o) for o in offsets])
-            for f in cfg.foot_offsets])
-        return PrivilegedInfo(np.array([r.vx, r.vz]), m_t, h_f)
-
-    def _clearance(self, z_ref: float, x: float) -> float:
-        h = self.heightfield.height_at(x)
-        if h == -np.inf:
-            return self.cfg.max_clearance
-        return float(np.clip(z_ref - h, -self.cfg.max_clearance, self.cfg.max_clearance))
+        p = self.batch.privileged()
+        return PrivilegedInfo(p.v_true[0], p.m_t[0], p.h_f[0])
 
     def snapshot(self) -> RobotState:
-        return copy.deepcopy(self.robot)
+        values = {name: getattr(self.robot, name) for name in STATE_FIELDS}
+        return RobotState(**{k: v.copy() if isinstance(v, np.ndarray) else v
+                             for k, v in values.items()})

@@ -120,14 +120,19 @@ class TestInvariantsAndDeterminism:
         with pytest.raises(ContractError):
             render(flat_world(), CameraConfig(), None, randomize=True)
 
-    def test_batch_render_matches_kind_of_single_renders(self):
+    @pytest.mark.parametrize("randomize", [False, True])
+    def test_batch_render_matches_kind_of_single_renders(self, randomize):
+        # each env draws from its own generator, seeded alike on both sides,
+        # so the randomized case pins the per-env draw order of the batch
         cam = CameraConfig(height=12, width=16)
-        worlds = [flat_world(s) for s in range(4)]
-        frames = render_batch(worlds, cam, [np.random.default_rng(0)] * 4,
-                              randomize=False)
-        for w, f in zip(worlds, frames):
-            single = render(w, cam)
+        worlds = [PlanarWorld(WorldConfig(), kind, np.random.default_rng(s), level=9)
+                  for s, kind in enumerate(("flat", "stairs_up", "gap", "platform"))]
+        frames = render_batch(worlds, cam, [np.random.default_rng([5, i]) for i in range(4)],
+                              randomize=randomize)
+        for i, (w, f) in enumerate(zip(worlds, frames)):
+            single = render(w, cam, np.random.default_rng([5, i]), randomize=randomize)
             assert f.data.tobytes() == single.data.tobytes()
+            assert f.pose_used == single.pose_used
 
     def test_noise_statistics_match_the_model(self):
         # empirical std of randomized depths vs sqrt(var_add + (prop*d)^2)
