@@ -151,11 +151,14 @@ class RewardConfig:
 
 @dataclass
 class TrainConfig:
+    """Defaults are the joint run: 24 envs x 48 steps for 600 iterations
+    over the 8-terrain mix."""
     seed: int = 0
-    n_envs: int = 8
+    n_envs: int = 24
     horizon: int = 48
-    iterations: int = 300
-    terrain_mix: tuple[str, ...] = ("flat",)
+    iterations: int = 600
+    terrain_mix: tuple[str, ...] = ("flat", "stairs_up", "gap", "flat", "stairs_down",
+                                    "platform", "flat", "rough")
     flip_period: int = 20
     promote_ratio: float = 0.8
     demote_ratio: float = 0.4
@@ -187,11 +190,12 @@ def paper_shape_config(**overrides: Any) -> TrainConfig:
 
 
 def tiny_config(**overrides: Any) -> TrainConfig:
-    """Minimal preset for smoke tests."""
+    """Minimal preset for smoke tests: 4 envs on flat ground."""
     cfg = desk_config(**overrides)
     cfg.n_envs = 4
     cfg.horizon = 16
     cfg.iterations = 2
+    cfg.terrain_mix = ("flat",)
     cfg.world.episode_steps = 80
     return cfg
 

@@ -1,58 +1,61 @@
-"""Fixed-length history buffers, zero-padded before warmup."""
+"""Fixed-length history buffers of all envs, zero-padded before warmup."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ContractError
-from ..sensor.camera import DepthImage
 
 
 class ProprioBuffer:
-    """Ring of the last H proprioception vectors; flattens oldest-first."""
+    """The last H proprioception vectors of E envs as one (E, H, od) ring,
+    oldest first."""
 
-    def __init__(self, length: int, dim: int) -> None:
-        self.length = length
-        self.dim = dim
-        self.data = np.zeros((length, dim))
+    def __init__(self, n: int, length: int, dim: int) -> None:
+        self.data = np.zeros((n, length, dim))
 
     def push(self, obs: np.ndarray) -> None:
+        """Append one (E, od) observation row per env."""
         obs = np.asarray(obs, dtype=np.float64)
-        if obs.shape != (self.dim,):
-            raise ContractError(f"observation shape {obs.shape} != ({self.dim},)")
-        self.data[:-1] = self.data[1:]
-        self.data[-1] = obs
+        want = (self.data.shape[0], self.data.shape[2])
+        if obs.shape != want:
+            raise ContractError(f"observation shape {obs.shape} != {want}")
+        self.data[:, :-1] = self.data[:, 1:]
+        self.data[:, -1] = obs
 
     def flat(self) -> np.ndarray:
-        return self.data.reshape(-1).copy()
+        """(E, H * od), oldest first."""
+        return self.data.reshape(len(self.data), -1).copy()
 
-    def reset(self) -> None:
-        self.data[...] = 0.0
+    def reset(self, ids) -> None:
+        self.data[ids] = 0.0
 
 
 class DepthBuffer:
-    """Ring of the last H depth frames; stacks oldest-first as channels."""
+    """The last D depth frames of E envs as one (E, D, H, W) ring, oldest
+    first. ``rendered`` marks slots that hold a frame (not a zero pad) and
+    ``clean`` those whose frame carries training randomization only."""
 
-    def __init__(self, length: int, height: int, width: int) -> None:
-        self.length = length
-        self.shape = (height, width)
-        self.data = np.zeros((length, height, width))
-        self.stages: list[str | None] = [None] * length
+    def __init__(self, n: int, length: int, height: int, width: int) -> None:
+        self.data = np.zeros((n, length, height, width))
+        self.rendered = np.zeros((n, length), dtype=bool)
+        self.clean = np.zeros((n, length), dtype=bool)
 
-    def push(self, img: DepthImage) -> None:
-        if img.data.shape != self.shape:
-            raise ContractError(f"frame shape {img.data.shape} != {self.shape}")
-        self.data[:-1] = self.data[1:]
-        self.data[-1] = img.data
-        self.stages = self.stages[1:] + [img.stage]
-
-    def stacked(self) -> np.ndarray:
-        return self.data.copy()
+    def push(self, frames: np.ndarray, corrupted: np.ndarray) -> None:
+        """Append one (E, H, W) frame per env; ``corrupted`` (E,) marks frames
+        with deployment noise."""
+        want = (self.data.shape[0], *self.data.shape[2:])
+        if frames.shape != want:
+            raise ContractError(f"frame stack shape {frames.shape} != {want}")
+        for arr, new in ((self.data, frames), (self.rendered, True),
+                         (self.clean, ~np.asarray(corrupted, dtype=bool))):
+            arr[:, :-1] = arr[:, 1:]
+            arr[:, -1] = new
 
     def newest_pair(self) -> np.ndarray:
-        """The two most recent frames as (2, H, W), older first."""
-        return self.data[-2:].copy()
+        """The two most recent frames as (E, 2, H, W), older first."""
+        return self.data[:, -2:].copy()
 
-    def reset(self) -> None:
-        self.data[...] = 0.0
-        self.stages = [None] * self.length
+    def reset(self, ids) -> None:
+        for arr in (self.data, self.rendered, self.clean):
+            arr[ids] = 0

@@ -21,24 +21,24 @@ class FusedLatent:
 
 
 def fuse_latent(h_b: np.ndarray, h_v: np.ndarray, mask: int) -> FusedLatent:
-    h_b = np.asarray(h_b, dtype=np.float64)
-    h_v = np.asarray(h_v, dtype=np.float64)
+    """Fusion of one pair of (latent,) vectors: the one-row `fuse_batch`."""
     if mask not in (0, 1):
         raise ContractError(f"mask must be 0 or 1, got {mask!r}")
-    if h_b.ndim != 1 or h_b.shape != h_v.shape:
+    h_b = np.asarray(h_b, dtype=np.float64)
+    h_v = np.asarray(h_v, dtype=np.float64)
+    if h_b.ndim != 1:
         raise ContractError(f"latent shapes differ: {h_b.shape} vs {h_v.shape}")
-    n = h_b.shape[0]
-    h = np.zeros(2 * n)
-    if mask == 1:
-        h[:n] = h_b
-    else:
-        h[n:] = h_v
-    return FusedLatent(h, int(mask))
+    return FusedLatent(fuse_batch(h_b[None], h_v[None], np.array([mask]))[0], int(mask))
 
 
 def fuse_batch(h_b: np.ndarray, h_v: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Row-wise fusion for vectorized rollouts; masks is (B,) of {0, 1}."""
+    """Row-wise fusion of (B, latent) latents; masks is (B,) of {0, 1}."""
+    h_b = np.asarray(h_b, dtype=np.float64)
+    h_v = np.asarray(h_v, dtype=np.float64)
     masks = np.asarray(masks)
+    if h_b.ndim != 2 or h_b.shape != h_v.shape or masks.shape != h_b.shape[:1]:
+        raise ContractError(f"latent shapes {h_b.shape} vs {h_v.shape} with masks "
+                            f"{masks.shape}: want (B, latent) twice and (B,)")
     if not np.isin(masks, (0, 1)).all():
         raise ContractError("masks must contain only 0 or 1")
     m = masks.astype(np.float64)[:, None]

@@ -32,7 +32,6 @@ class EstimatorOutput:
 @dataclass
 class TickRecord:
     tapes: dict
-    token_grads_template: list
 
 
 class FuseEncoder:
@@ -154,7 +153,7 @@ class OpEstimator(_EstimatorBase):
         heads = self._run_heads(h_gru, tapes)
         out = EstimatorOutput(heads["head_h"], heads["head_v"], heads["head_z"],
                               None, None, new_hidden)
-        return out, TickRecord(tapes, [])
+        return out, TickRecord(tapes)
 
     def backward(self, rec: TickRecord, grads: dict[str, np.ndarray],
                  hidden_grad: np.ndarray | None = None) -> np.ndarray:
@@ -221,7 +220,7 @@ class VpEstimator(_EstimatorBase):
         heads = self._run_heads(h_gru, tapes)
         out = EstimatorOutput(heads["head_h"], heads["head_v"], heads["head_z"],
                               heads["head_hf"], heads["head_mt"], new_hidden)
-        return out, TickRecord(tapes, [])
+        return out, TickRecord(tapes)
 
     def backward(self, rec: TickRecord, grads: dict[str, np.ndarray],
                  hidden_grad: np.ndarray | None = None) -> np.ndarray:

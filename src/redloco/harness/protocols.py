@@ -15,7 +15,8 @@ from ..config import TrainConfig
 from ..errors import ContractError
 from ..selector import (MODE_OP, MODE_VP, calibrate_beta, filter_update, make_selector,
                         min_flip_ticks, trace_record)
-from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
+from ..sensor import (STAGE_RANDOMIZED, DepthImage, inject_gaussian, inject_occlusion,
+                      inject_salt_pepper)
 from ..training.bundle import Networks, load_bundle
 from ..training.runner import VecRunner
 from ..world import make_command, sample_command
@@ -59,20 +60,24 @@ class ExperimentSpec:
 
 
 def _make_noise_hook(events: list[NoiseEvent], noise_rngs, cam):
-    def hook(i, img, step):
-        for ev in events:
-            if ev.active(step):
+    """Tick hook that corrupts every robot's frame with the events active at
+    the step; robot i draws from ``noise_rngs[i]``, events in list order."""
+    def hook(frames, poses, step):
+        active = [ev for ev in events if ev.active(step)]
+        for i, rng in enumerate(noise_rngs if active else ()):
+            img = DepthImage(frames[i], tuple(poses[i]), STAGE_RANDOMIZED)
+            for ev in active:
                 if ev.kind == "gaussian":
-                    img = inject_gaussian(img, ev.level, noise_rngs[i],
-                                          cam.max_range, cam.min_depth)
+                    img = inject_gaussian(img, ev.level, rng, cam.max_range, cam.min_depth)
                 elif ev.kind == "salt_pepper":
-                    img = inject_salt_pepper(img, ev.level, noise_rngs[i],
-                                             cam.max_range, cam.min_depth)
+                    img = inject_salt_pepper(img, ev.level, rng, cam.max_range,
+                                             cam.min_depth)
                 elif ev.kind == "occlusion":
                     img = inject_occlusion(img, cam.min_depth)
                 else:
                     raise ContractError(f"unknown noise kind {ev.kind!r}")
-        return img
+            frames[i] = img.data
+        return frames, np.full(len(frames), bool(active))
     return hook
 
 

@@ -11,8 +11,7 @@ sequentially.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from ..estimators.fusion import FusedLatent, fuse_latent
 
 MODE_VP = "VP"
 MODE_OP = "OP"
-HISTORY_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -30,10 +28,6 @@ class SelectorState:
     beta: float = float("nan")
     gamma: float = 0.1
     mode: str = MODE_VP
-    loss_history: tuple = ()
-    switch_count: int = 0
-    last_switch_step: int = -1
-    step: int = 0
     switched: bool = False
 
     def __post_init__(self) -> None:
@@ -63,12 +57,7 @@ def filter_update(state: SelectorState, loss_value: float) -> SelectorState:
     vote = 1.0 if loss_value < state.beta else 0.0
     p = (1.0 - state.gamma) * state.p + state.gamma * vote
     mode = MODE_VP if p > 0.5 else MODE_OP
-    switched = mode != state.mode
-    hist = (state.loss_history + (float(loss_value),))[-HISTORY_CAP:]
-    return replace(state, p=p, mode=mode, switched=switched,
-                   loss_history=hist, step=state.step + 1,
-                   switch_count=state.switch_count + (1 if switched else 0),
-                   last_switch_step=state.step if switched else state.last_switch_step)
+    return replace(state, p=p, mode=mode, switched=mode != state.mode)
 
 
 def select_latent(state: SelectorState, h_b: np.ndarray, h_v: np.ndarray) -> FusedLatent:
@@ -91,7 +80,3 @@ def trace_record(state: SelectorState, sim_step: int, loss_value: float) -> dict
     return {"schema": "selector-trace/v1", "step": sim_step,
             "loss_ad": float(loss_value), "beta": state.beta, "P": state.p,
             "mode": state.mode, "switched": state.switched}
-
-
-def trace_line(state: SelectorState, sim_step: int, loss_value: float) -> str:
-    return json.dumps(trace_record(state, sim_step, loss_value))

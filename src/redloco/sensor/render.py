@@ -99,7 +99,9 @@ def render(world: PlanarWorld, camera: CameraModel, rng: np.random.Generator | N
     """Render one depth frame from the robot's current pose (see `render_batch`)."""
     if randomize and rng is None:
         raise ContractError("randomized render requires an rng")
-    return render_batch([world], camera, [rng], randomize)[0]
+    data, poses = render_batch([world], camera, [rng], randomize)
+    return DepthImage(data[0], tuple(poses[0]),
+                      STAGE_RANDOMIZED if randomize else STAGE_RAW)
 
 
 def _scene(worlds: BatchWorld | list[PlanarWorld]):
@@ -113,8 +115,9 @@ def _scene(worlds: BatchWorld | list[PlanarWorld]):
 
 def render_batch(worlds: BatchWorld | list[PlanarWorld], camera: CameraModel,
                  rngs: list[np.random.Generator], randomize: bool = True
-                 ) -> list[DepthImage]:
-    """One frame per env with a single shared ray march.
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One frame per env with a single shared ray march: the (E, H, W) depth
+    stack and the (E, 4) camera poses (x, z, depression, yaw offset).
 
     With ``randomize``: uniform pose jitter (position, pitch, yaw) before
     casting, then proportional range noise, then additive Gaussian noise,
@@ -148,24 +151,18 @@ def render_batch(worlds: BatchWorld | list[PlanarWorld], camera: CameraModel,
         data = data * (1.0 + camera.prop_noise_std * prop)
         data = data + camera.add_noise_std * add
     data = np.clip(data, camera.min_depth, camera.max_range)
-    stage = STAGE_RANDOMIZED if randomize else STAGE_RAW
-    return [DepthImage(data[i], (cam_x[i], cam_z[i], depression[i], jitter[i, 3]), stage)
-            for i in range(n)]
+    return data, np.column_stack([cam_x, cam_z, depression, jitter[:, 3]])
 
 
 def edge_truncate_resize(image: DepthImage, border: int) -> DepthImage:
     """Crop a pixel border, then bilinearly resample the interior back to the
     original resolution. Border 0 is an exact identity."""
-    return DepthImage(_edge_truncate(image.data, border), image.pose_used, image.stage)
+    return DepthImage(edge_truncate_stack(image.data, border), image.pose_used, image.stage)
 
 
-def edge_truncate_batch(frames: list[DepthImage], border: int) -> list[DepthImage]:
-    """`edge_truncate_resize` of every frame, resampled as one (E, H, W) stack."""
-    data = _edge_truncate(np.stack([f.data for f in frames]), border)
-    return [DepthImage(d, f.pose_used, f.stage) for d, f in zip(data, frames)]
-
-
-def _edge_truncate(data: np.ndarray, border: int) -> np.ndarray:
+def edge_truncate_stack(data: np.ndarray, border: int) -> np.ndarray:
+    """`edge_truncate_resize` of the last two axes of ``data``, e.g. an
+    (E, H, W) frame stack."""
     h, w = data.shape[-2:]
     if border < 0 or 2 * border >= min(h, w):
         raise ContractError(f"border {border} too large for {h}x{w} frame")

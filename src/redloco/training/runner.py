@@ -15,7 +15,7 @@ import numpy as np
 from ..config import TrainConfig
 from ..estimators import DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer, VpEstimator, fuse_batch
 from ..selector.autoencoder import anomaly_scores
-from ..sensor import STAGE_RANDOMIZED, edge_truncate_batch, render_batch
+from ..sensor import edge_truncate_stack, render_batch
 from ..world import OBS_DIM, BatchWorld, batch_reward, update_curriculum
 from ..nn import LayerStack
 
@@ -33,8 +33,8 @@ class TickData:
     h_f: np.ndarray                # (E, 2)
     m_t: np.ndarray                # (E, K)
     losses: np.ndarray | None      # (E,) anomaly scores, when an AE is attached
-    pair_valid: np.ndarray         # (E,) both frames are real renders
-    clean_stage: np.ndarray        # (E,) both frames are randomize-stage only
+    pair_valid: np.ndarray         # (E,) every buffered frame is a real render
+    clean_stage: np.ndarray        # (E,) every buffered frame is randomize-stage only
     resets_before: np.ndarray      # (E,) env reset since the previous tick
     next_obs: np.ndarray | None = None   # (E, od) filled one step later
     loss_valid: np.ndarray | None = None  # (E,) no episode boundary crossed
@@ -70,10 +70,9 @@ class VecRunner:
         self.world = BatchWorld(cfg.world, kinds, env_rngs, start_levels)
         if eval_mode and fixed_commands is not None:
             self.world.reset(range(self.n), fixed_commands)
-        h1 = cfg.net.history_len
-        self.pbufs = [ProprioBuffer(h1, OBS_DIM) for _ in range(self.n)]
-        self.dbufs = [DepthBuffer(cfg.net.depth_frames, cfg.camera.height,
-                                  cfg.camera.width) for _ in range(self.n)]
+        self.proprio = ProprioBuffer(self.n, cfg.net.history_len, OBS_DIM)
+        self.depth = DepthBuffer(self.n, cfg.net.depth_frames, cfg.camera.height,
+                                 cfg.camera.width)
         self.op_hidden = op.zero_hidden(self.n)
         self.vp_hidden = vp.zero_hidden(self.n)
         self.latents = np.zeros((self.n, 2 * cfg.net.latent))
@@ -88,8 +87,7 @@ class VecRunner:
 
     def _push_obs(self) -> None:
         self.obs = self.world.observation()
-        for buf, obs in zip(self.pbufs, self.obs):
-            buf.push(obs)
+        self.proprio.push(self.obs)
 
     def v_true(self) -> np.ndarray:
         return np.column_stack([self.world.vx, self.world.vz])
@@ -106,20 +104,21 @@ class VecRunner:
 
     # -- estimator tick ------------------------------------------------------
     def tick_estimators(self, noise_hook=None) -> TickData:
+        """One estimator tick. ``noise_hook(frames, poses, step)`` may corrupt
+        the (E, H, W) frame stack; it returns the stack and an (E,) mask of
+        the rows it corrupted."""
         cam = self.cfg.camera
-        frames = render_batch(self.world, cam, self.env_rngs, randomize=True)
-        if cam.edge_border > 0:
-            frames = edge_truncate_batch(frames, cam.edge_border)
+        frames, poses = render_batch(self.world, cam, self.env_rngs, randomize=True)
+        frames = edge_truncate_stack(frames, cam.edge_border)
         # deployment corruption lands on the processed image the networks consume
+        corrupted = np.zeros(self.n, dtype=bool)
         if noise_hook is not None:
-            frames = [noise_hook(i, f, self.global_step) for i, f in enumerate(frames)]
-        for i, f in enumerate(frames):
-            self.dbufs[i].push(f)
-        depth_pairs = np.stack([d.newest_pair() for d in self.dbufs])
-        flat_obs = np.stack([p.flat() for p in self.pbufs])
-        pair_valid = np.array([all(s is not None for s in d.stages) for d in self.dbufs])
-        clean_stage = np.array([all(s == STAGE_RANDOMIZED for s in d.stages)
-                                for d in self.dbufs])
+            frames, corrupted = noise_hook(frames, poses, self.global_step)
+        self.depth.push(frames, corrupted)
+        depth_pairs = self.depth.newest_pair()
+        flat_obs = self.proprio.flat()
+        pair_valid = self.depth.rendered.all(axis=1)
+        clean_stage = self.depth.clean.all(axis=1)
         op_h0 = self.op_hidden.copy()
         vp_h0 = self.vp_hidden.copy()
         op_out, _ = self.op.forward(flat_obs, self.op_hidden)
@@ -161,9 +160,8 @@ class VecRunner:
                 w.curriculum_phase[ids] = self.phase
             w.reset(ids, [self.fixed_commands[i] for i in ids]
                     if self.eval_mode and self.fixed_commands else None)
-            for i in ids:
-                self.pbufs[i].reset()
-                self.dbufs[i].reset()
+            self.proprio.reset(ids)
+            self.depth.reset(ids)
             for arr in (self.op_hidden, self.vp_hidden, self.latents, self.m_t_held):
                 arr[ids] = 0.0
             self.resets_since_tick[ids] = True

@@ -9,25 +9,12 @@ from redloco.config import desk_config
 from redloco.harness import calibrate_beta_run
 from redloco.training import train
 
-JOINT_MIX = ("flat", "stairs_up", "gap", "flat", "stairs_down", "platform",
-             "flat", "rough")
-
-
-def joint_train_config():
-    cfg = desk_config()
-    cfg.seed = 42
-    cfg.n_envs = 24
-    cfg.horizon = 48
-    cfg.iterations = 600
-    cfg.terrain_mix = JOINT_MIX
-    return cfg
-
 
 @pytest.fixture(scope="session")
 def joint_run(tmp_path_factory):
     """Joint desk-scale training on flat+stairs+gap(+platform/rough) at 12x16."""
     out = tmp_path_factory.mktemp("joint_run")
-    result = train(joint_train_config(), out)
+    result = train(desk_config(seed=42), out)
     return result
 
 

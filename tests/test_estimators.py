@@ -12,7 +12,6 @@ from redloco.errors import ContractError
 from redloco.estimators import (DepthBuffer, FusedLatent, HimTargetEncoder, OpEstimator,
                                 ProprioBuffer, VpEstimator, fuse_batch, fuse_latent,
                                 loss_op, loss_vp, mse)
-from redloco.sensor.camera import STAGE_RANDOMIZED, DepthImage
 
 CFG = NetConfig(history_len=4, embed_hidden=8, embed_out=6, cnn_channels=(2, 3, 4),
                 encoder_hidden=8, encoder_out=6, gru_hidden=8, latent=5, z_dim=4,
@@ -26,38 +25,97 @@ def obs_batch(b, rng):
     return rng.standard_normal((b, CFG.history_len * OBS))
 
 
+class _EnvHistory:
+    """Per-env reference for the batched buffers: the last `length` entries,
+    oldest first, None for a slot not pushed since the last reset."""
+
+    def __init__(self, length):
+        self.items = [None] * length
+
+    def push(self, item):
+        self.items = self.items[1:] + [item]
+
+    def reset(self):
+        self.items = [None] * len(self.items)
+
+
 class TestBuffers:
     def test_proprio_warmup_is_zero_padded_then_exact_length(self):
-        buf = ProprioBuffer(4, 3)
-        assert buf.flat().shape == (12,)
+        buf = ProprioBuffer(2, 4, 3)
+        assert buf.flat().shape == (2, 12)
         np.testing.assert_array_equal(buf.flat(), 0.0)
         for k in range(6):
-            buf.push(np.full(3, float(k)))
-        np.testing.assert_array_equal(buf.data[:, 0], [2, 3, 4, 5])
+            buf.push(np.full((2, 3), float(k)))
+        np.testing.assert_array_equal(buf.data[:, :, 0], [[2, 3, 4, 5]] * 2)
 
     def test_flat_is_oldest_first(self):
-        buf = ProprioBuffer(3, 2)
+        buf = ProprioBuffer(1, 3, 2)
         for k in range(3):
-            buf.push([k, k])
-        np.testing.assert_array_equal(buf.flat(), [0, 0, 1, 1, 2, 2])
+            buf.push([[k, k]])
+        np.testing.assert_array_equal(buf.flat(), [[0, 0, 1, 1, 2, 2]])
 
-    def test_depth_buffer_tracks_stages_for_validity(self):
-        buf = DepthBuffer(2, *HW)
-        assert buf.stages == [None, None]
-        img = DepthImage(np.ones(HW), (0, 0, 0, 0), STAGE_RANDOMIZED)
-        buf.push(img)
-        assert buf.stages == [None, STAGE_RANDOMIZED]
-        buf.push(img)
-        assert buf.stages == [STAGE_RANDOMIZED, STAGE_RANDOMIZED]
-        buf.reset()
-        assert buf.stages == [None, None]
+    def test_depth_buffer_tracks_rendered_and_clean_slots(self):
+        buf = DepthBuffer(2, 2, *HW)
+        assert not buf.rendered.any() and not buf.clean.any()
+        buf.push(np.ones((2,) + HW), np.array([False, True]))
+        np.testing.assert_array_equal(buf.rendered, [[False, True], [False, True]])
+        np.testing.assert_array_equal(buf.clean, [[False, True], [False, False]])
+        buf.push(np.ones((2,) + HW), np.zeros(2, dtype=bool))
+        np.testing.assert_array_equal(buf.rendered, True)
+        np.testing.assert_array_equal(buf.clean, [[True, True], [False, True]])
+        buf.reset([1])
+        np.testing.assert_array_equal(buf.rendered, [[True, True], [False, False]])
+        np.testing.assert_array_equal(buf.clean, [[True, True], [False, False]])
+        np.testing.assert_array_equal(buf.data[1], 0.0)
+        np.testing.assert_array_equal(buf.data[0], 1.0)
 
     def test_wrong_shapes_rejected(self):
         with pytest.raises(ContractError):
-            ProprioBuffer(4, 3).push(np.zeros(2))
+            ProprioBuffer(2, 4, 3).push(np.zeros((2, 2)))
         with pytest.raises(ContractError):
-            DepthBuffer(2, *HW).push(DepthImage(np.ones((3, 3)), (0, 0, 0, 0),
-                                                STAGE_RANDOMIZED))
+            ProprioBuffer(2, 4, 3).push(np.zeros(3))
+        with pytest.raises(ContractError):
+            DepthBuffer(2, 2, *HW).push(np.ones((2, 3, 3)), np.zeros(2, dtype=bool))
+        with pytest.raises(ContractError):
+            DepthBuffer(2, 2, *HW).push(np.ones(HW), np.zeros(2, dtype=bool))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_buffers_match_per_env_reference(self, seed):
+        # random pushes, corruptions and resets of env subsets, checked
+        # against one plain list-of-slots history per env
+        rng = np.random.default_rng(seed)
+        n, h, od, d = 5, 4, 3, 3
+        pbuf, dbuf = ProprioBuffer(n, h, od), DepthBuffer(n, d, *HW)
+        p_ref = [_EnvHistory(h) for _ in range(n)]
+        d_ref = [_EnvHistory(d) for _ in range(n)]
+        for _ in range(40):
+            obs = rng.standard_normal((n, od))
+            pbuf.push(obs)
+            for i in range(n):
+                p_ref[i].push(obs[i])
+            if rng.random() < 0.5:
+                frames = rng.uniform(0.01, 2.0, (n,) + HW)
+                corrupted = rng.random(n) < 0.3
+                dbuf.push(frames, corrupted)
+                for i in range(n):
+                    d_ref[i].push((frames[i], bool(corrupted[i])))
+            ids = np.flatnonzero(rng.random(n) < 0.2)
+            pbuf.reset(ids)
+            dbuf.reset(ids)
+            for i in ids:
+                p_ref[i].reset()
+                d_ref[i].reset()
+            for i in range(n):
+                p_rows = [np.zeros(od) if x is None else x for x in p_ref[i].items]
+                np.testing.assert_array_equal(pbuf.data[i], p_rows)
+                np.testing.assert_array_equal(pbuf.flat()[i], np.concatenate(p_rows))
+                d_rows = [np.zeros(HW) if x is None else x[0] for x in d_ref[i].items]
+                np.testing.assert_array_equal(dbuf.data[i], d_rows)
+                np.testing.assert_array_equal(dbuf.newest_pair()[i], d_rows[-2:])
+                slots = d_ref[i].items
+                assert dbuf.rendered.all(axis=1)[i] == all(x is not None for x in slots)
+                assert dbuf.clean.all(axis=1)[i] == all(
+                    x is not None and not x[1] for x in slots)
 
 
 class TestOpEstimator:

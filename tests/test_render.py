@@ -7,7 +7,7 @@ import pytest
 from redloco.config import CameraConfig, WorldConfig
 from redloco.errors import ContractError
 from redloco.sensor import (STAGE_RANDOMIZED, STAGE_RAW, edge_truncate_resize,
-                            march_rays, render, render_batch)
+                            edge_truncate_stack, march_rays, render, render_batch)
 from redloco.sensor.camera import DepthImage, dump_text, parse_text
 from redloco.world import PlanarWorld, generate_terrain, make_command
 
@@ -127,12 +127,14 @@ class TestInvariantsAndDeterminism:
         cam = CameraConfig(height=12, width=16)
         worlds = [PlanarWorld(WorldConfig(), kind, np.random.default_rng(s), level=9)
                   for s, kind in enumerate(("flat", "stairs_up", "gap", "platform"))]
-        frames = render_batch(worlds, cam, [np.random.default_rng([5, i]) for i in range(4)],
-                              randomize=randomize)
-        for i, (w, f) in enumerate(zip(worlds, frames)):
+        frames, poses = render_batch(worlds, cam,
+                                     [np.random.default_rng([5, i]) for i in range(4)],
+                                     randomize=randomize)
+        assert frames.shape == (4, 12, 16) and poses.shape == (4, 4)
+        for i, w in enumerate(worlds):
             single = render(w, cam, np.random.default_rng([5, i]), randomize=randomize)
-            assert f.data.tobytes() == single.data.tobytes()
-            assert f.pose_used == single.pose_used
+            assert frames[i].tobytes() == single.data.tobytes()
+            assert tuple(poses[i]) == single.pose_used
 
     def test_noise_statistics_match_the_model(self):
         # empirical std of randomized depths vs sqrt(var_add + (prop*d)^2)
@@ -172,6 +174,14 @@ class TestEdgeTruncateResize:
         out = edge_truncate_resize(img, 2)
         assert out.data.shape == (12, 16)
         assert out.data[0, 0] == pytest.approx(1.0)
+
+    def test_stack_matches_frame_by_frame(self):
+        rng = np.random.default_rng(3)
+        stack = rng.uniform(0.01, 2.0, (5, 12, 16))
+        out = edge_truncate_stack(stack, 2)
+        for frame, want in zip(stack, out):
+            img = DepthImage(frame, (0, 0, 0, 0), STAGE_RAW)
+            assert edge_truncate_resize(img, 2).data.tobytes() == want.tobytes()
 
     def test_oversized_border_rejected(self):
         img = DepthImage(np.ones((12, 16)), (0, 0, 0, 0), STAGE_RAW)

@@ -10,7 +10,7 @@ from redloco.config import tiny_config
 from redloco.errors import ContractError
 from redloco.harness import (ExperimentSpec, NoiseEvent, run_episode, run_noise_robustness,
                              run_trace, switch_delay_text)
-from redloco.harness.protocols import max_switch_delay
+from redloco.harness.protocols import _make_noise_hook, max_switch_delay
 from redloco.sensor.camera import STAGE_DEPLOYMENT, STAGE_RANDOMIZED
 from redloco.training import Trainer, load_bundle, train
 from redloco.training.runner import VecRunner
@@ -59,6 +59,25 @@ class TestRunner:
         tick = runner.tick_estimators()
         assert tick.resets_before.all()
         assert not tick.pair_valid.any()
+
+    def test_one_noisy_tick_taints_exactly_the_next_depth_frames_ticks(self):
+        cfg, runner = self._runner()
+        period = cfg.selector.tick_period
+        noisy = 2 * period                   # the third tick
+        rngs = [np.random.default_rng([4, i]) for i in range(3)]
+        hook = _make_noise_hook([NoiseEvent("gaussian", 30.0, noisy, noisy + 1)], rngs,
+                                cfg.camera)
+        clean = []
+        for step in range(0, 8 * period):
+            if runner.is_tick_step():
+                tick = runner.tick_estimators(hook)
+                assert tick.pair_valid.all() == (step > 0)
+                clean.append(bool(tick.clean_stage.all()) if step > 0 else None)
+                assert tick.clean_stage.any() == tick.clean_stage.all()
+                runner.set_latents(np.zeros(3, dtype=np.int64))
+            assert not runner.step(np.zeros((3, 2))).resets.any()
+        taint = cfg.net.depth_frames
+        assert clean == [None, True] + [False] * taint + [True] * (6 - taint)
 
     def test_anomaly_losses_need_an_attached_autoencoder(self):
         _, plain = self._runner(ae=False)

@@ -12,7 +12,8 @@ from redloco.selector import (MODE_OP, MODE_VP, anomaly_scores, autoencode,
                               implausibility, loss_ad, loss_ad_batch, make_selector,
                               min_flip_ticks, near_depth_bound, select_latent,
                               trace_record)
-from redloco.sensor import edge_truncate_resize, inject_occlusion, render_batch
+from redloco.sensor import (STAGE_RANDOMIZED, DepthImage, edge_truncate_stack,
+                            inject_occlusion, render_batch)
 from redloco.world import PlanarWorld
 
 
@@ -223,9 +224,9 @@ class TestAnomalyScore:
         rngs = [np.random.default_rng(10 + i) for i in range(len(kinds))]
         near = near_depth_bound(cfg.world, cfg.camera)
         for _ in range(40):
-            frames = [edge_truncate_resize(f, cfg.camera.edge_border)
-                      for f in render_batch(worlds, cfg.camera, rngs)]
-            pairs = np.stack([np.stack([f.data, f.data]) for f in frames])
+            frames = edge_truncate_stack(render_batch(worlds, cfg.camera, rngs)[0],
+                                         cfg.camera.edge_border)
+            pairs = np.stack([frames, frames], axis=1)
             assert (implausibility(pairs, near, cfg.camera.min_depth) == 0.0).all()
             recon = pairs + 0.05
             np.testing.assert_array_equal(
@@ -235,7 +236,8 @@ class TestAnomalyScore:
                 for _ in range(4):
                     if w.step([0.6, 0.0]).done:
                         w.reset_episode()
-        occ = inject_occlusion(frames[0], cfg.camera.min_depth).data
+        occ = inject_occlusion(DepthImage(frames[0], (0, 0, 0, 0), STAGE_RANDOMIZED),
+                               cfg.camera.min_depth).data
         assert implausibility(np.stack([occ, occ])[None], near,
                               cfg.camera.min_depth)[0] == 1.0
 
