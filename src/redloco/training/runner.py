@@ -132,7 +132,8 @@ class VecRunner:
             recon, _, _ = self.ae.forward(depth_pairs)
             losses = anomaly_scores(depth_pairs, recon, self.cfg.world, cam)
         priv = self.world.privileged()
-        self.m_t_held = priv.m_t
+        # `step` zeroes held rows at resets; the tick's labels must not change
+        self.m_t_held = priv.m_t.copy()
         resets_before = self.resets_since_tick.copy()
         self.resets_since_tick[...] = False
         return TickData(self.global_step, flat_obs, depth_pairs, op_out, vp_out,

@@ -27,8 +27,8 @@ def tiny_ckpt(tmp_path_factory):
 
 
 class TestRunner:
-    def _runner(self, n=3, ae=False):
-        cfg = tiny_config()
+    def _runner(self, n=3, ae=False, cfg=None):
+        cfg = cfg or tiny_config()
         tr = Trainer(cfg, "/tmp/_unused_runner")
         rngs = [np.random.default_rng([9, i]) for i in range(n)]
         return cfg, VecRunner(cfg, ["flat"] * n, rngs, tr.nets.op, tr.nets.vp,
@@ -78,6 +78,25 @@ class TestRunner:
             assert not runner.step(np.zeros((3, 2))).resets.any()
         taint = cfg.net.depth_frames
         assert clean == [None, True] + [False] * taint + [True] * (6 - taint)
+
+    def test_a_later_reset_leaves_the_stored_tick_labels_alone(self):
+        # 14-step episodes reset 3 and then 2 steps after a tick
+        cfg = tiny_config()
+        cfg.world.episode_steps = 14
+        _, runner = self._runner(cfg=cfg)
+        ticks, late_resets = [], 0
+        for step in range(30):
+            if runner.is_tick_step():
+                tick = runner.tick_estimators()
+                ticks.append((tick, tick.m_t.copy()))
+                last_tick = step
+                runner.set_latents(np.zeros(3, dtype=np.int64))
+            resets = runner.step(np.zeros((3, 2))).resets
+            late_resets += bool(resets.any()) and step - last_tick >= 2
+        assert late_resets == 2
+        for tick, m_t in ticks:
+            assert (m_t != 0).any()
+            np.testing.assert_array_equal(tick.m_t, m_t)
 
     def test_anomaly_losses_need_an_attached_autoencoder(self):
         _, plain = self._runner(ae=False)
