@@ -88,38 +88,53 @@ def save_checkpoint(path: str | Path, entries: dict[str, LayerStack | TensorPara
             f.write(b)
 
 
+def _read_array(raw: bytes, path, dtype_name: str, shape: tuple[int, ...],
+                offset: int) -> tuple[np.ndarray, int]:
+    """The array stored at ``offset``, and the offset just past it."""
+    wire = np.dtype(_wire_dtype(dtype_name))
+    n = int(np.prod(shape)) if shape else 1
+    end = offset + n * wire.itemsize
+    if end > len(raw):
+        raise CheckpointError(f"{path}: truncated: parameter data needs {end} bytes, "
+                              f"file has {len(raw)}")
+    return np.frombuffer(raw, dtype=wire, count=n, offset=offset).reshape(shape), end
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict[str, LayerStack | TensorParam], dict]:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint container")
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: truncated header")
     (mlen,) = struct.unpack("<Q", raw[4:12])
-    manifest = json.loads(raw[12:12 + mlen].decode())
+    try:
+        manifest = json.loads(raw[12:12 + mlen].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
     if manifest.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')}")
     offset = 12 + mlen
     entries: dict[str, LayerStack | TensorParam] = {}
     throwaway = np.random.default_rng(0)
     for e in manifest["entries"]:
-        wire = _wire_dtype(e["dtype"])
-        itemsize = 8 if e["dtype"] == "f64" else 4
+        dtype = np.float64 if e["dtype"] == "f64" else np.float32
         if e["type"] == "stack":
             stack = LayerStack([_desc_from_dict(d) for d in e["layers"]],
                                tuple(e["input_shape"]), throwaway, dtype=e["dtype"])
-            for p, pinfo in zip(stack.params(), e["params"]):
-                shape = tuple(pinfo["shape"])
-                n = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(raw, dtype=wire, count=n, offset=offset).reshape(shape)
-                offset += n * itemsize
-                p.values = arr.astype(p.values.dtype)
-                p.__post_init__()
+            params = list(stack.params())
+            if len(params) != len(e["params"]):
+                raise CheckpointError(f"{path}: entry {e['name']!r} lists {len(e['params'])} "
+                                      f"params, its layers have {len(params)}")
+            for p, pinfo in zip(params, e["params"]):
+                arr, offset = _read_array(raw, path, e["dtype"], tuple(pinfo["shape"]), offset)
+                if arr.shape != p.shape:
+                    raise CheckpointError(f"{path}: {e['name']}.{p.name} is stored as "
+                                          f"{arr.shape}, its layer needs {p.shape}")
+                p.values[...] = arr
             entries[e["name"]] = stack
         else:
-            shape = tuple(e["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype=wire, count=n, offset=offset).reshape(shape)
-            offset += n * itemsize
-            entries[e["name"]] = TensorParam(e["name"], arr.astype(
-                np.float64 if e["dtype"] == "f64" else np.float32))
+            arr, offset = _read_array(raw, path, e["dtype"], tuple(e["shape"]), offset)
+            entries[e["name"]] = TensorParam(e["name"], arr.astype(dtype))
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes ({len(raw) - offset})")
     return entries, manifest["meta"]

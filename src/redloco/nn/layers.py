@@ -289,7 +289,12 @@ def backward(layer: LayerDesc, P: dict[str, Any], rec: Any,
 
 
 # --- conv2d ---
-# Channels-last internally: per-tap strided slices feed one GEMM each.
+# Channels-last internally. Each kernel tap is one GEMM of a contiguous
+# (N, C) window against a contiguous (C, O) weight slice, accumulated in
+# (di, dj) order; with a strided 4-D operand numpy would run one small matrix
+# product per image row instead. The per-tap weights are laid out once per
+# call. At the shapes the networks run this gives the same bits as the plain
+# per-tap loop (tests/test_conv_kernels.py).
 
 def _conv2d_fwd(x, W, b, L: Conv2d):
     B, C, H, Wd = x.shape
@@ -297,13 +302,14 @@ def _conv2d_fwd(x, W, b, L: Conv2d):
     p, s = L.pad, L.stride
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
     xp_t = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
-    w_t = W.transpose(2, 3, 1, 0)          # (k, k, C, O)
-    y_t = np.empty((B, ho, wo, L.c_out), dtype=x.dtype)
-    y_t[...] = b
+    w_t = np.ascontiguousarray(W.transpose(2, 3, 1, 0))      # (k, k, C, O)
+    y = np.empty((B * ho * wo, L.c_out), dtype=x.dtype)
+    y[...] = b
     for di in range(L.kernel):
         for dj in range(L.kernel):
-            xs = xp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :]
-            y_t += xs @ w_t[di, dj]
+            xs = xp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :].reshape(-1, C)
+            y += xs @ w_t[di, dj]
+    y_t = y.reshape(B, ho, wo, L.c_out)
     return np.ascontiguousarray(y_t.transpose(0, 3, 1, 2)), (xp_t, x.shape)
 
 
@@ -312,16 +318,16 @@ def _conv2d_bwd(gy, rec, P, L: Conv2d):
     B, C, H, Wd = xshape
     ho, wo = gy.shape[2], gy.shape[3]
     p, s = L.pad, L.stride
-    w_t = P["W"].values.transpose(2, 3, 1, 0)
-    gy_t = np.ascontiguousarray(gy.transpose(0, 2, 3, 1))
-    gy_flat = gy_t.reshape(-1, L.c_out)
+    w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 0, 1))   # (k, k, O, C)
+    gy_flat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, L.c_out)
     P["b"].grad += gy_flat.sum(0)
     gxp_t = np.zeros_like(xp_t)
     for di in range(L.kernel):
         for dj in range(L.kernel):
-            xs = xp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :]
-            P["W"].grad[:, :, di, dj] += (xs.reshape(-1, C).T @ gy_flat).T
-            gxp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :] += gy_t @ w_t[di, dj].T
+            xs = xp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :].reshape(-1, C)
+            P["W"].grad[:, :, di, dj] += (xs.T @ gy_flat).T
+            gxp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :] += (
+                gy_flat @ w_t[di, dj]).reshape(B, ho, wo, C)
     gx_t = gxp_t[:, p:p + H, p:p + Wd, :] if p else gxp_t
     return np.ascontiguousarray(gx_t.transpose(0, 3, 1, 2))
 
@@ -333,12 +339,14 @@ def _deconv2d_fwd(x, W, b, L: Deconv2d):
     _, ho, wo = deconv_shape((C, H, Wd), L.kernel, L.stride, L.pad, L.out_pad, L.c_out)
     s, p = L.stride, L.pad
     x_t = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-    w_t = W.transpose(2, 3, 0, 1)          # (k, k, C, O)
+    x_flat = x_t.reshape(-1, C)
+    w_t = np.ascontiguousarray(W.transpose(2, 3, 0, 1))      # (k, k, C, O)
     full_t = np.zeros((B, (H - 1) * s + L.kernel + L.out_pad[0],
                        (Wd - 1) * s + L.kernel + L.out_pad[1], L.c_out), dtype=x.dtype)
     for di in range(L.kernel):
         for dj in range(L.kernel):
-            full_t[:, di:di + s * H:s, dj:dj + s * Wd:s, :] += x_t @ w_t[di, dj]
+            full_t[:, di:di + s * H:s, dj:dj + s * Wd:s, :] += (
+                x_flat @ w_t[di, dj]).reshape(B, H, Wd, L.c_out)
     y_t = full_t[:, p:p + ho, p:p + wo, :] + b
     return np.ascontiguousarray(y_t.transpose(0, 3, 1, 2)), (x_t, full_t.shape)
 
@@ -347,19 +355,18 @@ def _deconv2d_bwd(gy, rec, P, L: Deconv2d):
     x_t, full_shape = rec
     B, H, Wd, C = x_t.shape
     s, p = L.stride, L.pad
-    w_t = P["W"].values.transpose(2, 3, 0, 1)
-    gy_t = gy.transpose(0, 2, 3, 1)
+    w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 1, 0))   # (k, k, O, C)
     P["b"].grad += gy.sum((0, 2, 3))
     gfull_t = np.zeros(full_shape, dtype=gy.dtype)
-    gfull_t[:, p:p + gy.shape[2], p:p + gy.shape[3], :] = gy_t
-    gx_t = np.zeros_like(x_t)
+    gfull_t[:, p:p + gy.shape[2], p:p + gy.shape[3], :] = gy.transpose(0, 2, 3, 1)
+    gx = np.zeros((B * H * Wd, C), dtype=x_t.dtype)
     x_flat = x_t.reshape(-1, C)
     for di in range(L.kernel):
         for dj in range(L.kernel):
-            gslice = gfull_t[:, di:di + s * H:s, dj:dj + s * Wd:s, :]
-            P["W"].grad[:, :, di, dj] += x_flat.T @ gslice.reshape(-1, L.c_out)
-            gx_t += gslice @ w_t[di, dj].T
-    return np.ascontiguousarray(gx_t.transpose(0, 3, 1, 2))
+            gs = gfull_t[:, di:di + s * H:s, dj:dj + s * Wd:s, :].reshape(-1, L.c_out)
+            P["W"].grad[:, :, di, dj] += x_flat.T @ gs
+            gx += gs @ w_t[di, dj]
+    return np.ascontiguousarray(gx.reshape(B, H, Wd, C).transpose(0, 3, 1, 2))
 
 
 # --- gru cell ---

@@ -9,7 +9,7 @@ import numpy as np
 
 from .. import config as config_mod
 from ..config import TrainConfig
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigError
 from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator
 from ..nn import LayerStack, TensorParam, load_checkpoint, save_checkpoint
 from ..selector.autoencoder import build_autoencoder
@@ -49,6 +49,10 @@ class Networks:
 
 
 def build_networks(cfg: TrainConfig, rng: np.random.Generator) -> Networks:
+    # the tick and the autoencoder both consume the newest frame pair
+    if cfg.net.depth_frames != 2:
+        raise ConfigError(f"net.depth_frames: only 2 is supported (the networks read the "
+                          f"newest frame pair), got {cfg.net.depth_frames}")
     op = OpEstimator(cfg.net, OBS_DIM, rng)
     vp = VpEstimator(cfg.net, OBS_DIM, (cfg.camera.height, cfg.camera.width),
                      cfg.world.profile_samples, rng)
@@ -76,16 +80,23 @@ def load_bundle(path: str | Path) -> tuple[TrainConfig, Networks, dict]:
     cfg = config_mod.parse_text(meta["config"])
     nets = build_networks(cfg, np.random.default_rng(0))
     targets = nets.named_stacks()
+    missing = sorted(targets.keys() - entries.keys())
+    extra = sorted(entries.keys() - targets.keys())
+    if missing or extra:
+        raise CheckpointError(f"{path}: entries do not match the network set "
+                              f"(missing {missing}, unexpected {extra})")
     for name, loaded in entries.items():
-        if name not in targets:
-            raise CheckpointError(f"{path}: unexpected entry {name!r}")
-        tgt = targets[name]
-        if isinstance(loaded, TensorParam):
-            tgt.values[...] = loaded.values
-        else:
-            for p_t, p_l in zip(tgt.params(), loaded.params()):
-                if p_t.shape != p_l.shape:
-                    raise CheckpointError(
-                        f"{path}: shape mismatch for {name}.{p_t.name}")
-                p_t.values[...] = p_l.values
+        want, got = _param_list(targets[name]), _param_list(loaded)
+        if len(want) != len(got):
+            raise CheckpointError(f"{path}: {name} holds {len(got)} params, "
+                                  f"the network needs {len(want)}")
+        for p_t, p_l in zip(want, got):
+            if p_t.shape != p_l.shape:
+                raise CheckpointError(
+                    f"{path}: shape mismatch for {name}.{p_t.name}")
+            p_t.values[...] = p_l.values
     return cfg, nets, meta
+
+
+def _param_list(obj: LayerStack | TensorParam) -> list[TensorParam]:
+    return [obj] if isinstance(obj, TensorParam) else list(obj.params())

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import TrainConfig
-from ..estimators import DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer, VpEstimator, fuse_batch
+from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer, TickRecord,
+                          VpEstimator, fuse_batch)
 from ..selector.autoencoder import anomaly_scores
 from ..sensor import edge_truncate_stack, render_batch
 from ..world import OBS_DIM, BatchWorld, batch_reward, update_curriculum
@@ -27,8 +28,8 @@ class TickData:
     depth_pairs: np.ndarray        # (E, 2, H, W)
     op_out: EstimatorOutput
     vp_out: EstimatorOutput
-    op_h0: np.ndarray              # hiddens before this tick
-    vp_h0: np.ndarray
+    op_rec: TickRecord             # forward tapes, replayed by the BPTT update
+    vp_rec: TickRecord
     v_true: np.ndarray             # (E, 2)
     h_f: np.ndarray                # (E, 2)
     m_t: np.ndarray                # (E, K)
@@ -119,10 +120,8 @@ class VecRunner:
         flat_obs = self.proprio.flat()
         pair_valid = self.depth.rendered.all(axis=1)
         clean_stage = self.depth.clean.all(axis=1)
-        op_h0 = self.op_hidden.copy()
-        vp_h0 = self.vp_hidden.copy()
-        op_out, _ = self.op.forward(flat_obs, self.op_hidden)
-        vp_out, _ = self.vp.forward(flat_obs, depth_pairs, self.vp_hidden)
+        op_out, op_rec = self.op.forward(flat_obs, self.op_hidden)
+        vp_out, vp_rec = self.vp.forward(flat_obs, depth_pairs, self.vp_hidden)
         self.op_hidden = op_out.gru_hidden
         self.vp_hidden = vp_out.gru_hidden
         self._last_op_h = op_out.h
@@ -132,12 +131,11 @@ class VecRunner:
             recon, _, _ = self.ae.forward(depth_pairs)
             losses = anomaly_scores(depth_pairs, recon, self.cfg.world, cam)
         priv = self.world.privileged()
-        # `step` zeroes held rows at resets; the tick's labels must not change
-        self.m_t_held = priv.m_t.copy()
+        self.m_t_held = priv.m_t
         resets_before = self.resets_since_tick.copy()
         self.resets_since_tick[...] = False
         return TickData(self.global_step, flat_obs, depth_pairs, op_out, vp_out,
-                        op_h0, vp_h0, priv.v_true, priv.h_f, priv.m_t, losses, pair_valid,
+                        op_rec, vp_rec, priv.v_true, priv.h_f, priv.m_t, losses, pair_valid,
                         clean_stage, resets_before)
 
     def set_latents(self, masks: np.ndarray) -> None:
@@ -163,8 +161,12 @@ class VecRunner:
                     if self.eval_mode and self.fixed_commands else None)
             self.proprio.reset(ids)
             self.depth.reset(ids)
-            for arr in (self.op_hidden, self.vp_hidden, self.latents, self.m_t_held):
-                arr[ids] = 0.0
+            # rebind, never write in place: the last tick's tapes and labels
+            # hold these arrays until the BPTT update replays them
+            keep = ~done[:, None]
+            self.op_hidden, self.vp_hidden, self.latents, self.m_t_held = (
+                np.where(keep, arr, 0.0)
+                for arr in (self.op_hidden, self.vp_hidden, self.latents, self.m_t_held))
             self.resets_since_tick[ids] = True
         self._push_obs()
         self.global_step += 1

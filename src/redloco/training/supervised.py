@@ -1,13 +1,14 @@
 """Supervised updates: estimator BPTT over tick sequences, target-encoder
 training, and autoencoder reconstruction on clean depth pairs.
 
-The estimator forward is recomputed over the rollout's tick sequence from
-the stored initial hiddens (truncated backprop at rollout boundaries), with
-the hidden chain cut wherever an episode reset occurred. The
-vision-estimator loss only sees records whose env trained in vision mode
-(mask 0); the proprio loss sees all valid records. The autoencoder never
-trains on deployment-noised or warmup frames, and weights each pair by its
-own reconstruction loss.
+The estimator BPTT replays the forward tapes each tick recorded during
+collection (truncated backprop at rollout boundaries); nothing is run
+forward again, so the ticks must come from a rollout collected with the
+current estimator weights. The hidden-state gradient is cut wherever an
+episode reset occurred. The vision-estimator loss only sees records whose
+env trained in vision mode (mask 0); the proprio loss sees all valid
+records. The autoencoder never trains on deployment-noised or warmup
+frames, and weights each pair by its own reconstruction loss.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
 
     t_count = len(ticks)
     w = 1.0 / t_count
-    e = ticks[0].flat_obs.shape[0]
 
     him_out, him_tapes = [], []
     for tk in ticks:
@@ -67,22 +67,14 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
         him_tapes.append(tape)
 
     # ---- proprioception estimator over the tick sequence -------------------
-    op_records, op_outs = [], []
-    hidden = ticks[0].op_h0.copy()
-    for tk in ticks:
-        hidden = hidden * (~tk.resets_before)[:, None]
-        out, rec = op.forward(tk.flat_obs, hidden)
-        hidden = out.gru_hidden
-        op_records.append(rec)
-        op_outs.append(out)
-
     op_loss_sum, op_ticks = 0.0, 0
     op_grads: list[dict | None] = []
-    for tk, out, z_hat in zip(ticks, op_outs, him_out):
+    for tk, z_hat in zip(ticks, him_out):
         sel = tk.loss_valid
         if not sel.any():
             op_grads.append(None)
             continue
+        out = tk.op_out
         val, g = loss_op(_subset_output(out, sel), tk.v_true[sel], z_hat[sel])
         op_loss_sum += val
         op_ticks += 1
@@ -97,7 +89,7 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
         grads = op_grads[t] or {}
         if "z_hat" in grads:
             him.backward(him_tapes[t], grads["z_hat"])
-        g_hidden = op.backward(op_records[t], grads, hidden_grad=g_hidden)
+        g_hidden = op.backward(ticks[t].op_rec, grads, hidden_grad=g_hidden)
         g_hidden = g_hidden * (~ticks[t].resets_before)[:, None]
 
     # ---- vision estimator, gated to vision-mode records ---------------------
@@ -105,19 +97,12 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
     n_vp_rows = int(sum(s.sum() for s in vp_sel))
     vp_loss_sum, vp_ticks = 0.0, 0
     if n_vp_rows:
-        vp_records, vp_outs = [], []
-        hidden = ticks[0].vp_h0.copy()
-        for tk in ticks:
-            hidden = hidden * (~tk.resets_before)[:, None]
-            out, rec = vp.forward(tk.flat_obs, tk.depth_pairs, hidden)
-            hidden = out.gru_hidden
-            vp_records.append(rec)
-            vp_outs.append(out)
         vp_grads: list[dict | None] = []
-        for tk, out, z_hat, sel in zip(ticks, vp_outs, him_out, vp_sel):
+        for tk, z_hat, sel in zip(ticks, him_out, vp_sel):
             if not sel.any():
                 vp_grads.append(None)
                 continue
+            out = tk.vp_out
             val, g = loss_vp(_subset_output(out, sel), tk.v_true[sel], z_hat[sel],
                              tk.h_f[sel], tk.m_t[sel])
             vp_loss_sum += val
@@ -134,7 +119,7 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
             grads = vp_grads[t] or {}
             if "z_hat" in grads:
                 him.backward(him_tapes[t], grads.pop("z_hat"))
-            g_hidden = vp.backward(vp_records[t], grads, hidden_grad=g_hidden)
+            g_hidden = vp.backward(ticks[t].vp_rec, grads, hidden_grad=g_hidden)
             g_hidden = g_hidden * (~ticks[t].resets_before)[:, None]
 
     # target-encoder step last: it accumulates from both estimator losses

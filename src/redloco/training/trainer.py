@@ -163,6 +163,9 @@ class Trainer:
                 if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
                     save_bundle(self.out_dir / f"checkpoint_{it + 1}.ckpt", cfg,
                                 self.nets, {"iteration": it + 1})
+                # the ticks hold their forward tapes: free this rollout
+                # before the next one is collected
+                del buf
         finally:
             mfile.close()
             if kfile:

@@ -1,11 +1,16 @@
 """Optimizer update rules and checkpoint container round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
+from redloco.config import tiny_config
 from redloco.errors import CheckpointError
+from redloco.harness.cli import cli
 from redloco.nn import (Adam, Conv2d, Elu, GruCell, LayerStack, Linear, TensorParam,
                         adam_update, load_checkpoint, save_checkpoint)
+from redloco.training import build_networks, load_bundle, save_bundle
 
 
 class TestAdam:
@@ -103,3 +108,67 @@ class TestCheckpoint:
         assert loaded.dtype == np.float32
         for a, b in zip(s.params(), loaded.params()):
             assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("keep", [40, "half"])
+    def test_truncated_file_raises_checkpoint_error(self, tmp_path, keep):
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, {"s": self._stack(1)}, meta={"k": 1})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2 if keep == "half" else keep])
+        with pytest.raises(CheckpointError, match="cut.ckpt"):
+            load_checkpoint(path)
+
+
+class TestBundleLoading:
+    """A bundle loads only if its entries and their params match the network
+    set one to one; nothing is left at its random initial value."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "bundle.ckpt"
+        save_bundle(path, cfg, build_networks(cfg, np.random.default_rng(0)))
+        entries, meta = load_checkpoint(path)
+        return path, entries, meta
+
+    def test_intact_bundle_loads(self, bundle):
+        path, entries, _ = bundle
+        _, nets, _ = load_bundle(path)
+        for a, b in zip(nets.named_stacks()["vp.head_mt"].params(),
+                        entries["vp.head_mt"].params()):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_missing_entry_is_named(self, bundle):
+        path, entries, meta = bundle
+        del entries["vp.head_mt"]
+        save_checkpoint(path, entries, meta)
+        with pytest.raises(CheckpointError, match=r"missing \['vp.head_mt'\]"):
+            load_bundle(path)
+
+    def test_unexpected_entry_is_named(self, bundle):
+        path, entries, meta = bundle
+        entries["vp.head_extra"] = TensorParam("vp.head_extra", np.zeros(3))
+        save_checkpoint(path, entries, meta)
+        with pytest.raises(CheckpointError, match=r"unexpected \['vp.head_extra'\]"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("fewer", [True, False])
+    def test_param_count_mismatch_is_named(self, bundle, fewer):
+        # the stored head has fewer or more params than the network's (W, b)
+        path, entries, meta = bundle
+        n = entries["vp.head_v"].input_shape[0]
+        descs = [Elu()] if fewer else [Linear(n, 2), Linear(2, 2)]
+        entries["vp.head_v"] = LayerStack(descs, (n,), np.random.default_rng(1))
+        save_checkpoint(path, entries, meta)
+        with pytest.raises(CheckpointError, match=r"vp.head_v holds \d+ params, the network needs 2"):
+            load_bundle(path)
+
+    def test_cli_reports_a_truncated_checkpoint_as_json(self, bundle, tmp_path, capsys):
+        path, _, _ = bundle
+        path.write_bytes(path.read_bytes()[:40])
+        code = cli(["calibrate-beta", "--checkpoint", str(path),
+                    "--out", str(tmp_path / "beta.json")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "CheckpointError"
+        assert "bundle.ckpt" in payload["message"]

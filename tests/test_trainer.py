@@ -1,12 +1,13 @@
 """Rollout bookkeeping, supervised gating, determinism, abort diagnostics."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from redloco.config import tiny_config
-from redloco.errors import RolloutAbort
+from redloco.errors import ConfigError, RolloutAbort
 from redloco.sensor.camera import STAGE_DEPLOYMENT
 from redloco.training import RolloutBuffer, Trainer, train
 from redloco.training.supervised import supervised_update
@@ -102,6 +103,114 @@ class TestTinyTraining:
         assert payload["schema"] == "rollout-diagnostics/v1"
 
 
+def recompute_tapes(op, vp, ticks, op_h0, vp_h0):
+    """Reference for the tapes a rollout's ticks record: both estimators run
+    forward again over the tick sequence from the hiddens before the first
+    tick, with the hidden chain cut at every reset."""
+    out = []
+    op_h, vp_h = op_h0, vp_h0
+    for tk in ticks:
+        keep = (~tk.resets_before)[:, None]
+        op_out, op_rec = op.forward(tk.flat_obs, op_h * keep)
+        vp_out, vp_rec = vp.forward(tk.flat_obs, tk.depth_pairs, vp_h * keep)
+        op_h, vp_h = op_out.gru_hidden, vp_out.gru_hidden
+        out.append(dataclasses.replace(tk, op_out=op_out, op_rec=op_rec,
+                                       vp_out=vp_out, vp_rec=vp_rec))
+    return out
+
+
+def collect_with_hiddens(tr, iteration=0):
+    """One rollout, with the estimator hiddens it started from."""
+    op_h0, vp_h0 = tr.runner.op_hidden.copy(), tr.runner.vp_hidden.copy()
+    buf, _ = tr.collect(iteration)
+    return buf, op_h0, vp_h0
+
+
+class GradGrab:
+    """Stands in for an optimizer: keeps the accumulated grads, moves no weight."""
+
+    def __init__(self, params):
+        self.params = list(params)
+        self.grads = None
+
+    def step(self):
+        self.grads = [p.grad.copy() for p in self.params]
+        for p in self.params:
+            p.zero_grad()
+        return 0
+
+
+def _arrays(obj):
+    """Every array reachable from a tick record (tapes, outputs, labels)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+class TestTapeReplay:
+    def _short_episode_trainer(self, tmp_path):
+        cfg = tiny_config()
+        cfg.world.episode_steps = 7          # resets fall between ticks
+        cfg.horizon = 32
+        return Trainer(cfg, tmp_path / "run")
+
+    def _grads(self, tr, ticks):
+        grabs = [GradGrab(net.params()) for net in (tr.nets.op, tr.nets.vp, tr.nets.him)]
+        stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, None, *grabs, None,
+                                  ticks, tr.cfg.ppo, tr.ae_rng)
+        return stats, [g.grads for g in grabs]
+
+    def test_replayed_tapes_give_the_grads_of_a_recompute(self, tmp_path):
+        tr = self._short_episode_trainer(tmp_path)
+        tr.collect(0)                         # carry hiddens into the next rollout
+        buf, op_h0, vp_h0 = collect_with_hiddens(tr, 1)
+        for tick in buf.ticks:
+            tick.masks = np.zeros_like(tick.masks)   # every row trains the vision estimator
+        assert any(tk.resets_before.any() for tk in buf.ticks)
+        assert op_h0.any() and vp_h0.any()   # the chain starts mid-episode
+        reference = recompute_tapes(tr.nets.op, tr.nets.vp, buf.ticks, op_h0, vp_h0)
+        got_stats, got = self._grads(tr, buf.ticks)
+        want_stats, want = self._grads(tr, reference)
+        assert (got_stats.loss_op, got_stats.loss_vp) == (want_stats.loss_op, want_stats.loss_vp)
+        assert got_stats.n_vp_rows > 0
+        for net_got, net_want in zip(got, want):
+            for g, w in zip(net_got, net_want):
+                assert np.array_equal(g, w)
+
+    def test_reset_after_a_tick_leaves_its_tapes_unchanged(self, tmp_path):
+        tr = self._short_episode_trainer(tmp_path)
+        runner = tr.runner
+        n = tr.cfg.n_envs
+        runner.tick_estimators()
+        for _ in range(tr.cfg.selector.tick_period):
+            runner.step(np.zeros((n, 2)))
+        tick = runner.tick_estimators()       # hiddens are non-zero from here on
+        assert tick.op_out.gru_hidden.any() and tick.vp_out.gru_hidden.any()
+        before = [a.copy() for a in _arrays(tick)]
+        resets = np.zeros(n, dtype=bool)
+        for _ in range(tr.cfg.selector.tick_period - 1):
+            resets |= runner.step(np.zeros((n, 2))).resets
+        assert resets.any()
+        after = list(_arrays(tick))
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def test_depth_frames_other_than_two_is_rejected_when_the_networks_are_built(tmp_path):
+    cfg = tiny_config()
+    cfg.net.depth_frames = 3
+    with pytest.raises(ConfigError, match="net.depth_frames"):
+        Trainer(cfg, tmp_path / "run")
+
+
 class TestSupervisedGating:
     def _setup(self, tmp_path):
         cfg = tiny_config()
@@ -135,12 +244,15 @@ class TestSupervisedGating:
             np.testing.assert_array_equal(p.values, b)
 
     def test_losses_drop_when_overfitting_a_frozen_rollout(self, tmp_path):
-        tr, buf = self._setup(tmp_path)
+        tr = Trainer(tiny_config(), tmp_path / "run")
+        buf, op_h0, vp_h0 = collect_with_hiddens(tr)
         first = last = None
         for k in range(60):
+            # the update replays tapes, so each pass records them under the new weights
+            ticks = recompute_tapes(tr.nets.op, tr.nets.vp, buf.ticks, op_h0, vp_h0)
             stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, tr.nets.ae,
                                       tr.op_opt, tr.vp_opt, tr.him_opt, tr.ae_opt,
-                                      buf.ticks, tr.cfg.ppo, tr.ae_rng)
+                                      ticks, tr.cfg.ppo, tr.ae_rng)
             if k == 0:
                 first = stats
             last = stats
