@@ -1,7 +1,7 @@
 """Dataclass configuration tree with a flat ``key = value`` text format.
 
 Nested fields are addressed with dotted keys (``world.dt = 0.02``).
-Tuples are comma separated, booleans are ``true``/``false``.
+Tuples are comma separated.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class NetConfig:
     cnn_kernel: int = 3
     cnn_stride: int = 2
     cnn_pad: int = 1
-    encoder: str = "mlp"         # "mlp" | "attention"
     encoder_hidden: int = 64
     encoder_out: int = 32
     gru_hidden: int = 64
@@ -93,14 +92,12 @@ class NetConfig:
     actor_hidden: tuple[int, int] = (128, 64)
     critic_hidden: tuple[int, int] = (128, 64)
     init_log_std: float = -0.7
-    dtype: str = "f64"           # "f64" | "f32"
 
 
 @dataclass
 class SelectorConfig:
     gamma: float = 0.1
     beta: float = float("nan")   # calibrated; override via config when known
-    init_p: float = 1.0
     tick_period: int = 5
     ae_channels: tuple[int, int, int] = (8, 16, 32)
     ae_bottleneck: int = 128
@@ -137,7 +134,6 @@ class RewardConfig:
     hip_bias: float = -0.5       # no planar analog; emitted as zero, flagged
     joint_acc: float = -2.5e-7
     orientation: float = -1.0
-    dt_scaled: bool = True       # contributions multiplied by dt (pinned convention)
     ang_vel_sigma: float = 0.5
     # deterministic gait-implied angular rate, gait_rate_gain * (speed along
     # the heading), tracked against the rate the command implies; the capped
@@ -165,7 +161,6 @@ class TrainConfig:
     phase_threshold: float = 0.7
     phase_budget_frac: float = 0.6
     checkpoint_every: int = 0    # 0 = final only
-    log_masks: bool = True
     out_dir: str = "runs/default"
     world: WorldConfig = field(default_factory=WorldConfig)
     camera: CameraConfig = field(default_factory=CameraConfig)
@@ -214,16 +209,11 @@ def _coerce(raw: str, typ: Any, key: str) -> Any:
         if len(parts) != len(args):
             raise ConfigError(f"{key}: expected {len(args)} comma-separated values, got {len(parts)}")
         return tuple(_coerce(p, a, key) for p, a in zip(parts, args))
-    if typ is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: invalid boolean {raw!r}")
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
+    if typ in (int, float):
+        try:
+            return typ(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: invalid {typ.__name__} {raw!r}") from None
     if typ is str:
         return raw
     raise ConfigError(f"{key}: unsupported field type {typ}")

@@ -1,11 +1,10 @@
 from .buffers import DepthBuffer, ProprioBuffer
 from .fusion import FusedLatent, fuse_batch, fuse_latent
 from .losses import loss_op, loss_vp, mse
-from .networks import (EstimatorOutput, FuseEncoder, HimTargetEncoder, OpEstimator,
-                       TickRecord, VpEstimator)
+from .networks import EstimatorOutput, HimTargetEncoder, OpEstimator, TickRecord, VpEstimator
 
 __all__ = [
     "DepthBuffer", "ProprioBuffer", "FusedLatent", "fuse_batch", "fuse_latent",
-    "loss_op", "loss_vp", "mse", "EstimatorOutput", "FuseEncoder",
-    "HimTargetEncoder", "OpEstimator", "TickRecord", "VpEstimator",
+    "loss_op", "loss_vp", "mse", "EstimatorOutput", "HimTargetEncoder", "OpEstimator",
+    "TickRecord", "VpEstimator",
 ]

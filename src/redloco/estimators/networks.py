@@ -1,10 +1,11 @@
 """The two redundant state estimators and their training-time target encoder.
 
-Both estimators share the same spine: embeddings -> encoder fusion -> one
-GRU cell -> linear heads. The proprioception-only estimator reads a flat
-observation history; the vision one adds a 3-conv embedding of the stacked
-depth frames as a second encoder token. The latent-target encoder consumes
-next-step observation plus true velocity and is only used while training.
+Both estimators share the same spine: embeddings -> an MLP over their
+concatenation -> one GRU cell -> linear heads. The proprioception-only
+estimator reads a flat observation history; the vision one adds a 3-conv
+embedding of the stacked depth frames as a second token. The latent-target
+encoder consumes next-step observation plus true velocity and is only used
+while training.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import NetConfig
-from ..errors import ContractError
-from ..nn import (Attention1h, Conv2d, Elu, Flatten, GruCell, LayerStack, Linear,
-                  Tanh, conv_shape)
+from ..nn import Conv2d, Elu, Flatten, GruCell, LayerStack, Linear, Tanh, conv_shape
 
 
 @dataclass
@@ -34,64 +33,16 @@ class TickRecord:
     tapes: dict
 
 
-class FuseEncoder:
-    """Compresses embedding tokens to one fused vector.
-
-    ``mlp`` concatenates and runs a two-layer MLP; ``attention`` attends the
-    tokens with a learned query (single head) and projects the result. Both
-    produce the same output width.
-    """
-
-    def __init__(self, cfg: NetConfig, n_tokens: int, rng: np.random.Generator) -> None:
-        self.variant = cfg.encoder
-        self.n_tokens = n_tokens
-        d = cfg.embed_out
-        if self.variant == "mlp":
-            self.stacks = {"enc": LayerStack(
-                [Linear(n_tokens * d, cfg.encoder_hidden), Elu(),
-                 Linear(cfg.encoder_hidden, cfg.encoder_out)],
-                (n_tokens * d,), rng, cfg.dtype)}
-        elif self.variant == "attention":
-            self.stacks = {
-                "enc_attn": LayerStack([Attention1h(d, d, d)], (n_tokens, d), rng, cfg.dtype),
-                "enc_proj": LayerStack([Linear(d, cfg.encoder_out)], (d,), rng, cfg.dtype),
-            }
-        else:
-            raise ContractError(f"unknown encoder variant {cfg.encoder!r}")
-        self.token_dim = d
-
-    def encode_fuse(self, tokens: list[np.ndarray]):
-        if len(tokens) == 0:
-            raise ContractError("encoder needs at least one token")
-        if len(tokens) != self.n_tokens:
-            raise ContractError(f"expected {self.n_tokens} tokens, got {len(tokens)}")
-        if self.variant == "mlp":
-            x = np.concatenate(tokens, axis=1)
-            y, _, tape = self.stacks["enc"].forward(x)
-            return y, ("mlp", tape)
-        x = np.stack(tokens, axis=1)
-        mid, _, t1 = self.stacks["enc_attn"].forward(x)
-        y, _, t2 = self.stacks["enc_proj"].forward(mid)
-        return y, ("attention", t1, t2)
-
-    def backward(self, rec, gy: np.ndarray) -> list[np.ndarray]:
-        if rec[0] == "mlp":
-            gx, _ = self.stacks["enc"].backward(rec[1], gy)
-            d = self.token_dim
-            return [gx[:, i * d:(i + 1) * d] for i in range(self.n_tokens)]
-        gmid, _ = self.stacks["enc_proj"].backward(rec[2], gy)
-        gx, _ = self.stacks["enc_attn"].backward(rec[1], gmid)
-        return [gx[:, i, :] for i in range(self.n_tokens)]
-
-    def params(self):
-        for s in self.stacks.values():
-            yield from s.params()
+def _fuse_encoder(cfg: NetConfig, n_tokens: int, rng: np.random.Generator) -> LayerStack:
+    """Two-layer MLP over the concatenated embedding tokens."""
+    width = n_tokens * cfg.embed_out
+    return LayerStack([Linear(width, cfg.encoder_hidden), Elu(),
+                       Linear(cfg.encoder_hidden, cfg.encoder_out)], (width,), rng)
 
 
 class _EstimatorBase:
     cfg: NetConfig
     stacks: dict[str, LayerStack]
-    encoder: FuseEncoder
 
     def params(self):
         for s in self.stacks.values():
@@ -132,23 +83,23 @@ class OpEstimator(_EstimatorBase):
         self.stacks = {
             "embed": LayerStack([Linear(flat, cfg.embed_hidden), Elu(),
                                  Linear(cfg.embed_hidden, cfg.embed_out), Elu()],
-                                (flat,), rng, cfg.dtype),
+                                (flat,), rng),
             "gru": LayerStack([GruCell(cfg.encoder_out, cfg.gru_hidden)],
-                              (cfg.encoder_out,), rng, cfg.dtype),
+                              (cfg.encoder_out,), rng),
             "head_h": LayerStack([Linear(cfg.gru_hidden, cfg.latent), Tanh()],
-                                 (cfg.gru_hidden,), rng, cfg.dtype),
-            "head_v": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng, cfg.dtype),
+                                 (cfg.gru_hidden,), rng),
+            "head_v": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng),
             "head_z": LayerStack([Linear(cfg.gru_hidden, cfg.z_dim)],
-                                 (cfg.gru_hidden,), rng, cfg.dtype),
+                                 (cfg.gru_hidden,), rng),
         }
-        self.encoder = FuseEncoder(cfg, n_tokens=1, rng=rng)
-        self.stacks.update(self.encoder.stacks)
+        # built last: the RNG draws and the checkpoint entry order follow it
+        self.stacks["enc"] = _fuse_encoder(cfg, 1, rng)
 
     def forward(self, flat_obs: np.ndarray, hidden: np.ndarray
                 ) -> tuple[EstimatorOutput, TickRecord]:
         tapes: dict = {}
         emb, _, tapes["embed"] = self.stacks["embed"].forward(flat_obs)
-        enc, tapes["enc"] = self.encoder.encode_fuse([emb])
+        enc, _, tapes["enc"] = self.stacks["enc"].forward(emb)
         h_gru, new_hidden, tapes["gru"] = self.stacks["gru"].forward(enc, hidden)
         heads = self._run_heads(h_gru, tapes)
         out = EstimatorOutput(heads["head_h"], heads["head_v"], heads["head_z"],
@@ -163,7 +114,7 @@ class OpEstimator(_EstimatorBase):
         g_gru_out = self._heads_backward(tapes, grads, batch)
         g_enc, g_hidden_prev = self.stacks["gru"].backward(
             tapes["gru"], g_gru_out, hidden_grad=hidden_grad)
-        (g_emb,) = self.encoder.backward(tapes["enc"], g_enc)
+        g_emb, _ = self.stacks["enc"].backward(tapes["enc"], g_enc)
         self.stacks["embed"].backward(tapes["embed"], g_emb)
         return g_hidden_prev
 
@@ -190,32 +141,32 @@ class VpEstimator(_EstimatorBase):
         self.stacks = {
             "embed": LayerStack([Linear(flat, cfg.embed_hidden), Elu(),
                                  Linear(cfg.embed_hidden, cfg.embed_out), Elu()],
-                                (flat,), rng, cfg.dtype),
+                                (flat,), rng),
             "cnn": LayerStack([Conv2d(cfg.depth_frames, c1, k, s, p), Elu(),
                                Conv2d(c1, c2, k, s, p), Elu(),
                                Conv2d(c2, c3, k, s, p), Elu(),
                                Flatten(), Linear(cnn_flat, cfg.embed_out), Elu()],
-                              shape, rng, cfg.dtype),
+                              shape, rng),
             "gru": LayerStack([GruCell(cfg.encoder_out, cfg.gru_hidden)],
-                              (cfg.encoder_out,), rng, cfg.dtype),
+                              (cfg.encoder_out,), rng),
             "head_h": LayerStack([Linear(cfg.gru_hidden, cfg.latent), Tanh()],
-                                 (cfg.gru_hidden,), rng, cfg.dtype),
-            "head_v": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng, cfg.dtype),
+                                 (cfg.gru_hidden,), rng),
+            "head_v": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng),
             "head_z": LayerStack([Linear(cfg.gru_hidden, cfg.z_dim)],
-                                 (cfg.gru_hidden,), rng, cfg.dtype),
-            "head_hf": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng, cfg.dtype),
+                                 (cfg.gru_hidden,), rng),
+            "head_hf": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng),
             "head_mt": LayerStack([Linear(cfg.gru_hidden, profile_samples)],
-                                  (cfg.gru_hidden,), rng, cfg.dtype),
+                                  (cfg.gru_hidden,), rng),
         }
-        self.encoder = FuseEncoder(cfg, n_tokens=2, rng=rng)
-        self.stacks.update(self.encoder.stacks)
+        self.stacks["enc"] = _fuse_encoder(cfg, 2, rng)
 
     def forward(self, flat_obs: np.ndarray, depth: np.ndarray, hidden: np.ndarray
                 ) -> tuple[EstimatorOutput, TickRecord]:
         tapes: dict = {}
         emb, _, tapes["embed"] = self.stacks["embed"].forward(flat_obs)
         demb, _, tapes["cnn"] = self.stacks["cnn"].forward(depth)
-        enc, tapes["enc"] = self.encoder.encode_fuse([emb, demb])
+        enc, _, tapes["enc"] = self.stacks["enc"].forward(
+            np.concatenate([emb, demb], axis=1))
         h_gru, new_hidden, tapes["gru"] = self.stacks["gru"].forward(enc, hidden)
         heads = self._run_heads(h_gru, tapes)
         out = EstimatorOutput(heads["head_h"], heads["head_v"], heads["head_z"],
@@ -229,7 +180,9 @@ class VpEstimator(_EstimatorBase):
         g_gru_out = self._heads_backward(tapes, grads, batch)
         g_enc, g_hidden_prev = self.stacks["gru"].backward(
             tapes["gru"], g_gru_out, hidden_grad=hidden_grad)
-        g_emb, g_demb = self.encoder.backward(tapes["enc"], g_enc)
+        g_tokens, _ = self.stacks["enc"].backward(tapes["enc"], g_enc)
+        d = self.cfg.embed_out
+        g_emb, g_demb = g_tokens[:, :d], g_tokens[:, d:]
         self.stacks["embed"].backward(tapes["embed"], g_emb)
         self.stacks["cnn"].backward(tapes["cnn"], g_demb)
         return g_hidden_prev
@@ -242,7 +195,7 @@ class HimTargetEncoder:
         self.cfg = cfg
         self.stacks = {"him": LayerStack(
             [Linear(obs_dim + 2, cfg.him_hidden), Elu(),
-             Linear(cfg.him_hidden, cfg.z_dim)], (obs_dim + 2,), rng, cfg.dtype)}
+             Linear(cfg.him_hidden, cfg.z_dim)], (obs_dim + 2,), rng)}
 
     def forward(self, next_obs: np.ndarray, v_true: np.ndarray):
         x = np.concatenate([next_obs, v_true], axis=1)

@@ -270,8 +270,9 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path,
         # and mode flips must agree with the deployed filter
         max_p_err = 0.0
         flips_match = True
+        p0 = make_selector(gspec.beta, gspec.gamma).p
         for i in range(gspec.robots):
-            p = cfg.selector.init_p
+            p = p0
             mode_vp = p > 0.5
             for rec in ep.traces[i]:
                 vote = 1.0 if rec["loss_ad"] < spec.beta else 0.0

@@ -8,8 +8,6 @@ float64. The FD side only calls forwards.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from ..config import NetConfig, SelectorConfig
@@ -19,7 +17,7 @@ from ..selector.autoencoder import build_autoencoder
 
 TINY_NET = NetConfig(history_len=2, embed_hidden=4, embed_out=3, cnn_channels=(2, 2, 2),
                      encoder_hidden=4, encoder_out=3, gru_hidden=4, latent=3, z_dim=2,
-                     him_hidden=4, dtype="f64")
+                     him_hidden=4)
 TINY_OBS = 2
 TINY_HW = (4, 4)
 TINY_PROFILE = 3
@@ -33,14 +31,13 @@ def _check_params(objective, nets, eps: float = 1e-5) -> float:
     return worst
 
 
-def check_op_loss(seed: int, variant: str = "mlp") -> float:
+def check_op_loss(seed: int) -> float:
     rng = np.random.default_rng([seed, 11])
-    cfg = dataclasses.replace(TINY_NET, encoder=variant)
-    op = OpEstimator(cfg, TINY_OBS, rng)
-    him = HimTargetEncoder(cfg, TINY_OBS, rng)
+    op = OpEstimator(TINY_NET, TINY_OBS, rng)
+    him = HimTargetEncoder(TINY_NET, TINY_OBS, rng)
     b = int(rng.integers(1, 3))
-    obs = rng.standard_normal((b, cfg.history_len * TINY_OBS))
-    hidden = rng.standard_normal((b, cfg.gru_hidden)) * 0.5
+    obs = rng.standard_normal((b, TINY_NET.history_len * TINY_OBS))
+    hidden = rng.standard_normal((b, TINY_NET.gru_hidden)) * 0.5
     next_obs = rng.standard_normal((b, TINY_OBS))
     v_true = rng.standard_normal((b, 2))
 
@@ -61,15 +58,14 @@ def check_op_loss(seed: int, variant: str = "mlp") -> float:
     return _check_params(objective, (op, him))
 
 
-def check_vp_loss(seed: int, variant: str = "mlp") -> float:
+def check_vp_loss(seed: int) -> float:
     rng = np.random.default_rng([seed, 23])
-    cfg = dataclasses.replace(TINY_NET, encoder=variant)
-    vp = VpEstimator(cfg, TINY_OBS, TINY_HW, TINY_PROFILE, rng)
-    him = HimTargetEncoder(cfg, TINY_OBS, rng)
+    vp = VpEstimator(TINY_NET, TINY_OBS, TINY_HW, TINY_PROFILE, rng)
+    him = HimTargetEncoder(TINY_NET, TINY_OBS, rng)
     b = int(rng.integers(1, 3))
-    obs = rng.standard_normal((b, cfg.history_len * TINY_OBS))
-    depth = rng.uniform(0.1, 2.0, (b, cfg.depth_frames) + TINY_HW)
-    hidden = rng.standard_normal((b, cfg.gru_hidden)) * 0.5
+    obs = rng.standard_normal((b, TINY_NET.history_len * TINY_OBS))
+    depth = rng.uniform(0.1, 2.0, (b, TINY_NET.depth_frames) + TINY_HW)
+    hidden = rng.standard_normal((b, TINY_NET.gru_hidden)) * 0.5
     next_obs = rng.standard_normal((b, TINY_OBS))
     v_true = rng.standard_normal((b, 2))
     h_f = rng.uniform(0, 2, (b, 2))
@@ -116,10 +112,8 @@ def check_ad_loss(seed: int) -> float:
 
 def run_loss_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
     out = {}
-    out["loss_op"] = max(check_op_loss(seed + i, "mlp" if i % 2 else "attention")
-                         for i in range(instances))
-    out["loss_vp"] = max(check_vp_loss(seed + i, "mlp" if i % 2 else "attention")
-                         for i in range(instances))
+    out["loss_op"] = max(check_op_loss(seed + i) for i in range(instances))
+    out["loss_vp"] = max(check_vp_loss(seed + i) for i in range(instances))
     out["loss_ad"] = max(check_ad_loss(seed + i) for i in range(instances))
     return out
 

@@ -1,13 +1,12 @@
-from .layers import (Attention1h, Conv2d, Deconv2d, Elu, Flatten, GruCell, Linear,
-                     Reshape, Sigmoid, Tanh, attention_weights, conv_shape,
-                     deconv_shape, mirror_out_pad)
+from .layers import (Conv2d, Deconv2d, Elu, Flatten, GruCell, Linear, Reshape, Tanh,
+                     conv_shape, deconv_shape, mirror_out_pad)
 from .stack import LayerStack, Tape, TensorParam
 from .optim import Adam, adam_update, clip_grad_norm, global_grad_norm
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "Attention1h", "Conv2d", "Deconv2d", "Elu", "Flatten", "GruCell", "Linear",
-    "Reshape", "Sigmoid", "Tanh", "attention_weights", "conv_shape", "deconv_shape",
-    "mirror_out_pad", "LayerStack", "Tape", "TensorParam", "Adam", "adam_update",
-    "clip_grad_norm", "global_grad_norm", "load_checkpoint", "save_checkpoint",
+    "Conv2d", "Deconv2d", "Elu", "Flatten", "GruCell", "Linear", "Reshape", "Tanh",
+    "conv_shape", "deconv_shape", "mirror_out_pad", "LayerStack", "Tape", "TensorParam",
+    "Adam", "adam_update", "clip_grad_norm", "global_grad_norm", "load_checkpoint",
+    "save_checkpoint",
 ]

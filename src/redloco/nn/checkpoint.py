@@ -2,7 +2,8 @@
 
 Layout: 4-byte magic, 8-byte little-endian manifest length, JSON manifest
 (layer descriptors, shapes, dtype, format version, free-form meta), then the
-flat little-endian parameter arrays in declaration order. Round-trips are
+flat little-endian float64 parameter arrays in declaration order. Every entry
+is tagged ``"dtype": "f64"``; a load refuses any other. Round-trips are
 bit-exact.
 """
 
@@ -22,10 +23,12 @@ from .stack import LayerStack, TensorParam
 MAGIC = b"RLCK"
 FORMAT_VERSION = 1
 
+WIRE = np.dtype("<f8")
+
 _KINDS = {
-    "linear": L.Linear, "elu": L.Elu, "tanh": L.Tanh, "sigmoid": L.Sigmoid,
-    "conv2d": L.Conv2d, "deconv2d": L.Deconv2d, "gru_cell": L.GruCell,
-    "attention_1h": L.Attention1h, "flatten": L.Flatten, "reshape": L.Reshape,
+    "linear": L.Linear, "elu": L.Elu, "tanh": L.Tanh, "conv2d": L.Conv2d,
+    "deconv2d": L.Deconv2d, "gru_cell": L.GruCell, "flatten": L.Flatten,
+    "reshape": L.Reshape,
 }
 _TUPLE_FIELDS = {"out_pad", "shape"}
 
@@ -49,10 +52,6 @@ def _desc_from_dict(d: dict) -> L.LayerDesc:
     return _KINDS[kind](**kwargs)
 
 
-def _wire_dtype(name: str) -> str:
-    return "<f8" if name == "f64" else "<f4"
-
-
 def save_checkpoint(path: str | Path, entries: dict[str, LayerStack | TensorParam],
                     meta: dict | None = None) -> None:
     manifest_entries = []
@@ -60,21 +59,18 @@ def save_checkpoint(path: str | Path, entries: dict[str, LayerStack | TensorPara
     for name, obj in entries.items():
         if isinstance(obj, LayerStack):
             manifest_entries.append({
-                "name": name, "type": "stack", "dtype": obj.dtype_name,
+                "name": name, "type": "stack", "dtype": "f64",
                 "input_shape": list(obj.input_shape),
                 "layers": [_desc_to_dict(d) for d in obj.descs],
                 "params": [{"name": p.name, "shape": list(p.shape)} for p in obj.params()],
             })
-            wire = _wire_dtype(obj.dtype_name)
-            blobs.extend(np.ascontiguousarray(p.values, dtype=wire).tobytes()
+            blobs.extend(np.ascontiguousarray(p.values, dtype=WIRE).tobytes()
                          for p in obj.params())
         elif isinstance(obj, TensorParam):
-            dtype_name = "f64" if obj.values.dtype == np.float64 else "f32"
             manifest_entries.append({
-                "name": name, "type": "param", "dtype": dtype_name,
-                "shape": list(obj.shape),
+                "name": name, "type": "param", "dtype": "f64", "shape": list(obj.shape),
             })
-            blobs.append(np.ascontiguousarray(obj.values, dtype=_wire_dtype(dtype_name)).tobytes())
+            blobs.append(np.ascontiguousarray(obj.values, dtype=WIRE).tobytes())
         else:
             raise CheckpointError(f"cannot checkpoint object of type {type(obj)!r}")
     manifest = {"format": "redloco-checkpoint", "version": FORMAT_VERSION,
@@ -88,16 +84,15 @@ def save_checkpoint(path: str | Path, entries: dict[str, LayerStack | TensorPara
             f.write(b)
 
 
-def _read_array(raw: bytes, path, dtype_name: str, shape: tuple[int, ...],
+def _read_array(raw: bytes, path, shape: tuple[int, ...],
                 offset: int) -> tuple[np.ndarray, int]:
     """The array stored at ``offset``, and the offset just past it."""
-    wire = np.dtype(_wire_dtype(dtype_name))
     n = int(np.prod(shape)) if shape else 1
-    end = offset + n * wire.itemsize
+    end = offset + n * WIRE.itemsize
     if end > len(raw):
         raise CheckpointError(f"{path}: truncated: parameter data needs {end} bytes, "
                               f"file has {len(raw)}")
-    return np.frombuffer(raw, dtype=wire, count=n, offset=offset).reshape(shape), end
+    return np.frombuffer(raw, dtype=WIRE, count=n, offset=offset).reshape(shape), end
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, LayerStack | TensorParam], dict]:
@@ -117,24 +112,26 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, LayerStack | TensorPara
     entries: dict[str, LayerStack | TensorParam] = {}
     throwaway = np.random.default_rng(0)
     for e in manifest["entries"]:
-        dtype = np.float64 if e["dtype"] == "f64" else np.float32
+        if e.get("dtype") != "f64":
+            raise CheckpointError(f"{path}: entry {e.get('name')!r} has dtype "
+                                  f"{e.get('dtype')!r}; only 'f64' is supported")
         if e["type"] == "stack":
             stack = LayerStack([_desc_from_dict(d) for d in e["layers"]],
-                               tuple(e["input_shape"]), throwaway, dtype=e["dtype"])
+                               tuple(e["input_shape"]), throwaway)
             params = list(stack.params())
             if len(params) != len(e["params"]):
                 raise CheckpointError(f"{path}: entry {e['name']!r} lists {len(e['params'])} "
                                       f"params, its layers have {len(params)}")
             for p, pinfo in zip(params, e["params"]):
-                arr, offset = _read_array(raw, path, e["dtype"], tuple(pinfo["shape"]), offset)
+                arr, offset = _read_array(raw, path, tuple(pinfo["shape"]), offset)
                 if arr.shape != p.shape:
                     raise CheckpointError(f"{path}: {e['name']}.{p.name} is stored as "
                                           f"{arr.shape}, its layer needs {p.shape}")
                 p.values[...] = arr
             entries[e["name"]] = stack
         else:
-            arr, offset = _read_array(raw, path, e["dtype"], tuple(e["shape"]), offset)
-            entries[e["name"]] = TensorParam(e["name"], arr.astype(dtype))
+            arr, offset = _read_array(raw, path, tuple(e["shape"]), offset)
+            entries[e["name"]] = TensorParam(e["name"], arr.copy())
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes ({len(raw) - offset})")
     return entries, manifest["meta"]

@@ -37,11 +37,6 @@ class Tanh:
 
 
 @dataclass(frozen=True)
-class Sigmoid:
-    kind: str = field(default="sigmoid", init=False)
-
-
-@dataclass(frozen=True)
 class Conv2d:
     c_in: int
     c_out: int
@@ -70,14 +65,6 @@ class GruCell:
 
 
 @dataclass(frozen=True)
-class Attention1h:
-    d_in: int
-    d_k: int
-    d_v: int
-    kind: str = field(default="attention_1h", init=False)
-
-
-@dataclass(frozen=True)
 class Flatten:
     kind: str = field(default="flatten", init=False)
 
@@ -88,9 +75,7 @@ class Reshape:
     kind: str = field(default="reshape", init=False)
 
 
-LayerDesc = (
-    Linear | Elu | Tanh | Sigmoid | Conv2d | Deconv2d | GruCell | Attention1h | Flatten | Reshape
-)
+LayerDesc = Linear | Elu | Tanh | Conv2d | Deconv2d | GruCell | Flatten | Reshape
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +127,7 @@ def infer_shape(layer: LayerDesc, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if in_shape != (layer.n_in,):
             raise ContractError(f"linear expects ({layer.n_in},), got {in_shape}")
         return (layer.n_out,)
-    if k in ("elu", "tanh", "sigmoid"):
+    if k in ("elu", "tanh"):
         return in_shape
     if k == "conv2d":
         if len(in_shape) != 3 or in_shape[0] != layer.c_in:
@@ -156,12 +141,6 @@ def infer_shape(layer: LayerDesc, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if in_shape != (layer.n_in,):
             raise ContractError(f"gru_cell expects ({layer.n_in},), got {in_shape}")
         return (layer.n_hidden,)
-    if k == "attention_1h":
-        if len(in_shape) != 2 or in_shape[1] != layer.d_in:
-            raise ContractError(f"attention_1h expects (T, {layer.d_in}), got {in_shape}")
-        if in_shape[0] < 1:
-            raise ContractError("attention_1h needs at least one token")
-        return (layer.d_v,)
     if k == "flatten":
         return (int(np.prod(in_shape)),)
     if k == "reshape":
@@ -174,37 +153,31 @@ def infer_shape(layer: LayerDesc, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # initialization: fan-in-scaled uniform weights, zero biases
 
-def init_params(layer: LayerDesc, rng: np.random.Generator, dtype: np.dtype) -> dict[str, np.ndarray]:
+def init_params(layer: LayerDesc, rng: np.random.Generator) -> dict[str, np.ndarray]:
     def uni(fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
         lim = float(np.sqrt(1.0 / max(fan_in, 1)))
-        return rng.uniform(-lim, lim, size=shape).astype(dtype)
+        return rng.uniform(-lim, lim, size=shape)
 
     k = layer.kind
     if k == "linear":
         return {"W": uni(layer.n_in, (layer.n_in, layer.n_out)),
-                "b": np.zeros(layer.n_out, dtype=dtype)}
+                "b": np.zeros(layer.n_out)}
     if k == "conv2d":
         fan = layer.c_in * layer.kernel * layer.kernel
         return {"W": uni(fan, (layer.c_out, layer.c_in, layer.kernel, layer.kernel)),
-                "b": np.zeros(layer.c_out, dtype=dtype)}
+                "b": np.zeros(layer.c_out)}
     if k == "deconv2d":
         fan = layer.c_in * layer.kernel * layer.kernel
         return {"W": uni(fan, (layer.c_in, layer.c_out, layer.kernel, layer.kernel)),
-                "b": np.zeros(layer.c_out, dtype=dtype)}
+                "b": np.zeros(layer.c_out)}
     if k == "gru_cell":
         ni, nh = layer.n_in, layer.n_hidden
         out: dict[str, np.ndarray] = {}
         for gate in ("z", "r", "n"):
             out[f"W{gate}"] = uni(ni, (ni, nh))
             out[f"U{gate}"] = uni(nh, (nh, nh))
-            out[f"b{gate}"] = np.zeros(nh, dtype=dtype)
+            out[f"b{gate}"] = np.zeros(nh)
         return out
-    if k == "attention_1h":
-        return {"q": uni(layer.d_k, (layer.d_k,)),
-                "Wk": uni(layer.d_in, (layer.d_in, layer.d_k)),
-                "bk": np.zeros(layer.d_k, dtype=dtype),
-                "Wv": uni(layer.d_in, (layer.d_in, layer.d_v)),
-                "bv": np.zeros(layer.d_v, dtype=dtype)}
     return {}
 
 
@@ -230,9 +203,6 @@ def forward(layer: LayerDesc, P: dict[str, Any], x: np.ndarray,
     if k == "tanh":
         y = np.tanh(x)
         return y, None, y
-    if k == "sigmoid":
-        y = _sigmoid(x)
-        return y, None, y
     if k == "conv2d":
         y, rec = _conv2d_fwd(x, P["W"].values, P["b"].values, layer)
         return y, None, rec
@@ -243,9 +213,6 @@ def forward(layer: LayerDesc, P: dict[str, Any], x: np.ndarray,
         if hidden is None:
             raise ContractError("gru_cell forward requires a hidden state")
         return _gru_fwd(x, hidden, P)
-    if k == "attention_1h":
-        y, rec = _attn_fwd(x, P)
-        return y, None, rec
     if k == "flatten":
         y = x.reshape(x.shape[0], -1)
         return y, None, x.shape
@@ -270,17 +237,12 @@ def backward(layer: LayerDesc, P: dict[str, Any], rec: Any,
     if k == "tanh":
         y = rec
         return gy * (1.0 - y * y), None
-    if k == "sigmoid":
-        y = rec
-        return gy * y * (1.0 - y), None
     if k == "conv2d":
         return _conv2d_bwd(gy, rec, P, layer), None
     if k == "deconv2d":
         return _deconv2d_bwd(gy, rec, P, layer), None
     if k == "gru_cell":
         return _gru_bwd(gy, rec, P)
-    if k == "attention_1h":
-        return _attn_bwd(gy, rec, P), None
     if k == "flatten":
         return gy.reshape(rec), None
     if k == "reshape":
@@ -408,39 +370,3 @@ def _gru_bwd(gy, rec, P):
     gx += gaz @ P["Wz"].values.T
     gh += gaz @ P["Uz"].values.T
     return gx, gh
-
-
-# --- single-head attention over a token axis ---
-# scores = (X Wk + bk) @ q / sqrt(d_k); w = softmax(scores); y = sum_t w_t (X Wv + bv)_t
-
-def _attn_fwd(x, P):
-    if x.ndim != 3:
-        raise ContractError(f"attention_1h expects (B, T, D), got {x.shape}")
-    kmat = x @ P["Wk"].values + P["bk"].values
-    v = x @ P["Wv"].values + P["bv"].values
-    scale = 1.0 / np.sqrt(P["q"].values.shape[0])
-    s = (kmat @ P["q"].values) * scale
-    s = s - s.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    w = e / e.sum(axis=1, keepdims=True)
-    y = np.einsum("bt,btd->bd", w, v, optimize=True)
-    return y, (x, kmat, v, w, scale)
-
-
-def _attn_bwd(gy, rec, P):
-    x, kmat, v, w, scale = rec
-    gw = np.einsum("bd,btd->bt", gy, v, optimize=True)
-    gv = w[:, :, None] * gy[:, None, :]
-    gs = w * (gw - (w * gw).sum(axis=1, keepdims=True))
-    P["q"].grad += np.einsum("bt,btk->k", gs, kmat, optimize=True) * scale
-    gk = gs[:, :, None] * (P["q"].values[None, None, :] * scale)
-    P["Wk"].grad += np.einsum("btd,btk->dk", x, gk, optimize=True)
-    P["bk"].grad += gk.sum((0, 1))
-    P["Wv"].grad += np.einsum("btd,btk->dk", x, gv, optimize=True)
-    P["bv"].grad += gv.sum((0, 1))
-    return gk @ P["Wk"].values.T + gv @ P["Wv"].values.T
-
-
-def attention_weights(rec: Any) -> np.ndarray:
-    """Softmax weights recorded by an attention forward (one row per query)."""
-    return rec[3]

@@ -60,18 +60,16 @@ class Tape:
 
 
 class LayerStack:
-    """An ordered stack of layers with shared dtype and seeded init.
+    """An ordered stack of float64 layers with seeded init.
 
     At most one ``gru_cell`` is supported; its hidden state is passed to
     ``forward`` and returned updated.
     """
 
     def __init__(self, descs: list[L.LayerDesc], input_shape: tuple[int, ...],
-                 rng: np.random.Generator, dtype: str = "f64") -> None:
+                 rng: np.random.Generator) -> None:
         self.descs = list(descs)
         self.input_shape = tuple(input_shape)
-        self.dtype = np.float64 if dtype == "f64" else np.float32
-        self.dtype_name = dtype
         shapes = [self.input_shape]
         gru_count = 0
         for d in self.descs:
@@ -86,7 +84,7 @@ class LayerStack:
         self.output_shape = shapes[-1]
         self.layer_params: list[dict[str, TensorParam]] = []
         for i, d in enumerate(self.descs):
-            raw = L.init_params(d, rng, self.dtype)
+            raw = L.init_params(d, rng)
             self.layer_params.append(
                 {k: TensorParam(f"L{i}.{k}", v) for k, v in raw.items()})
 
@@ -99,13 +97,10 @@ class LayerStack:
         for p in self.params():
             p.zero_grad()
 
-    def n_params(self) -> int:
-        return sum(p.values.size for p in self.params())
-
     # -- execution ---------------------------------------------------------
     def forward(self, x: np.ndarray, hidden: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray | None, Tape]:
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != len(self.input_shape) + 1 or x.shape[1:] != self.input_shape:
             raise ContractError(
                 f"input shape {x.shape[1:]} does not match stack contract {self.input_shape}")
@@ -114,7 +109,7 @@ class LayerStack:
         if self.has_gru:
             if hidden is None:
                 raise ContractError("stack contains a gru_cell: hidden state required")
-            hidden = np.asarray(hidden, dtype=self.dtype)
+            hidden = np.asarray(hidden, dtype=np.float64)
             if hidden.shape != (x.shape[0], self.gru_hidden_size):
                 raise ContractError(
                     f"hidden shape {hidden.shape} != {(x.shape[0], self.gru_hidden_size)}")
@@ -135,7 +130,7 @@ class LayerStack:
         """Accumulate parameter grads; returns (input_grad, prev_hidden_grad)."""
         if tape.owner is not self:
             raise ContractError("tape was produced by a different stack")
-        g = np.asarray(output_grad, dtype=self.dtype)
+        g = np.asarray(output_grad, dtype=np.float64)
         if g.shape != (tape.batch,) + tape.out_shape:
             raise ContractError(
                 f"output_grad shape {g.shape} != {(tape.batch,) + tape.out_shape}")
@@ -150,4 +145,4 @@ class LayerStack:
         return g, prev_hidden_grad
 
     def zero_hidden(self, batch: int) -> np.ndarray:
-        return np.zeros((batch, self.gru_hidden_size), dtype=self.dtype)
+        return np.zeros((batch, self.gru_hidden_size))

@@ -24,8 +24,7 @@ from ..nn import (Conv2d, Deconv2d, Elu, Flatten, LayerStack, Linear, Reshape,
 
 
 def build_autoencoder(cfg: SelectorConfig, height: int, width: int,
-                      rng: np.random.Generator, dtype: str = "f64",
-                      frames: int = 2) -> LayerStack:
+                      rng: np.random.Generator, frames: int = 2) -> LayerStack:
     c1, c2, c3 = cfg.ae_channels
     k, s, p = cfg.ae_kernel, cfg.ae_stride, cfg.ae_pad
     s0 = (frames, height, width)
@@ -48,7 +47,7 @@ def build_autoencoder(cfg: SelectorConfig, height: int, width: int,
         Deconv2d(c2, c1, k, s, p, op2), Elu(),
         Deconv2d(c1, frames, k, s, p, op1),
     ]
-    return LayerStack(descs, s0, rng, dtype)
+    return LayerStack(descs, s0, rng)
 
 
 def autoencode(stack: LayerStack, frames: np.ndarray) -> np.ndarray:

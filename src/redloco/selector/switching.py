@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ContractError
-from ..estimators.fusion import FusedLatent, fuse_latent
 
 MODE_VP = "VP"
 MODE_OP = "OP"
@@ -58,11 +57,6 @@ def filter_update(state: SelectorState, loss_value: float) -> SelectorState:
     p = (1.0 - state.gamma) * state.p + state.gamma * vote
     mode = MODE_VP if p > 0.5 else MODE_OP
     return replace(state, p=p, mode=mode, switched=mode != state.mode)
-
-
-def select_latent(state: SelectorState, h_b: np.ndarray, h_v: np.ndarray) -> FusedLatent:
-    """Fuse with mask 1 (proprio half) in OP mode, mask 0 (vision half) in VP."""
-    return fuse_latent(h_b, h_v, 1 if state.mode == MODE_OP else 0)
 
 
 def min_flip_ticks(gamma: float) -> int:

@@ -57,8 +57,7 @@ def build_networks(cfg: TrainConfig, rng: np.random.Generator) -> Networks:
     vp = VpEstimator(cfg.net, OBS_DIM, (cfg.camera.height, cfg.camera.width),
                      cfg.world.profile_samples, rng)
     him = HimTargetEncoder(cfg.net, OBS_DIM, rng)
-    ae = build_autoencoder(cfg.selector, cfg.camera.height, cfg.camera.width,
-                           rng, dtype=cfg.net.dtype)
+    ae = build_autoencoder(cfg.selector, cfg.camera.height, cfg.camera.width, rng)
     policy = GaussianPolicy(cfg.net, policy_obs_dim(cfg), 2, rng)
     critic = Critic(cfg.net, critic_obs_dim(cfg), rng)
     return Networks(op, vp, him, ae, policy, critic)
@@ -77,8 +76,11 @@ def load_bundle(path: str | Path) -> tuple[TrainConfig, Networks, dict]:
     entries, meta = load_checkpoint(path)
     if "config" not in meta:
         raise CheckpointError(f"{path}: missing embedded config")
-    cfg = config_mod.parse_text(meta["config"])
-    nets = build_networks(cfg, np.random.default_rng(0))
+    try:
+        cfg = config_mod.parse_text(meta["config"])
+        nets = build_networks(cfg, np.random.default_rng(0))
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: embedded config: {exc}") from exc
     targets = nets.named_stacks()
     missing = sorted(targets.keys() - entries.keys())
     extra = sorted(entries.keys() - targets.keys())

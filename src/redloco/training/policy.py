@@ -17,9 +17,8 @@ class GaussianPolicy:
                  rng: np.random.Generator) -> None:
         h1, h2 = cfg.actor_hidden
         self.actor = LayerStack([Linear(obs_dim, h1), Elu(), Linear(h1, h2), Elu(),
-                                 Linear(h2, act_dim)], (obs_dim,), rng, cfg.dtype)
-        self.log_std = TensorParam("log_std", np.full(act_dim, cfg.init_log_std,
-                                                      dtype=self.actor.dtype))
+                                 Linear(h2, act_dim)], (obs_dim,), rng)
+        self.log_std = TensorParam("log_std", np.full(act_dim, cfg.init_log_std))
         self.act_dim = act_dim
 
     def params(self):
@@ -67,14 +66,14 @@ class GaussianPolicy:
         return float(self.log_std.values.sum() + 0.5 * self.act_dim * (1.0 + LOG_2PI))
 
     def entropy_grad_logstd(self) -> np.ndarray:
-        return np.ones(self.act_dim, dtype=self.actor.dtype)
+        return np.ones(self.act_dim)
 
 
 class Critic:
     def __init__(self, cfg: NetConfig, obs_dim: int, rng: np.random.Generator) -> None:
         h1, h2 = cfg.critic_hidden
         self.net = LayerStack([Linear(obs_dim, h1), Elu(), Linear(h1, h2), Elu(),
-                               Linear(h2, 1)], (obs_dim,), rng, cfg.dtype)
+                               Linear(h2, 1)], (obs_dim,), rng)
 
     def params(self):
         yield from self.net.params()

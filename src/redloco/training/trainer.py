@@ -34,7 +34,7 @@ METRICS_COLUMNS = (
 class TrainResult:
     checkpoint: Path
     metrics: Path
-    masks_log: Path | None
+    masks_log: Path
     iterations: int
     final_mean_lin_vel: float
     duration: float = 0.0
@@ -117,15 +117,13 @@ class Trainer:
         t_start = time.time()
         cfg = self.cfg
         metrics_path = self.out_dir / "metrics.csv"
-        masks_path = self.out_dir / "masks.csv" if cfg.log_masks else None
+        masks_path = self.out_dir / "masks.csv"
         mfile = open(metrics_path, "w")
         mfile.write(f"# schema: {METRICS_SCHEMA}\n")
         mfile.write(",".join(METRICS_COLUMNS) + "\n")
-        kfile = None
-        if masks_path:
-            kfile = open(masks_path, "w")
-            kfile.write("# schema: train-masks/v1\n")
-            kfile.write("iteration,env,kind,terrain_class,mask\n")
+        kfile = open(masks_path, "w")
+        kfile.write("# schema: train-masks/v1\n")
+        kfile.write("iteration,env,kind,terrain_class,mask\n")
         mean_lin = 0.0
         try:
             for it in range(cfg.iterations):
@@ -156,10 +154,9 @@ class Trainer:
                 )
                 mfile.write(",".join(repr(v) if isinstance(v, float) else str(v)
                                      for v in row) + "\n")
-                if kfile:
-                    masks = self.schedule.masks(it)
-                    for i, kind in enumerate(self.kinds):
-                        kfile.write(f"{it},{i},{kind},{terrain_class(kind)},{masks[i]}\n")
+                masks = self.schedule.masks(it)
+                for i, kind in enumerate(self.kinds):
+                    kfile.write(f"{it},{i},{kind},{terrain_class(kind)},{masks[i]}\n")
                 if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
                     save_bundle(self.out_dir / f"checkpoint_{it + 1}.ckpt", cfg,
                                 self.nets, {"iteration": it + 1})
@@ -168,8 +165,7 @@ class Trainer:
                 del buf
         finally:
             mfile.close()
-            if kfile:
-                kfile.close()
+            kfile.close()
         ckpt = self.out_dir / "checkpoint.ckpt"
         save_bundle(ckpt, cfg, self.nets, {"iteration": cfg.iterations})
         config_mod.save(cfg, self.out_dir / "config.resolved.cfg")

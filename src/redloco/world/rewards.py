@@ -2,8 +2,8 @@
 
 The tracking term follows the capped-projection rule with a standstill
 branch; shaping scales follow the pinned table in :class:`RewardConfig`.
-Contributions are multiplied by dt when ``dt_scaled`` is set (the pinned
-convention), so the collision penalty lands as scale * dt per event. Terms
+Contributions are multiplied by dt (the pinned convention), so the collision
+penalty lands as scale * dt per event. Terms
 with no planar analog are emitted as zero with ``planar_zero`` set.
 """
 
@@ -32,7 +32,7 @@ PLANAR_ZERO = ("hip_bias",)
 class RewardTerm:
     value: float           # raw, unweighted term
     scale: float
-    contribution: float    # scale * value (* dt under the pinned convention)
+    contribution: float    # scale * value * dt
     planar_zero: bool = False
 
 
@@ -60,7 +60,6 @@ def batch_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarray
     rounds differently for about one value in a thousand."""
     cfg = world.cfg
     dt = cfg.dt
-    mult = dt if rcfg.dt_scaled else 1.0
     vx = world.vx
     v_along = vx * np.cos(c_yaw)
     # angular-rate tracking: the gait-implied rate grows with the speed along
@@ -83,7 +82,7 @@ def batch_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarray
         "orientation": np.float_power(world.pitch, 2),
     }
     contributions = {name: np.zeros(len(vx)) if name in PLANAR_ZERO
-                     else getattr(rcfg, scale) * values[name] * mult
+                     else getattr(rcfg, scale) * values[name] * dt
                      for name, scale in TERM_SCALES.items()}
     return BatchReward(sum(contributions.values()), values, contributions)
 

@@ -1,6 +1,8 @@
 """Flat-text config round-trips and CLI surface."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,28 @@ class TestConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             config_mod.parse_text("just some words\n")
+
+    @pytest.mark.parametrize("key, raw, bad", [("world.dt", "abc", "abc"),
+                                               ("n_envs", "2.5", "2.5"),
+                                               ("net.cnn_channels", "4, x, 16", "x")])
+    def test_malformed_value_names_the_key_and_the_value(self, key, raw, bad):
+        with pytest.raises(ConfigError) as exc:
+            config_mod.parse_text(f"{key} = {raw}\n")
+        assert key in str(exc.value) and repr(bad) in str(exc.value)
+
+    def test_every_config_key_is_read_by_the_program(self):
+        # a leaf read as `.leaf` or named as "leaf" outside config.py; a knob
+        # that nothing reads is dead
+        cfg_py = Path(config_mod.__file__)
+        code = "\n".join(p.read_text() for p in sorted(cfg_py.parent.rglob("*.py"))
+                         if p != cfg_py)
+        keys = [line.partition("=")[0].strip()
+                for line in config_mod.to_text(config_mod.TrainConfig()).splitlines()
+                if not line.startswith("#")]
+        dead = [k for k in keys
+                if not re.search(rf"\.{k.rsplit('.', 1)[-1]}\b|[\"']{k.rsplit('.', 1)[-1]}[\"']",
+                                 code)]
+        assert keys and dead == []
 
     def test_tuples_parse_from_comma_lists(self):
         cfg = config_mod.parse_text("terrain_mix = flat, gap, rough\n"
@@ -87,6 +111,16 @@ class TestCli:
                 == (tmp_path / "b" / "metrics.csv").read_text())
         assert ((tmp_path / "a" / "checkpoint.ckpt").read_bytes()
                 == (tmp_path / "b" / "checkpoint.ckpt").read_bytes())
+
+    def test_malformed_config_value_is_a_structured_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("world.dt = abc\n")
+        code = cli(["train", "--preset", "tiny", "--config", str(cfg_file),
+                    "--out", str(tmp_path / "run")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert "world.dt" in payload["message"] and "'abc'" in payload["message"]
 
     def test_eval_noise_requires_beta(self, tmp_path, capsys):
         code = cli(["eval-noise", "--checkpoint", "missing.ckpt",

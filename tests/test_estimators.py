@@ -1,6 +1,4 @@
-"""Estimator pipelines: buffers, forward semantics, encoder variants, fusion."""
-
-import dataclasses
+"""Estimator pipelines: buffers, forward semantics, fusion."""
 
 import numpy as np
 import pytest
@@ -160,9 +158,8 @@ class TestOpEstimator:
 
 
 class TestVpEstimator:
-    def _vp(self, seed=0, variant="mlp"):
-        cfg = dataclasses.replace(CFG, encoder=variant)
-        return VpEstimator(cfg, OBS, HW, K, np.random.default_rng(seed)), cfg
+    def _vp(self, seed=0):
+        return VpEstimator(CFG, OBS, HW, K, np.random.default_rng(seed)), CFG
 
     def test_depth_content_changes_the_latent(self):
         rng = np.random.default_rng(4)
@@ -193,34 +190,13 @@ class TestVpEstimator:
         assert out.m_t_hat.shape == (3, K)
         assert vp.cnn_out_shape == (4, 2, 2)  # 12x16 through three stride-2 convs
 
-    @pytest.mark.parametrize("variant", ["mlp", "attention"])
-    def test_encoder_variants_share_the_output_width(self, variant):
+    def test_latent_has_the_configured_width(self):
         rng = np.random.default_rng(7)
-        vp, cfg = self._vp(7, variant)
+        vp, cfg = self._vp(7)
         out, _ = vp.forward(obs_batch(2, rng), rng.uniform(0.1, 2, (2, 2) + HW),
                             vp.zero_hidden(2))
         assert out.h.shape == (2, cfg.latent)
         assert np.isfinite(out.h).all()
-
-    def test_empty_token_list_rejected(self):
-        vp, _ = self._vp(8)
-        with pytest.raises(ContractError):
-            vp.encoder.encode_fuse([])
-
-
-class TestEncoderVariants:
-    def test_mlp_and_attention_disagree_but_both_finite(self):
-        rng = np.random.default_rng(9)
-        a, _ = VpEstimator(dataclasses.replace(CFG, encoder="mlp"), OBS, HW, K,
-                           np.random.default_rng(10)), None
-        b = VpEstimator(dataclasses.replace(CFG, encoder="attention"), OBS, HW, K,
-                        np.random.default_rng(10))
-        obs = obs_batch(1, rng)
-        depth = rng.uniform(0.1, 2, (1, 2) + HW)
-        out_a, _ = a.forward(obs, depth, a.zero_hidden(1))
-        out_b, _ = b.forward(obs, depth, b.zero_hidden(1))
-        assert np.isfinite(out_a.h).all() and np.isfinite(out_b.h).all()
-        assert not np.allclose(out_a.h, out_b.h)
 
 
 class TestHimTarget:

@@ -1,6 +1,7 @@
 """Optimizer update rules and checkpoint container round-trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,21 @@ from redloco.harness.cli import cli
 from redloco.nn import (Adam, Conv2d, Elu, GruCell, LayerStack, Linear, TensorParam,
                         adam_update, load_checkpoint, save_checkpoint)
 from redloco.training import build_networks, load_bundle, save_bundle
+
+
+def read_manifest(path) -> tuple[dict, bytes]:
+    """The JSON manifest of a checkpoint file and the bytes after it."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[4:12])
+    return json.loads(raw[12:12 + n]), raw[12 + n:]
+
+
+def rewrite_manifest(path, edit) -> None:
+    """Apply ``edit`` to the manifest of a checkpoint file in place."""
+    manifest, payload = read_manifest(path)
+    edit(manifest)
+    m = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(path.read_bytes()[:4] + struct.pack("<Q", len(m)) + m + payload)
 
 
 class TestAdam:
@@ -100,14 +116,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_f32_stack_round_trips(self, tmp_path):
-        s = LayerStack([Linear(3, 3)], (3,), np.random.default_rng(9), dtype="f32")
-        save_checkpoint(tmp_path / "f32.ckpt", {"s": s})
-        entries, _ = load_checkpoint(tmp_path / "f32.ckpt")
-        loaded = entries["s"]
-        assert loaded.dtype == np.float32
-        for a, b in zip(s.params(), loaded.params()):
-            assert a.values.tobytes() == b.values.tobytes()
+    def test_entries_are_written_as_f64(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, {"s": self._stack(9), "p": TensorParam("p", np.ones(2))})
+        manifest, _ = read_manifest(path)
+        assert [e["dtype"] for e in manifest["entries"]] == ["f64", "f64"]
+
+    def test_entry_of_another_dtype_is_refused(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, {"s": self._stack(9)})
+        rewrite_manifest(path, lambda m: m["entries"][0].update(dtype="f32"))
+        with pytest.raises(CheckpointError, match="'f32'"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("keep", [40, "half"])
     def test_truncated_file_raises_checkpoint_error(self, tmp_path, keep):
@@ -162,6 +182,29 @@ class TestBundleLoading:
         save_checkpoint(path, entries, meta)
         with pytest.raises(CheckpointError, match=r"vp.head_v holds \d+ params, the network needs 2"):
             load_bundle(path)
+
+    def test_embedded_config_with_an_unknown_key_is_a_checkpoint_error(self, bundle):
+        # what a checkpoint written with a since-deleted key gets
+        path, entries, meta = bundle
+        meta["config"] += "net.encoder = mlp\n"
+        save_checkpoint(path, entries, meta)
+        with pytest.raises(CheckpointError, match="embedded config: .*net.encoder"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("fault", ["unknown_key", "f32_entry"])
+    def test_cli_reports_a_bad_bundle_as_json(self, bundle, tmp_path, capsys, fault):
+        path, entries, meta = bundle
+        if fault == "unknown_key":
+            meta["config"] += "net.encoder = mlp\n"
+            save_checkpoint(path, entries, meta)
+        else:
+            rewrite_manifest(path, lambda m: m["entries"][-1].update(dtype="f32"))
+        code = cli(["calibrate-beta", "--checkpoint", str(path),
+                    "--out", str(tmp_path / "beta.json")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "CheckpointError"
+        assert "bundle.ckpt" in payload["message"]
 
     def test_cli_reports_a_truncated_checkpoint_as_json(self, bundle, tmp_path, capsys):
         path, _, _ = bundle

@@ -10,8 +10,7 @@ from redloco.errors import ContractError
 from redloco.selector import (MODE_OP, MODE_VP, anomaly_scores, autoencode,
                               build_autoencoder, calibrate_beta, filter_update,
                               implausibility, loss_ad, loss_ad_batch, make_selector,
-                              min_flip_ticks, near_depth_bound, select_latent,
-                              trace_record)
+                              min_flip_ticks, near_depth_bound, trace_record)
 from redloco.sensor import (STAGE_RANDOMIZED, DepthImage, edge_truncate_stack,
                             inject_occlusion, render_batch)
 from redloco.world import PlanarWorld
@@ -77,6 +76,7 @@ class TestFilterOracle:
         # which straddles 0.5, so the mode tracks P's side each tick; P itself
         # stays within the oscillation band
         st_ = make_selector(1.0, 0.1, init_p=0.5)
+        assert st_.mode == MODE_OP            # vision needs P strictly above half
         for k in range(40):
             st_ = filter_update(st_, 2.0 if k % 2 else 0.0)
             assert 0.45 <= st_.p <= 0.55
@@ -134,24 +134,6 @@ class TestCalibration:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             calibrate_beta([])
-
-
-class TestSelectLatent:
-    def test_vision_half_active_above_half(self):
-        st_ = make_selector(1.0, 0.1, init_p=0.6)
-        f = select_latent(st_, np.ones(4), 2 * np.ones(4))
-        assert f.mask == 0
-        np.testing.assert_array_equal(f.h[4:], 2.0)
-
-    def test_exactly_half_selects_proprioception(self):
-        st_ = make_selector(1.0, 0.1, init_p=0.5)
-        assert st_.mode == MODE_OP
-        f = select_latent(st_, np.ones(4), 2 * np.ones(4))
-        assert f.mask == 1
-
-    def test_below_half_selects_proprioception(self):
-        st_ = make_selector(1.0, 0.1, init_p=0.4)
-        assert select_latent(st_, np.ones(4), np.ones(4)).mask == 1
 
 
 class TestAutoencoder:

@@ -279,7 +279,7 @@ class ScalarEnv:
         """Raw values of the reward terms in table order, then the total."""
         cfg, r = self.cfg, self.r
         a = np.asarray(action, dtype=np.float64)
-        mult = cfg.dt if rcfg.dt_scaled else 1.0
+        mult = cfg.dt
         v_along = float(r.vx * np.cos(self.c_yaw))
         if self.c_x != 0.0:
             lin = min(v_along, self.c_x) / (self.c_x + 1e-5)
