@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import NetConfig
+from ..errors import ContractError
 from ..nn import Conv2d, Elu, Flatten, GruCell, LayerStack, Linear, Tanh, conv_shape
 
 
@@ -28,11 +29,6 @@ class EstimatorOutput:
     gru_hidden: np.ndarray           # (B, gru_hidden)
 
 
-@dataclass
-class TickRecord:
-    tapes: dict
-
-
 def _fuse_encoder(cfg: NetConfig, n_tokens: int, rng: np.random.Generator) -> LayerStack:
     """Two-layer MLP over the concatenated embedding tokens."""
     width = n_tokens * cfg.embed_out
@@ -43,6 +39,7 @@ def _fuse_encoder(cfg: NetConfig, n_tokens: int, rng: np.random.Generator) -> La
 class _EstimatorBase:
     cfg: NetConfig
     stacks: dict[str, LayerStack]
+    head_names: tuple[str, ...]
 
     def params(self):
         for s in self.stacks.values():
@@ -51,24 +48,35 @@ class _EstimatorBase:
     def zero_hidden(self, batch: int) -> np.ndarray:
         return self.stacks["gru"].zero_hidden(batch)
 
-    def _run_heads(self, h_gru: np.ndarray, tapes: dict) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.head_names:
-            y, _, t = self.stacks[name].forward(h_gru)
-            tapes[name] = t
-            out[name] = y
-        return out
+    def _version(self) -> int:
+        """Optimizer steps the weights have taken; ``forward`` stamps it on the
+        tapes and ``backward`` refuses tapes stamped with another."""
+        return sum(p.step_count for p in self.params())
 
-    def _heads_backward(self, tapes: dict, grads: dict[str, np.ndarray],
-                        batch: int) -> np.ndarray:
-        g_gru = np.zeros((batch, self.cfg.gru_hidden))
+    def _spine(self, tokens: np.ndarray, hidden: np.ndarray, tapes: dict) -> EstimatorOutput:
+        """Encoder MLP -> GRU -> heads over the concatenated embedding tokens."""
+        enc, _, tapes["enc"] = self.stacks["enc"].forward(tokens)
+        h_gru, new_hidden, tapes["gru"] = self.stacks["gru"].forward(enc, hidden)
+        heads = {}
         for name in self.head_names:
-            g = grads.get(name)
-            if g is None:
-                continue
-            gx, _ = self.stacks[name].backward(tapes[name], g)
-            g_gru += gx
-        return g_gru
+            heads[name], _, tapes[name] = self.stacks[name].forward(h_gru)
+        return EstimatorOutput(heads["head_h"], heads["head_v"], heads["head_z"],
+                               heads.get("head_hf"), heads.get("head_mt"), new_hidden)
+
+    def _spine_backward(self, tapes: dict, grads: dict[str, np.ndarray],
+                        hidden_grad: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Heads -> GRU -> encoder; returns the token and previous-hidden grads."""
+        if tapes["version"] != self._version():
+            raise ContractError("tapes were recorded under weights that have stepped "
+                                "since; run the estimator forward again")
+        g_gru = np.zeros((tapes["gru"].batch, self.cfg.gru_hidden))
+        for name in self.head_names:
+            if name in grads:
+                g_gru += self.stacks[name].backward(tapes[name], grads[name])[0]
+        g_enc, g_hidden_prev = self.stacks["gru"].backward(
+            tapes["gru"], g_gru, hidden_grad=hidden_grad)
+        g_tokens, _ = self.stacks["enc"].backward(tapes["enc"], g_enc)
+        return g_tokens, g_hidden_prev
 
 
 class OpEstimator(_EstimatorBase):
@@ -96,25 +104,15 @@ class OpEstimator(_EstimatorBase):
         self.stacks["enc"] = _fuse_encoder(cfg, 1, rng)
 
     def forward(self, flat_obs: np.ndarray, hidden: np.ndarray
-                ) -> tuple[EstimatorOutput, TickRecord]:
-        tapes: dict = {}
+                ) -> tuple[EstimatorOutput, dict]:
+        tapes: dict = {"version": self._version()}
         emb, _, tapes["embed"] = self.stacks["embed"].forward(flat_obs)
-        enc, _, tapes["enc"] = self.stacks["enc"].forward(emb)
-        h_gru, new_hidden, tapes["gru"] = self.stacks["gru"].forward(enc, hidden)
-        heads = self._run_heads(h_gru, tapes)
-        out = EstimatorOutput(heads["head_h"], heads["head_v"], heads["head_z"],
-                              None, None, new_hidden)
-        return out, TickRecord(tapes)
+        return self._spine(emb, hidden, tapes), tapes
 
-    def backward(self, rec: TickRecord, grads: dict[str, np.ndarray],
+    def backward(self, tapes: dict, grads: dict[str, np.ndarray],
                  hidden_grad: np.ndarray | None = None) -> np.ndarray:
         """Accumulates parameter grads; returns grad w.r.t. the previous hidden."""
-        tapes = rec.tapes
-        batch = tapes["gru"].batch
-        g_gru_out = self._heads_backward(tapes, grads, batch)
-        g_enc, g_hidden_prev = self.stacks["gru"].backward(
-            tapes["gru"], g_gru_out, hidden_grad=hidden_grad)
-        g_emb, _ = self.stacks["enc"].backward(tapes["enc"], g_enc)
+        g_emb, g_hidden_prev = self._spine_backward(tapes, grads, hidden_grad)
         self.stacks["embed"].backward(tapes["embed"], g_emb)
         return g_hidden_prev
 
@@ -161,30 +159,18 @@ class VpEstimator(_EstimatorBase):
         self.stacks["enc"] = _fuse_encoder(cfg, 2, rng)
 
     def forward(self, flat_obs: np.ndarray, depth: np.ndarray, hidden: np.ndarray
-                ) -> tuple[EstimatorOutput, TickRecord]:
-        tapes: dict = {}
+                ) -> tuple[EstimatorOutput, dict]:
+        tapes: dict = {"version": self._version()}
         emb, _, tapes["embed"] = self.stacks["embed"].forward(flat_obs)
         demb, _, tapes["cnn"] = self.stacks["cnn"].forward(depth)
-        enc, _, tapes["enc"] = self.stacks["enc"].forward(
-            np.concatenate([emb, demb], axis=1))
-        h_gru, new_hidden, tapes["gru"] = self.stacks["gru"].forward(enc, hidden)
-        heads = self._run_heads(h_gru, tapes)
-        out = EstimatorOutput(heads["head_h"], heads["head_v"], heads["head_z"],
-                              heads["head_hf"], heads["head_mt"], new_hidden)
-        return out, TickRecord(tapes)
+        return self._spine(np.concatenate([emb, demb], axis=1), hidden, tapes), tapes
 
-    def backward(self, rec: TickRecord, grads: dict[str, np.ndarray],
+    def backward(self, tapes: dict, grads: dict[str, np.ndarray],
                  hidden_grad: np.ndarray | None = None) -> np.ndarray:
-        tapes = rec.tapes
-        batch = tapes["gru"].batch
-        g_gru_out = self._heads_backward(tapes, grads, batch)
-        g_enc, g_hidden_prev = self.stacks["gru"].backward(
-            tapes["gru"], g_gru_out, hidden_grad=hidden_grad)
-        g_tokens, _ = self.stacks["enc"].backward(tapes["enc"], g_enc)
+        g_tokens, g_hidden_prev = self._spine_backward(tapes, grads, hidden_grad)
         d = self.cfg.embed_out
-        g_emb, g_demb = g_tokens[:, :d], g_tokens[:, d:]
-        self.stacks["embed"].backward(tapes["embed"], g_emb)
-        self.stacks["cnn"].backward(tapes["cnn"], g_demb)
+        self.stacks["embed"].backward(tapes["embed"], g_tokens[:, :d])
+        self.stacks["cnn"].backward(tapes["cnn"], g_tokens[:, d:])
         return g_hidden_prev
 
 

@@ -3,11 +3,10 @@ from .protocols import (DEFAULT_CONDITIONS, EpisodeResult, ExperimentSpec, Noise
                         run_gamma_sweep, run_noise_robustness, run_trace,
                         switch_delay_text, write_beta_file)
 from .verify import run_full_suite, run_loss_suite
-from .cli import cli, main
 
 __all__ = [
     "DEFAULT_CONDITIONS", "EpisodeResult", "ExperimentSpec", "NoiseEvent",
     "calibrate_beta_run", "read_beta_file", "run_episode", "run_gamma_sweep",
     "run_noise_robustness", "run_trace", "switch_delay_text", "write_beta_file",
-    "run_full_suite", "run_loss_suite", "cli", "main",
+    "run_full_suite", "run_loss_suite",
 ]

@@ -111,8 +111,7 @@ def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
     noise_rngs = [np.random.default_rng(c) for c in children[n:]]
     commands = [make_command(spec.command) for _ in range(n)]
     runner = VecRunner(cfg, [spec.terrain_kind] * n, env_rngs, nets.op, nets.vp,
-                       ae=nets.ae if arm == "auto" else None, eval_mode=True,
-                       fixed_commands=commands,
+                       ae=nets.ae if arm == "auto" else None, fixed_commands=commands,
                        start_levels=[spec.terrain_level] * n)
     hook = _make_noise_hook(spec.noise_events, noise_rngs, cfg.camera)
     states = [make_selector(spec.beta, spec.gamma) for _ in range(n)] \
@@ -183,19 +182,7 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
                 for rec in tr:
                     rec = dict(rec, robot=i, condition=cname)
                     f.write(json.dumps(rec) + "\n")
-        onset_tick = int(np.searchsorted(auto.tick_steps, spec.noise_onset))
-        # delay counts noisy ticks up to and including the tick that flips
-        delays = []
-        op_fracs = []
-        for i in range(spec.robots):
-            flipped = np.where(auto.modes[onset_tick:, i] == 0)[0]
-            if flipped.size:
-                delays.append(int(flipped[0]) + 1)
-                after = auto.modes[onset_tick + int(flipped[0]):, i]
-                op_fracs.append(float((after == 0).mean()))
-            else:
-                delays.append(-1)
-                op_fracs.append(0.0)
+        delays, op_fracs = switch_delays(auto.modes, auto.tick_steps, spec.noise_onset)
         pre = slice(50, spec.noise_onset)
         post = slice(200, 400)
         op_frac = float(np.min(op_fracs)) if level > 0 else 0.0
@@ -206,13 +193,26 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
             "post_mean_vp_only": float(mean_vp[post].mean()),
             "tracking_err_auto": float(np.abs(mean_auto[post] - spec.command).mean()),
             "tracking_err_vp_only": float(np.abs(mean_vp[post] - spec.command).mean()),
-            "switch_delay_ticks": delays,
-            "max_switch_delay_ticks": max_switch_delay(delays),
+            "switch_delay_ticks": delays.tolist(),
+            "max_switch_delay_ticks": max_switch_delay(delays.tolist()),
             "min_op_mode_fraction_post_switch": op_frac,
         }
         summary["conditions"].append(cond)
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary
+
+
+def switch_delays(modes: np.ndarray, tick_steps: list[int], onset: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per robot, from the (ticks, robots) ``modes`` log: the noisy ticks up to
+    and including its first proprio-mode tick at or after sim step ``onset``
+    (-1 if it never switched), and its proprio-mode share of the ticks from
+    that switch on (0 if none)."""
+    op = modes[int(np.searchsorted(tick_steps, onset)):] == 0
+    before = np.logical_and.accumulate(~op, axis=0).sum(axis=0)     # ticks before the flip
+    switched = before < op.shape[0]
+    share = op.sum(axis=0) / np.maximum(op.shape[0] - before, 1)
+    return np.where(switched, before + 1, -1), np.where(switched, share, 0.0)
 
 
 def max_switch_delay(delays: list[int]) -> int:
@@ -231,39 +231,26 @@ def switch_delay_text(cond: dict) -> str:
     return f"all switched within {cond['max_switch_delay_ticks']} ticks"
 
 
-def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path,
-                    timeline: list[NoiseEvent] | None = None) -> dict:
+def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
     """Delay and switch-count sweep over filter coefficients on a scripted
     noisy timeline with known onsets; gamma = 1 is the no-filter baseline."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg, nets, _ = load_bundle(spec.checkpoint)
     period = cfg.selector.tick_period
-    if timeline is None:
-        # two long bursts plus single-tick flickers inside clean segments;
-        # everything before the first onset stays clean so P sits saturated
-        timeline = [
-            NoiseEvent("salt_pepper", 70.0, 200, 300),
-            NoiseEvent("salt_pepper", 70.0, 400, 500),
-            NoiseEvent("salt_pepper", 70.0, 350, 350 + period),
-            NoiseEvent("salt_pepper", 70.0, 550, 550 + period),
-        ]
+    # two long bursts plus single-tick flickers inside clean segments;
+    # everything before the first onset stays clean so P sits saturated
     onsets = [200, 400]
+    timeline = [NoiseEvent("salt_pepper", 70.0, on, on + 100) for on in onsets] + [
+        NoiseEvent("salt_pepper", 70.0, on, on + period) for on in (350, 550)]
     rows = []
     result = {"schema": "gamma-sweep/v1", "name": spec.name, "onsets": onsets,
               "seed": spec.seed, "rows": rows}
     for gamma in gammas:
         gspec = dataclasses.replace(spec, gamma=float(gamma), noise_events=list(timeline))
         ep = run_episode(cfg, nets, gspec, "auto")
-        tick_steps = np.array(ep.tick_steps)
-        delays = []
-        for onset in onsets:
-            onset_tick = int(np.searchsorted(tick_steps, onset))
-            per_robot = []
-            for i in range(gspec.robots):
-                flipped = np.where(ep.modes[onset_tick:, i] == 0)[0]
-                per_robot.append(int(flipped[0]) + 1 if flipped.size else -1)
-            delays.append(per_robot)
+        delays = [switch_delays(ep.modes, ep.tick_steps, onset)[0].tolist()
+                  for onset in onsets]
         flat = [d for group in delays for d in group if d >= 0]
         switch_count = int(sum(sum(1 for r in tr if r["switched"]) for tr in ep.traces))
         # independent recurrence replay over the observed vote stream: P values
@@ -348,7 +335,7 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
     levels = [int(pick_rng.integers(0, 6)) for _ in range(episodes)]
     commands = [sample_command(pick_rng, 2, cfg.world) for _ in range(episodes)]
     runner = VecRunner(cfg_eval, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae,
-                       eval_mode=True, fixed_commands=commands, start_levels=levels)
+                       fixed_commands=commands, start_levels=levels)
     losses: list[list[float]] = [[] for _ in range(episodes)]
     failed = np.zeros(episodes, dtype=bool)
     for t in range(steps):

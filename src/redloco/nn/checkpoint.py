@@ -45,11 +45,14 @@ def _desc_to_dict(d: L.LayerDesc) -> dict:
 
 def _desc_from_dict(d: dict) -> L.LayerDesc:
     d = dict(d)
-    kind = d.pop("kind")
+    kind = d.pop("kind", None)
     if kind not in _KINDS:
         raise CheckpointError(f"unknown layer kind {kind!r} in checkpoint")
     kwargs = {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in d.items()}
-    return _KINDS[kind](**kwargs)
+    try:
+        return _KINDS[kind](**kwargs)
+    except TypeError as exc:
+        raise CheckpointError(f"{kind} layer in checkpoint: {exc}") from exc
 
 
 def save_checkpoint(path: str | Path, entries: dict[str, LayerStack | TensorParam],
@@ -95,6 +98,14 @@ def _read_array(raw: bytes, path, shape: tuple[int, ...],
     return np.frombuffer(raw, dtype=WIRE, count=n, offset=offset).reshape(shape), end
 
 
+def _field(obj, key: str, where: str):
+    """``obj[key]``, or a CheckpointError naming ``where`` and the field."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{where}: manifest field {key!r} is missing") from exc
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict[str, LayerStack | TensorParam], dict]:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -106,32 +117,38 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, LayerStack | TensorPara
         manifest = json.loads(raw[12:12 + mlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')}")
     offset = 12 + mlen
     entries: dict[str, LayerStack | TensorParam] = {}
     throwaway = np.random.default_rng(0)
-    for e in manifest["entries"]:
+    for e in _field(manifest, "entries", str(path)):
+        name = _field(e, "name", f"{path}: entry")
+        where = f"{path}: entry {name!r}"
         if e.get("dtype") != "f64":
-            raise CheckpointError(f"{path}: entry {e.get('name')!r} has dtype "
-                                  f"{e.get('dtype')!r}; only 'f64' is supported")
-        if e["type"] == "stack":
-            stack = LayerStack([_desc_from_dict(d) for d in e["layers"]],
-                               tuple(e["input_shape"]), throwaway)
+            raise CheckpointError(f"{where} has dtype {e.get('dtype')!r}; "
+                                  f"only 'f64' is supported")
+        if _field(e, "type", where) == "stack":
+            stack = LayerStack([_desc_from_dict(d) for d in _field(e, "layers", where)],
+                               tuple(_field(e, "input_shape", where)), throwaway)
             params = list(stack.params())
-            if len(params) != len(e["params"]):
-                raise CheckpointError(f"{path}: entry {e['name']!r} lists {len(e['params'])} "
-                                      f"params, its layers have {len(params)}")
-            for p, pinfo in zip(params, e["params"]):
-                arr, offset = _read_array(raw, path, tuple(pinfo["shape"]), offset)
+            pinfos = _field(e, "params", where)
+            if len(params) != len(pinfos):
+                raise CheckpointError(f"{where} lists {len(pinfos)} params, "
+                                      f"its layers have {len(params)}")
+            for p, pinfo in zip(params, pinfos):
+                shape = _field(pinfo, "shape", f"{where} param {p.name}")
+                arr, offset = _read_array(raw, path, tuple(shape), offset)
                 if arr.shape != p.shape:
-                    raise CheckpointError(f"{path}: {e['name']}.{p.name} is stored as "
+                    raise CheckpointError(f"{path}: {name}.{p.name} is stored as "
                                           f"{arr.shape}, its layer needs {p.shape}")
                 p.values[...] = arr
-            entries[e["name"]] = stack
+            entries[name] = stack
         else:
-            arr, offset = _read_array(raw, path, tuple(e["shape"]), offset)
-            entries[e["name"]] = TensorParam(e["name"], arr.copy())
+            arr, offset = _read_array(raw, path, tuple(_field(e, "shape", where)), offset)
+            entries[name] = TensorParam(name, arr.copy())
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes ({len(raw) - offset})")
-    return entries, manifest["meta"]
+    return entries, _field(manifest, "meta", str(path))

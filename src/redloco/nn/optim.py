@@ -51,10 +51,6 @@ class Adam:
         self.rejected += bad
         return bad
 
-    def zero_grads(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 def global_grad_norm(params) -> float:
     total = 0.0

@@ -3,7 +3,8 @@
 A :class:`LayerStack` owns its parameters (created at construction from a
 seeded generator), validates shape contracts once up front, and threads an
 optional GRU hidden state through forward/backward. Gradient accumulation is
-additive; only :func:`redloco.nn.optim.adam_update` zeroes grads.
+additive: grads are zeroed only by an explicit ``zero_grad``/``zero_grads``
+call or by :func:`redloco.nn.optim.adam_update` after its step.
 
 Concurrency contract: forward/backward over independent inputs may run in
 parallel, but accumulation into one TensorParam must be single-writer, and

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import TrainConfig
-from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer, TickRecord,
+from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer,
                           VpEstimator, fuse_batch)
 from ..selector.autoencoder import anomaly_scores
 from ..sensor import edge_truncate_stack, render_batch
@@ -28,8 +28,8 @@ class TickData:
     depth_pairs: np.ndarray        # (E, 2, H, W)
     op_out: EstimatorOutput
     vp_out: EstimatorOutput
-    op_rec: TickRecord             # forward tapes, replayed by the BPTT update
-    vp_rec: TickRecord
+    op_rec: dict                   # forward tapes, replayed by the BPTT update
+    vp_rec: dict
     v_true: np.ndarray             # (E, 2)
     h_f: np.ndarray                # (E, 2)
     m_t: np.ndarray                # (E, K)
@@ -56,20 +56,19 @@ class VecRunner:
     def __init__(self, cfg: TrainConfig, kinds: list[str],
                  env_rngs: list[np.random.Generator],
                  op: OpEstimator, vp: VpEstimator, ae: LayerStack | None = None,
-                 eval_mode: bool = False, fixed_commands=None,
-                 start_levels: list[int] | None = None) -> None:
+                 fixed_commands=None, start_levels: list[int] | None = None) -> None:
         self.cfg = cfg
         self.n = len(kinds)
         self.kinds = kinds
         self.op = op
         self.vp = vp
         self.ae = ae
-        self.eval_mode = eval_mode
+        # eval runs fix each env's command: resets keep it, the curriculum stays put
         self.fixed_commands = fixed_commands
         self.phase = 1
         self.env_rngs = env_rngs
         self.world = BatchWorld(cfg.world, kinds, env_rngs, start_levels)
-        if eval_mode and fixed_commands is not None:
+        if fixed_commands is not None:
             self.world.reset(range(self.n), fixed_commands)
         self.proprio = ProprioBuffer(self.n, cfg.net.history_len, OBS_DIM)
         self.depth = DepthBuffer(self.n, cfg.net.depth_frames, cfg.camera.height,
@@ -152,13 +151,13 @@ class VecRunner:
         done = ev.done
         ids = np.flatnonzero(done)
         if ids.size:
-            if not self.eval_mode:
+            if self.fixed_commands is None:
                 w.level[ids] = update_curriculum(w.level[ids], w.along[ids],
                                                  w.commanded_distance[ids],
                                                  cfg.promote_ratio, cfg.demote_ratio)
                 w.curriculum_phase[ids] = self.phase
-            w.reset(ids, [self.fixed_commands[i] for i in ids]
-                    if self.eval_mode and self.fixed_commands else None)
+            w.reset(ids, None if self.fixed_commands is None
+                    else [self.fixed_commands[i] for i in ids])
             self.proprio.reset(ids)
             self.depth.reset(ids)
             # rebind, never write in place: the last tick's tapes and labels

@@ -4,7 +4,8 @@ training, and autoencoder reconstruction on clean depth pairs.
 The estimator BPTT replays the forward tapes each tick recorded during
 collection (truncated backprop at rollout boundaries); nothing is run
 forward again, so the ticks must come from a rollout collected with the
-current estimator weights. The hidden-state gradient is cut wherever an
+current estimator weights; a tape recorded under weights that have stepped
+since raises ContractError. The hidden-state gradient is cut wherever an
 episode reset occurred. The vision-estimator loss only sees records whose
 env trained in vision mode (mask 0); the proprio loss sees all valid
 records. The autoencoder never trains on deployment-noised or warmup
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import PPOConfig
-from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator, loss_op, loss_vp
+from ..estimators import (EstimatorOutput, HimTargetEncoder, OpEstimator, VpEstimator,
+                          loss_op, loss_vp)
 from ..nn import Adam, LayerStack
 from .runner import TickData
 
@@ -33,18 +35,34 @@ class SupervisedStats:
     rejected_updates: int
 
 
-def _scatter(g_sub: np.ndarray, sel: np.ndarray, full_shape) -> np.ndarray:
-    out = np.zeros(full_shape)
-    out[sel] = g_sub
-    return out
-
-
-def _subset_output(out, sel):
-    from ..estimators.networks import EstimatorOutput
-    return EstimatorOutput(out.h[sel], out.v_hat[sel], out.z_o[sel],
-                           None if out.h_f_hat is None else out.h_f_hat[sel],
-                           None if out.m_t_hat is None else out.m_t_hat[sel],
-                           out.gru_hidden[sel])
+def _bptt(net, outs, tapes, sels, loss, ticks: list[TickData], him: HimTargetEncoder,
+          him_out, him_tapes) -> tuple[float, int]:
+    """One estimator's BPTT over the tick sequence: ``loss(rows, tick, sel,
+    z_hat)`` on each tick's selected rows, its grads scattered back into the
+    full batch with weight 1/ticks, then the stored tapes walked in reverse.
+    Returns the loss sum and the number of ticks with selected rows."""
+    w = 1.0 / len(ticks)
+    loss_sum, n_ticks, tick_grads = 0.0, 0, []
+    for tk, out, z_hat, sel in zip(ticks, outs, him_out, sels):
+        grads = {}
+        if sel.any():
+            rows = EstimatorOutput(**{k: None if v is None else v[sel]
+                                      for k, v in vars(out).items()})
+            val, g = loss(rows, tk, sel, z_hat[sel])
+            loss_sum += val
+            n_ticks += 1
+            for name, g_rows in g.items():
+                grads[name] = np.zeros((sel.size,) + g_rows.shape[1:])
+                grads[name][sel] = w * g_rows
+        tick_grads.append(grads)
+    g_hidden = None
+    for t in reversed(range(len(ticks))):
+        grads = tick_grads[t]
+        if "z_hat" in grads:
+            him.backward(him_tapes[t], grads.pop("z_hat"))
+        g_hidden = net.backward(tapes[t], grads, hidden_grad=g_hidden)
+        g_hidden = g_hidden * (~ticks[t].resets_before)[:, None]
+    return loss_sum, n_ticks
 
 
 def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
@@ -57,70 +75,28 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
         for p in net.params():
             p.zero_grad()
 
-    t_count = len(ticks)
-    w = 1.0 / t_count
-
     him_out, him_tapes = [], []
     for tk in ticks:
         z_hat, tape = him.forward(tk.next_obs, tk.v_true)
         him_out.append(z_hat)
         him_tapes.append(tape)
 
-    # ---- proprioception estimator over the tick sequence -------------------
-    op_loss_sum, op_ticks = 0.0, 0
-    op_grads: list[dict | None] = []
-    for tk, z_hat in zip(ticks, him_out):
-        sel = tk.loss_valid
-        if not sel.any():
-            op_grads.append(None)
-            continue
-        out = tk.op_out
-        val, g = loss_op(_subset_output(out, sel), tk.v_true[sel], z_hat[sel])
-        op_loss_sum += val
-        op_ticks += 1
-        op_grads.append({
-            "head_v": _scatter(w * g["head_v"], sel, out.v_hat.shape),
-            "head_z": _scatter(w * g["head_z"], sel, out.z_o.shape),
-            "z_hat": _scatter(w * g["z_hat"], sel, z_hat.shape),
-        })
+    op_loss_sum, op_ticks = _bptt(
+        op, [tk.op_out for tk in ticks], [tk.op_rec for tk in ticks],
+        [tk.loss_valid for tk in ticks],
+        lambda out, tk, sel, z: loss_op(out, tk.v_true[sel], z),
+        ticks, him, him_out, him_tapes)
 
-    g_hidden = None
-    for t in reversed(range(t_count)):
-        grads = op_grads[t] or {}
-        if "z_hat" in grads:
-            him.backward(him_tapes[t], grads["z_hat"])
-        g_hidden = op.backward(ticks[t].op_rec, grads, hidden_grad=g_hidden)
-        g_hidden = g_hidden * (~ticks[t].resets_before)[:, None]
-
-    # ---- vision estimator, gated to vision-mode records ---------------------
+    # the vision estimator only learns from vision-mode records
     vp_sel = [tk.loss_valid & (tk.masks == 0) for tk in ticks]
     n_vp_rows = int(sum(s.sum() for s in vp_sel))
     vp_loss_sum, vp_ticks = 0.0, 0
     if n_vp_rows:
-        vp_grads: list[dict | None] = []
-        for tk, z_hat, sel in zip(ticks, him_out, vp_sel):
-            if not sel.any():
-                vp_grads.append(None)
-                continue
-            out = tk.vp_out
-            val, g = loss_vp(_subset_output(out, sel), tk.v_true[sel], z_hat[sel],
-                             tk.h_f[sel], tk.m_t[sel])
-            vp_loss_sum += val
-            vp_ticks += 1
-            vp_grads.append({
-                "head_v": _scatter(w * g["head_v"], sel, out.v_hat.shape),
-                "head_z": _scatter(w * g["head_z"], sel, out.z_o.shape),
-                "head_hf": _scatter(w * g["head_hf"], sel, out.h_f_hat.shape),
-                "head_mt": _scatter(w * g["head_mt"], sel, out.m_t_hat.shape),
-                "z_hat": _scatter(w * g["z_hat"], sel, z_hat.shape),
-            })
-        g_hidden = None
-        for t in reversed(range(t_count)):
-            grads = vp_grads[t] or {}
-            if "z_hat" in grads:
-                him.backward(him_tapes[t], grads.pop("z_hat"))
-            g_hidden = vp.backward(ticks[t].vp_rec, grads, hidden_grad=g_hidden)
-            g_hidden = g_hidden * (~ticks[t].resets_before)[:, None]
+        vp_loss_sum, vp_ticks = _bptt(
+            vp, [tk.vp_out for tk in ticks], [tk.vp_rec for tk in ticks], vp_sel,
+            lambda out, tk, sel, z: loss_vp(out, tk.v_true[sel], z, tk.h_f[sel],
+                                            tk.m_t[sel]),
+            ticks, him, him_out, him_tapes)
 
     # target-encoder step last: it accumulates from both estimator losses
     rejected = op_opt.step()

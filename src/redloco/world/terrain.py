@@ -33,10 +33,6 @@ class Heightfield:
     def n_cells(self) -> int:
         return len(self.heights)
 
-    @property
-    def length(self) -> float:
-        return self.n_cells * self.cell_size
-
     def cell_at(self, x: float) -> int:
         return min(max(int(np.floor(x / self.cell_size)), 0), self.n_cells - 1)
 

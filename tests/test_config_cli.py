@@ -1,12 +1,16 @@
 """Flat-text config round-trips and CLI surface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import redloco
 from redloco import config as config_mod
 from redloco.errors import ConfigError
 from redloco.harness.cli import cli
@@ -75,6 +79,15 @@ class TestConfig:
 
 
 class TestCli:
+    def test_module_entry_point_runs_without_a_runtime_warning(self):
+        src = str(Path(redloco.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "redloco.harness.cli",
+             "--help"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli(["frobnicate"])

@@ -206,6 +206,36 @@ class TestBundleLoading:
         assert payload["error"] == "CheckpointError"
         assert "bundle.ckpt" in payload["message"]
 
+    @pytest.mark.parametrize("field", ["input_shape", "entries"])
+    def test_manifest_missing_a_field_is_named(self, bundle, tmp_path, capsys, field):
+        path, _, _ = bundle
+        if field == "entries":
+            rewrite_manifest(path, lambda m: m.pop("entries"))
+        else:
+            rewrite_manifest(path, lambda m: m["entries"][0].pop(field))
+        with pytest.raises(CheckpointError, match=f"'{field}' is missing"):
+            load_checkpoint(path)
+        code = cli(["calibrate-beta", "--checkpoint", str(path),
+                    "--out", str(tmp_path / "beta.json")])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "CheckpointError"
+        assert "bundle.ckpt" in payload["message"] and field in payload["message"]
+
+    @pytest.mark.parametrize("fault", ["layer_field", "list_manifest"])
+    def test_manifest_of_the_wrong_form_is_a_checkpoint_error(self, bundle, fault):
+        path, _, _ = bundle
+        if fault == "layer_field":
+            rewrite_manifest(path, lambda m: m["entries"][0]["layers"][0].update(bogus=1))
+            match = "'bogus'"
+        else:
+            path.write_bytes(path.read_bytes()[:4] + struct.pack("<Q", 2) + b"[]")
+            match = "not a JSON object"
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_cli_reports_a_truncated_checkpoint_as_json(self, bundle, tmp_path, capsys):
         path, _, _ = bundle
         path.write_bytes(path.read_bytes()[:40])

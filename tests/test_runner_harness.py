@@ -10,7 +10,7 @@ from redloco.config import tiny_config
 from redloco.errors import ContractError
 from redloco.harness import (ExperimentSpec, NoiseEvent, run_episode, run_noise_robustness,
                              run_trace, switch_delay_text)
-from redloco.harness.protocols import _make_noise_hook, max_switch_delay
+from redloco.harness.protocols import _make_noise_hook, max_switch_delay, switch_delays
 from redloco.sensor.camera import STAGE_DEPLOYMENT, STAGE_RANDOMIZED
 from redloco.training import Trainer, load_bundle, train
 from redloco.training.runner import VecRunner
@@ -169,6 +169,14 @@ class TestNoiseProtocolReport:
         assert max_switch_delay([7, 9, 8]) == 9
         assert max_switch_delay([7, -1, 8]) == -1
         assert max_switch_delay([]) == -1
+
+    def test_switch_delays_count_from_the_onset_tick(self):
+        # ticks at steps 0, 5, ..., 35; onset 12 falls before the tick at step 15
+        modes = np.array([[0, 1, 1], [1, 1, 1], [1, 1, 1], [1, 0, 1],
+                          [0, 1, 1], [1, 0, 1], [0, 0, 1], [0, 0, 1]])
+        delays, shares = switch_delays(modes, list(range(0, 40, 5)), 12)
+        assert delays.tolist() == [2, 1, -1]
+        assert shares.tolist() == [3 / 4, 4 / 5, 0.0]
 
     def test_unswitched_robots_are_reported_and_velocities_are_plain_floats(
             self, tiny_ckpt, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from redloco.config import tiny_config
-from redloco.errors import ConfigError, RolloutAbort
+from redloco.errors import ConfigError, ContractError, RolloutAbort
 from redloco.sensor.camera import STAGE_DEPLOYMENT
 from redloco.training import RolloutBuffer, Trainer, train
 from redloco.training.supervised import supervised_update
@@ -242,6 +242,15 @@ class TestSupervisedGating:
         assert stats.n_ae_pairs == 0
         for p, b in zip(tr.nets.ae.params(), before):
             np.testing.assert_array_equal(p.values, b)
+
+    def test_a_second_update_on_one_rollout_refuses_its_stale_tapes(self, tmp_path):
+        tr, buf = self._setup(tmp_path)
+        args = (tr.nets.op, tr.nets.vp, tr.nets.him, tr.nets.ae, tr.op_opt, tr.vp_opt,
+                tr.him_opt, tr.ae_opt, buf.ticks, tr.cfg.ppo, tr.ae_rng)
+        supervised_update(*args)
+        # the first update stepped the weights the tapes were recorded under
+        with pytest.raises(ContractError, match="stepped"):
+            supervised_update(*args)
 
     def test_losses_drop_when_overfitting_a_frozen_rollout(self, tmp_path):
         tr = Trainer(tiny_config(), tmp_path / "run")
