@@ -7,28 +7,9 @@ mask = 1 selects the proprioception-only latent, mask = 0 the vision latent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ContractError
-
-
-@dataclass(frozen=True)
-class FusedLatent:
-    h: np.ndarray
-    mask: int
-
-
-def fuse_latent(h_b: np.ndarray, h_v: np.ndarray, mask: int) -> FusedLatent:
-    """Fusion of one pair of (latent,) vectors: the one-row `fuse_batch`."""
-    if mask not in (0, 1):
-        raise ContractError(f"mask must be 0 or 1, got {mask!r}")
-    h_b = np.asarray(h_b, dtype=np.float64)
-    h_v = np.asarray(h_v, dtype=np.float64)
-    if h_b.ndim != 1:
-        raise ContractError(f"latent shapes differ: {h_b.shape} vs {h_v.shape}")
-    return FusedLatent(fuse_batch(h_b[None], h_v[None], np.array([mask]))[0], int(mask))
 
 
 def fuse_batch(h_b: np.ndarray, h_v: np.ndarray, masks: np.ndarray) -> np.ndarray:

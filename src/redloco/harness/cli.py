@@ -92,14 +92,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_conditions(text: str | None):
-    if not text:
-        return DEFAULT_CONDITIONS
-    out = []
-    for tok in text.split(","):
-        kind, _, level = tok.strip().partition(":")
-        out.append((kind, float(level)))
-    return tuple(out)
+def _flag(flag: str, form: str, token: str, parse):
+    """``parse(token)``, with a malformed token reported as a `ConfigError`
+    that names the flag, the token and the form it should take."""
+    try:
+        return parse(token)
+    except (ValueError, ContractError) as exc:
+        raise ConfigError(f"{flag}: bad value {token!r}, want {form} ({exc})") from None
+
+
+def _condition(tok: str) -> tuple[str, float]:
+    kind, level = tok.strip().split(":")
+    ev = NoiseEvent(kind, float(level), 0)
+    return ev.kind, ev.level
+
+
+def _noise_event(text: str) -> NoiseEvent:
+    kind, level, onset, *rest = text.split(":")
+    if len(rest) > 1:
+        raise ValueError("too many fields")
+    return NoiseEvent(kind, float(level), int(onset), int(rest[0]) if rest else None)
+
+
+def _gamma(tok: str) -> float:
+    g = float(tok)
+    if not 0.0 < g <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+    return g
 
 
 def _resolve_beta(args) -> float:
@@ -128,18 +147,21 @@ def cli(argv: list[str]) -> int:
             print(f"metrics: {res.metrics}")
             print(f"final mean tracking: {res.final_mean_lin_vel:.4f}")
         elif args.cmd == "eval-noise":
+            conditions = DEFAULT_CONDITIONS if not args.conditions else tuple(
+                _flag("--conditions", "kind:level", tok, _condition)
+                for tok in args.conditions.split(","))
             spec = ExperimentSpec("eval-noise", args.checkpoint, _resolve_beta(args),
                                   robots=args.robots, command=args.command,
                                   steps=args.steps, noise_onset=args.onset,
                                   seed=args.seed)
-            summary = run_noise_robustness(spec, args.out,
-                                           _parse_conditions(args.conditions))
+            summary = run_noise_robustness(spec, args.out, conditions)
             for c in summary["conditions"]:
                 print(f"{c['condition']}: {switch_delay_text(c)}, "
                       f"err auto {c['tracking_err_auto']:.4f} "
                       f"vs vp-only {c['tracking_err_vp_only']:.4f}")
         elif args.cmd == "sweep-gamma":
-            gammas = [float(g) for g in args.gammas.split(",")]
+            gammas = [_flag("--gammas", "a number in (0, 1]", tok, _gamma)
+                      for tok in args.gammas.split(",")]
             spec = ExperimentSpec("sweep-gamma", args.checkpoint, _resolve_beta(args),
                                   robots=args.robots, steps=args.steps, seed=args.seed)
             res = run_gamma_sweep(spec, gammas, args.out)
@@ -147,9 +169,7 @@ def cli(argv: list[str]) -> int:
                 print(f"gamma {r['gamma']}: predicted delay {r['predicted_delay_ticks']}"
                       f" ticks, switches {r['switch_count']}")
         elif args.cmd == "trace":
-            kind, level, onset, *rest = args.noise.split(":")
-            ev = NoiseEvent(kind, float(level), int(onset),
-                            int(rest[0]) if rest else None)
+            ev = _flag("--noise", "kind:level:onset[:offset]", args.noise, _noise_event)
             spec = ExperimentSpec("trace", args.checkpoint, _resolve_beta(args),
                                   robots=1, steps=args.steps, seed=args.seed,
                                   noise_events=[ev])

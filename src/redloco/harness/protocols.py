@@ -12,17 +12,17 @@ from pathlib import Path
 import numpy as np
 
 from ..config import TrainConfig
-from ..errors import ContractError
+from ..errors import ConfigError, ContractError
 from ..selector import (MODE_OP, MODE_VP, calibrate_beta, filter_update, make_selector,
                         min_flip_ticks, trace_record)
-from ..sensor import (STAGE_RANDOMIZED, DepthImage, inject_gaussian, inject_occlusion,
-                      inject_salt_pepper)
+from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from ..training.bundle import Networks, load_bundle
 from ..training.runner import VecRunner
 from ..world import make_command, sample_command
 
 DEFAULT_CONDITIONS = (("gaussian", 30.0), ("gaussian", 70.0), ("gaussian", 100.0),
                       ("salt_pepper", 10.0), ("salt_pepper", 30.0), ("salt_pepper", 70.0))
+NOISE_KINDS = ("gaussian", "salt_pepper", "occlusion")
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,13 @@ class NoiseEvent:
     level: float                 # percent, ignored for occlusion
     onset: int                   # sim step, inclusive
     offset: int | None = None    # sim step, exclusive; None = until the end
+
+    def __post_init__(self) -> None:
+        if self.kind not in NOISE_KINDS:
+            raise ContractError(f"unknown noise kind {self.kind!r}; known kinds: "
+                                f"{', '.join(NOISE_KINDS)}")
+        if self.kind != "occlusion" and not 0.0 <= self.level <= 100.0:
+            raise ContractError(f"noise level {self.level} outside [0, 100]")
 
     def active(self, step: int) -> bool:
         return step >= self.onset and (self.offset is None or step < self.offset)
@@ -52,31 +59,30 @@ class ExperimentSpec:
     noise_events: list[NoiseEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        for name in ("robots", "steps"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
         for ev in self.noise_events:
             if not 0 <= ev.onset < self.steps:
                 raise ContractError(f"noise onset {ev.onset} outside the episode")
-            if ev.kind != "occlusion" and not 0.0 <= ev.level <= 100.0:
-                raise ContractError(f"noise level {ev.level} outside [0, 100]")
 
 
 def _make_noise_hook(events: list[NoiseEvent], noise_rngs, cam):
-    """Tick hook that corrupts every robot's frame with the events active at
-    the step; robot i draws from ``noise_rngs[i]``, events in list order."""
-    def hook(frames, poses, step):
+    """Tick hook that corrupts every robot's frame of the (E, H, W) stack with
+    the events active at the step; robot i draws from ``noise_rngs[i]``,
+    events in list order."""
+    def hook(frames, step):
         active = [ev for ev in events if ev.active(step)]
         for i, rng in enumerate(noise_rngs if active else ()):
-            img = DepthImage(frames[i], tuple(poses[i]), STAGE_RANDOMIZED)
             for ev in active:
                 if ev.kind == "gaussian":
-                    img = inject_gaussian(img, ev.level, rng, cam.max_range, cam.min_depth)
+                    frames[i] = inject_gaussian(frames[i], ev.level, rng, cam.max_range,
+                                                cam.min_depth)
                 elif ev.kind == "salt_pepper":
-                    img = inject_salt_pepper(img, ev.level, rng, cam.max_range,
-                                             cam.min_depth)
-                elif ev.kind == "occlusion":
-                    img = inject_occlusion(img, cam.min_depth)
+                    frames[i] = inject_salt_pepper(frames[i], ev.level, rng, cam.max_range,
+                                                   cam.min_depth)
                 else:
-                    raise ContractError(f"unknown noise kind {ev.kind!r}")
-            frames[i] = img.data
+                    frames[i] = inject_occlusion(frames[i], cam.min_depth)
         return frames, np.full(len(frames), bool(active))
     return hook
 
@@ -158,16 +164,18 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
                          conditions=DEFAULT_CONDITIONS) -> dict:
     """Two arms (selector on, vision pinned) per noise condition; emits
     per-step mean-velocity tables, selector traces, and a summary."""
+    # each condition's spec is built, and so checked, before the checkpoint loads
+    cspecs = [dataclasses.replace(
+        spec, noise_events=[NoiseEvent(kind, level, spec.noise_onset)] if level > 0 else [])
+        for kind, level in conditions]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg, nets, _ = load_bundle(spec.checkpoint)
     summary = {"schema": "noise-robustness-summary/v1", "name": spec.name,
                "command": spec.command, "onset": spec.noise_onset,
                "robots": spec.robots, "seed": spec.seed, "conditions": []}
-    for kind, level in conditions:
+    for (kind, level), cspec in zip(conditions, cspecs):
         cname = f"{kind}_{int(level)}"
-        events = [NoiseEvent(kind, level, spec.noise_onset)] if level > 0 else []
-        cspec = dataclasses.replace(spec, noise_events=events)
         auto = run_episode(cfg, nets, cspec, "auto")
         vp = run_episode(cfg, nets, cspec, "vp_only")
         mean_auto = auto.vx.mean(axis=1)
@@ -234,15 +242,18 @@ def switch_delay_text(cond: dict) -> str:
 def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
     """Delay and switch-count sweep over filter coefficients on a scripted
     noisy timeline with known onsets; gamma = 1 is the no-filter baseline."""
+    # two long bursts plus single-tick flickers inside clean segments;
+    # everything before the first onset stays clean so P sits saturated
+    onsets, flickers = [200, 400], [350, 550]
+    if spec.steps <= max(flickers):
+        raise ContractError(f"steps {spec.steps} is too short for the sweep's noise "
+                            f"timeline: steps must be at least {max(flickers) + 1}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg, nets, _ = load_bundle(spec.checkpoint)
     period = cfg.selector.tick_period
-    # two long bursts plus single-tick flickers inside clean segments;
-    # everything before the first onset stays clean so P sits saturated
-    onsets = [200, 400]
     timeline = [NoiseEvent("salt_pepper", 70.0, on, on + 100) for on in onsets] + [
-        NoiseEvent("salt_pepper", 70.0, on, on + period) for on in (350, 550)]
+        NoiseEvent("salt_pepper", 70.0, on, on + period) for on in flickers]
     rows = []
     result = {"schema": "gamma-sweep/v1", "name": spec.name, "onsets": onsets,
               "seed": spec.seed, "rows": rows}
@@ -296,21 +307,20 @@ def run_trace(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg, nets, _ = load_bundle(spec.checkpoint)
-    tspec = dataclasses.replace(spec, robots=max(1, spec.robots))
-    ep = run_episode(cfg, nets, tspec, "auto")
+    ep = run_episode(cfg, nets, spec, "auto")
     path = out / "trace.jsonl"
     n_tick_lines = 0
     with open(path, "w") as f:
         for rec in ep.traces[0]:
             f.write(json.dumps(dict(rec, kind="tick")) + "\n")
             n_tick_lines += 1
-        for t in range(tspec.steps):
+        for t in range(spec.steps):
             f.write(json.dumps({
                 "schema": "robot-trace/v1", "kind": "step", "step": t,
                 "x": float(ep.xz[t, 0, 0]), "z": float(ep.xz[t, 0, 1]),
                 "vx": float(ep.vx[t, 0]), "reward": float(ep.rewards[t, 0])}) + "\n")
     mode_flips = int(sum(1 for r in ep.traces[0] if r["switched"]))
-    summary = {"schema": "trace-summary/v1", "steps": tspec.steps,
+    summary = {"schema": "trace-summary/v1", "steps": spec.steps,
                "tick_lines": n_tick_lines, "mode_flips": mode_flips,
                "final_mode": ep.traces[0][-1]["mode"] if ep.traces[0] else MODE_VP,
                "out": str(path)}
@@ -323,6 +333,9 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
     """Clean evaluation episodes on the checkpoint's training terrains; the
     threshold is the maximum anomaly loss over ticks of episodes that finish
     without falling."""
+    for name, value in (("episodes", episodes), ("steps", steps)):
+        if value < 1:
+            raise ContractError(f"{name} must be at least 1, got {value}")
     cfg, nets, _ = load_bundle(checkpoint)
     mix = list(cfg.terrain_mix)
     ss = np.random.SeedSequence([seed, 917])
@@ -375,5 +388,9 @@ def write_beta_file(result: dict, path: str | Path) -> None:
 def read_beta_file(path: str | Path) -> float:
     for line in Path(path).read_text().splitlines():
         if line.startswith("beta"):
-            return float(line.partition("=")[2])
+            raw = line.partition("=")[2].strip()
+            try:
+                return float(raw)
+            except ValueError:
+                raise ConfigError(f"{path}: beta value {raw!r} is not a number") from None
     raise ContractError(f"{path}: no beta entry")

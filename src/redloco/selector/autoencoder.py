@@ -50,26 +50,11 @@ def build_autoencoder(cfg: SelectorConfig, height: int, width: int,
     return LayerStack(descs, s0, rng)
 
 
-def autoencode(stack: LayerStack, frames: np.ndarray) -> np.ndarray:
-    """Reconstruct a (2, H, W) pair or a (B, 2, H, W) batch."""
-    single = frames.ndim == 3
-    x = frames[None] if single else frames
-    if x.shape[1:] != stack.input_shape:
-        raise ContractError(f"frame shape {x.shape[1:]} != {stack.input_shape}")
-    y, _, _ = stack.forward(x)
-    return y[0] if single else y
-
-
-def loss_ad(frames: np.ndarray, reconstruction: np.ndarray) -> float:
-    """Mean squared error jointly over all pixels of both frames."""
+def loss_ad_batch(frames: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
+    """Per-sample reconstruction losses for a (B, 2, H, W) batch: the mean
+    squared error jointly over all pixels of both frames."""
     if frames.shape != reconstruction.shape:
         raise ContractError(f"shape mismatch {frames.shape} vs {reconstruction.shape}")
-    diff = frames - reconstruction
-    return float(np.mean(diff * diff))
-
-
-def loss_ad_batch(frames: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
-    """Per-sample reconstruction losses for a (B, 2, H, W) batch."""
     diff = frames - reconstruction
     return np.mean(diff * diff, axis=(1, 2, 3))
 

@@ -14,19 +14,13 @@ CameraModel = CameraConfig
 
 STAGE_RAW = "raw"
 STAGE_RANDOMIZED = "randomized"
-STAGE_DEPLOYMENT = "deployment_noised"
-STAGES = (STAGE_RAW, STAGE_RANDOMIZED, STAGE_DEPLOYMENT)
 
 
 @dataclass
 class DepthImage:
     data: np.ndarray                       # (H, W) meters, in (0, max_range]
     pose_used: tuple[float, float, float, float]   # cam x, cam z, depression, yaw offset
-    stage: str
-
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.data.shape  # type: ignore[return-value]
+    stage: str                             # STAGE_RAW or STAGE_RANDOMIZED
 
 
 def validate_camera(cam: CameraModel) -> None:

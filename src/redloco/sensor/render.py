@@ -20,24 +20,19 @@ from .camera import STAGE_RANDOMIZED, STAGE_RAW, CameraModel, DepthImage, valida
 
 def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
                x0: np.ndarray, z0: np.ndarray, dx: np.ndarray, dz: np.ndarray,
-               max_range: float, env_ids: np.ndarray | None = None) -> np.ndarray:
+               max_range: float, env_ids: np.ndarray) -> np.ndarray:
     """Distance to first heightfield intersection for each ray.
 
-    ``heights``/``void`` may be (cells,) for one field or (envs, cells) with
-    ``env_ids`` giving each ray's field. Rays must advance forward (dx > 0).
-    Returns max_range where nothing is hit within range.
+    ``heights``/``void`` are (envs, cells); ``env_ids`` gives each ray's
+    field. Rays must advance forward (dx > 0). Returns max_range where
+    nothing is hit within range.
     """
     heights = np.asarray(heights, dtype=np.float64)
-    single = heights.ndim == 1
-    n_cells = heights.shape[-1]
-    if single:
-        heights = heights[None, :]
-        void = np.asarray(void)[None, :]
-        env_ids = np.zeros(x0.shape, dtype=np.intp)
-    else:
-        void = np.asarray(void)
-        if env_ids is None:
-            raise ContractError("env_ids required with per-env heightfields")
+    void = np.asarray(void)
+    if heights.ndim != 2 or void.shape != heights.shape:
+        raise ContractError(f"heights {heights.shape} and void {void.shape} must be "
+                            f"the same (envs, cells) shape")
+    n_cells = heights.shape[1]
     solid_h = np.where(void, -np.inf, heights)
 
     dx = np.maximum(np.asarray(dx, dtype=np.float64), 1e-9)
@@ -99,21 +94,12 @@ def render(world: PlanarWorld, camera: CameraModel, rng: np.random.Generator | N
     """Render one depth frame from the robot's current pose (see `render_batch`)."""
     if randomize and rng is None:
         raise ContractError("randomized render requires an rng")
-    data, poses = render_batch([world], camera, [rng], randomize)
+    data, poses = render_batch(world.batch, camera, [rng], randomize)
     return DepthImage(data[0], tuple(poses[0]),
                       STAGE_RANDOMIZED if randomize else STAGE_RAW)
 
 
-def _scene(worlds: BatchWorld | list[PlanarWorld]):
-    """Body x, z, pitch, the (E, cells) heights and void, and the cell size."""
-    keys = ("x", "z", "pitch", "heights", "void")
-    if isinstance(worlds, BatchWorld):
-        return (*(getattr(worlds, k) for k in keys), worlds.cfg.cell_size)
-    return (*(np.concatenate([getattr(w.batch, k) for w in worlds]) for k in keys),
-            worlds[0].cfg.cell_size)
-
-
-def render_batch(worlds: BatchWorld | list[PlanarWorld], camera: CameraModel,
+def render_batch(world: BatchWorld, camera: CameraModel,
                  rngs: list[np.random.Generator], randomize: bool = True
                  ) -> tuple[np.ndarray, np.ndarray]:
     """One frame per env with a single shared ray march: the (E, H, W) depth
@@ -126,8 +112,7 @@ def render_batch(worlds: BatchWorld | list[PlanarWorld], camera: CameraModel,
     over the envs, its 2 noise fields in a second.
     """
     validate_camera(camera)
-    x, z, pitch, heights, void, cell = _scene(worlds)
-    n = len(x)
+    n = len(world)
     shape = (camera.height, camera.width)
     jitter = np.zeros((n, 4))          # d_x, d_z, d_pitch, d_yaw
     if randomize:
@@ -136,9 +121,9 @@ def render_batch(worlds: BatchWorld | list[PlanarWorld], camera: CameraModel,
             jitter[i] = (rng.uniform(-p, p), rng.uniform(-p, p),
                          rng.uniform(-a, a), rng.uniform(-a, a))
     cam_x, cam_z, depression, dx, dz = _ray_geometry(
-        camera, x, z, pitch, jitter[:, :2], jitter[:, 2], jitter[:, 3])
+        camera, world.x, world.z, world.pitch, jitter[:, :2], jitter[:, 2], jitter[:, 3])
     per = camera.height * camera.width
-    depth = march_rays(heights, void, cell, np.repeat(cam_x, per),
+    depth = march_rays(world.heights, world.void, world.cfg.cell_size, np.repeat(cam_x, per),
                        np.repeat(cam_z, per), dx.ravel(), dz.ravel(), camera.max_range,
                        env_ids=np.repeat(np.arange(n, dtype=np.intp), per))
     data = depth.reshape(n, *shape)
@@ -154,15 +139,10 @@ def render_batch(worlds: BatchWorld | list[PlanarWorld], camera: CameraModel,
     return data, np.column_stack([cam_x, cam_z, depression, jitter[:, 3]])
 
 
-def edge_truncate_resize(image: DepthImage, border: int) -> DepthImage:
-    """Crop a pixel border, then bilinearly resample the interior back to the
-    original resolution. Border 0 is an exact identity."""
-    return DepthImage(edge_truncate_stack(image.data, border), image.pose_used, image.stage)
-
-
-def edge_truncate_stack(data: np.ndarray, border: int) -> np.ndarray:
-    """`edge_truncate_resize` of the last two axes of ``data``, e.g. an
-    (E, H, W) frame stack."""
+def edge_truncate_resize(data: np.ndarray, border: int) -> np.ndarray:
+    """Crop a pixel border off the last two axes of ``data``, e.g. an (E, H, W)
+    frame stack, then bilinearly resample the interior back to (H, W).
+    Border 0 is an exact identity."""
     h, w = data.shape[-2:]
     if border < 0 or 2 * border >= min(h, w):
         raise ContractError(f"border {border} too large for {h}x{w} frame")

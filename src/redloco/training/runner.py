@@ -16,8 +16,8 @@ from ..config import TrainConfig
 from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer,
                           VpEstimator, fuse_batch)
 from ..selector.autoencoder import anomaly_scores
-from ..sensor import edge_truncate_stack, render_batch
-from ..world import OBS_DIM, BatchWorld, batch_reward, update_curriculum
+from ..sensor import edge_truncate_resize, render_batch
+from ..world import OBS_DIM, BatchWorld, compute_reward, update_curriculum
 from ..nn import LayerStack
 
 
@@ -104,16 +104,16 @@ class VecRunner:
 
     # -- estimator tick ------------------------------------------------------
     def tick_estimators(self, noise_hook=None) -> TickData:
-        """One estimator tick. ``noise_hook(frames, poses, step)`` may corrupt
-        the (E, H, W) frame stack; it returns the stack and an (E,) mask of
-        the rows it corrupted."""
+        """One estimator tick. ``noise_hook(frames, step)`` may corrupt the
+        (E, H, W) frame stack at sim step ``step``; it returns the stack and
+        an (E,) mask of the rows it corrupted."""
         cam = self.cfg.camera
-        frames, poses = render_batch(self.world, cam, self.env_rngs, randomize=True)
-        frames = edge_truncate_stack(frames, cam.edge_border)
+        frames, _ = render_batch(self.world, cam, self.env_rngs, randomize=True)
+        frames = edge_truncate_resize(frames, cam.edge_border)
         # deployment corruption lands on the processed image the networks consume
         corrupted = np.zeros(self.n, dtype=bool)
         if noise_hook is not None:
-            frames, corrupted = noise_hook(frames, poses, self.global_step)
+            frames, corrupted = noise_hook(frames, self.global_step)
         self.depth.push(frames, corrupted)
         depth_pairs = self.depth.newest_pair()
         flat_obs = self.proprio.flat()
@@ -146,8 +146,8 @@ class VecRunner:
         cfg = self.cfg
         w = self.world
         ev = w.step(actions)
-        reward = batch_reward(w, w.prev_ax, w.prev_action, w.last_action, w.c_x, w.c_yaw,
-                              ev.collision, cfg.reward)
+        reward = compute_reward(w, w.prev_ax, w.prev_action, w.last_action, w.c_x, w.c_yaw,
+                                ev.collision, cfg.reward)
         done = ev.done
         ids = np.flatnonzero(done)
         if ids.size:

@@ -3,8 +3,8 @@
 The tracking term follows the capped-projection rule with a standstill
 branch; shaping scales follow the pinned table in :class:`RewardConfig`.
 Contributions are multiplied by dt (the pinned convention), so the collision
-penalty lands as scale * dt per event. Terms
-with no planar analog are emitted as zero with ``planar_zero`` set.
+penalty lands as scale * dt per event. Terms with no planar analog
+(``PLANAR_ZERO``) are emitted as zero.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import RewardConfig
-from .batch import BatchWorld, StepEvents
-from .commands import Command
-from .robot import PlanarWorld, RobotState
+from .batch import BatchWorld
 
 # term name -> RewardConfig scale field, in summation order
 TERM_SCALES = {
@@ -26,14 +24,6 @@ TERM_SCALES = {
     "hip_bias": "hip_bias", "joint_acc": "joint_acc", "orientation": "orientation",
 }
 PLANAR_ZERO = ("hip_bias",)
-
-
-@dataclass(frozen=True)
-class RewardTerm:
-    value: float           # raw, unweighted term
-    scale: float
-    contribution: float    # scale * value * dt
-    planar_zero: bool = False
 
 
 @dataclass
@@ -51,9 +41,9 @@ def linear_velocity_reward(c_x, v_along, v_norm):
                     1.0 / (1.0 + np.asarray(v_norm)))[()]
 
 
-def batch_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarray,
-                 action: np.ndarray, c_x: np.ndarray, c_yaw: np.ndarray,
-                 collision: np.ndarray, rcfg: RewardConfig) -> BatchReward:
+def compute_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarray,
+                   action: np.ndarray, c_x: np.ndarray, c_yaw: np.ndarray,
+                   collision: np.ndarray, rcfg: RewardConfig) -> BatchReward:
     """The reward of every env's last step, from its state after the step and
     its ax and action before it. Squares of scalar-model quantities use
     ``float_power``, C ``pow``; ``** 2`` on an array multiplies instead, which
@@ -86,17 +76,3 @@ def batch_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarray
                      for name, scale in TERM_SCALES.items()}
     return BatchReward(sum(contributions.values()), values, contributions)
 
-
-def compute_reward(prev: RobotState, world: PlanarWorld, action, command: Command,
-                   events: StepEvents, rcfg: RewardConfig
-                   ) -> tuple[float, dict[str, RewardTerm]]:
-    """The reward of one env's step; ``prev`` is its state before the step."""
-    r = batch_reward(world.batch, np.array([prev.ax], dtype=np.float64),
-                     np.asarray(prev.last_action, dtype=np.float64)[None],
-                     np.asarray(action, dtype=np.float64)[None],
-                     np.array([command.c_x]), np.array([command.c_yaw]),
-                     np.array([events.collision]), rcfg)
-    terms = {name: RewardTerm(float(r.values[name][0]), getattr(rcfg, scale),
-                              float(r.contributions[name][0]), name in PLANAR_ZERO)
-             for name, scale in TERM_SCALES.items()}
-    return float(r.total[0]), terms

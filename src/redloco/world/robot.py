@@ -91,9 +91,6 @@ class PlanarWorld:
     def reset_episode(self, command: Command | None = None) -> None:
         self.batch.reset([0], None if command is None else [command])
 
-    def feet_over_void(self, x: float) -> bool:
-        return bool(self.batch.support(np.array([x], dtype=np.float64))[0] == -np.inf)
-
     def step(self, action) -> StepEvents:
         a = np.asarray(action, dtype=np.float64)
         if a.shape != (2,):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from redloco import config as config_mod
 from redloco.config import desk_config, tiny_config
-from redloco.estimators import fuse_latent
+from redloco.estimators import fuse_batch
 from redloco.harness import (ExperimentSpec, NoiseEvent, run_episode, run_gamma_sweep,
                              run_noise_robustness, run_trace)
 from redloco.harness.verify import run_full_suite
@@ -156,12 +156,12 @@ def test_criterion_4_raycast_oracle():
     # range invariant across pipeline stages
     rng = np.random.default_rng(1)
     in_range = True
-    for stage_img in (img, img2,
-                      render(w, cam, rng, randomize=True),
-                      edge_truncate_resize(render(w, cam, rng, True), 2),
-                      inject_gaussian(render(w, cam, rng, True), 100.0, rng),
-                      inject_salt_pepper(render(w, cam, rng, True), 70.0, rng)):
-        in_range &= stage_img.data.min() > 0 and stage_img.data.max() <= 2.0
+    for stage in (img.data, img2.data,
+                  render(w, cam, rng, randomize=True).data,
+                  edge_truncate_resize(render(w, cam, rng, True).data, 2),
+                  inject_gaussian(render(w, cam, rng, True).data, 100.0, rng),
+                  inject_salt_pepper(render(w, cam, rng, True).data, 70.0, rng)):
+        in_range &= stage.min() > 0 and stage.max() <= 2.0
     ok = worst < 1e-6 and in_range
     report(4, ok, f"max closed-form deviation {worst:.2e} m; all stages in (0, 2]: {in_range}")
 
@@ -173,8 +173,8 @@ def test_criterion_5_property_fused_halves(seed, mask):
     rng = np.random.default_rng(seed)
     h_b = rng.standard_normal(32)
     h_v = rng.standard_normal(32)
-    fused = fuse_latent(h_b, h_v, mask)
-    active, zeroed = (fused.h[:32], fused.h[32:]) if mask == 1 else (fused.h[32:], fused.h[:32])
+    fused = fuse_batch(h_b[None], h_v[None], np.array([mask]))[0]
+    active, zeroed = (fused[:32], fused[32:]) if mask == 1 else (fused[32:], fused[:32])
     source = h_b if mask == 1 else h_v
     assert (zeroed == 0.0).all()
     assert active.tobytes() == source.tobytes()
@@ -187,9 +187,10 @@ def test_criterion_5_width_invariance_over_simulated_switches():
     mask = 0
     for _ in range(10_000):
         mask ^= 1
-        f = fuse_latent(rng.standard_normal(32), rng.standard_normal(32), mask)
-        widths.add(f.h.shape)
-        bad += not np.isfinite(f.h).all()
+        h = fuse_batch(rng.standard_normal((1, 32)), rng.standard_normal((1, 32)),
+                       np.array([mask]))[0]
+        widths.add(h.shape)
+        bad += not np.isfinite(h).all()
     ok = widths == {(64,)} and bad == 0
     report(5, ok, f"10k mode switches: widths {widths}, non-finite latents {bad} "
                   f"(plus 200 hypothesis cases for exclusivity)")

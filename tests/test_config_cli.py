@@ -148,3 +148,55 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("argv, flag, token", [
+        (["eval-noise", "--conditions", "gaussian"], "--conditions", "gaussian"),
+        (["eval-noise", "--conditions", "gaussian:30,foo:30"], "--conditions", "foo:30"),
+        (["eval-noise", "--conditions", "salt_pepper:lots"], "--conditions", "salt_pepper:lots"),
+        (["trace", "--noise", "occlusion"], "--noise", "occlusion"),
+        (["trace", "--noise", "smoke:0:10"], "--noise", "smoke:0:10"),
+        (["sweep-gamma", "--gammas", "a"], "--gammas", "a"),
+        (["sweep-gamma", "--gammas", "0.1,0"], "--gammas", "0"),
+    ])
+    def test_malformed_noise_and_gamma_flags_are_refused_before_loading(
+            self, tmp_path, capsys, argv, flag, token):
+        code = cli(argv + ["--checkpoint", str(tmp_path / "missing.ckpt"), "--beta", "0.1",
+                           "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert flag in payload["message"] and repr(token) in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_beta_file_names_the_file_and_the_value(self, tmp_path, capsys):
+        beta_file = tmp_path / "beta.cfg"
+        beta_file.write_text("# schema: beta-calibration/v1\nbeta = abc\n")
+        code = cli(["eval-noise", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                    "--beta-file", str(beta_file), "--out", str(tmp_path / "out")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert str(beta_file) in payload["message"] and "'abc'" in payload["message"]
+
+    @pytest.mark.parametrize("argv, field", [
+        (["eval-noise", "--beta", "0.1", "--robots", "0"], "robots"),
+        (["eval-noise", "--beta", "0.1", "--steps", "0"], "steps"),
+        (["calibrate-beta", "--episodes", "0"], "episodes"),
+        (["calibrate-beta", "--steps", "0"], "steps"),
+        (["sweep-gamma", "--beta", "0.1", "--steps", "500"], "551"),
+        (["sweep-gamma", "--beta", "0.1", "--steps", "550"], "551"),
+    ])
+    def test_runs_too_small_to_measure_are_refused_before_loading(self, tmp_path, capsys,
+                                                                   argv, field):
+        code = cli(argv + ["--checkpoint", str(tmp_path / "missing.ckpt"),
+                           "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ContractError"
+        assert field in payload["message"]
+        if field == "551":
+            assert "steps" in payload["message"]

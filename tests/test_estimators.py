@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from redloco.config import NetConfig
 from redloco.errors import ContractError
-from redloco.estimators import (DepthBuffer, FusedLatent, HimTargetEncoder, OpEstimator,
-                                ProprioBuffer, VpEstimator, fuse_batch, fuse_latent,
-                                loss_op, loss_vp, mse)
+from redloco.estimators import (DepthBuffer, HimTargetEncoder, OpEstimator, ProprioBuffer,
+                                VpEstimator, fuse_batch, loss_op, loss_vp, mse)
 
 CFG = NetConfig(history_len=4, embed_hidden=8, embed_out=6, cnn_channels=(2, 3, 4),
                 encoder_hidden=8, encoder_out=6, gru_hidden=8, latent=5, z_dim=4,
@@ -262,29 +261,34 @@ class TestLossConventions:
         assert offset == pytest.approx(c * c, abs=1e-12)
 
 
+def fuse_row(h_b, h_v, mask):
+    """`fuse_batch` of one (latent,) pair."""
+    return fuse_batch(h_b[None], h_v[None], np.array([mask]))[0]
+
+
 class TestFusion:
     def test_mask_one_keeps_proprio_half(self):
         h_b = np.arange(1.0, 6.0)
         h_v = -np.arange(1.0, 6.0)
-        f = fuse_latent(h_b, h_v, 1)
-        np.testing.assert_array_equal(f.h[:5], h_b)
-        np.testing.assert_array_equal(f.h[5:], 0.0)
+        h = fuse_row(h_b, h_v, 1)
+        np.testing.assert_array_equal(h[:5], h_b)
+        np.testing.assert_array_equal(h[5:], 0.0)
 
     def test_mask_zero_keeps_vision_half(self):
         h_b = np.arange(1.0, 6.0)
         h_v = -np.arange(1.0, 6.0)
-        f = fuse_latent(h_b, h_v, 0)
-        np.testing.assert_array_equal(f.h[:5], 0.0)
-        np.testing.assert_array_equal(f.h[5:], h_v)
+        h = fuse_row(h_b, h_v, 0)
+        np.testing.assert_array_equal(h[:5], 0.0)
+        np.testing.assert_array_equal(h[5:], h_v)
 
     def test_zero_latents_fuse_to_zero_either_way(self):
         z = np.zeros(4)
         for m in (0, 1):
-            np.testing.assert_array_equal(fuse_latent(z, z, m).h, 0.0)
+            np.testing.assert_array_equal(fuse_row(z, z, m), 0.0)
 
     def test_invalid_mask_rejected(self):
         with pytest.raises(ContractError):
-            fuse_latent(np.zeros(3), np.zeros(3), 2)
+            fuse_row(np.zeros(3), np.zeros(3), 2)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 1))
     @settings(max_examples=100, deadline=None)
@@ -292,9 +296,9 @@ class TestFusion:
         rng = np.random.default_rng(seed)
         h_b = rng.standard_normal(8)
         h_v = rng.standard_normal(8)
-        f = fuse_latent(h_b, h_v, mask)
-        assert f.h.shape == (16,)
-        active, zeroed = (f.h[:8], f.h[8:]) if mask == 1 else (f.h[8:], f.h[:8])
+        h = fuse_row(h_b, h_v, mask)
+        assert h.shape == (16,)
+        active, zeroed = (h[:8], h[8:]) if mask == 1 else (h[8:], h[:8])
         source = h_b if mask == 1 else h_v
         assert (zeroed == 0.0).all()
         assert active.tobytes() == source.tobytes()
@@ -306,5 +310,6 @@ class TestFusion:
         masks = np.array([0, 1, 1, 0, 1, 0])
         fused = fuse_batch(h_b, h_v, masks)
         for i in range(6):
-            np.testing.assert_array_equal(fused[i],
-                                          fuse_latent(h_b[i], h_v[i], masks[i]).h)
+            want = (np.concatenate([h_b[i], np.zeros(4)]) if masks[i] == 1
+                    else np.concatenate([np.zeros(4), h_v[i]]))
+            assert fused[i].tobytes() == want.tobytes()

@@ -6,10 +6,10 @@ import pytest
 
 from redloco.config import CameraConfig, WorldConfig
 from redloco.errors import ContractError
-from redloco.sensor import (STAGE_RANDOMIZED, STAGE_RAW, edge_truncate_resize,
-                            edge_truncate_stack, march_rays, render, render_batch)
-from redloco.sensor.camera import DepthImage, dump_text, parse_text
-from redloco.world import PlanarWorld, generate_terrain, make_command
+from redloco.sensor import (STAGE_RANDOMIZED, STAGE_RAW, edge_truncate_resize, march_rays,
+                            render, render_batch)
+from redloco.sensor.camera import dump_text, parse_text
+from redloco.world import BatchWorld, PlanarWorld, generate_terrain, make_command
 
 
 def flat_world(seed=0, cfg=None):
@@ -27,9 +27,10 @@ def ray_angles(cam):
 
 class TestClosedForms:
     def test_forty_five_degree_ray_on_flat_ground(self):
-        d = march_rays(np.zeros(400), np.zeros(400, bool), 0.05,
+        d = march_rays(np.zeros((1, 400)), np.zeros((1, 400), bool), 0.05,
                        np.array([5.0]), np.array([0.3]),
-                       np.array([np.cos(np.pi / 4)]), np.array([-np.sin(np.pi / 4)]), 2.0)
+                       np.array([np.cos(np.pi / 4)]), np.array([-np.sin(np.pi / 4)]), 2.0,
+                       np.zeros(1, dtype=np.intp))
         assert d[0] == pytest.approx(0.3 / np.sin(np.pi / 4), abs=1e-12)
 
     def test_flat_render_matches_ray_plane_distance_everywhere(self):
@@ -77,12 +78,18 @@ class TestClosedForms:
                 assert img.data[r, c] == pytest.approx(want, abs=1e-6), (r, c)
 
     def test_rays_over_a_void_span_run_out_at_max_range(self):
-        heights = np.zeros(400)
-        void = np.zeros(400, bool)
-        void[80:] = True
+        heights = np.zeros((1, 400))
+        void = np.zeros((1, 400), bool)
+        void[0, 80:] = True
         d = march_rays(heights, void, 0.05, np.array([4.5]), np.array([0.35]),
-                       np.array([0.9]), np.array([-0.05]), 2.0)
+                       np.array([0.9]), np.array([-0.05]), 2.0, np.zeros(1, dtype=np.intp))
         assert d[0] == 2.0
+
+    def test_fields_must_be_envs_by_cells(self):
+        with pytest.raises(ContractError, match="envs, cells"):
+            march_rays(np.zeros(400), np.zeros(400, bool), 0.05, np.array([4.5]),
+                       np.array([0.35]), np.array([0.9]), np.array([-0.05]), 2.0,
+                       np.zeros(1, dtype=np.intp))
 
 
 class TestInvariantsAndDeterminism:
@@ -92,13 +99,12 @@ class TestInvariantsAndDeterminism:
         rng = np.random.default_rng(9)
         raw = render(w, cam)
         rand = render(w, cam, rng, randomize=True)
-        crop = edge_truncate_resize(rand, 2)
-        for img in (raw, rand, crop):
-            assert img.data.min() > 0
-            assert img.data.max() <= cam.max_range
+        crop = edge_truncate_resize(rand.data, 2)
+        for data in (raw.data, rand.data, crop):
+            assert data.min() > 0
+            assert data.max() <= cam.max_range
         assert raw.stage == STAGE_RAW
         assert rand.stage == STAGE_RANDOMIZED
-        assert crop.stage == STAGE_RANDOMIZED
 
     def test_raw_render_is_deterministic(self):
         cam = CameraConfig(height=12, width=16)
@@ -125,9 +131,12 @@ class TestInvariantsAndDeterminism:
         # each env draws from its own generator, seeded alike on both sides,
         # so the randomized case pins the per-env draw order of the batch
         cam = CameraConfig(height=12, width=16)
+        kinds = ("flat", "stairs_up", "gap", "platform")
+        batch = BatchWorld(WorldConfig(), list(kinds),
+                           [np.random.default_rng(s) for s in range(4)], [9] * 4)
         worlds = [PlanarWorld(WorldConfig(), kind, np.random.default_rng(s), level=9)
-                  for s, kind in enumerate(("flat", "stairs_up", "gap", "platform"))]
-        frames, poses = render_batch(worlds, cam,
+                  for s, kind in enumerate(kinds)]
+        frames, poses = render_batch(batch, cam,
                                      [np.random.default_rng([5, i]) for i in range(4)],
                                      randomize=randomize)
         assert frames.shape == (4, 12, 16) and poses.shape == (4, 4)
@@ -156,37 +165,34 @@ class TestInvariantsAndDeterminism:
 class TestEdgeTruncateResize:
     def test_border_zero_is_identity(self):
         img = render(flat_world(), CameraConfig(height=12, width=16))
-        out = edge_truncate_resize(img, 0)
-        assert out.data.tobytes() == img.data.tobytes()
+        out = edge_truncate_resize(img.data, 0)
+        assert out.tobytes() == img.data.tobytes()
 
     def test_constant_image_survives_any_border(self):
-        img = DepthImage(np.full((12, 16), 1.37), (0, 0, 0, 0), STAGE_RAW)
+        data = np.full((12, 16), 1.37)
         for border in (1, 2, 3):
-            out = edge_truncate_resize(img, border)
-            np.testing.assert_allclose(out.data, 1.37, atol=1e-12)
-            assert out.data.shape == (12, 16)
+            out = edge_truncate_resize(data, border)
+            np.testing.assert_allclose(out, 1.37, atol=1e-12)
+            assert out.shape == (12, 16)
 
     def test_corner_pixels_derive_from_interior_after_crop(self):
         data = np.ones((12, 16))
         data[0, :] = 0.01    # contaminated edge
         data[:, 0] = 0.01
-        img = DepthImage(data, (0, 0, 0, 0), STAGE_RAW)
-        out = edge_truncate_resize(img, 2)
-        assert out.data.shape == (12, 16)
-        assert out.data[0, 0] == pytest.approx(1.0)
+        out = edge_truncate_resize(data, 2)
+        assert out.shape == (12, 16)
+        assert out[0, 0] == pytest.approx(1.0)
 
     def test_stack_matches_frame_by_frame(self):
         rng = np.random.default_rng(3)
         stack = rng.uniform(0.01, 2.0, (5, 12, 16))
-        out = edge_truncate_stack(stack, 2)
+        out = edge_truncate_resize(stack, 2)
         for frame, want in zip(stack, out):
-            img = DepthImage(frame, (0, 0, 0, 0), STAGE_RAW)
-            assert edge_truncate_resize(img, 2).data.tobytes() == want.tobytes()
+            assert edge_truncate_resize(frame, 2).tobytes() == want.tobytes()
 
     def test_oversized_border_rejected(self):
-        img = DepthImage(np.ones((12, 16)), (0, 0, 0, 0), STAGE_RAW)
         with pytest.raises(ContractError):
-            edge_truncate_resize(img, 6)
+            edge_truncate_resize(np.ones((12, 16)), 6)
 
 
 def test_depth_frame_text_round_trip():

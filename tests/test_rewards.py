@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from redloco.config import RewardConfig, WorldConfig
 from redloco.world import PlanarWorld, compute_reward, linear_velocity_reward, make_command
+from redloco.world.rewards import PLANAR_ZERO, TERM_SCALES
 
 
 def reference_tracking(c_x, v_along, v_norm):
@@ -59,37 +60,44 @@ class TestTrackingReward:
         assert 0.0 <= linear_velocity_reward(0.0, v, v) <= 1.0
 
 
+def step_reward(w, action, rcfg):
+    """Step a one-env world; its events and the `compute_reward` of the step."""
+    b = w.batch
+    ev = b.step(np.array([action], dtype=np.float64))
+    return ev, compute_reward(b, b.prev_ax, b.prev_action, b.last_action, b.c_x, b.c_yaw,
+                              ev.collision, rcfg)
+
+
 class TestRewardTable:
+    SCALES = {"lin_vel_tracking": 1.5, "ang_vel_tracking": 0.5, "collision": -10.0,
+              "joint_energy": -1e-5, "action_rate": -0.1, "default_pos": -0.04,
+              "hip_bias": -0.5, "joint_acc": -2.5e-7, "orientation": -1.0}
+
     def _step(self, command=0.6, action=(0.5, 0.0)):
         w = PlanarWorld(WorldConfig(), "flat", np.random.default_rng(0))
         w.reset_episode(command=make_command(command))
-        prev = w.snapshot()
-        ev = w.step(list(action))
         rcfg = RewardConfig()
-        total, terms = compute_reward(prev, w, list(action), w.command, ev, rcfg)
-        return w, total, terms, rcfg
+        _, r = step_reward(w, action, rcfg)
+        return w, r, rcfg
 
     def test_every_table_term_is_present_with_its_scale(self):
-        _, _, terms, rcfg = self._step()
-        assert terms["lin_vel_tracking"].scale == 1.5
-        assert terms["ang_vel_tracking"].scale == 0.5
-        assert terms["collision"].scale == -10.0
-        assert terms["joint_energy"].scale == -1e-5
-        assert terms["action_rate"].scale == -0.1
-        assert terms["default_pos"].scale == -0.04
-        assert terms["hip_bias"].scale == -0.5
-        assert terms["joint_acc"].scale == -2.5e-7
-        assert terms["orientation"].scale == -1.0
+        w, r, rcfg = self._step()
+        assert list(r.values) == list(r.contributions) == list(self.SCALES)
+        for name, scale in self.SCALES.items():
+            assert getattr(rcfg, TERM_SCALES[name]) == scale
+            if name not in PLANAR_ZERO:
+                assert r.contributions[name][0] == scale * r.values[name][0] * w.cfg.dt
 
     def test_planar_inapplicable_term_is_flagged_zero(self):
-        _, _, terms, _ = self._step()
-        assert terms["hip_bias"].planar_zero
-        assert terms["hip_bias"].value == 0.0
-        assert terms["hip_bias"].contribution == 0.0
+        _, r, _ = self._step()
+        assert PLANAR_ZERO == ("hip_bias",)
+        assert r.values["hip_bias"][0] == 0.0
+        assert r.contributions["hip_bias"][0] == 0.0
 
     def test_total_is_sum_of_contributions(self):
-        _, total, terms, _ = self._step()
-        assert total == pytest.approx(sum(t.contribution for t in terms.values()), abs=1e-15)
+        _, r, _ = self._step()
+        assert r.total[0] == pytest.approx(sum(c[0] for c in r.contributions.values()),
+                                           abs=1e-15)
 
     def test_collision_contributes_scale_times_dt(self):
         w = PlanarWorld(WorldConfig(), "platform", np.random.default_rng(4), level=9)
@@ -97,11 +105,9 @@ class TestRewardTable:
         w.robot.vx = 1.5
         rcfg = RewardConfig()
         for _ in range(500):
-            prev = w.snapshot()
-            ev = w.step([1.0, 0.0])
-            total, terms = compute_reward(prev, w, [1.0, 0.0], w.command, ev, rcfg)
-            if ev.collision:
-                assert terms["collision"].contribution == pytest.approx(
+            ev, r = step_reward(w, [1.0, 0.0], rcfg)
+            if ev.collision[0]:
+                assert r.contributions["collision"][0] == pytest.approx(
                     -10.0 * w.cfg.dt, abs=1e-15)
                 return
         pytest.fail("no collision occurred")
@@ -110,11 +116,9 @@ class TestRewardTable:
         w = PlanarWorld(WorldConfig(), "flat", np.random.default_rng(1))
         w.reset_episode(command=make_command(0.6, c_yaw=0.3))
         w.robot.vx = 0.5
-        prev = w.snapshot()
-        ev = w.step([0.0, 0.0])
-        _, terms = compute_reward(prev, w, [0.0, 0.0], w.command, ev, RewardConfig())
+        _, r = step_reward(w, [0.0, 0.0], RewardConfig())
         expected = reference_tracking(0.6, w.robot.vx * np.cos(0.3), abs(w.robot.vx))
-        assert terms["lin_vel_tracking"].value == pytest.approx(expected, abs=1e-12)
+        assert r.values["lin_vel_tracking"][0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestOverspeedCost:
@@ -133,10 +137,7 @@ class TestOverspeedCost:
         rcfg = RewardConfig()
         total = 0.0
         for _ in range(self.STEPS):
-            prev = w.snapshot()
-            ev = w.step(action)
-            r, _ = compute_reward(prev, w, action, w.command, ev, rcfg)
-            total += r
+            total += float(step_reward(w, action, rcfg)[1].total[0])
         assert w.robot.vx == pytest.approx(speed, abs=1e-9)
         return total
 

@@ -11,7 +11,7 @@ from redloco.errors import ContractError
 from redloco.harness import (ExperimentSpec, NoiseEvent, run_episode, run_noise_robustness,
                              run_trace, switch_delay_text)
 from redloco.harness.protocols import _make_noise_hook, max_switch_delay, switch_delays
-from redloco.sensor.camera import STAGE_DEPLOYMENT, STAGE_RANDOMIZED
+from redloco.sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from redloco.training import Trainer, load_bundle, train
 from redloco.training.runner import VecRunner
 from redloco.world import make_command
@@ -78,6 +78,34 @@ class TestRunner:
             assert not runner.step(np.zeros((3, 2))).resets.any()
         taint = cfg.net.depth_frames
         assert clean == [None, True] + [False] * taint + [True] * (6 - taint)
+
+    def test_noise_hook_draws_robot_by_robot_in_event_order(self):
+        cam = tiny_config().camera
+        events = [NoiseEvent("gaussian", 60.0, 5, 20), NoiseEvent("salt_pepper", 40.0, 10),
+                  NoiseEvent("occlusion", 0.0, 30, 35)]
+        hook_rngs = [np.random.default_rng([4, i]) for i in range(3)]
+        hook = _make_noise_hook(events, hook_rngs, cam)
+        ref_rngs = [np.random.default_rng([4, i]) for i in range(3)]
+        frames = np.random.default_rng(8).uniform(0.2, 1.8, (3, cam.height, cam.width))
+        for step in range(0, 40, 5):
+            want = frames.copy()
+            for i, rng in enumerate(ref_rngs):
+                for ev in events:
+                    if not ev.active(step):
+                        continue
+                    if ev.kind == "gaussian":
+                        want[i] = inject_gaussian(want[i], ev.level, rng, cam.max_range,
+                                                  cam.min_depth)
+                    elif ev.kind == "salt_pepper":
+                        want[i] = inject_salt_pepper(want[i], ev.level, rng, cam.max_range,
+                                                     cam.min_depth)
+                    else:
+                        want[i] = inject_occlusion(want[i], cam.min_depth)
+            got, corrupted = hook(frames.copy(), step)
+            assert got.tobytes() == want.tobytes(), step
+            assert corrupted.tolist() == [any(ev.active(step) for ev in events)] * 3
+        assert ([r.bit_generator.state for r in hook_rngs]
+                == [r.bit_generator.state for r in ref_rngs])
 
     def test_a_later_reset_leaves_the_stored_tick_labels_alone(self):
         # 14-step episodes reset 3 and then 2 steps after a tick
@@ -152,6 +180,12 @@ class TestHarness:
         with pytest.raises(ContractError):
             ExperimentSpec("t", str(tiny_ckpt), beta=0.5, steps=100,
                            noise_events=[NoiseEvent("gaussian", 30.0, 150)])
+
+    def test_unknown_noise_kind_is_refused_when_the_event_is_built(self):
+        with pytest.raises(ContractError, match="'smoke'"):
+            NoiseEvent("smoke", 30.0, 10)
+        with pytest.raises(ContractError, match="outside"):
+            NoiseEvent("gaussian", 130.0, 10)
 
     def test_same_spec_same_outputs(self, tiny_ckpt, tmp_path):
         spec = ExperimentSpec("t", str(tiny_ckpt), beta=0.5, robots=2, steps=40,

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from redloco.config import SelectorConfig, WorldConfig, desk_config
 from redloco.errors import ContractError
-from redloco.selector import (MODE_OP, MODE_VP, anomaly_scores, autoencode,
-                              build_autoencoder, calibrate_beta, filter_update,
-                              implausibility, loss_ad, loss_ad_batch, make_selector,
-                              min_flip_ticks, near_depth_bound, trace_record)
-from redloco.sensor import (STAGE_RANDOMIZED, DepthImage, edge_truncate_stack,
-                            inject_occlusion, render_batch)
-from redloco.world import PlanarWorld
+from redloco.selector import (MODE_OP, MODE_VP, anomaly_scores, build_autoencoder,
+                              calibrate_beta, filter_update, implausibility, loss_ad_batch,
+                              make_selector, min_flip_ticks, near_depth_bound, trace_record)
+from redloco.sensor import edge_truncate_resize, inject_occlusion, render_batch
+from redloco.world import BatchWorld
 
 
 def reference_filter(gamma, votes, p0=1.0):
@@ -141,31 +139,31 @@ class TestAutoencoder:
         ae = build_autoencoder(SelectorConfig(), 12, 16, np.random.default_rng(0))
         for p in ae.params():
             p.values[...] = 0.0
-        frames = np.random.default_rng(1).uniform(0.1, 2.0, (2, 12, 16))
-        recon = autoencode(ae, frames)
+        frames = np.random.default_rng(1).uniform(0.1, 2.0, (1, 2, 12, 16))
+        recon, _, _ = ae.forward(frames)
         assert np.ptp(recon) == 0.0
         const = float(recon.reshape(-1)[0])
-        assert loss_ad(frames, recon) == pytest.approx(
+        assert loss_ad_batch(frames, recon)[0] == pytest.approx(
             float(np.mean((frames - const) ** 2)), abs=1e-15)
 
     def test_identical_reconstruction_scores_zero(self):
-        frames = np.random.default_rng(2).uniform(0.1, 2.0, (2, 12, 16))
-        assert loss_ad(frames, frames.copy()) == 0.0
+        frames = np.random.default_rng(2).uniform(0.1, 2.0, (1, 2, 12, 16))
+        assert loss_ad_batch(frames, frames.copy())[0] == 0.0
 
     def test_constant_offset_scores_its_square(self):
-        frames = np.random.default_rng(3).uniform(0.1, 2.0, (2, 12, 16))
-        assert loss_ad(frames, frames + 0.1) == pytest.approx(0.01, abs=1e-12)
+        frames = np.random.default_rng(3).uniform(0.1, 2.0, (1, 2, 12, 16))
+        assert loss_ad_batch(frames, frames + 0.1)[0] == pytest.approx(0.01, abs=1e-12)
 
     def test_symmetric_under_frame_order_for_symmetric_inputs(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(0.1, 2.0, (12, 16))
-        frames = np.stack([a, a])
-        recon = np.stack([a + 0.05, a + 0.05])
-        assert loss_ad(frames, recon) == loss_ad(frames[::-1], recon[::-1])
+        frames = np.stack([a, a])[None]
+        recon = np.stack([a + 0.05, a + 0.05])[None]
+        assert loss_ad_batch(frames, recon) == loss_ad_batch(frames[:, ::-1], recon[:, ::-1])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            loss_ad(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)))
+            loss_ad_batch(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 4, 5)))
 
 
 class TestAnomalyScore:
@@ -189,7 +187,7 @@ class TestAnomalyScore:
         occluded = np.full((1, 2, 12, 16), self.CAM.min_depth)
         onset = np.stack([clean[0, 1], occluded[0, 0]])[None]
         for pair in (occluded, onset):
-            score = anomaly_scores(pair, autoencode(ae, pair), self.WORLD, self.CAM)
+            score = anomaly_scores(pair, ae.forward(pair)[0], self.WORLD, self.CAM)
             assert score[0] > beta
 
     def test_occlusion_is_anomalous_even_when_reconstructed_exactly(self):
@@ -201,25 +199,22 @@ class TestAnomalyScore:
     def test_rendered_frames_are_plausible(self):
         cfg = desk_config()
         kinds = ["flat", "rough", "stairs_up", "stairs_down", "gap", "platform"]
-        worlds = [PlanarWorld(cfg.world, k, np.random.default_rng(i), level=9)
-                  for i, k in enumerate(kinds)]
+        world = BatchWorld(cfg.world, kinds, [np.random.default_rng(i) for i in range(6)],
+                           [9] * 6)
         rngs = [np.random.default_rng(10 + i) for i in range(len(kinds))]
         near = near_depth_bound(cfg.world, cfg.camera)
         for _ in range(40):
-            frames = edge_truncate_stack(render_batch(worlds, cfg.camera, rngs)[0],
-                                         cfg.camera.edge_border)
+            frames = edge_truncate_resize(render_batch(world, cfg.camera, rngs)[0],
+                                          cfg.camera.edge_border)
             pairs = np.stack([frames, frames], axis=1)
             assert (implausibility(pairs, near, cfg.camera.min_depth) == 0.0).all()
             recon = pairs + 0.05
             np.testing.assert_array_equal(
                 anomaly_scores(pairs, recon, cfg.world, cfg.camera),
                 loss_ad_batch(pairs, recon))
-            for w in worlds:
-                for _ in range(4):
-                    if w.step([0.6, 0.0]).done:
-                        w.reset_episode()
-        occ = inject_occlusion(DepthImage(frames[0], (0, 0, 0, 0), STAGE_RANDOMIZED),
-                               cfg.camera.min_depth).data
+            for _ in range(4):
+                world.reset(np.flatnonzero(world.step(np.tile([0.6, 0.0], (6, 1))).done))
+        occ = inject_occlusion(frames[0], cfg.camera.min_depth)
         assert implausibility(np.stack([occ, occ])[None], near,
                               cfg.camera.min_depth)[0] == 1.0
 

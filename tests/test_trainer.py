@@ -8,7 +8,6 @@ import pytest
 
 from redloco.config import tiny_config
 from redloco.errors import ConfigError, ContractError, RolloutAbort
-from redloco.sensor.camera import STAGE_DEPLOYMENT
 from redloco.training import RolloutBuffer, Trainer, train
 from redloco.training.supervised import supervised_update
 

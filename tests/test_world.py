@@ -9,8 +9,8 @@ import pytest
 
 from redloco.config import RewardConfig, WorldConfig
 from redloco.errors import ContractError
-from redloco.world import (OBS_DIM, TERRAIN_KINDS, BatchWorld, PlanarWorld, batch_reward,
-                           compute_reward, generate_terrain, make_command, sample_command)
+from redloco.world import (OBS_DIM, TERRAIN_KINDS, BatchWorld, PlanarWorld, compute_reward,
+                           generate_terrain, make_command, sample_command)
 from redloco.world.robot import STATE_FIELDS
 
 
@@ -69,7 +69,7 @@ class TestDynamics:
                 assert ev.termination == "fall"
                 break
         assert fell_at is not None
-        assert w.feet_over_void(w.robot.x)
+        assert w.batch.support(w.batch.x)[0] == -np.inf     # both feet over void
 
     def test_wall_taller_than_max_step_blocks_and_logs_collision(self):
         w = make_world("platform", level=9, seed=4, command=1.0)
@@ -356,22 +356,25 @@ class TestBatchMatchesSingle:
             actions[:, 1] = np.where(act_rng.random(n) < 0.1, actions[:, 1],
                                      np.minimum(actions[:, 1], 0.4))
             ev = batch.step(actions)
-            reward = batch_reward(batch, batch.prev_ax, batch.prev_action, batch.last_action,
-                                  batch.c_x, batch.c_yaw, ev.collision, rcfg)
+            reward = compute_reward(batch, batch.prev_ax, batch.prev_action,
+                                    batch.last_action, batch.c_x, batch.c_yaw, ev.collision,
+                                    rcfg)
             obs = batch.observation()
             priv = batch.privileged()
             for i, w in enumerate(singles):
                 ref = ScalarEnv(w)
                 prev = w.snapshot()
                 ev_i = w.step(actions[i])
-                total, terms = compute_reward(prev, w, actions[i], w.command, ev_i, rcfg)
+                b = w.batch
+                r = compute_reward(b, b.prev_ax, b.prev_action, b.last_action, b.c_x,
+                                   b.c_yaw, np.array([ev_i.collision]), rcfg)
                 assert ev.at(i) == ev_i
                 for name in STATE_FIELDS:
                     assert same_bits(getattr(batch, name)[i], getattr(w.robot, name)), name
-                assert same_bits(reward.total[i], total)
-                for name, term in terms.items():
-                    assert same_bits(reward.values[name][i], term.value), name
-                    assert same_bits(reward.contributions[name][i], term.contribution), name
+                assert same_bits(reward.total[i], r.total)
+                for name in r.values:
+                    assert same_bits(reward.values[name][i], r.values[name]), name
+                    assert same_bits(reward.contributions[name][i], r.contributions[name]), name
                 assert same_bits(obs[i], w.observation())
                 p = w.privileged()
                 assert same_bits(priv.v_true[i], p.v_true)
@@ -383,7 +386,7 @@ class TestBatchMatchesSingle:
                     assert same_bits(getattr(ref.r, name), getattr(w.robot, name)), name
                 assert ref.rng.bit_generator.state == w.batch.rngs[0].bit_generator.state
                 assert same_bits(ref.reward(prev, actions[i], ev_i.collision, rcfg),
-                                 [t.value for t in terms.values()] + [total])
+                                 [v[0] for v in r.values.values()] + [r.total[0]])
                 assert same_bits(ref.observation(), obs[i])
                 want = ref.privileged()
                 assert same_bits(want[0], priv.v_true[i])
