@@ -13,12 +13,12 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import ConfigError, ContractError
-from ..selector import (MODE_OP, MODE_VP, calibrate_beta, filter_update, make_selector,
+from ..selector import (MODE_VP, calibrate_beta, filter_step, filter_update, make_selector,
                         min_flip_ticks, trace_record)
 from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from ..training.bundle import Networks, load_bundle
 from ..training.runner import VecRunner
-from ..world import make_command, sample_command
+from ..world import BatchWorld, make_command, sample_command
 
 DEFAULT_CONDITIONS = (("gaussian", 30.0), ("gaussian", 70.0), ("gaussian", 100.0),
                       ("salt_pepper", 10.0), ("salt_pepper", 30.0), ("salt_pepper", 70.0))
@@ -62,9 +62,11 @@ class ExperimentSpec:
         for name in ("robots", "steps"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
+        make_selector(self.beta, self.gamma)    # refuses a non-finite beta, gamma outside (0, 1]
         for ev in self.noise_events:
             if not 0 <= ev.onset < self.steps:
-                raise ContractError(f"noise onset {ev.onset} outside the episode")
+                raise ContractError(f"noise onset {ev.onset} outside the episode: steps is "
+                                    f"{self.steps}, so an onset must lie in [0, {self.steps - 1}]")
 
 
 def _make_noise_hook(events: list[NoiseEvent], noise_rngs, cam):
@@ -92,10 +94,45 @@ class EpisodeResult:
     vx: np.ndarray               # (steps, robots)
     rewards: np.ndarray          # (steps, robots)
     xz: np.ndarray               # (steps, robots, 2)
+    terminated: np.ndarray       # (steps, robots)
     tick_steps: list[int]
-    traces: list[list[dict]]     # per robot, per valid tick
+    p: np.ndarray                # (n_ticks, robots) vision trust after the tick
     modes: np.ndarray            # (n_ticks, robots) 1 = vision mode
     losses: np.ndarray           # (n_ticks, robots), nan where pair invalid
+
+
+def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], levels: list[int],
+            commands, env_rngs, score: bool, p: np.ndarray, filt: tuple[float, float] | None,
+            hook) -> tuple[EpisodeResult, BatchWorld]:
+    """The deployment loop: one robot per entry of ``kinds`` on its fixed command,
+    driven by the policy mean for ``steps`` sim steps. Each estimator tick scores
+    the frame pairs if ``score``, advances every robot's vision trust (from ``p``)
+    by one `filter_step` if ``filt = (beta, gamma)``, and selects vision where P > 0.5."""
+    cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, episode_steps=steps + 1))
+    runner = VecRunner(cfg, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae if score else None,
+                       fixed_commands=commands, start_levels=levels)
+    n = len(kinds)
+    vx, rewards = np.zeros((2, steps, n))
+    xz = np.zeros((steps, n, 2))
+    terminated = np.zeros((steps, n), dtype=bool)
+    tick_steps, p_log, losses_log = [], [], []
+    for t in range(steps):
+        if runner.is_tick_step():
+            tick = runner.tick_estimators(hook)
+            if filt is not None:
+                p = filter_step(p, tick.losses, tick.pair_valid, *filt)
+            runner.set_latents((p <= 0.5).astype(np.int64))
+            tick_steps.append(t)
+            p_log.append(p)
+            losses_log.append(np.full(n, np.nan) if tick.losses is None
+                              else np.where(tick.pair_valid, tick.losses, np.nan))
+        actions = np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0)
+        sd = runner.step(actions)
+        vx[t], rewards[t], terminated[t] = runner.world.vx, sd.rewards, sd.terminated
+        xz[t, :, 0], xz[t, :, 1] = runner.world.x, runner.world.z
+    p_ticks = np.array(p_log)
+    return EpisodeResult(vx, rewards, xz, terminated, tick_steps, p_ticks,
+                         (p_ticks > 0.5).astype(np.int64), np.array(losses_log)), runner.world
 
 
 def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
@@ -108,54 +145,25 @@ def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
     """
     if arm not in ("auto", "vp_only", "op_only"):
         raise ContractError(f"unknown arm {arm!r}")
-    cfg = dataclasses.replace(cfg)
-    cfg.world = dataclasses.replace(cfg.world, episode_steps=spec.steps + 1)
-    n = spec.robots
-    ss = np.random.SeedSequence(spec.seed)
-    children = ss.spawn(2 * n)
-    env_rngs = [np.random.default_rng(c) for c in children[:n]]
-    noise_rngs = [np.random.default_rng(c) for c in children[n:]]
-    commands = [make_command(spec.command) for _ in range(n)]
-    runner = VecRunner(cfg, [spec.terrain_kind] * n, env_rngs, nets.op, nets.vp,
-                       ae=nets.ae if arm == "auto" else None, fixed_commands=commands,
-                       start_levels=[spec.terrain_level] * n)
-    hook = _make_noise_hook(spec.noise_events, noise_rngs, cfg.camera)
-    states = [make_selector(spec.beta, spec.gamma) for _ in range(n)] \
-        if arm == "auto" else None
-    vx = np.zeros((spec.steps, n))
-    rewards = np.zeros((spec.steps, n))
-    xz = np.zeros((spec.steps, n, 2))
-    traces: list[list[dict]] = [[] for _ in range(n)]
-    tick_steps: list[int] = []
-    modes_log: list[np.ndarray] = []
-    losses_log: list[np.ndarray] = []
-    for t in range(spec.steps):
-        if runner.is_tick_step():
-            tick = runner.tick_estimators(hook)
-            tick_steps.append(t)
-            if arm == "auto":
-                masks = np.zeros(n, dtype=np.int64)
-                tick_losses = np.full(n, np.nan)
-                for i in range(n):
-                    if tick.pair_valid[i]:
-                        states[i] = filter_update(states[i], float(tick.losses[i]))
-                        traces[i].append(trace_record(states[i], t, float(tick.losses[i])))
-                        tick_losses[i] = float(tick.losses[i])
-                    masks[i] = 1 if states[i].mode == MODE_OP else 0
-                losses_log.append(tick_losses)
-            else:
-                masks = np.full(n, 1 if arm == "op_only" else 0, dtype=np.int64)
-                losses_log.append(np.full(n, np.nan))
-            runner.set_latents(masks)
-            modes_log.append((masks == 0).astype(np.int64))
-        actions = np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0)
-        sd = runner.step(actions)
-        vx[t] = runner.world.vx
-        rewards[t] = sd.rewards
-        xz[t, :, 0] = runner.world.x
-        xz[t, :, 1] = runner.world.z
-    return EpisodeResult(vx, rewards, xz, tick_steps, traces,
-                         np.array(modes_log), np.array(losses_log))
+    n, auto = spec.robots, arm == "auto"
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(spec.seed).spawn(2 * n)]
+    hook = _make_noise_hook(spec.noise_events, rngs[n:], cfg.camera)
+    return _deploy(cfg, nets, spec.steps, [spec.terrain_kind] * n, [spec.terrain_level] * n,
+                   [make_command(spec.command) for _ in range(n)], rngs[:n], score=auto,
+                   p=np.full(n, 0.0 if arm == "op_only" else 1.0),
+                   filt=(spec.beta, spec.gamma) if auto else None, hook=hook)[0]
+
+
+def _flips(modes: np.ndarray) -> np.ndarray:
+    """True where a tick flipped the mode (ticks first), from vision mode on."""
+    return np.diff(modes, axis=0, prepend=1) != 0
+
+
+def _selector_records(ep: EpisodeResult, beta: float, robot: int) -> list[dict]:
+    """One robot's selector records, one per tick with a valid pair."""
+    flips = _flips(ep.modes[:, robot])
+    return [trace_record(ep.tick_steps[k], ep.losses[k, robot], beta, ep.p[k, robot], flips[k])
+            for k in np.flatnonzero(np.isfinite(ep.losses[:, robot]))]
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +172,12 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
                          conditions=DEFAULT_CONDITIONS) -> dict:
     """Two arms (selector on, vision pinned) per noise condition; emits
     per-step mean-velocity tables, selector traces, and a summary."""
+    pre_from, post = 50, slice(200, 400)      # the summary's sim-step windows
+    for name, least in (("steps", post.stop), ("noise_onset", pre_from + 1)):
+        if getattr(spec, name) < least:
+            raise ContractError(f"{name} {getattr(spec, name)} is too small for the summary's "
+                                f"windows, steps [{pre_from}, noise_onset) and [{post.start}, "
+                                f"{post.stop}): {name} must be at least {least}")
     # each condition's spec is built, and so checked, before the checkpoint loads
     cspecs = [dataclasses.replace(
         spec, noise_events=[NoiseEvent(kind, level, spec.noise_onset)] if level > 0 else [])
@@ -186,13 +200,11 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
             for t in range(spec.steps):
                 f.write(f"{t},{float(mean_auto[t])!r},{float(mean_vp[t])!r}\n")
         with open(out / f"traces_{cname}.jsonl", "w") as f:
-            for i, tr in enumerate(auto.traces):
-                for rec in tr:
-                    rec = dict(rec, robot=i, condition=cname)
-                    f.write(json.dumps(rec) + "\n")
+            for i in range(spec.robots):
+                for rec in _selector_records(auto, spec.beta, i):
+                    f.write(json.dumps(dict(rec, robot=i, condition=cname)) + "\n")
         delays, op_fracs = switch_delays(auto.modes, auto.tick_steps, spec.noise_onset)
-        pre = slice(50, spec.noise_onset)
-        post = slice(200, 400)
+        pre = slice(pre_from, spec.noise_onset)
         op_frac = float(np.min(op_fracs)) if level > 0 else 0.0
         cond = {
             "condition": cname, "kind": kind, "level": level,
@@ -263,28 +275,22 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
         delays = [switch_delays(ep.modes, ep.tick_steps, onset)[0].tolist()
                   for onset in onsets]
         flat = [d for group in delays for d in group if d >= 0]
-        switch_count = int(sum(sum(1 for r in tr if r["switched"]) for tr in ep.traces))
-        # independent recurrence replay over the observed vote stream: P values
-        # and mode flips must agree with the deployed filter
-        max_p_err = 0.0
-        flips_match = True
-        p0 = make_selector(gspec.beta, gspec.gamma).p
+        flips = _flips(ep.modes)
+        # the scalar reference filter replays each robot's score stream: its P
+        # values and mode flips must agree with the deployed array step
+        max_p_err, flips_match = 0.0, True
         for i in range(gspec.robots):
-            p = p0
-            mode_vp = p > 0.5
-            for rec in ep.traces[i]:
-                vote = 1.0 if rec["loss_ad"] < spec.beta else 0.0
-                p = (1.0 - gamma) * p + gamma * vote
-                max_p_err = max(max_p_err, abs(p - rec["P"]))
-                new_mode_vp = p > 0.5
-                flips_match &= (new_mode_vp != mode_vp) == rec["switched"]
-                mode_vp = new_mode_vp
+            state = make_selector(gspec.beta, gspec.gamma)
+            for k in np.flatnonzero(np.isfinite(ep.losses[:, i])):
+                state = filter_update(state, float(ep.losses[k, i]))
+                max_p_err = max(max_p_err, abs(state.p - float(ep.p[k, i])))
+                flips_match &= state.switched == flips[k, i]
         rows.append({
             "gamma": float(gamma),
             "first_onset_delays": delays[0],
             "predicted_delay_ticks": min_flip_ticks(float(gamma)),
             "mean_delay_ticks": float(np.mean(flat)) if flat else float("nan"),
-            "switch_count": switch_count,
+            "switch_count": int(flips.sum()),
             "recurrence_max_p_err": max_p_err,
             "recurrence_flips_match": bool(flips_match),
         })
@@ -308,21 +314,19 @@ def run_trace(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     cfg, nets, _ = load_bundle(spec.checkpoint)
     ep = run_episode(cfg, nets, spec, "auto")
+    records = _selector_records(ep, spec.beta, 0)
     path = out / "trace.jsonl"
-    n_tick_lines = 0
     with open(path, "w") as f:
-        for rec in ep.traces[0]:
+        for rec in records:
             f.write(json.dumps(dict(rec, kind="tick")) + "\n")
-            n_tick_lines += 1
         for t in range(spec.steps):
             f.write(json.dumps({
                 "schema": "robot-trace/v1", "kind": "step", "step": t,
                 "x": float(ep.xz[t, 0, 0]), "z": float(ep.xz[t, 0, 1]),
                 "vx": float(ep.vx[t, 0]), "reward": float(ep.rewards[t, 0])}) + "\n")
-    mode_flips = int(sum(1 for r in ep.traces[0] if r["switched"]))
     summary = {"schema": "trace-summary/v1", "steps": spec.steps,
-               "tick_lines": n_tick_lines, "mode_flips": mode_flips,
-               "final_mode": ep.traces[0][-1]["mode"] if ep.traces[0] else MODE_VP,
+               "tick_lines": len(records), "mode_flips": sum(r["switched"] for r in records),
+               "final_mode": records[-1]["mode"] if records else MODE_VP,
                "out": str(path)}
     (out / "trace_summary.json").write_text(json.dumps(summary, indent=2))
     return summary
@@ -338,35 +342,21 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
             raise ContractError(f"{name} must be at least 1, got {value}")
     cfg, nets, _ = load_bundle(checkpoint)
     mix = list(cfg.terrain_mix)
-    ss = np.random.SeedSequence([seed, 917])
-    children = ss.spawn(episodes + 1)
+    children = np.random.SeedSequence([seed, 917]).spawn(episodes + 1)
     pick_rng = np.random.default_rng(children[-1])
-    cfg_eval = dataclasses.replace(cfg)
-    cfg_eval.world = dataclasses.replace(cfg.world, episode_steps=steps + 1)
     env_rngs = [np.random.default_rng(c) for c in children[:episodes]]
     kinds = [mix[i % len(mix)] for i in range(episodes)]
     levels = [int(pick_rng.integers(0, 6)) for _ in range(episodes)]
     commands = [sample_command(pick_rng, 2, cfg.world) for _ in range(episodes)]
-    runner = VecRunner(cfg_eval, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae,
-                       fixed_commands=commands, start_levels=levels)
-    losses: list[list[float]] = [[] for _ in range(episodes)]
-    failed = np.zeros(episodes, dtype=bool)
-    for t in range(steps):
-        if runner.is_tick_step():
-            tick = runner.tick_estimators()
-            for i in range(episodes):
-                if tick.pair_valid[i] and not failed[i]:
-                    losses[i].append(float(tick.losses[i]))
-            runner.set_latents(np.zeros(episodes, dtype=np.int64))
-        actions = np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0)
-        sd = runner.step(actions)
-        failed |= sd.terminated
-    # successful = finished upright and actually performed the commanded task
+    ep, w = _deploy(cfg, nets, steps, kinds, levels, commands, env_rngs, score=True,
+                    p=np.ones(episodes), filt=None, hook=None)
+    # successful = never fell and actually performed the commanded task
     # (a zero command has no commanded distance)
-    w = runner.world
+    failed = ep.terminated.any(axis=0)
     moving = w.commanded_distance > 0
     failed[moving] |= w.along[moving] / w.commanded_distance[moving] < 0.5
-    clean = [v for i in range(episodes) if not failed[i] for v in losses[i]]
+    keep = np.isfinite(ep.losses) & ~failed
+    clean = ep.losses.T[keep.T].tolist()      # robot by robot, ticks in order
     if not clean:
         raise ContractError("no successful calibration episodes")
     beta = calibrate_beta(clean)

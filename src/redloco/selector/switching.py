@@ -5,8 +5,8 @@ loss plus its plausibility term, see ``autoencoder.anomaly_scores``) against
 beta into a binary vote, low-passes the vote into a vision-trust probability
 P <- (1-gamma) P + gamma vote, and selects the vision estimator exactly when
 P > 0.5 (strict). gamma = 1 disables the filter (instantaneous switching).
-Updates are order-dependent; keep one state per robot and update it
-sequentially.
+Updates are order-dependent. `filter_step` advances every robot's P as arrays;
+the one-robot `SelectorState`/`filter_update` form is its reference.
 """
 
 from __future__ import annotations
@@ -59,6 +59,14 @@ def filter_update(state: SelectorState, loss_value: float) -> SelectorState:
     return replace(state, p=p, mode=mode, switched=mode != state.mode)
 
 
+def filter_step(p: np.ndarray, losses: np.ndarray, valid: np.ndarray, beta: float,
+                gamma: float) -> np.ndarray:
+    """`filter_update` over a robot axis: the new (robots,) P, where a robot
+    without a valid pair keeps its P. A robot runs vision exactly where P > 0.5."""
+    vote = np.where(losses < beta, 1.0, 0.0)
+    return np.where(valid, (1.0 - gamma) * p + gamma * vote, p)
+
+
 def min_flip_ticks(gamma: float) -> int:
     """Consecutive opposing votes needed to flip from a saturated P of 0 or 1."""
     if gamma >= 1.0:
@@ -70,7 +78,8 @@ def min_flip_ticks(gamma: float) -> int:
     return k
 
 
-def trace_record(state: SelectorState, sim_step: int, loss_value: float) -> dict:
-    return {"schema": "selector-trace/v1", "step": sim_step,
-            "loss_ad": float(loss_value), "beta": state.beta, "P": state.p,
-            "mode": state.mode, "switched": state.switched}
+def trace_record(sim_step: int, loss_value: float, beta: float, p: float, switched: bool) -> dict:
+    """One selector tick as a JSON-ready record; ``p`` is P after the tick."""
+    return {"schema": "selector-trace/v1", "step": int(sim_step),
+            "loss_ad": float(loss_value), "beta": float(beta), "P": float(p),
+            "mode": MODE_VP if p > 0.5 else MODE_OP, "switched": bool(switched)}

@@ -43,21 +43,3 @@ def dump_text(img: DepthImage) -> str:
     lines += [" ".join(repr(float(v)) for v in row) for row in img.data]
     return "\n".join(lines) + "\n"
 
-
-def parse_text(text: str) -> DepthImage:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = {}
-    body_start = 0
-    for i, ln in enumerate(lines):
-        key, sep, val = ln.partition(":")
-        if not sep or key.strip() not in ("schema", "rows", "cols", "stage", "pose"):
-            body_start = i
-            break
-        header[key.strip()] = val.strip()
-        body_start = i + 1
-    if header.get("schema") != "depth-frame/v1":
-        raise ContractError(f"unknown depth frame schema {header.get('schema')!r}")
-    rows = int(header["rows"])
-    data = np.array([[float(t) for t in ln.split()] for ln in lines[body_start:body_start + rows]])
-    pose = tuple(float(t) for t in header["pose"].split())
-    return DepthImage(data, pose, header["stage"])  # type: ignore[arg-type]

@@ -26,18 +26,17 @@ def terrain_class(kind: str) -> str:
 class AdaptationSchedule:
     kinds: list[str]
     flip_period: int = 20
-    offsets: list[int] = field(default_factory=list)
+    offsets: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.classes = [terrain_class(k) for k in self.kinds]
-        if not self.offsets:
-            # stagger among the simple envs so both estimators drive the
-            # policy somewhere every iteration
-            self.offsets = []
-            rank = 0
-            for c in self.classes:
-                self.offsets.append(rank % 2 if c == "simple" else 0)
-                rank += c == "simple"
+        # stagger among the simple envs so both estimators drive the policy
+        # somewhere every iteration
+        self.offsets = []
+        rank = 0
+        for c in self.classes:
+            self.offsets.append(rank % 2 if c == "simple" else 0)
+            rank += c == "simple"
 
     def mask(self, iteration: int, env: int) -> int:
         if self.classes[env] == "difficult":

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..config import WorldConfig
 from ..errors import ContractError
+from .terrain import N_LEVELS
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ def sample_command(rng: np.random.Generator, curriculum_phase: int,
 
 
 def update_curriculum(level, distance, commanded, promote_ratio: float = 0.8,
-                      demote_ratio: float = 0.4, n_levels: int = 10):
+                      demote_ratio: float = 0.4):
     """Promote when the episode covered >= promote_ratio of the commanded
     distance, demote below demote_ratio; zero-command episodes keep the level.
     Elementwise over arrays of episodes."""
@@ -56,4 +57,4 @@ def update_curriculum(level, distance, commanded, promote_ratio: float = 0.8,
         ratio = distance / commanded
     moved = np.where(ratio >= promote_ratio, level + 1,
                      np.where(ratio < demote_ratio, level - 1, level))
-    return np.where(commanded <= 0.0, level, np.clip(moved, 0, n_levels - 1))[()]
+    return np.where(commanded <= 0.0, level, np.clip(moved, 0, N_LEVELS - 1))[()]

@@ -44,38 +44,6 @@ class Heightfield:
     def is_void_at(self, x: float) -> bool:
         return bool(self.void[self.cell_at(x)])
 
-    # -- self-describing text dump (golden-test interface) ------------------
-    def dump_text(self) -> str:
-        lines = [
-            "schema: terrain/v1",
-            f"kind: {self.kind}",
-            f"level: {self.level}",
-            f"cell_size: {self.cell_size!r}",
-            f"cells: {self.n_cells}",
-            "difficulty: " + " ".join(f"{k}={v!r}" for k, v in sorted(self.difficulty.items())),
-            "heights: " + " ".join(repr(float(h)) for h in self.heights),
-            "void: " + " ".join("1" if v else "0" for v in self.void),
-        ]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def parse_text(text: str) -> "Heightfield":
-        kv: dict[str, str] = {}
-        for line in text.splitlines():
-            if line.strip():
-                key, _, val = line.partition(":")
-                kv[key.strip()] = val.strip()
-        if kv.get("schema") != "terrain/v1":
-            raise ContractError(f"unknown terrain dump schema {kv.get('schema')!r}")
-        heights = np.array([float(t) for t in kv["heights"].split()])
-        void = np.array([t == "1" for t in kv["void"].split()])
-        diff = {}
-        for tok in kv.get("difficulty", "").split():
-            k, _, v = tok.partition("=")
-            diff[k] = float(v)
-        return Heightfield(float(kv["cell_size"]), heights, void, kv["kind"],
-                           int(kv["level"]), diff)
-
 
 def _lerp(span: tuple[float, float], level: int) -> float:
     return span[0] + (span[1] - span[0]) * level / (N_LEVELS - 1)

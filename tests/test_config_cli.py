@@ -183,6 +183,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, field", [
         (["eval-noise", "--beta", "0.1", "--robots", "0"], "robots"),
         (["eval-noise", "--beta", "0.1", "--steps", "0"], "steps"),
+        (["eval-noise", "--beta", "0.1", "--steps", "399"], "steps 399"),
+        (["eval-noise", "--beta", "0.1", "--onset", "50"], "noise_onset 50"),
         (["calibrate-beta", "--episodes", "0"], "episodes"),
         (["calibrate-beta", "--steps", "0"], "steps"),
         (["sweep-gamma", "--beta", "0.1", "--steps", "500"], "551"),
@@ -200,3 +202,21 @@ class TestCli:
         assert field in payload["message"]
         if field == "551":
             assert "steps" in payload["message"]
+        if field in ("steps 399", "noise_onset 50"):     # the noise summary's windows
+            assert "[50, noise_onset)" in payload["message"]
+            assert "[200, 400)" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_onset_past_the_episode_names_steps_and_the_onset_range(self, tmp_path,
+                                                                         capsys):
+        # the default --noise occlusion:0:150:300 starts after a 100-step episode
+        code = cli(["trace", "--checkpoint", str(tmp_path / "missing.ckpt"), "--beta", "0.1",
+                    "--steps", "100", "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ContractError"
+        message = payload["message"]
+        assert "onset 150" in message and "steps is 100" in message and "[0, 99]" in message
+        assert not (tmp_path / "out").exists()

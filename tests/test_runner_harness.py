@@ -8,8 +8,9 @@ import pytest
 
 from redloco.config import tiny_config
 from redloco.errors import ContractError
-from redloco.harness import (ExperimentSpec, NoiseEvent, run_episode, run_noise_robustness,
-                             run_trace, switch_delay_text)
+from redloco.harness import (ExperimentSpec, NoiseEvent, calibrate_beta_run, run_episode,
+                             run_noise_robustness, run_trace, switch_delay_text)
+from redloco.harness import protocols
 from redloco.harness.protocols import _make_noise_hook, max_switch_delay, switch_delays
 from redloco.sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from redloco.training import Trainer, load_bundle, train
@@ -181,6 +182,11 @@ class TestHarness:
             ExperimentSpec("t", str(tiny_ckpt), beta=0.5, steps=100,
                            noise_events=[NoiseEvent("gaussian", 30.0, 150)])
 
+    def test_spec_refuses_an_uncalibrated_beta_and_a_gamma_outside_the_unit_interval(self):
+        for beta, gamma in ((float("nan"), 0.1), (float("inf"), 0.1), (0.5, 0.0), (0.5, 1.5)):
+            with pytest.raises(ContractError):
+                ExperimentSpec("t", "unused.ckpt", beta=beta, gamma=gamma)
+
     def test_unknown_noise_kind_is_refused_when_the_event_is_built(self):
         with pytest.raises(ContractError, match="'smoke'"):
             NoiseEvent("smoke", 30.0, 10)
@@ -196,6 +202,17 @@ class TestHarness:
         b = run_episode(cfg2, nets2, spec, "auto")
         assert a.vx.tobytes() == b.vx.tobytes()
         assert a.losses.tobytes() == b.losses.tobytes()
+
+    def test_calibration_drives_the_deployment_loop_without_run_episode(
+            self, tiny_ckpt, monkeypatch):
+        # a benchmark that times each run_episode call as one operation would
+        # count calibration's robot-steps twice if calibration went through it
+        def refuse(*_args):
+            raise AssertionError("calibration called run_episode")
+        monkeypatch.setattr(protocols, "run_episode", refuse)
+        res = calibrate_beta_run(tiny_ckpt, episodes=3, seed=1, steps=40)
+        assert res["losses_count"] == len(res["losses"]) > 0
+        assert res["beta"] == max(res["losses"])
 
 
 class TestNoiseProtocolReport:

@@ -1,5 +1,7 @@
 """Switching filter oracle, threshold calibration, anomaly autoencoder."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 from redloco.config import SelectorConfig, WorldConfig, desk_config
 from redloco.errors import ContractError
 from redloco.selector import (MODE_OP, MODE_VP, anomaly_scores, build_autoencoder,
-                              calibrate_beta, filter_update, implausibility, loss_ad_batch,
-                              make_selector, min_flip_ticks, near_depth_bound, trace_record)
+                              calibrate_beta, filter_step, filter_update, implausibility,
+                              loss_ad_batch, make_selector, min_flip_ticks, near_depth_bound,
+                              trace_record)
 from redloco.sensor import edge_truncate_resize, inject_occlusion, render_batch
 from redloco.world import BatchWorld
 
@@ -118,6 +121,39 @@ class TestFilterOracle:
         assert modes == want
 
 
+class TestFilterStep:
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.3, 1.0])
+    def test_matches_filter_update_robot_by_robot(self, gamma):
+        rng = np.random.default_rng(int(100 * gamma))
+        beta, ticks, robots = 0.5, 300, 6
+        # score regimes 30 ticks long, so every gamma gets to flip the mode
+        high = np.repeat(rng.random((ticks // 30, robots)) < 0.5, 30, axis=0)
+        losses = np.where(high, rng.uniform(0.5, 1.0, (ticks, robots)),
+                          rng.uniform(0.0, 0.5, (ticks, robots)))
+        losses[rng.random((ticks, robots)) < 0.1] = beta      # votes 0, like a high score
+        valid = rng.random((ticks, robots)) > 0.2
+        losses[~valid & (rng.random((ticks, robots)) < 0.5)] = np.nan
+        p = np.ones(robots)
+        states = [make_selector(beta, gamma) for _ in range(robots)]
+        flips = 0
+        for k in range(ticks):
+            new_p = filter_step(p, losses[k], valid[k], beta, gamma)
+            for i in range(robots):
+                if valid[k, i]:
+                    states[i] = filter_update(states[i], float(losses[k, i]))
+                assert new_p[i].tobytes() == np.float64(states[i].p).tobytes(), (k, i)
+                assert (new_p[i] > 0.5) == (states[i].mode == MODE_VP)
+                flipped = (new_p[i] > 0.5) != (p[i] > 0.5)
+                assert flipped == (valid[k, i] and states[i].switched)
+                flips += flipped
+            p = new_p
+        assert flips >= robots
+
+    def test_a_score_equal_to_beta_votes_anomalous(self):
+        p = filter_step(np.ones(2), np.array([0.5, 0.4]), np.ones(2, bool), 0.5, 1.0)
+        assert p.tolist() == [0.0, 1.0]
+
+
 class TestCalibration:
     def test_beta_is_the_maximum(self):
         assert calibrate_beta([0.001, 0.004, 0.002]) == 0.004
@@ -223,8 +259,11 @@ class TestTraceExport:
     def test_record_carries_the_documented_fields(self):
         st_ = make_selector(0.05, 0.1)
         st_ = filter_update(st_, 0.2)
-        rec = trace_record(st_, sim_step=35, loss_value=0.2)
+        rec = trace_record(np.int64(35), np.float64(0.2), st_.beta, np.float64(st_.p),
+                           np.bool_(st_.switched))
         assert set(rec) == {"schema", "step", "loss_ad", "beta", "P", "mode", "switched"}
         assert rec["schema"] == "selector-trace/v1"
         assert rec["step"] == 35
-        assert rec["mode"] in (MODE_OP, MODE_VP)
+        assert rec["mode"] == st_.mode
+        assert rec["P"] == st_.p and rec["switched"] is False
+        assert json.loads(json.dumps(rec)) == rec

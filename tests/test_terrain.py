@@ -1,12 +1,11 @@
-"""Terrain generation: determinism, difficulty schedules, dump format."""
+"""Terrain generation: determinism and difficulty schedules."""
 
 import numpy as np
 import pytest
 
 from redloco.config import WorldConfig
 from redloco.errors import ContractError
-from redloco.world import (N_LEVELS, TERRAIN_KINDS, Heightfield, difficulty_value,
-                           generate_terrain)
+from redloco.world import N_LEVELS, TERRAIN_KINDS, difficulty_value, generate_terrain
 
 
 def test_flat_is_all_zero_with_no_voids():
@@ -78,23 +77,3 @@ def test_level_out_of_range_rejected():
     with pytest.raises(ContractError):
         generate_terrain("volcano", 0, 0)
 
-
-class TestDumpFormat:
-    def test_round_trip_preserves_everything(self):
-        hf = generate_terrain("gap", 6, 99)
-        text = hf.dump_text()
-        back = Heightfield.parse_text(text)
-        assert back.kind == hf.kind
-        assert back.level == hf.level
-        assert back.cell_size == hf.cell_size
-        np.testing.assert_array_equal(back.heights, hf.heights)
-        np.testing.assert_array_equal(back.void, hf.void)
-        assert back.difficulty == pytest.approx(hf.difficulty)
-
-    def test_dump_carries_schema_field(self):
-        assert generate_terrain("flat", 0, 0).dump_text().startswith("schema: terrain/v1")
-
-    def test_stairs_golden_dump_is_stable(self):
-        a = generate_terrain("stairs_down", 2, 42).dump_text()
-        b = generate_terrain("stairs_down", 2, 42).dump_text()
-        assert a == b
