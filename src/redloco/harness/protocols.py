@@ -173,11 +173,15 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
     """Two arms (selector on, vision pinned) per noise condition; emits
     per-step mean-velocity tables, selector traces, and a summary."""
     pre_from, post = 50, slice(200, 400)      # the summary's sim-step windows
-    for name, least in (("steps", post.stop), ("noise_onset", pre_from + 1)):
-        if getattr(spec, name) < least:
-            raise ContractError(f"{name} {getattr(spec, name)} is too small for the summary's "
-                                f"windows, steps [{pre_from}, noise_onset) and [{post.start}, "
-                                f"{post.stop}): {name} must be at least {least}")
+    # the post window must start at or after the onset, or it averages clean steps
+    for name, least, most in (("steps", post.stop, None),
+                              ("noise_onset", pre_from + 1, post.start)):
+        value = getattr(spec, name)
+        if value < least or (most is not None and value > most):
+            bound = f"at least {least}" if most is None else f"in [{least}, {most}]"
+            raise ContractError(f"{name} {value} does not fit the summary's windows, steps "
+                                f"[{pre_from}, noise_onset) and [{post.start}, {post.stop}): "
+                                f"{name} must be {bound}")
     # each condition's spec is built, and so checked, before the checkpoint loads
     cspecs = [dataclasses.replace(
         spec, noise_events=[NoiseEvent(kind, level, spec.noise_onset)] if level > 0 else [])

@@ -1,15 +1,14 @@
-"""Versioned checkpoint container.
+"""Versioned container of named float64 arrays.
 
 Layout: 4-byte magic, 8-byte little-endian manifest length, JSON manifest
-(layer descriptors, shapes, dtype, format version, free-form meta), then the
-flat little-endian float64 parameter arrays in declaration order. Every entry
-is tagged ``"dtype": "f64"``; a load refuses any other. Round-trips are
-bit-exact.
+(format, version, one dtype tag, free-form meta, and each entry's name and
+shape), then every array's little-endian float64 bytes in manifest order.
+The container knows nothing of networks: what the arrays mean is the
+caller's business. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -17,85 +16,25 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CheckpointError
-from . import layers as L
-from .stack import LayerStack, TensorParam
 
 MAGIC = b"RLCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 WIRE = np.dtype("<f8")
 
-_KINDS = {
-    "linear": L.Linear, "elu": L.Elu, "tanh": L.Tanh, "conv2d": L.Conv2d,
-    "deconv2d": L.Deconv2d, "gru_cell": L.GruCell, "flatten": L.Flatten,
-    "reshape": L.Reshape,
-}
-_TUPLE_FIELDS = {"out_pad", "shape"}
 
-
-def _desc_to_dict(d: L.LayerDesc) -> dict:
-    out = {"kind": d.kind}
-    for f in dataclasses.fields(d):
-        if f.name == "kind":
-            continue
-        v = getattr(d, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
-def _desc_from_dict(d: dict) -> L.LayerDesc:
-    d = dict(d)
-    kind = d.pop("kind", None)
-    if kind not in _KINDS:
-        raise CheckpointError(f"unknown layer kind {kind!r} in checkpoint")
-    kwargs = {k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in d.items()}
-    try:
-        return _KINDS[kind](**kwargs)
-    except TypeError as exc:
-        raise CheckpointError(f"{kind} layer in checkpoint: {exc}") from exc
-
-
-def save_checkpoint(path: str | Path, entries: dict[str, LayerStack | TensorParam],
-                    meta: dict | None = None) -> None:
-    manifest_entries = []
-    blobs: list[bytes] = []
-    for name, obj in entries.items():
-        if isinstance(obj, LayerStack):
-            manifest_entries.append({
-                "name": name, "type": "stack", "dtype": "f64",
-                "input_shape": list(obj.input_shape),
-                "layers": [_desc_to_dict(d) for d in obj.descs],
-                "params": [{"name": p.name, "shape": list(p.shape)} for p in obj.params()],
-            })
-            blobs.extend(np.ascontiguousarray(p.values, dtype=WIRE).tobytes()
-                         for p in obj.params())
-        elif isinstance(obj, TensorParam):
-            manifest_entries.append({
-                "name": name, "type": "param", "dtype": "f64", "shape": list(obj.shape),
-            })
-            blobs.append(np.ascontiguousarray(obj.values, dtype=WIRE).tobytes())
-        else:
-            raise CheckpointError(f"cannot checkpoint object of type {type(obj)!r}")
-    manifest = {"format": "redloco-checkpoint", "version": FORMAT_VERSION,
-                "meta": meta or {}, "entries": manifest_entries}
+def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    wire = {name: np.asarray(a, dtype=WIRE) for name, a in arrays.items()}
+    manifest = {"format": "redloco-checkpoint", "version": FORMAT_VERSION, "dtype": "f64",
+                "meta": meta,
+                "entries": [{"name": name, "shape": list(a.shape)} for name, a in wire.items()]}
     mbytes = json.dumps(manifest, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(mbytes)))
         f.write(mbytes)
-        for b in blobs:
-            f.write(b)
-
-
-def _read_array(raw: bytes, path, shape: tuple[int, ...],
-                offset: int) -> tuple[np.ndarray, int]:
-    """The array stored at ``offset``, and the offset just past it."""
-    n = int(np.prod(shape)) if shape else 1
-    end = offset + n * WIRE.itemsize
-    if end > len(raw):
-        raise CheckpointError(f"{path}: truncated: parameter data needs {end} bytes, "
-                              f"file has {len(raw)}")
-    return np.frombuffer(raw, dtype=WIRE, count=n, offset=offset).reshape(shape), end
+        for a in wire.values():
+            f.write(a.tobytes())
 
 
 def _field(obj, key: str, where: str):
@@ -106,7 +45,8 @@ def _field(obj, key: str, where: str):
         raise CheckpointError(f"{where}: manifest field {key!r} is missing") from exc
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, LayerStack | TensorParam], dict]:
+def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """The named arrays (read-only views of the file's bytes) and the meta."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint container")
@@ -120,35 +60,30 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, LayerStack | TensorPara
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')}")
+        raise CheckpointError(f"{path}: checkpoint format version {manifest.get('version')}, "
+                              f"this program reads only version {FORMAT_VERSION}; retrain to "
+                              f"write a current checkpoint")
+    if manifest.get("dtype") != "f64":
+        raise CheckpointError(f"{path}: dtype {manifest.get('dtype')!r}; "
+                              f"only 'f64' is supported")
     offset = 12 + mlen
-    entries: dict[str, LayerStack | TensorParam] = {}
-    throwaway = np.random.default_rng(0)
+    arrays: dict[str, np.ndarray] = {}
     for e in _field(manifest, "entries", str(path)):
         name = _field(e, "name", f"{path}: entry")
-        where = f"{path}: entry {name!r}"
-        if e.get("dtype") != "f64":
-            raise CheckpointError(f"{where} has dtype {e.get('dtype')!r}; "
-                                  f"only 'f64' is supported")
-        if _field(e, "type", where) == "stack":
-            stack = LayerStack([_desc_from_dict(d) for d in _field(e, "layers", where)],
-                               tuple(_field(e, "input_shape", where)), throwaway)
-            params = list(stack.params())
-            pinfos = _field(e, "params", where)
-            if len(params) != len(pinfos):
-                raise CheckpointError(f"{where} lists {len(pinfos)} params, "
-                                      f"its layers have {len(params)}")
-            for p, pinfo in zip(params, pinfos):
-                shape = _field(pinfo, "shape", f"{where} param {p.name}")
-                arr, offset = _read_array(raw, path, tuple(shape), offset)
-                if arr.shape != p.shape:
-                    raise CheckpointError(f"{path}: {name}.{p.name} is stored as "
-                                          f"{arr.shape}, its layer needs {p.shape}")
-                p.values[...] = arr
-            entries[name] = stack
-        else:
-            arr, offset = _read_array(raw, path, tuple(_field(e, "shape", where)), offset)
-            entries[name] = TensorParam(name, arr.copy())
+        shape = _field(e, "shape", f"{path}: entry {name!r}")
+        if not isinstance(name, str) or name in arrays:
+            raise CheckpointError(f"{path}: entry name {name!r} is not a string or repeats")
+        if not (isinstance(shape, list)
+                and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise CheckpointError(f"{path}: entry {name!r} has shape {shape!r}, "
+                                  f"not a list of sizes")
+        n = int(np.prod(shape))
+        end = offset + n * WIRE.itemsize
+        if end > len(raw):
+            raise CheckpointError(f"{path}: truncated: array data needs {end} bytes, "
+                                  f"file has {len(raw)}")
+        arrays[name] = np.frombuffer(raw, dtype=WIRE, count=n, offset=offset).reshape(shape)
+        offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes ({len(raw) - offset})")
-    return entries, _field(manifest, "meta", str(path))
+    return arrays, _field(manifest, "meta", str(path))

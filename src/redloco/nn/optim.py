@@ -7,8 +7,11 @@ import numpy as np
 from .stack import TensorParam
 
 
-def adam_update(param: TensorParam, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-                eps: float = 1e-8) -> bool:
+BETAS = (0.9, 0.999)    # decay rates of the first and second moments
+EPS = 1e-8
+
+
+def adam_update(param: TensorParam, lr: float) -> bool:
     """One bias-corrected moment update; zeroes the grad.
 
     Returns False (and leaves values/moments/step untouched) when the grad
@@ -18,7 +21,7 @@ def adam_update(param: TensorParam, lr: float, betas: tuple[float, float] = (0.9
     if not np.isfinite(g).all():
         param.zero_grad()
         return False
-    b1, b2 = betas
+    b1, b2 = BETAS
     param.step_count += 1
     t = param.step_count
     param.moment1 *= b1
@@ -27,7 +30,7 @@ def adam_update(param: TensorParam, lr: float, betas: tuple[float, float] = (0.9
     param.moment2 += (1.0 - b2) * (g * g)
     mhat = param.moment1 / (1.0 - b1 ** t)
     vhat = param.moment2 / (1.0 - b2 ** t)
-    param.values -= lr * mhat / (np.sqrt(vhat) + eps)
+    param.values -= lr * mhat / (np.sqrt(vhat) + EPS)
     param.zero_grad()
     return True
 
@@ -35,18 +38,15 @@ def adam_update(param: TensorParam, lr: float, betas: tuple[float, float] = (0.9
 class Adam:
     """Steps a fixed parameter list; counts rejected (non-finite) updates."""
 
-    def __init__(self, params, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8) -> None:
+    def __init__(self, params, lr: float) -> None:
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.rejected = 0
 
     def step(self) -> int:
         bad = 0
         for p in self.params:
-            if not adam_update(p, self.lr, self.betas, self.eps):
+            if not adam_update(p, self.lr):
                 bad += 1
         self.rejected += bad
         return bad

@@ -23,29 +23,34 @@ from ..nn import (Conv2d, Deconv2d, Elu, Flatten, LayerStack, Linear, Reshape,
                   conv_shape, mirror_out_pad)
 
 
+# the autoencoder scores the newest frame pair; build_networks refuses any
+# net.depth_frames other than this
+PAIR_FRAMES = 2
+
+
 def build_autoencoder(cfg: SelectorConfig, height: int, width: int,
-                      rng: np.random.Generator, frames: int = 2) -> LayerStack:
+                      rng: np.random.Generator) -> LayerStack:
     c1, c2, c3 = cfg.ae_channels
     k, s, p = cfg.ae_kernel, cfg.ae_stride, cfg.ae_pad
-    s0 = (frames, height, width)
+    s0 = (PAIR_FRAMES, height, width)
     s1 = conv_shape(s0, k, s, p, c1)
     s2 = conv_shape(s1, k, s, p, c2)
     s3 = conv_shape(s2, k, s, p, c3)
     flat = int(np.prod(s3))
-    if cfg.ae_bottleneck >= frames * height * width:
+    if cfg.ae_bottleneck >= PAIR_FRAMES * height * width:
         raise ContractError("bottleneck must be narrower than the input pixel count")
     op3 = mirror_out_pad(s2[1:], k, s, p)
     op2 = mirror_out_pad(s1[1:], k, s, p)
     op1 = mirror_out_pad(s0[1:], k, s, p)
     descs = [
-        Conv2d(frames, c1, k, s, p), Elu(),
+        Conv2d(PAIR_FRAMES, c1, k, s, p), Elu(),
         Conv2d(c1, c2, k, s, p), Elu(),
         Conv2d(c2, c3, k, s, p), Elu(),
         Flatten(), Linear(flat, cfg.ae_bottleneck), Elu(),
         Linear(cfg.ae_bottleneck, flat), Elu(), Reshape(s3),
         Deconv2d(c3, c2, k, s, p, op3), Elu(),
         Deconv2d(c2, c1, k, s, p, op2), Elu(),
-        Deconv2d(c1, frames, k, s, p, op1),
+        Deconv2d(c1, PAIR_FRAMES, k, s, p, op1),
     ]
     return LayerStack(descs, s0, rng)
 

@@ -12,7 +12,7 @@ from ..config import TrainConfig
 from ..errors import CheckpointError, ConfigError
 from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator
 from ..nn import LayerStack, TensorParam, load_checkpoint, save_checkpoint
-from ..selector.autoencoder import build_autoencoder
+from ..selector.autoencoder import PAIR_FRAMES, build_autoencoder
 from ..world import OBS_DIM
 from .policy import Critic, GaussianPolicy
 
@@ -50,9 +50,9 @@ class Networks:
 
 def build_networks(cfg: TrainConfig, rng: np.random.Generator) -> Networks:
     # the tick and the autoencoder both consume the newest frame pair
-    if cfg.net.depth_frames != 2:
-        raise ConfigError(f"net.depth_frames: only 2 is supported (the networks read the "
-                          f"newest frame pair), got {cfg.net.depth_frames}")
+    if cfg.net.depth_frames != PAIR_FRAMES:
+        raise ConfigError(f"net.depth_frames: only {PAIR_FRAMES} is supported (the networks "
+                          f"read the newest frame pair), got {cfg.net.depth_frames}")
     op = OpEstimator(cfg.net, OBS_DIM, rng)
     vp = VpEstimator(cfg.net, OBS_DIM, (cfg.camera.height, cfg.camera.width),
                      cfg.world.profile_samples, rng)
@@ -63,17 +63,31 @@ def build_networks(cfg: TrainConfig, rng: np.random.Generator) -> Networks:
     return Networks(op, vp, him, ae, policy, critic)
 
 
+def _named_params(nets: Networks) -> dict[str, TensorParam]:
+    """Every parameter of the network set by checkpoint name, in save order:
+    ``entry/param`` for a stack's parameters (``vp.head_mt/L0.W``), the entry
+    name alone for a standalone parameter (``log_std``)."""
+    out: dict[str, TensorParam] = {}
+    for entry, obj in nets.named_stacks().items():
+        if isinstance(obj, TensorParam):
+            out[entry] = obj
+        else:
+            out.update((f"{entry}/{p.name}", p) for p in obj.params())
+    return out
+
+
 def save_bundle(path: str | Path, cfg: TrainConfig, nets: Networks,
                 extra_meta: dict | None = None) -> None:
     meta = {"config": config_mod.to_text(cfg)}
     if extra_meta:
         meta.update(extra_meta)
-    save_checkpoint(path, nets.named_stacks(), meta)
+    save_checkpoint(path, {name: p.values for name, p in _named_params(nets).items()}, meta)
 
 
 def load_bundle(path: str | Path) -> tuple[TrainConfig, Networks, dict]:
-    """Rebuild the network set from a checkpoint and its embedded config."""
-    entries, meta = load_checkpoint(path)
+    """Rebuild the network set from a checkpoint's embedded config, then fill
+    every parameter from the array of its name."""
+    arrays, meta = load_checkpoint(path)
     if "config" not in meta:
         raise CheckpointError(f"{path}: missing embedded config")
     try:
@@ -81,24 +95,15 @@ def load_bundle(path: str | Path) -> tuple[TrainConfig, Networks, dict]:
         nets = build_networks(cfg, np.random.default_rng(0))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: embedded config: {exc}") from exc
-    targets = nets.named_stacks()
-    missing = sorted(targets.keys() - entries.keys())
-    extra = sorted(entries.keys() - targets.keys())
+    params = _named_params(nets)
+    missing = sorted(params.keys() - arrays.keys())
+    extra = sorted(arrays.keys() - params.keys())
     if missing or extra:
-        raise CheckpointError(f"{path}: entries do not match the network set "
+        raise CheckpointError(f"{path}: arrays do not match the network set "
                               f"(missing {missing}, unexpected {extra})")
-    for name, loaded in entries.items():
-        want, got = _param_list(targets[name]), _param_list(loaded)
-        if len(want) != len(got):
-            raise CheckpointError(f"{path}: {name} holds {len(got)} params, "
-                                  f"the network needs {len(want)}")
-        for p_t, p_l in zip(want, got):
-            if p_t.shape != p_l.shape:
-                raise CheckpointError(
-                    f"{path}: shape mismatch for {name}.{p_t.name}")
-            p_t.values[...] = p_l.values
+    for name, p in params.items():
+        if arrays[name].shape != p.shape:
+            raise CheckpointError(f"{path}: {name} is stored as {arrays[name].shape}, "
+                                  f"the network needs {p.shape}")
+        p.values[...] = arrays[name]
     return cfg, nets, meta
-
-
-def _param_list(obj: LayerStack | TensorParam) -> list[TensorParam]:
-    return [obj] if isinstance(obj, TensorParam) else list(obj.params())

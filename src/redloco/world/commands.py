@@ -15,15 +15,10 @@ from .terrain import N_LEVELS
 class Command:
     c_x: float                 # target forward speed, m/s
     c_yaw: float               # target heading, fixed per episode
-    zero_flag: bool
-
-    def __post_init__(self) -> None:
-        if self.zero_flag != (self.c_x == 0.0):
-            raise ContractError(f"zero_flag must equal (c_x == 0); got c_x={self.c_x}")
 
 
 def make_command(c_x: float, c_yaw: float = 0.0) -> Command:
-    return Command(float(c_x), float(c_yaw), float(c_x) == 0.0)
+    return Command(float(c_x), float(c_yaw))
 
 
 def sample_command(rng: np.random.Generator, curriculum_phase: int,

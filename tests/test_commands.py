@@ -5,7 +5,7 @@ import pytest
 
 from redloco.config import WorldConfig
 from redloco.errors import ContractError
-from redloco.world import Command, make_command, sample_command, update_curriculum
+from redloco.world import sample_command, update_curriculum
 
 
 class TestSampling:
@@ -20,16 +20,9 @@ class TestSampling:
         assert min(draws) < 0.02
         assert max(draws) <= 1.0
 
-    def test_zero_flag_iff_zero_speed(self):
+    def test_phase_two_draws_include_an_exact_standstill(self):
         rng = np.random.default_rng(2)
-        seen_zero = False
-        for _ in range(5000):
-            c = sample_command(rng, 2)
-            assert c.zero_flag == (c.c_x == 0.0)
-            seen_zero |= c.zero_flag
-        assert seen_zero
-        with pytest.raises(ContractError):
-            Command(0.5, 0.0, True)
+        assert any(sample_command(rng, 2).c_x == 0.0 for _ in range(5000))
 
     def test_yaw_frozen_within_configured_range(self):
         cfg = WorldConfig()

@@ -185,6 +185,7 @@ class TestCli:
         (["eval-noise", "--beta", "0.1", "--steps", "0"], "steps"),
         (["eval-noise", "--beta", "0.1", "--steps", "399"], "steps 399"),
         (["eval-noise", "--beta", "0.1", "--onset", "50"], "noise_onset 50"),
+        (["eval-noise", "--beta", "0.1", "--onset", "201"], "noise_onset 201"),
         (["calibrate-beta", "--episodes", "0"], "episodes"),
         (["calibrate-beta", "--steps", "0"], "steps"),
         (["sweep-gamma", "--beta", "0.1", "--steps", "500"], "551"),
@@ -202,9 +203,11 @@ class TestCli:
         assert field in payload["message"]
         if field == "551":
             assert "steps" in payload["message"]
-        if field in ("steps 399", "noise_onset 50"):     # the noise summary's windows
+        if field in ("steps 399", "noise_onset 50", "noise_onset 201"):   # summary windows
             assert "[50, noise_onset)" in payload["message"]
             assert "[200, 400)" in payload["message"]
+        if field.startswith("noise_onset"):
+            assert "[51, 200]" in payload["message"]
         assert not (tmp_path / "out").exists()
 
     def test_trace_onset_past_the_episode_names_steps_and_the_onset_range(self, tmp_path,

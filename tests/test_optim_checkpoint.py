@@ -9,8 +9,7 @@ import pytest
 from redloco.config import tiny_config
 from redloco.errors import CheckpointError
 from redloco.harness.cli import cli
-from redloco.nn import (Adam, Conv2d, Elu, GruCell, LayerStack, Linear, TensorParam,
-                        adam_update, load_checkpoint, save_checkpoint)
+from redloco.nn import Adam, TensorParam, adam_update, load_checkpoint, save_checkpoint
 from redloco.training import build_networks, load_bundle, save_bundle
 
 
@@ -74,41 +73,27 @@ class TestAdam:
 
 
 class TestCheckpoint:
-    def _stack(self, seed=0):
-        return LayerStack([Linear(6, 8), Elu(), GruCell(8, 5), Linear(5, 3)],
-                          (6,), np.random.default_rng(seed))
+    def _arrays(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return {"main/L0.W": rng.standard_normal((8, 6)), "main/L0.b": rng.standard_normal(8),
+                "conv/L0.W": rng.standard_normal((4, 2, 3, 3)), "scalar": np.array(-0.7)}
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        s = self._stack(3)
-        conv = LayerStack([Conv2d(2, 4, 3, 2, 1)], (2, 8, 8), np.random.default_rng(4))
-        extra = TensorParam("log_std", np.array([-0.7, -0.3]))
+        arrays = self._arrays(3)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, {"main": s, "conv": conv, "log_std": extra},
-                        meta={"iteration": 7})
-        entries, meta = load_checkpoint(path)
+        save_checkpoint(path, arrays, meta={"iteration": 7})
+        loaded, meta = load_checkpoint(path)
         assert meta["iteration"] == 7
-        for a, b in zip(s.params(), entries["main"].params()):
-            assert a.values.tobytes() == b.values.tobytes()
-        for a, b in zip(conv.params(), entries["conv"].params()):
-            assert a.values.tobytes() == b.values.tobytes()
-        assert entries["log_std"].values.tobytes() == extra.values.tobytes()
+        assert list(loaded) == list(arrays)
+        for name, a in arrays.items():
+            assert loaded[name].shape == a.shape
+            assert loaded[name].tobytes() == a.tobytes()
 
     def test_saved_file_is_byte_stable(self, tmp_path):
-        s = self._stack(5)
-        save_checkpoint(tmp_path / "a.ckpt", {"s": s}, meta={"k": 1})
-        save_checkpoint(tmp_path / "b.ckpt", {"s": s}, meta={"k": 1})
+        arrays = self._arrays(5)
+        save_checkpoint(tmp_path / "a.ckpt", arrays, meta={"k": 1})
+        save_checkpoint(tmp_path / "b.ckpt", arrays, meta={"k": 1})
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-
-    def test_restored_stack_reproduces_outputs_exactly(self, tmp_path):
-        s = self._stack(6)
-        save_checkpoint(tmp_path / "s.ckpt", {"s": s})
-        entries, _ = load_checkpoint(tmp_path / "s.ckpt")
-        x = np.random.default_rng(7).standard_normal((4, 6))
-        h = np.random.default_rng(8).standard_normal((4, 5))
-        y1, h1, _ = s.forward(x, h)
-        y2, h2, _ = entries["s"].forward(x, h)
-        assert y1.tobytes() == y2.tobytes()
-        assert h1.tobytes() == h2.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -117,96 +102,124 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_entries_are_written_as_f64(self, tmp_path):
+        # one dtype tag for the file; each entry is a name and a shape
         path = tmp_path / "s.ckpt"
-        save_checkpoint(path, {"s": self._stack(9), "p": TensorParam("p", np.ones(2))})
-        manifest, _ = read_manifest(path)
-        assert [e["dtype"] for e in manifest["entries"]] == ["f64", "f64"]
+        save_checkpoint(path, {"w": np.ones((2, 3), dtype=np.float32)}, meta={})
+        manifest, payload = read_manifest(path)
+        assert manifest["version"] == 2 and manifest["dtype"] == "f64"
+        assert manifest["entries"] == [{"name": "w", "shape": [2, 3]}]
+        assert payload == np.ones((2, 3), dtype="<f8").tobytes()
 
-    def test_entry_of_another_dtype_is_refused(self, tmp_path):
+    def test_another_dtype_tag_is_refused(self, tmp_path):
         path = tmp_path / "s.ckpt"
-        save_checkpoint(path, {"s": self._stack(9)})
-        rewrite_manifest(path, lambda m: m["entries"][0].update(dtype="f32"))
-        with pytest.raises(CheckpointError, match="'f32'"):
+        save_checkpoint(path, self._arrays(9), meta={})
+        rewrite_manifest(path, lambda m: m.update(dtype="f32"))
+        with pytest.raises(CheckpointError, match="s.ckpt: dtype 'f32'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("keep", [40, "half"])
     def test_truncated_file_raises_checkpoint_error(self, tmp_path, keep):
         path = tmp_path / "cut.ckpt"
-        save_checkpoint(path, {"s": self._stack(1)}, meta={"k": 1})
+        save_checkpoint(path, self._arrays(1), meta={"k": 1})
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2 if keep == "half" else keep])
         with pytest.raises(CheckpointError, match="cut.ckpt"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_are_refused(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(path, self._arrays(2), meta={})
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(CheckpointError, match=r"long.ckpt: trailing bytes \(8\)"):
+            load_checkpoint(path)
+
 
 class TestBundleLoading:
-    """A bundle loads only if its entries and their params match the network
-    set one to one; nothing is left at its random initial value."""
+    """A bundle loads only if its arrays match the network set's parameters
+    one to one, by name and shape; nothing is left at its random initial
+    value."""
 
     @pytest.fixture
     def bundle(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "bundle.ckpt"
         save_bundle(path, cfg, build_networks(cfg, np.random.default_rng(0)))
-        entries, meta = load_checkpoint(path)
-        return path, entries, meta
+        arrays, meta = load_checkpoint(path)
+        return path, dict(arrays), meta
 
     def test_intact_bundle_loads(self, bundle):
-        path, entries, _ = bundle
+        path, arrays, _ = bundle
         _, nets, _ = load_bundle(path)
-        for a, b in zip(nets.named_stacks()["vp.head_mt"].params(),
-                        entries["vp.head_mt"].params()):
-            assert a.values.tobytes() == b.values.tobytes()
+        stacks = nets.named_stacks()
+        for p in stacks["vp.head_mt"].params():
+            assert p.values.tobytes() == arrays[f"vp.head_mt/{p.name}"].tobytes()
+        assert stacks["log_std"].values.tobytes() == arrays["log_std"].tobytes()
 
-    def test_missing_entry_is_named(self, bundle):
-        path, entries, meta = bundle
-        del entries["vp.head_mt"]
-        save_checkpoint(path, entries, meta)
-        with pytest.raises(CheckpointError, match=r"missing \['vp.head_mt'\]"):
+    def test_weights_follow_the_named_stacks_order(self, bundle):
+        # the bytes after the manifest are every parameter in named_stacks() order
+        path, _, _ = bundle
+        nets = build_networks(tiny_config(), np.random.default_rng(0))
+        params = []
+        for obj in nets.named_stacks().values():
+            params.extend([obj] if isinstance(obj, TensorParam) else obj.params())
+        _, payload = read_manifest(path)
+        assert payload == b"".join(p.values.tobytes() for p in params)
+
+    def test_missing_array_is_named(self, bundle):
+        path, arrays, meta = bundle
+        del arrays["vp.head_mt/L0.W"]
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=r"missing \['vp.head_mt/L0.W'\]"):
             load_bundle(path)
 
-    def test_unexpected_entry_is_named(self, bundle):
-        path, entries, meta = bundle
-        entries["vp.head_extra"] = TensorParam("vp.head_extra", np.zeros(3))
-        save_checkpoint(path, entries, meta)
-        with pytest.raises(CheckpointError, match=r"unexpected \['vp.head_extra'\]"):
+    def test_unexpected_array_is_named(self, bundle):
+        path, arrays, meta = bundle
+        arrays["vp.head_mt/L9.W"] = np.zeros(3)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=r"unexpected \['vp.head_mt/L9.W'\]"):
             load_bundle(path)
 
-    @pytest.mark.parametrize("fewer", [True, False])
-    def test_param_count_mismatch_is_named(self, bundle, fewer):
-        # the stored head has fewer or more params than the network's (W, b)
-        path, entries, meta = bundle
-        n = entries["vp.head_v"].input_shape[0]
-        descs = [Elu()] if fewer else [Linear(n, 2), Linear(2, 2)]
-        entries["vp.head_v"] = LayerStack(descs, (n,), np.random.default_rng(1))
-        save_checkpoint(path, entries, meta)
-        with pytest.raises(CheckpointError, match=r"vp.head_v holds \d+ params, the network needs 2"):
+    def test_mis_shaped_array_is_named_with_both_shapes(self, bundle):
+        path, arrays, meta = bundle
+        want = arrays["vp.head_v/L0.b"].shape
+        arrays["vp.head_v/L0.b"] = np.zeros(want[0] + 1)
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError,
+                           match=rf"vp.head_v/L0.b is stored as \({want[0] + 1},\), "
+                                 rf"the network needs \({want[0]},\)"):
             load_bundle(path)
 
     def test_embedded_config_with_an_unknown_key_is_a_checkpoint_error(self, bundle):
         # what a checkpoint written with a since-deleted key gets
-        path, entries, meta = bundle
+        path, arrays, meta = bundle
         meta["config"] += "net.encoder = mlp\n"
-        save_checkpoint(path, entries, meta)
+        save_checkpoint(path, arrays, meta)
         with pytest.raises(CheckpointError, match="embedded config: .*net.encoder"):
             load_bundle(path)
 
-    @pytest.mark.parametrize("fault", ["unknown_key", "f32_entry"])
+    @pytest.mark.parametrize("fault", ["unknown_key", "f32_tag", "version_1"])
     def test_cli_reports_a_bad_bundle_as_json(self, bundle, tmp_path, capsys, fault):
-        path, entries, meta = bundle
+        path, arrays, meta = bundle
         if fault == "unknown_key":
             meta["config"] += "net.encoder = mlp\n"
-            save_checkpoint(path, entries, meta)
+            save_checkpoint(path, arrays, meta)
+        elif fault == "f32_tag":
+            rewrite_manifest(path, lambda m: m.update(dtype="f32"))
         else:
-            rewrite_manifest(path, lambda m: m["entries"][-1].update(dtype="f32"))
+            # what every checkpoint written before the named-array format gets
+            rewrite_manifest(path, lambda m: m.update(version=1))
         code = cli(["calibrate-beta", "--checkpoint", str(path),
                     "--out", str(tmp_path / "beta.json")])
         assert code == 1
-        payload = json.loads(capsys.readouterr().err.strip())
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
         assert payload["error"] == "CheckpointError"
         assert "bundle.ckpt" in payload["message"]
+        if fault == "version_1":
+            assert "version 1" in payload["message"] and "retrain" in payload["message"]
 
-    @pytest.mark.parametrize("field", ["input_shape", "entries"])
+    @pytest.mark.parametrize("field", ["name", "shape", "entries"])
     def test_manifest_missing_a_field_is_named(self, bundle, tmp_path, capsys, field):
         path, _, _ = bundle
         if field == "entries":
@@ -224,12 +237,16 @@ class TestBundleLoading:
         assert payload["error"] == "CheckpointError"
         assert "bundle.ckpt" in payload["message"] and field in payload["message"]
 
-    @pytest.mark.parametrize("fault", ["layer_field", "list_manifest"])
+    @pytest.mark.parametrize("fault", ["shape_field", "repeated_name", "list_manifest"])
     def test_manifest_of_the_wrong_form_is_a_checkpoint_error(self, bundle, fault):
         path, _, _ = bundle
-        if fault == "layer_field":
-            rewrite_manifest(path, lambda m: m["entries"][0]["layers"][0].update(bogus=1))
-            match = "'bogus'"
+        if fault == "shape_field":
+            rewrite_manifest(path, lambda m: m["entries"][0].update(shape="8x6"))
+            match = "'8x6'"
+        elif fault == "repeated_name":
+            rewrite_manifest(path, lambda m: m["entries"][1].update(
+                name=m["entries"][0]["name"]))
+            match = "repeats"
         else:
             path.write_bytes(path.read_bytes()[:4] + struct.pack("<Q", 2) + b"[]")
             match = "not a JSON object"
