@@ -113,7 +113,7 @@ class OpEstimator(_EstimatorBase):
                  hidden_grad: np.ndarray | None = None) -> np.ndarray:
         """Accumulates parameter grads; returns grad w.r.t. the previous hidden."""
         g_emb, g_hidden_prev = self._spine_backward(tapes, grads, hidden_grad)
-        self.stacks["embed"].backward(tapes["embed"], g_emb)
+        self.stacks["embed"].backward(tapes["embed"], g_emb, need_input_grad=False)
         return g_hidden_prev
 
 
@@ -169,8 +169,8 @@ class VpEstimator(_EstimatorBase):
                  hidden_grad: np.ndarray | None = None) -> np.ndarray:
         g_tokens, g_hidden_prev = self._spine_backward(tapes, grads, hidden_grad)
         d = self.cfg.embed_out
-        self.stacks["embed"].backward(tapes["embed"], g_tokens[:, :d])
-        self.stacks["cnn"].backward(tapes["cnn"], g_tokens[:, d:])
+        self.stacks["embed"].backward(tapes["embed"], g_tokens[:, :d], need_input_grad=False)
+        self.stacks["cnn"].backward(tapes["cnn"], g_tokens[:, d:], need_input_grad=False)
         return g_hidden_prev
 
 
@@ -189,7 +189,7 @@ class HimTargetEncoder:
         return z_hat, tape
 
     def backward(self, tape, g_z_hat: np.ndarray) -> None:
-        self.stacks["him"].backward(tape, g_z_hat)
+        self.stacks["him"].backward(tape, g_z_hat, need_input_grad=False)
 
     def params(self):
         yield from self.stacks["him"].params()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import config as config_mod
-from ..errors import CheckpointError, ConfigError, ContractError
+from ..errors import CheckpointError, ConfigError, ContractError, RolloutAbort
 from .protocols import (DEFAULT_CONDITIONS, ExperimentSpec, NoiseEvent,
                         calibrate_beta_run, read_beta_file, run_gamma_sweep,
                         run_noise_robustness, run_trace, switch_delay_text,
@@ -192,7 +192,8 @@ def cli(argv: list[str]) -> int:
                 ok &= err < args.tolerance
                 print(f"{name:14s} max rel err {err:.3e}  {status}")
             return 0 if ok else 1
-    except (CheckpointError, ConfigError, ContractError, FileNotFoundError) as exc:
+    except (CheckpointError, ConfigError, ContractError, FileNotFoundError,
+            RolloutAbort) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

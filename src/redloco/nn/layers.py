@@ -222,15 +222,17 @@ def forward(layer: LayerDesc, P: dict[str, Any], x: np.ndarray,
     raise ContractError(f"unknown layer kind {k!r}")
 
 
-def backward(layer: LayerDesc, P: dict[str, Any], rec: Any,
-             gy: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Returns (grad wrt input, grad wrt previous hidden or None)."""
+def backward(layer: LayerDesc, P: dict[str, Any], rec: Any, gy: np.ndarray,
+             need_input_grad: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Returns (grad wrt input, grad wrt previous hidden or None). Without
+    ``need_input_grad`` the linear and conv2d layers skip the input grad and
+    return None for it."""
     k = layer.kind
     if k == "linear":
         x = rec
         P["W"].grad += x.T @ gy
         P["b"].grad += gy.sum(0)
-        return gy @ P["W"].values.T, None
+        return (gy @ P["W"].values.T if need_input_grad else None), None
     if k == "elu":
         x, y = rec
         return gy * np.where(x > 0, 1.0, y + layer.alpha), None
@@ -238,7 +240,7 @@ def backward(layer: LayerDesc, P: dict[str, Any], rec: Any,
         y = rec
         return gy * (1.0 - y * y), None
     if k == "conv2d":
-        return _conv2d_bwd(gy, rec, P, layer), None
+        return _conv2d_bwd(gy, rec, P, layer, need_input_grad), None
     if k == "deconv2d":
         return _deconv2d_bwd(gy, rec, P, layer), None
     if k == "gru_cell":
@@ -275,7 +277,7 @@ def _conv2d_fwd(x, W, b, L: Conv2d):
     return np.ascontiguousarray(y_t.transpose(0, 3, 1, 2)), (xp_t, x.shape)
 
 
-def _conv2d_bwd(gy, rec, P, L: Conv2d):
+def _conv2d_bwd(gy, rec, P, L: Conv2d, need_input_grad: bool = True):
     xp_t, xshape = rec
     B, C, H, Wd = xshape
     ho, wo = gy.shape[2], gy.shape[3]
@@ -283,13 +285,16 @@ def _conv2d_bwd(gy, rec, P, L: Conv2d):
     w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 0, 1))   # (k, k, O, C)
     gy_flat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, L.c_out)
     P["b"].grad += gy_flat.sum(0)
-    gxp_t = np.zeros_like(xp_t)
+    gxp_t = np.zeros_like(xp_t) if need_input_grad else None
     for di in range(L.kernel):
         for dj in range(L.kernel):
             xs = xp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :].reshape(-1, C)
             P["W"].grad[:, :, di, dj] += (xs.T @ gy_flat).T
-            gxp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :] += (
-                gy_flat @ w_t[di, dj]).reshape(B, ho, wo, C)
+            if need_input_grad:
+                gxp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :] += (
+                    gy_flat @ w_t[di, dj]).reshape(B, ho, wo, C)
+    if not need_input_grad:
+        return None
     gx_t = gxp_t[:, p:p + H, p:p + Wd, :] if p else gxp_t
     return np.ascontiguousarray(gx_t.transpose(0, 3, 1, 2))
 

@@ -126,9 +126,13 @@ class LayerStack:
         return x, new_hidden, Tape(self, records, x.shape[0], x.shape[1:])
 
     def backward(self, tape: Tape, output_grad: np.ndarray,
-                 hidden_grad: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Accumulate parameter grads; returns (input_grad, prev_hidden_grad)."""
+                 hidden_grad: np.ndarray | None = None, need_input_grad: bool = True
+                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Accumulate parameter grads; returns (input_grad, prev_hidden_grad).
+
+        A caller that discards the input grad passes ``need_input_grad=False``:
+        the first layer then skips it where it can, and None is returned in
+        its place. Parameter grads are the same either way."""
         if tape.owner is not self:
             raise ContractError("tape was produced by a different stack")
         g = np.asarray(output_grad, dtype=np.float64)
@@ -136,14 +140,15 @@ class LayerStack:
             raise ContractError(
                 f"output_grad shape {g.shape} != {(tape.batch,) + tape.out_shape}")
         prev_hidden_grad = None
-        for d, P, rec in zip(reversed(self.descs), reversed(self.layer_params),
-                             reversed(tape.records)):
+        for i in reversed(range(len(self.descs))):
+            d = self.descs[i]
             if d.kind == "gru_cell" and hidden_grad is not None:
                 g = g + hidden_grad
-            g, gh = L.backward(d, P, rec, g)
+            g, gh = L.backward(d, self.layer_params[i], tape.records[i], g,
+                               need_input_grad or i > 0)
             if d.kind == "gru_cell":
                 prev_hidden_grad = gh
-        return g, prev_hidden_grad
+        return (g if need_input_grad else None), prev_hidden_grad
 
     def zero_hidden(self, batch: int) -> np.ndarray:
         return np.zeros((batch, self.gru_hidden_size))

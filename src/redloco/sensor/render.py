@@ -6,6 +6,15 @@ image's column axis fans rays across a horizontal FOV over the same sagittal
 profile; a yawed ray sees the profile stretched by 1/cos(yaw). Void cells
 are bottomless: rays pass over them and may hit the far wall, otherwise they
 run out at max range.
+
+The march works on a live-ray set, a 1-D form of the voxel traversal of
+Amanatides & Woo (1987). Rays that cannot come down to their env's highest
+solid cell within range are never marched; each falling ray starts one cell
+before the point where it first reaches that height, with the ray parameter
+the full march would carry into that cell; and rays that hit or ran out
+leave the set, which is compacted to the live rays whenever half of it is
+done. The depths are the same bits as a march of every ray from its first
+cell.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
 
     ``heights``/``void`` are (envs, cells); ``env_ids`` gives each ray's
     field. Rays must advance forward (dx > 0). Returns max_range where
-    nothing is hit within range.
+    nothing is hit within range. Only live rays are marched (see the module
+    docstring).
     """
     heights = np.asarray(heights, dtype=np.float64)
     void = np.asarray(void)
@@ -39,37 +49,56 @@ def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
     dz = np.asarray(dz, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     z0 = np.asarray(z0, dtype=np.float64)
-
-    idx = np.clip(np.floor(x0 / cell_size).astype(np.intp), 0, n_cells - 1)
-    t_cur = np.zeros_like(x0)
+    env = np.asarray(env_ids, dtype=np.intp)
     depth = np.full(x0.shape, max_range)
-    active = np.ones(x0.shape, dtype=bool)
-    falling = dz < 0
-    safe_dz = np.where(dz == 0, 1.0, dz)
 
-    max_iters = int(np.ceil(max_range / cell_size)) + 2
-    for _ in range(max_iters):
-        if not active.any():
-            break
-        h_here = solid_h[env_ids, idx]
-        t_b = ((idx + 1) * cell_size - x0) / dx
-        # floor hit inside the current cell segment [t_cur, t_b]
-        t_h = np.where(falling, (h_here - z0) / safe_dz, np.inf)
-        hit_floor = (active & falling & (t_h >= t_cur - 1e-12)
-                     & (t_h <= t_b + 1e-12) & (t_h <= max_range))
-        depth = np.where(hit_floor, t_h, depth)
-        active &= ~hit_floor
-        # wall hit at the boundary into the next cell
-        nidx = idx + 1
-        in_grid = nidx < n_cells
-        h_next = solid_h[env_ids, np.minimum(nidx, n_cells - 1)]
-        z_b = z0 + t_b * dz
-        hit_wall = active & in_grid & (z_b < h_next) & (t_b <= max_range)
-        depth = np.where(hit_wall, t_b, depth)
-        active &= ~hit_wall
-        idx = np.minimum(nidx, n_cells - 1)
-        t_cur = t_b
-        active &= in_grid & (t_cur < max_range)
+    idx0 = np.clip(np.floor(x0 / cell_size).astype(np.intp), 0, n_cells - 1)
+    falling = dz < 0
+    # Until a ray comes down to its env's highest solid cell (void counts as
+    # -inf, so an all-void env has none) it can hit nothing; t_reach is when
+    # it passes 1e-6 above that height.
+    h_max = solid_h.max(axis=1)[env]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_reach = (z0 - h_max - 1e-6) / -dz
+    # A falling ray starts one cell before the one where t_reach lands, with
+    # the t = (j * cell_size - x0) / dx the march would carry into cell j.
+    x_reach = np.where(falling & (t_reach > 0), x0 + t_reach * dx, -np.inf)
+    idx = np.maximum(np.clip(np.floor(x_reach / cell_size) - 1, 0, n_cells), idx0
+                     ).astype(np.intp)
+    skipped = idx > idx0
+    t_cur = np.where(skipped, (idx * cell_size - x0) / dx, 0.0)
+    # a ray visits at most max_iters cells, and none past the grid
+    stop = np.minimum(idx0 + (int(np.ceil(max_range / cell_size)) + 2), n_cells)
+    # Never marched: a falling ray still above h_max at max range, a rising
+    # ray that starts above it, a ray skipped past its last cell or max range.
+    alive = (np.where(falling, t_reach <= max_range, z0 <= h_max)
+             & (idx < stop) & ~(skipped & (t_cur >= max_range)))
+    ray = np.arange(x0.size)
+    row = env * n_cells
+    flat_h = solid_h.ravel()
+
+    with np.errstate(divide="ignore", invalid="ignore"):    # t_h of level rays
+        while (n_alive := np.count_nonzero(alive)):
+            # once half the rays are done, keep only the live ones; compacting
+            # less often spares the work and the heap churn of many sizes
+            if 2 * n_alive <= alive.size:
+                keep = np.flatnonzero(alive)
+                ray, row, idx, stop, x0, z0, dx, dz, t_cur = (
+                    a.take(keep) for a in (ray, row, idx, stop, x0, z0, dx, dz, t_cur))
+                alive = np.ones(n_alive, dtype=bool)
+            t_b = ((idx + 1) * cell_size - x0) / dx
+            # floor hit inside the current cell segment [t_cur, t_b]
+            t_h = (flat_h[row + np.minimum(idx, n_cells - 1)] - z0) / dz
+            hit_floor = (alive & (dz < 0) & (t_h >= t_cur - 1e-12) & (t_h <= t_b + 1e-12)
+                         & (t_h <= max_range))
+            # wall hit at the boundary into the next cell
+            idx = idx + 1
+            h_next = flat_h[row + np.minimum(idx, n_cells - 1)]
+            hit_wall = alive & (idx < n_cells) & (z0 + t_b * dz < h_next) & (t_b <= max_range)
+            hit = hit_floor | hit_wall
+            depth[ray[hit]] = np.where(hit_floor, t_h, t_b)[hit]
+            t_cur = t_b
+            alive &= ~hit & (idx < stop) & (t_cur < max_range)
     return depth
 
 

@@ -86,7 +86,8 @@ def save_bundle(path: str | Path, cfg: TrainConfig, nets: Networks,
 
 def load_bundle(path: str | Path) -> tuple[TrainConfig, Networks, dict]:
     """Rebuild the network set from a checkpoint's embedded config, then fill
-    every parameter from the array of its name."""
+    every parameter from the array of its name. A missing, unexpected,
+    mis-shaped or non-finite array is refused by name."""
     arrays, meta = load_checkpoint(path)
     if "config" not in meta:
         raise CheckpointError(f"{path}: missing embedded config")
@@ -105,5 +106,7 @@ def load_bundle(path: str | Path) -> tuple[TrainConfig, Networks, dict]:
         if arrays[name].shape != p.shape:
             raise CheckpointError(f"{path}: {name} is stored as {arrays[name].shape}, "
                                   f"the network needs {p.shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: {name} holds non-finite values")
         p.values[...] = arrays[name]
     return cfg, nets, meta

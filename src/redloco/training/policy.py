@@ -58,7 +58,7 @@ class GaussianPolicy:
         g_mu = g_logp[:, None] * diff / (std * std)
         if g_mu_extra is not None:
             g_mu = g_mu + g_mu_extra
-        self.actor.backward(tape, g_mu)
+        self.actor.backward(tape, g_mu, need_input_grad=False)
         d_logstd = (diff * diff) / (std * std) - 1.0
         self.log_std.grad += (g_logp[:, None] * d_logstd).sum(axis=0)
 
@@ -87,4 +87,4 @@ class Critic:
         return v[:, 0], tape
 
     def backward_value(self, tape, g_v: np.ndarray) -> None:
-        self.net.backward(tape, g_v[:, None])
+        self.net.backward(tape, g_v[:, None], need_input_grad=False)

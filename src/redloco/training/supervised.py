@@ -128,7 +128,7 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
                 # weighted by its own loss: this descends the mean squared
                 # per-pair loss and presses the tail down, not just the mean
                 weight = (per / per.mean())[:, None, None, None]
-                ae.backward(tape, (2.0 / diff.size) * weight * diff)
+                ae.backward(tape, (2.0 / diff.size) * weight * diff, need_input_grad=False)
                 rejected += ae_opt.step()
 
     return SupervisedStats(

@@ -87,12 +87,12 @@ class Trainer:
             actions, log_probs = self.nets.policy.act(obs_p, self.sample_rng)
             values = self.nets.critic.value(obs_c)
             if not (np.isfinite(obs_p).all() and np.isfinite(actions).all()):
-                self._dump_diagnostics(iteration, obs_p, actions)
-                raise RolloutAbort(f"non-finite rollout data at iteration {iteration}")
+                diag = self._dump_diagnostics(iteration, obs_p, actions)
+                raise RolloutAbort(f"non-finite rollout data at iteration {iteration}; see {diag}")
             sd = runner.step(np.clip(actions, -1.0, 1.0))
             if not np.isfinite(sd.rewards).all():
-                self._dump_diagnostics(iteration, obs_p, actions)
-                raise RolloutAbort(f"non-finite reward at iteration {iteration}")
+                diag = self._dump_diagnostics(iteration, obs_p, actions)
+                raise RolloutAbort(f"non-finite reward at iteration {iteration}; see {diag}")
             if pending is not None:
                 pending.next_obs = runner.obs.copy()
                 pending.loss_valid = ~sd.resets
@@ -103,13 +103,14 @@ class Trainer:
         bootstrap = self.nets.critic.value(runner.critic_obs())
         return buf, bootstrap
 
-    def _dump_diagnostics(self, iteration: int, obs: np.ndarray, actions: np.ndarray) -> None:
+    def _dump_diagnostics(self, iteration: int, obs: np.ndarray, actions: np.ndarray) -> Path:
         path = self.out_dir / f"diagnostics_iter{iteration}.json"
         path.write_text(json.dumps({
             "schema": "rollout-diagnostics/v1", "iteration": iteration,
             "bad_obs_envs": np.where(~np.isfinite(obs).all(axis=1))[0].tolist(),
             "bad_action_envs": np.where(~np.isfinite(actions).all(axis=1))[0].tolist(),
         }, indent=2))
+        return path
 
     # ------------------------------------------------------------------
     def run(self) -> TrainResult:

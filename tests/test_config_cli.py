@@ -135,6 +135,21 @@ class TestCli:
         assert payload["error"] == "ConfigError"
         assert "world.dt" in payload["message"] and "'abc'" in payload["message"]
 
+    def test_rollout_abort_is_a_structured_error(self, tmp_path, capsys):
+        # a NaN learning rate poisons the weights at the first update, so the
+        # next rollout aborts
+        cfg_file = tmp_path / "nan_lr.cfg"
+        cfg_file.write_text("ppo.lr = nan\n")
+        code = cli(["train", "--preset", "tiny", "--config", str(cfg_file),
+                    "--iterations", "3", "--out", str(tmp_path / "run")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "RolloutAbort"
+        assert re.search(r"at iteration \d+; see .*diagnostics_iter\d+\.json",
+                         payload["message"])
+
     def test_eval_noise_requires_beta(self, tmp_path, capsys):
         code = cli(["eval-noise", "--checkpoint", "missing.ckpt",
                     "--out", str(tmp_path)])

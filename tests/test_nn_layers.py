@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redloco.errors import ContractError
-from redloco.nn import Elu, GruCell, LayerStack, Linear, Tanh
+from redloco.nn import Conv2d, Elu, Flatten, GruCell, LayerStack, Linear, Tanh
 
 
 def make_stack(descs, shape, seed=0):
@@ -94,6 +94,26 @@ class TestBackwardSemantics:
         s.backward(tape, np.random.default_rng(20).standard_normal((2, 2)))
         for p, b in zip(s.params(), before):
             np.testing.assert_array_equal(p.values, b)
+
+
+    @pytest.mark.parametrize("descs,shape", [
+        ([Conv2d(2, 3, 3, 2, 1), Elu(), Flatten(), Linear(3 * 3 * 4, 2)], (2, 6, 8)),
+        ([Linear(3, 4), Elu(), Linear(4, 2)], (3,)),
+    ], ids=["conv_first", "linear_first"])
+    def test_skipping_the_input_grad_leaves_parameter_grads_bit_identical(self, descs,
+                                                                          shape):
+        s = make_stack(descs, shape, seed=21)
+        x = np.random.default_rng(22).standard_normal((5,) + shape)
+        g = np.random.default_rng(23).standard_normal((5, 2))
+        _, _, tape = s.forward(x)
+        gx, _ = s.backward(tape, g)
+        assert gx.shape == x.shape
+        full = [p.grad.copy() for p in s.params()]
+        s.zero_grads()
+        gx, _ = s.backward(tape, g, need_input_grad=False)
+        assert gx is None
+        for p, want in zip(s.params(), full):
+            assert p.grad.tobytes() == want.tobytes()
 
 
 class TestContracts:

@@ -189,6 +189,15 @@ class TestBundleLoading:
                                  rf"the network needs \({want[0]},\)"):
             load_bundle(path)
 
+    @pytest.mark.parametrize("name,value", [("ae/L0.W", np.nan), ("vp.embed/L0.W", np.inf)])
+    def test_non_finite_array_is_named_with_the_file(self, bundle, name, value):
+        path, arrays, meta = bundle
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[3] = value
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=rf"{path.name}: {name} holds non-finite"):
+            load_bundle(path)
+
     def test_embedded_config_with_an_unknown_key_is_a_checkpoint_error(self, bundle):
         # what a checkpoint written with a since-deleted key gets
         path, arrays, meta = bundle

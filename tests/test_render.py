@@ -1,15 +1,23 @@
-"""Raycaster oracles: closed-form intersections, clipping, determinism,
-randomization statistics."""
+"""Raycaster oracles: closed-form intersections, the full march as the
+reference of the live-ray march, clipping, determinism, randomization
+statistics."""
+
+import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redloco.config import CameraConfig, WorldConfig
 from redloco.errors import ContractError
 from redloco.sensor import (STAGE_RANDOMIZED, STAGE_RAW, edge_truncate_resize, march_rays,
                             render, render_batch)
 from redloco.sensor.camera import dump_text
-from redloco.world import BatchWorld, PlanarWorld, generate_terrain, make_command
+from redloco.world import (TERRAIN_KINDS, BatchWorld, PlanarWorld, generate_terrain,
+                           make_command)
+
+render_mod = importlib.import_module("redloco.sensor.render")
 
 
 def flat_world(seed=0, cfg=None):
@@ -90,6 +98,125 @@ class TestClosedForms:
             march_rays(np.zeros(400), np.zeros(400, bool), 0.05, np.array([4.5]),
                        np.array([0.35]), np.array([0.9]), np.array([-0.05]), 2.0,
                        np.zeros(1, dtype=np.intp))
+
+
+def reference_march(heights, void, cell_size, x0, z0, dx, dz, max_range, env_ids):
+    """The full march: every ray from its first cell, a fixed number of
+    full-width steps. `march_rays` must return the same bits."""
+    heights = np.asarray(heights, dtype=np.float64)
+    void = np.asarray(void)
+    n_cells = heights.shape[1]
+    solid_h = np.where(void, -np.inf, heights)
+
+    dx = np.maximum(np.asarray(dx, dtype=np.float64), 1e-9)
+    dz = np.asarray(dz, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    z0 = np.asarray(z0, dtype=np.float64)
+
+    idx = np.clip(np.floor(x0 / cell_size).astype(np.intp), 0, n_cells - 1)
+    t_cur = np.zeros_like(x0)
+    depth = np.full(x0.shape, max_range)
+    active = np.ones(x0.shape, dtype=bool)
+    falling = dz < 0
+    safe_dz = np.where(dz == 0, 1.0, dz)
+
+    max_iters = int(np.ceil(max_range / cell_size)) + 2
+    for _ in range(max_iters):
+        if not active.any():
+            break
+        h_here = solid_h[env_ids, idx]
+        t_b = ((idx + 1) * cell_size - x0) / dx
+        # floor hit inside the current cell segment [t_cur, t_b]
+        t_h = np.where(falling, (h_here - z0) / safe_dz, np.inf)
+        hit_floor = (active & falling & (t_h >= t_cur - 1e-12)
+                     & (t_h <= t_b + 1e-12) & (t_h <= max_range))
+        depth = np.where(hit_floor, t_h, depth)
+        active &= ~hit_floor
+        # wall hit at the boundary into the next cell
+        nidx = idx + 1
+        in_grid = nidx < n_cells
+        h_next = solid_h[env_ids, np.minimum(nidx, n_cells - 1)]
+        z_b = z0 + t_b * dz
+        hit_wall = active & in_grid & (z_b < h_next) & (t_b <= max_range)
+        depth = np.where(hit_wall, t_b, depth)
+        active &= ~hit_wall
+        idx = np.minimum(nidx, n_cells - 1)
+        t_cur = t_b
+        active &= in_grid & (t_cur < max_range)
+    return depth
+
+
+@st.composite
+def ray_fields(draw):
+    """Random (envs, cells) fields with voids, all-void rows and tall walls,
+    and rays that start outside the grid, run level, rise from below or
+    above the highest cell, first reach it within 1e-9 of max range, or
+    have non-unit directions."""
+    n_envs = draw(st.integers(1, 4))
+    n_cells = draw(st.integers(2, 60))
+    cell_size = draw(st.sampled_from([0.05, 0.037, 0.1]))
+    max_range = draw(st.sampled_from([0.4, 2.0, 5.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    heights = rng.uniform(-0.5, 0.8, (n_envs, n_cells))
+    heights[rng.random((n_envs, n_cells)) < draw(st.sampled_from([0.0, 0.1]))] += 3.0
+    void = rng.random((n_envs, n_cells)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    if draw(st.booleans()):
+        void[rng.integers(n_envs)] = True
+    n = 64
+    env = rng.integers(0, n_envs, n)
+    x0 = rng.uniform(-0.3, n_cells * cell_size + 0.3, n)
+    z0 = rng.uniform(-0.6, 1.5, n)
+    pitch = rng.uniform(-1.5, 1.5, n)
+    dx = np.cos(pitch) * np.cos(rng.uniform(-0.6, 0.6, n))
+    dz = -np.sin(pitch)
+    dz[::9] = 0.0
+    # direction vectors longer than 1 outlast the march's cell budget
+    dx[5::9] *= 3.0
+    dz[5::9] *= 3.0
+    h_max = np.where(void, -np.inf, heights).max(axis=1)[env]
+    finite = np.isfinite(h_max)
+    # rising from just below and just above the highest solid cell
+    rise = finite & (np.arange(n) % 9 == 4)
+    dz[rise] = 0.3
+    z0[rise] = h_max[rise] + np.where(np.arange(n)[rise] % 2, 0.02, -0.02)
+    # falling rays that first reach the highest cell at max_range + {-1e-9, 0, 1e-9}
+    edge = finite & (np.arange(n) % 9 == 7)
+    dz[edge] = -np.abs(dz[edge]) - 0.05
+    z0[edge] = h_max[edge] - (max_range + (np.arange(n)[edge] % 3 - 1) * 1e-9) * dz[edge]
+    return heights, void, cell_size, x0, z0, dx, dz, max_range, env
+
+
+class TestLiveRayMarch:
+    @settings(max_examples=300, deadline=None)
+    @given(ray_fields())
+    def test_live_march_returns_the_bits_of_the_full_march(self, case):
+        heights, void, cell_size, x0, z0, dx, dz, max_range, env = case
+        got = march_rays(heights, void, cell_size, x0, z0, dx, dz, max_range, env_ids=env)
+        want = reference_march(heights, void, cell_size, x0, z0, dx, dz, max_range, env)
+        assert np.array_equal(got, want)
+
+    def test_frames_on_every_terrain_match_the_full_march(self, monkeypatch):
+        cam = CameraConfig(height=12, width=16)
+        kinds = [k for k in TERRAIN_KINDS for _ in range(3)]
+        levels = [0, 5, 9] * len(TERRAIN_KINDS)
+
+        def frames():
+            cfg = WorldConfig()
+            world = BatchWorld(cfg, kinds,
+                               [np.random.default_rng(s) for s in range(len(kinds))], levels)
+            # stand the robots at points along the course, not only at spawn
+            x = cfg.spawn_x + 1.3 * (np.arange(len(kinds)) % 4)
+            support = world.support(x)
+            world.x[:] = x
+            world.z[:] = np.where(np.isfinite(support), support, 0.0) + cfg.stand_height
+            return render_batch(world, cam, [np.random.default_rng([3, i])
+                                             for i in range(len(kinds))], randomize=True)
+
+        live, live_poses = frames()
+        monkeypatch.setattr(render_mod, "march_rays", reference_march)
+        full, full_poses = frames()
+        assert live.tobytes() == full.tobytes()
+        assert live_poses.tobytes() == full_poses.tobytes()
 
 
 class TestInvariantsAndDeterminism:
