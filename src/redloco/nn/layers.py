@@ -27,7 +27,7 @@ class Linear:
 
 @dataclass(frozen=True)
 class Elu:
-    alpha: float = 1.0
+    """ELU with alpha 1; the backward's min(y, 0) + 1 depends on it."""
     kind: str = field(default="elu", init=False)
 
 
@@ -198,8 +198,12 @@ def forward(layer: LayerDesc, P: dict[str, Any], x: np.ndarray,
         y = x @ P["W"].values + P["b"].values
         return y, None, x
     if k == "elu":
-        y = np.where(x > 0, x, layer.alpha * np.expm1(np.minimum(x, 0.0)))
-        return y, None, (x, y)
+        # expm1(min(x, 0)) + max(x, 0): one term is always +0.0, so this is
+        # bit for bit the two-branch form, with no select and no mask
+        y = np.minimum(x, 0.0)
+        np.expm1(y, out=y)
+        y += np.maximum(x, 0.0)
+        return y, None, y
     if k == "tanh":
         y = np.tanh(x)
         return y, None, y
@@ -234,8 +238,11 @@ def backward(layer: LayerDesc, P: dict[str, Any], rec: Any, gy: np.ndarray,
         P["b"].grad += gy.sum(0)
         return (gy @ P["W"].values.T if need_input_grad else None), None
     if k == "elu":
-        x, y = rec
-        return gy * np.where(x > 0, 1.0, y + layer.alpha), None
+        # dy/dx is 1 where y > 0 and y + 1 elsewhere, i.e. min(y, 0) + 1
+        d = np.minimum(rec, 0.0)
+        d += 1.0
+        d *= gy
+        return d, None
     if k == "tanh":
         y = rec
         return gy * (1.0 - y * y), None
@@ -264,8 +271,8 @@ def _conv2d_fwd(x, W, b, L: Conv2d):
     B, C, H, Wd = x.shape
     _, ho, wo = conv_shape((C, H, Wd), L.kernel, L.stride, L.pad, L.c_out)
     p, s = L.pad, L.stride
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    xp_t = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
+    xp_t = np.zeros((B, H + 2 * p, Wd + 2 * p, C), dtype=x.dtype)
+    xp_t[:, p:p + H, p:p + Wd, :] = x.transpose(0, 2, 3, 1)
     w_t = np.ascontiguousarray(W.transpose(2, 3, 1, 0))      # (k, k, C, O)
     y = np.empty((B * ho * wo, L.c_out), dtype=x.dtype)
     y[...] = b
@@ -273,8 +280,9 @@ def _conv2d_fwd(x, W, b, L: Conv2d):
         for dj in range(L.kernel):
             xs = xp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :].reshape(-1, C)
             y += xs @ w_t[di, dj]
-    y_t = y.reshape(B, ho, wo, L.c_out)
-    return np.ascontiguousarray(y_t.transpose(0, 3, 1, 2)), (xp_t, x.shape)
+    out = np.empty((B, L.c_out, ho, wo), dtype=x.dtype)
+    out[...] = y.reshape(B, ho, wo, L.c_out).transpose(0, 3, 1, 2)
+    return out, (xp_t, x.shape)
 
 
 def _conv2d_bwd(gy, rec, P, L: Conv2d, need_input_grad: bool = True):
@@ -314,8 +322,10 @@ def _deconv2d_fwd(x, W, b, L: Deconv2d):
         for dj in range(L.kernel):
             full_t[:, di:di + s * H:s, dj:dj + s * Wd:s, :] += (
                 x_flat @ w_t[di, dj]).reshape(B, H, Wd, L.c_out)
-    y_t = full_t[:, p:p + ho, p:p + wo, :] + b
-    return np.ascontiguousarray(y_t.transpose(0, 3, 1, 2)), (x_t, full_t.shape)
+    out = np.empty((B, L.c_out, ho, wo), dtype=x.dtype)
+    out[...] = full_t[:, p:p + ho, p:p + wo, :].transpose(0, 3, 1, 2)
+    out += b[:, None, None]
+    return out, (x_t, full_t.shape)
 
 
 def _deconv2d_bwd(gy, rec, P, L: Deconv2d):

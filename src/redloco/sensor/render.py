@@ -138,17 +138,20 @@ def render_batch(world: BatchWorld, camera: CameraModel,
     casting, then proportional range noise, then additive Gaussian noise,
     then a re-clip into (0, max_range]. That composition order is pinned.
     Each env draws from ``rngs[i]``: its 4 jitter uniforms in a first pass
-    over the envs, its 2 noise fields in a second.
+    over the envs, its 2 noise fields (one (2, H, W) draw) in a second.
     """
     validate_camera(camera)
     n = len(world)
     shape = (camera.height, camera.width)
     jitter = np.zeros((n, 4))          # d_x, d_z, d_pitch, d_yaw
     if randomize:
-        p, a = camera.pos_jitter, camera.ang_jitter
         for i, rng in enumerate(rngs):
-            jitter[i] = (rng.uniform(-p, p), rng.uniform(-p, p),
-                         rng.uniform(-a, a), rng.uniform(-a, a))
+            rng.random(out=jitter[i])
+        # low + (high - low) * u is rng.uniform's own arithmetic, so these are
+        # the bits of four scalar uniform(-bound, bound) draws per env
+        bound = np.array([camera.pos_jitter, camera.pos_jitter,
+                          camera.ang_jitter, camera.ang_jitter])
+        jitter = -bound + 2.0 * bound * jitter
     cam_x, cam_z, depression, dx, dz = _ray_geometry(
         camera, world.x, world.z, world.pitch, jitter[:, :2], jitter[:, 2], jitter[:, 3])
     per = camera.height * camera.width
@@ -157,13 +160,11 @@ def render_batch(world: BatchWorld, camera: CameraModel,
                        env_ids=np.repeat(np.arange(n, dtype=np.intp), per))
     data = depth.reshape(n, *shape)
     if randomize:
-        prop = np.empty((n, *shape))
-        add = np.empty((n, *shape))
+        noise = np.empty((n, 2, *shape))     # proportional, additive
         for i, rng in enumerate(rngs):
-            prop[i] = rng.standard_normal(shape)
-            add[i] = rng.standard_normal(shape)
-        data = data * (1.0 + camera.prop_noise_std * prop)
-        data = data + camera.add_noise_std * add
+            rng.standard_normal(out=noise[i])
+        data = data * (1.0 + camera.prop_noise_std * noise[:, 0])
+        data = data + camera.add_noise_std * noise[:, 1]
     data = np.clip(data, camera.min_depth, camera.max_range)
     return data, np.column_stack([cam_x, cam_z, depression, jitter[:, 3]])
 

@@ -137,3 +137,16 @@ def test_kernel_is_bit_identical_to_per_tap_reference(layer, in_shape, batch):
     assert np.array_equal(gx, gx_ref)
     assert np.array_equal(P["W"].grad, P_ref["W"].grad)
     assert np.array_equal(P["b"].grad, P_ref["b"].grad)
+
+
+@pytest.mark.parametrize("layer, in_shape", CASES)
+def test_record_keeps_the_input_layout_the_traced_bench_reads(layer, in_shape):
+    # bench/spans.py reads the conv input shape from rec[1] and the deconv
+    # input from rec[0] as (B, H, W, C)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2,) + in_shape)
+    _, _, rec = layers.forward(layer, _params(layer, rng), x)
+    if layer.kind == "conv2d":
+        assert rec[1] == x.shape
+    else:
+        assert np.array_equal(rec[0], x.transpose(0, 2, 3, 1))

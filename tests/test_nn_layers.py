@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from redloco.errors import ContractError
 from redloco.nn import Conv2d, Elu, Flatten, GruCell, LayerStack, Linear, Tanh
+from redloco.nn import layers
 
 
 def make_stack(descs, shape, seed=0):
@@ -114,6 +116,47 @@ class TestBackwardSemantics:
         assert gx is None
         for p, want in zip(s.params(), full):
             assert p.grad.tobytes() == want.tobytes()
+
+
+def reference_elu_fwd(x):
+    """The two-branch ELU (alpha 1). The kernel in `layers` must return the
+    same bits, signed zeros included."""
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def reference_elu_bwd(x, y, gy):
+    return gy * np.where(x > 0, 1.0, y + 1.0)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+               800.0, -800.0, 1.0, -1.0, 37.0, -37.0]
+
+
+def elu_operands():
+    values = st.one_of(st.sampled_from(EDGE_VALUES),
+                       st.floats(-800.0, 800.0, allow_nan=False, allow_subnormal=True))
+    shapes = st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 9)),
+                       st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                 st.integers(1, 4), st.integers(1, 4)))
+    return shapes.flatmap(lambda shape: st.tuples(arrays(np.float64, shape, elements=values),
+                                                  arrays(np.float64, shape, elements=values)))
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestEluKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(elu_operands())
+    @example((np.array([[-0.0, 0.0]]), np.array([[1.0, -0.0]])))   # -0.0 -> +0.0
+    def test_forward_and_backward_return_the_bits_of_the_two_branch_form(self, operands):
+        x, gy = operands
+        y, _, rec = layers.forward(Elu(), {}, x)
+        want_y = reference_elu_fwd(x)
+        assert same_bits(y, want_y)
+        gx, _ = layers.backward(Elu(), {}, rec, gy)
+        assert same_bits(gx, reference_elu_bwd(x, want_y, gy))
 
 
 class TestContracts:

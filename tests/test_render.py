@@ -272,6 +272,41 @@ class TestInvariantsAndDeterminism:
             assert frames[i].tobytes() == single.data.tobytes()
             assert tuple(poses[i]) == single.pose_used
 
+    def test_batch_draws_are_each_envs_scalar_uniforms_then_two_fields(self, monkeypatch):
+        # the draw order of the first batched render: per env four scalar
+        # uniform jitters (x, z, pitch, yaw), then per env the proportional
+        # field and the additive field
+        cam = CameraConfig(height=12, width=16)
+        n = 5
+        world = BatchWorld(WorldConfig(), ["flat", "gap", "rough", "stairs_up", "flat"],
+                           [np.random.default_rng(s) for s in range(n)], [7] * n)
+        seen = {}
+
+        def geometry(*args):
+            seen["jitter"] = np.column_stack([args[4], args[5], args[6]])
+            return ray_geometry(*args)
+
+        def march(*args, **kw):
+            seen["depth"] = march_rays(*args, **kw)
+            return seen["depth"]
+
+        ray_geometry = render_mod._ray_geometry
+        monkeypatch.setattr(render_mod, "_ray_geometry", geometry)
+        monkeypatch.setattr(render_mod, "march_rays", march)
+        frames, _ = render_batch(world, cam, [np.random.default_rng([4, i]) for i in range(n)])
+
+        rngs = [np.random.default_rng([4, i]) for i in range(n)]
+        p, a = cam.pos_jitter, cam.ang_jitter
+        jitter = np.array([[r.uniform(-p, p), r.uniform(-p, p), r.uniform(-a, a),
+                            r.uniform(-a, a)] for r in rngs])
+        assert seen["jitter"].tobytes() == jitter.tobytes()
+        fields = [(r.standard_normal((12, 16)), r.standard_normal((12, 16))) for r in rngs]
+        prop = np.stack([f[0] for f in fields])
+        add = np.stack([f[1] for f in fields])
+        want = seen["depth"].reshape(n, 12, 16) * (1.0 + cam.prop_noise_std * prop)
+        want = np.clip(want + cam.add_noise_std * add, cam.min_depth, cam.max_range)
+        assert frames.tobytes() == want.tobytes()
+
     def test_noise_statistics_match_the_model(self):
         # empirical std of randomized depths vs sqrt(var_add + (prop*d)^2)
         cam = CameraConfig(height=48, width=64, ang_jitter=0.0, pos_jitter=0.0)
