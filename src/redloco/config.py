@@ -1,12 +1,14 @@
 """Dataclass configuration tree with a flat ``key = value`` text format.
 
 Nested fields are addressed with dotted keys (``world.dt = 0.02``).
-Tuples are comma separated.
+Tuples are comma separated. A training run reads every key; a value with
+one legal setting is a constant where it is used, not a key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -76,7 +78,6 @@ class CameraConfig:
 @dataclass
 class NetConfig:
     history_len: int = 10        # proprioception buffer length
-    depth_frames: int = 2        # depth buffer length
     embed_hidden: int = 64
     embed_out: int = 32
     cnn_channels: tuple[int, int, int] = (8, 16, 32)
@@ -96,8 +97,8 @@ class NetConfig:
 
 @dataclass
 class SelectorConfig:
-    gamma: float = 0.1
-    beta: float = float("nan")   # calibrated; override via config when known
+    # the deployed beta and gamma are not training settings: beta comes from
+    # calibration (--beta/--beta-file), gamma from ExperimentSpec.gamma
     tick_period: int = 5
     ae_channels: tuple[int, int, int] = (8, 16, 32)
     ae_bottleneck: int = 128
@@ -131,7 +132,6 @@ class RewardConfig:
     joint_energy: float = -1e-5
     action_rate: float = -0.1
     default_pos: float = -0.04
-    hip_bias: float = -0.5       # no planar analog; emitted as zero, flagged
     joint_acc: float = -2.5e-7
     orientation: float = -1.0
     ang_vel_sigma: float = 0.5
@@ -180,7 +180,7 @@ def desk_config(**overrides: Any) -> TrainConfig:
 
 
 def paper_shape_config(**overrides: Any) -> TrainConfig:
-    """Full-resolution preset: 48x64 depth, 10-step history, 2 depth frames."""
+    """Full-resolution preset: 48x64 depth, 10-step history."""
     return TrainConfig(**overrides)
 
 
@@ -205,6 +205,8 @@ def _coerce(raw: str, typ: Any, key: str) -> Any:
         args = typ.__args__
         parts = [p for p in (s.strip() for s in raw.split(",")) if p]
         if len(args) == 2 and args[1] is Ellipsis:
+            if not parts:
+                raise ConfigError(f"{key}: expected at least one comma-separated value")
             return tuple(_coerce(p, args[0], key) for p in parts)
         if len(parts) != len(args):
             raise ConfigError(f"{key}: expected {len(args)} comma-separated values, got {len(parts)}")
@@ -219,12 +221,6 @@ def _coerce(raw: str, typ: Any, key: str) -> Any:
     raise ConfigError(f"{key}: unsupported field type {typ}")
 
 
-def _resolve_types(dc: Any) -> dict[str, Any]:
-    import typing
-
-    return typing.get_type_hints(type(dc))
-
-
 def set_key(cfg: TrainConfig, key: str, raw: str) -> None:
     """Assign one dotted key from its text representation."""
     obj = cfg
@@ -234,7 +230,7 @@ def set_key(cfg: TrainConfig, key: str, raw: str) -> None:
             raise ConfigError(f"unknown config section {p!r} in key {key!r}")
         obj = getattr(obj, p)
     name = parts[-1]
-    hints = _resolve_types(obj)
+    hints = typing.get_type_hints(type(obj))
     if name not in hints or not dataclasses.is_dataclass(obj):
         raise ConfigError(f"unknown config key {key!r}")
     setattr(obj, name, _coerce(raw, hints[name], key))
@@ -261,7 +257,9 @@ def to_text(cfg: TrainConfig) -> str:
 
 
 def parse_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
+    """Apply the text's keys over ``base``; each key may appear once in the text."""
     cfg = base if base is not None else TrainConfig()
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -269,7 +267,11 @@ def parse_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        set_key(cfg, key.strip(), raw)
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"{key}: set twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        set_key(cfg, key, raw)
     return cfg
 
 

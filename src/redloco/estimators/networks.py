@@ -17,6 +17,7 @@ import numpy as np
 from ..config import NetConfig
 from ..errors import ContractError
 from ..nn import Conv2d, Elu, Flatten, GruCell, LayerStack, Linear, Tanh, conv_shape
+from ..selector.autoencoder import PAIR_FRAMES
 
 
 @dataclass
@@ -129,7 +130,7 @@ class VpEstimator(_EstimatorBase):
         self.depth_hw = depth_hw
         c1, c2, c3 = cfg.cnn_channels
         k, s, p = cfg.cnn_kernel, cfg.cnn_stride, cfg.cnn_pad
-        shape = (cfg.depth_frames,) + depth_hw
+        shape = (PAIR_FRAMES,) + depth_hw
         s1 = conv_shape(shape, k, s, p, c1)
         s2 = conv_shape(s1, k, s, p, c2)
         s3 = conv_shape(s2, k, s, p, c3)
@@ -140,7 +141,7 @@ class VpEstimator(_EstimatorBase):
             "embed": LayerStack([Linear(flat, cfg.embed_hidden), Elu(),
                                  Linear(cfg.embed_hidden, cfg.embed_out), Elu()],
                                 (flat,), rng),
-            "cnn": LayerStack([Conv2d(cfg.depth_frames, c1, k, s, p), Elu(),
+            "cnn": LayerStack([Conv2d(PAIR_FRAMES, c1, k, s, p), Elu(),
                                Conv2d(c1, c2, k, s, p), Elu(),
                                Conv2d(c2, c3, k, s, p), Elu(),
                                Flatten(), Linear(cnn_flat, cfg.embed_out), Elu()],

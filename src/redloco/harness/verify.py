@@ -13,7 +13,7 @@ import numpy as np
 from ..config import NetConfig, SelectorConfig
 from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator, loss_op, loss_vp
 from ..nn.gradcheck import LAYER_KINDS, fd_grad, rel_err, run_layer_suite
-from ..selector.autoencoder import build_autoencoder
+from ..selector.autoencoder import PAIR_FRAMES, build_autoencoder
 
 TINY_NET = NetConfig(history_len=2, embed_hidden=4, embed_out=3, cnn_channels=(2, 2, 2),
                      encoder_hidden=4, encoder_out=3, gru_hidden=4, latent=3, z_dim=2,
@@ -64,7 +64,7 @@ def check_vp_loss(seed: int) -> float:
     him = HimTargetEncoder(TINY_NET, TINY_OBS, rng)
     b = int(rng.integers(1, 3))
     obs = rng.standard_normal((b, TINY_NET.history_len * TINY_OBS))
-    depth = rng.uniform(0.1, 2.0, (b, TINY_NET.depth_frames) + TINY_HW)
+    depth = rng.uniform(0.1, 2.0, (b, PAIR_FRAMES) + TINY_HW)
     hidden = rng.standard_normal((b, TINY_NET.gru_hidden)) * 0.5
     next_obs = rng.standard_normal((b, TINY_OBS))
     v_true = rng.standard_normal((b, 2))

@@ -23,8 +23,8 @@ from ..nn import (Conv2d, Deconv2d, Elu, Flatten, LayerStack, Linear, Reshape,
                   conv_shape, mirror_out_pad)
 
 
-# the autoencoder scores the newest frame pair; build_networks refuses any
-# net.depth_frames other than this
+# the networks read the newest frame pair: it sizes the depth buffer and the
+# first conv of the autoencoder and of the vision estimator's CNN
 PAIR_FRAMES = 2
 
 

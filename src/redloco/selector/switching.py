@@ -23,9 +23,9 @@ MODE_OP = "OP"
 
 @dataclass(frozen=True)
 class SelectorState:
-    p: float = 1.0
-    beta: float = float("nan")
-    gamma: float = 0.1
+    p: float
+    beta: float
+    gamma: float
     mode: str = MODE_VP
     switched: bool = False
 
@@ -36,7 +36,7 @@ class SelectorState:
             raise ContractError(f"gamma must lie in (0, 1], got {self.gamma}")
 
 
-def make_selector(beta: float, gamma: float = 0.1, init_p: float = 1.0) -> SelectorState:
+def make_selector(beta: float, gamma: float, init_p: float = 1.0) -> SelectorState:
     if not np.isfinite(beta):
         raise ContractError("selector requires a calibrated finite beta")
     mode = MODE_VP if init_p > 0.5 else MODE_OP

@@ -1,7 +1,7 @@
 """Deployment-time depth corruptions used by the robustness protocol.
 
-Each injector takes one (H, W) frame and returns a new one; the input is
-left untouched.
+Each injector takes one (H, W) frame and the camera's depth bounds and
+returns a new frame; the input is left untouched.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ GAUSSIAN_SIGMA_MAX = 0.5   # std in meters at the 100% level
 
 
 def inject_gaussian(data: np.ndarray, level_pct: float, rng: np.random.Generator,
-                    max_range: float = 2.0, min_depth: float = 0.01) -> np.ndarray:
+                    max_range: float, min_depth: float) -> np.ndarray:
     """Additive zero-mean noise, std = (level/100) * 0.5 m, re-clipped."""
     if not 0.0 <= level_pct <= 100.0:
         raise ContractError(f"noise level {level_pct} outside [0, 100]")
@@ -25,7 +25,7 @@ def inject_gaussian(data: np.ndarray, level_pct: float, rng: np.random.Generator
 
 
 def inject_salt_pepper(data: np.ndarray, level_pct: float, rng: np.random.Generator,
-                       max_range: float = 2.0, min_depth: float = 0.01) -> np.ndarray:
+                       max_range: float, min_depth: float) -> np.ndarray:
     """Exactly round(level% of pixels), chosen without replacement, forced to
     the near floor or max range with equal probability. Other pixels are
     bitwise untouched."""
@@ -42,6 +42,6 @@ def inject_salt_pepper(data: np.ndarray, level_pct: float, rng: np.random.Genera
     return data
 
 
-def inject_occlusion(data: np.ndarray, min_depth: float = 0.01) -> np.ndarray:
+def inject_occlusion(data: np.ndarray, min_depth: float) -> np.ndarray:
     """Full close-range occlusion: every pixel at the near floor."""
     return np.full_like(data, min_depth)

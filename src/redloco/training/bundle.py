@@ -12,7 +12,7 @@ from ..config import TrainConfig
 from ..errors import CheckpointError, ConfigError
 from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator
 from ..nn import LayerStack, TensorParam, load_checkpoint, save_checkpoint
-from ..selector.autoencoder import PAIR_FRAMES, build_autoencoder
+from ..selector.autoencoder import build_autoencoder
 from ..world import OBS_DIM
 from .policy import Critic, GaussianPolicy
 
@@ -49,10 +49,6 @@ class Networks:
 
 
 def build_networks(cfg: TrainConfig, rng: np.random.Generator) -> Networks:
-    # the tick and the autoencoder both consume the newest frame pair
-    if cfg.net.depth_frames != PAIR_FRAMES:
-        raise ConfigError(f"net.depth_frames: only {PAIR_FRAMES} is supported (the networks "
-                          f"read the newest frame pair), got {cfg.net.depth_frames}")
     op = OpEstimator(cfg.net, OBS_DIM, rng)
     vp = VpEstimator(cfg.net, OBS_DIM, (cfg.camera.height, cfg.camera.width),
                      cfg.world.profile_samples, rng)

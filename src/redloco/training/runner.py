@@ -15,7 +15,7 @@ import numpy as np
 from ..config import TrainConfig
 from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer,
                           VpEstimator, fuse_batch)
-from ..selector.autoencoder import anomaly_scores
+from ..selector.autoencoder import PAIR_FRAMES, anomaly_scores
 from ..sensor import edge_truncate_resize, render_batch
 from ..world import OBS_DIM, BatchWorld, compute_reward, update_curriculum
 from ..nn import LayerStack
@@ -71,8 +71,7 @@ class VecRunner:
         if fixed_commands is not None:
             self.world.reset(range(self.n), fixed_commands)
         self.proprio = ProprioBuffer(self.n, cfg.net.history_len, OBS_DIM)
-        self.depth = DepthBuffer(self.n, cfg.net.depth_frames, cfg.camera.height,
-                                 cfg.camera.width)
+        self.depth = DepthBuffer(self.n, PAIR_FRAMES, cfg.camera.height, cfg.camera.width)
         self.op_hidden = op.zero_hidden(self.n)
         self.vp_hidden = vp.zero_hidden(self.n)
         self.latents = np.zeros((self.n, 2 * cfg.net.latent))

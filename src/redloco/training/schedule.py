@@ -25,7 +25,7 @@ def terrain_class(kind: str) -> str:
 @dataclass
 class AdaptationSchedule:
     kinds: list[str]
-    flip_period: int = 20
+    flip_period: int
     offsets: list[int] = field(init=False)
 
     def __post_init__(self) -> None:

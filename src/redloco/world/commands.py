@@ -22,13 +22,12 @@ def make_command(c_x: float, c_yaw: float = 0.0) -> Command:
 
 
 def sample_command(rng: np.random.Generator, curriculum_phase: int,
-                   cfg: WorldConfig | None = None) -> Command:
+                   cfg: WorldConfig) -> Command:
     """Phase 1 draws speeds from [0.2, 1.0]; phase 2 widens to [0, 1.0].
 
     Phase-2 draws below ``zero_cmd_snap`` collapse to an exact standstill
     command so zero-velocity episodes occur with positive probability.
     """
-    cfg = cfg or WorldConfig()
     if curriculum_phase not in (1, 2):
         raise ContractError(f"curriculum_phase must be 1 or 2, got {curriculum_phase}")
     if curriculum_phase == 1:
@@ -41,8 +40,8 @@ def sample_command(rng: np.random.Generator, curriculum_phase: int,
     return make_command(c_x, c_yaw)
 
 
-def update_curriculum(level, distance, commanded, promote_ratio: float = 0.8,
-                      demote_ratio: float = 0.4):
+def update_curriculum(level, distance, commanded, promote_ratio: float,
+                      demote_ratio: float):
     """Promote when the episode covered >= promote_ratio of the commanded
     distance, demote below demote_ratio; zero-command episodes keep the level.
     Elementwise over arrays of episodes."""

@@ -3,8 +3,8 @@
 The tracking term follows the capped-projection rule with a standstill
 branch; shaping scales follow the pinned table in :class:`RewardConfig`.
 Contributions are multiplied by dt (the pinned convention), so the collision
-penalty lands as scale * dt per event. Terms with no planar analog
-(``PLANAR_ZERO``) are emitted as zero.
+penalty lands as scale * dt per event. The legged hip-bias term has no
+planar analog and is left out.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ TERM_SCALES = {
     "lin_vel_tracking": "lin_vel", "ang_vel_tracking": "ang_vel",
     "collision": "collision", "joint_energy": "joint_energy",
     "action_rate": "action_rate", "default_pos": "default_pos",
-    "hip_bias": "hip_bias", "joint_acc": "joint_acc", "orientation": "orientation",
+    "joint_acc": "joint_acc", "orientation": "orientation",
 }
-PLANAR_ZERO = ("hip_bias",)
 
 
 @dataclass
@@ -67,12 +66,10 @@ def compute_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarr
         "action_rate": ((action - prev_action) ** 2).sum(axis=1),
         "default_pos": np.where(support > -np.inf,
                                 np.minimum(dev * dev, rcfg.default_pos_cap), 0.0),
-        "hip_bias": np.zeros(len(vx)),
         "joint_acc": np.float_power((world.ax - prev_ax) / dt, 2),
         "orientation": np.float_power(world.pitch, 2),
     }
-    contributions = {name: np.zeros(len(vx)) if name in PLANAR_ZERO
-                     else getattr(rcfg, scale) * values[name] * dt
+    contributions = {name: getattr(rcfg, scale) * values[name] * dt
                      for name, scale in TERM_SCALES.items()}
     return BatchReward(sum(contributions.values()), values, contributions)
 

@@ -49,14 +49,12 @@ def _lerp(span: tuple[float, float], level: int) -> float:
     return span[0] + (span[1] - span[0]) * level / (N_LEVELS - 1)
 
 
-def generate_terrain(kind: str, level: int, seed: int,
-                     cfg: WorldConfig | None = None) -> Heightfield:
+def generate_terrain(kind: str, level: int, seed: int, cfg: WorldConfig) -> Heightfield:
     """Build one heightfield. Difficulty grows linearly with level."""
     if kind not in TERRAIN_KINDS:
         raise ContractError(f"unknown terrain kind {kind!r}")
     if not 0 <= level < N_LEVELS:
         raise ContractError(f"level {level} outside 0..{N_LEVELS - 1}")
-    cfg = cfg or WorldConfig()
     n = cfg.terrain_cells
     cell = cfg.cell_size
     rng = np.random.default_rng([abs(seed) % (2 ** 31), TERRAIN_KINDS.index(kind), level])
@@ -114,9 +112,8 @@ def generate_terrain(kind: str, level: int, seed: int,
     return Heightfield(cell, heights, void, kind, level, diff)
 
 
-def difficulty_value(kind: str, level: int, cfg: WorldConfig | None = None) -> float:
+def difficulty_value(kind: str, level: int, cfg: WorldConfig) -> float:
     """The kind's primary difficulty parameter at a level (for monotonicity checks)."""
-    cfg = cfg or WorldConfig()
     span = {"flat": (0.0, 0.0), "rough": cfg.rough_amp_range,
             "stairs_up": cfg.step_height_range, "stairs_down": cfg.step_height_range,
             "gap": cfg.gap_width_range, "platform": cfg.platform_height_range}[kind]

@@ -159,8 +159,10 @@ def test_criterion_4_raycast_oracle():
     for stage in (img.data, img2.data,
                   render(w, cam, rng, randomize=True).data,
                   edge_truncate_resize(render(w, cam, rng, True).data, 2),
-                  inject_gaussian(render(w, cam, rng, True).data, 100.0, rng),
-                  inject_salt_pepper(render(w, cam, rng, True).data, 70.0, rng)):
+                  inject_gaussian(render(w, cam, rng, True).data, 100.0, rng,
+                                  cam.max_range, cam.min_depth),
+                  inject_salt_pepper(render(w, cam, rng, True).data, 70.0, rng,
+                                     cam.max_range, cam.min_depth)):
         in_range &= stage.min() > 0 and stage.max() <= 2.0
     ok = worst < 1e-6 and in_range
     report(4, ok, f"max closed-form deviation {worst:.2e} m; all stages in (0, 2]: {in_range}")

@@ -1,5 +1,6 @@
 """Flat-text config round-trips and CLI surface."""
 
+import dataclasses
 import json
 import os
 import re
@@ -14,6 +15,17 @@ import redloco
 from redloco import config as config_mod
 from redloco.errors import ConfigError
 from redloco.harness.cli import cli
+from redloco.training import Trainer
+
+# keys deleted because no run could read them; a config or an embedded
+# checkpoint config that names one is refused
+DELETED_KEYS = ("selector.beta", "selector.gamma", "reward.hip_bias", "net.depth_frames")
+
+
+def config_keys() -> list[str]:
+    return [line.partition("=")[0].strip()
+            for line in config_mod.to_text(config_mod.TrainConfig()).splitlines()
+            if not line.startswith("#")]
 
 
 class TestConfig:
@@ -21,15 +33,14 @@ class TestConfig:
         cfg = config_mod.desk_config()
         cfg.seed = 9
         cfg.terrain_mix = ("flat", "gap")
-        cfg.selector.gamma = 0.3
+        cfg.selector.tick_period = 3
         cfg.reward.collision = -5.0
         back = config_mod.parse_text(config_mod.to_text(cfg))
-        # nan (uncalibrated beta) compares unequal to itself; compare the text
-        assert config_mod.to_text(back) == config_mod.to_text(cfg)
+        assert back == cfg
 
     def test_dotted_keys_reach_nested_sections(self):
-        cfg = config_mod.parse_text("selector.gamma = 0.25\nworld.dt = 0.01\nseed = 3\n")
-        assert cfg.selector.gamma == 0.25
+        cfg = config_mod.parse_text("selector.tick_period = 4\nworld.dt = 0.01\nseed = 3\n")
+        assert cfg.selector.tick_period == 4
         assert cfg.world.dt == 0.01
         assert cfg.seed == 3
 
@@ -55,13 +66,51 @@ class TestConfig:
         cfg_py = Path(config_mod.__file__)
         code = "\n".join(p.read_text() for p in sorted(cfg_py.parent.rglob("*.py"))
                          if p != cfg_py)
-        keys = [line.partition("=")[0].strip()
-                for line in config_mod.to_text(config_mod.TrainConfig()).splitlines()
-                if not line.startswith("#")]
+        keys = config_keys()
         dead = [k for k in keys
                 if not re.search(rf"\.{k.rsplit('.', 1)[-1]}\b|[\"']{k.rsplit('.', 1)[-1]}[\"']",
                                  code)]
         assert keys and dead == []
+
+    def test_a_short_run_reads_every_config_key(self, tmp_path, monkeypatch):
+        # a key no run reads cannot change a run. Record every field read on
+        # the config classes, except reads inside config.py (text round trips)
+        # and the dataclasses module (bulk copies); this run reaches resets,
+        # phase 2, rough terrain and the AE epochs
+        cfg = config_mod.tiny_config()
+        cfg.n_envs = 8
+        cfg.terrain_mix = config_mod.TrainConfig().terrain_mix
+        cfg.iterations = 2
+        cfg.world.episode_steps = 12
+        cfg.phase_budget_frac = 0.0
+        cfg.out_dir = str(tmp_path)
+        keys = config_keys()
+        ignored = {config_mod.__file__, dataclasses.__file__}
+        read: set[str] = set()
+        prefix = {config_mod.TrainConfig: ""}
+        prefix.update((type(getattr(cfg, f.name)), f"{f.name}.") for f in dataclasses.fields(cfg)
+                      if dataclasses.is_dataclass(getattr(cfg, f.name)))
+
+        def hook(obj, name, _get=object.__getattribute__):
+            if not name.startswith("__") and sys._getframe(1).f_code.co_filename not in ignored:
+                read.add(prefix[type(obj)] + name)
+            return _get(obj, name)
+
+        for cls in prefix:
+            monkeypatch.setattr(cls, "__getattribute__", hook)
+        Trainer(cfg).run()
+        monkeypatch.undo()
+        assert (tmp_path / "checkpoint.ckpt").exists()
+        unread = [k for k in keys if k not in read]
+        assert unread == [], f"keys the run never reads: {unread}"
+
+    def test_a_key_set_twice_names_the_key_and_both_lines(self):
+        with pytest.raises(ConfigError, match=r"seed: set twice, on lines 1 and 3"):
+            config_mod.parse_text("seed = 1\nworld.dt = 0.01\nseed = 2\n")
+
+    def test_the_base_presets_values_are_not_repeats(self):
+        cfg = config_mod.parse_text("camera.height = 20\n", base=config_mod.desk_config())
+        assert (cfg.camera.height, cfg.camera.width) == (20, 16)
 
     def test_tuples_parse_from_comma_lists(self):
         cfg = config_mod.parse_text("terrain_mix = flat, gap, rough\n"
@@ -75,7 +124,6 @@ class TestConfig:
         assert (desk.camera.height, desk.camera.width) == (12, 16)
         assert (paper.camera.height, paper.camera.width) == (48, 64)
         assert paper.net.history_len == 10
-        assert paper.net.depth_frames == 2
 
 
 class TestCli:
@@ -134,6 +182,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
         assert "world.dt" in payload["message"] and "'abc'" in payload["message"]
+
+    @pytest.mark.parametrize("text, named", [
+        pytest.param("seed = 1\nseed = 2\n", "seed: set twice, on lines 1 and 2", id="repeat"),
+        pytest.param("terrain_mix =\n", "terrain_mix: expected at least one", id="empty-mix"),
+        *(pytest.param(f"{key} = 0.1\n", key, id=key) for key in DELETED_KEYS),
+    ])
+    def test_refused_config_is_one_json_line_and_writes_nothing(self, tmp_path, capsys,
+                                                                 text, named):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text)
+        code = cli(["train", "--preset", "tiny", "--config", str(cfg_file),
+                    "--out", str(tmp_path / "run")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert named in payload["message"]
+        assert not (tmp_path / "run").exists()
 
     def test_rollout_abort_is_a_structured_error(self, tmp_path, capsys):
         # a NaN learning rate poisons the weights at the first update, so the

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from redloco.config import CameraConfig
 from redloco.errors import ContractError
 from redloco.sensor import (GAUSSIAN_SIGMA_MAX, inject_gaussian, inject_occlusion,
                             inject_salt_pepper)
+
+
+CAM = CameraConfig()
+CLIP = (CAM.max_range, CAM.min_depth)
 
 
 def frame(h=48, w=64, fill=None, seed=0):
@@ -16,13 +21,13 @@ def frame(h=48, w=64, fill=None, seed=0):
 class TestSaltPepper:
     def test_level_ten_alters_exactly_307_pixels_on_a_full_frame(self):
         img = frame()
-        out = inject_salt_pepper(img, 10.0, np.random.default_rng(1))
+        out = inject_salt_pepper(img, 10.0, np.random.default_rng(1), *CLIP)
         changed = np.sum(out != img)
         assert changed == round(0.10 * 48 * 64) == 307
 
     def test_changed_pixels_sit_at_the_extremes_others_bitwise_equal(self):
         img = frame()
-        out = inject_salt_pepper(img, 30.0, np.random.default_rng(2))
+        out = inject_salt_pepper(img, 30.0, np.random.default_rng(2), *CLIP)
         moved = out != img
         assert np.isin(out[moved], (0.01, 2.0)).all()
         assert (out[~moved] == img[~moved]).all()
@@ -30,30 +35,30 @@ class TestSaltPepper:
 
     def test_level_zero_keeps_the_image(self):
         img = frame()
-        out = inject_salt_pepper(img, 0.0, np.random.default_rng(3))
+        out = inject_salt_pepper(img, 0.0, np.random.default_rng(3), *CLIP)
         assert out.tobytes() == img.tobytes()
 
     def test_level_hundred_replaces_everything(self):
         img = frame()
-        out = inject_salt_pepper(img, 100.0, np.random.default_rng(4))
+        out = inject_salt_pepper(img, 100.0, np.random.default_rng(4), *CLIP)
         assert np.isin(out, (0.01, 2.0)).all()
 
     def test_salt_and_pepper_roughly_balanced(self):
         img = frame()
-        out = inject_salt_pepper(img, 70.0, np.random.default_rng(5))
+        out = inject_salt_pepper(img, 70.0, np.random.default_rng(5), *CLIP)
         moved = out != img
         frac_salt = np.mean(out[moved] == 2.0)
         assert 0.4 < frac_salt < 0.6
 
     def test_out_of_range_level_rejected(self):
         with pytest.raises(ContractError):
-            inject_salt_pepper(frame(), 101.0, np.random.default_rng(0))
+            inject_salt_pepper(frame(), 101.0, np.random.default_rng(0), *CLIP)
 
 
 class TestGaussian:
     def test_level_zero_keeps_the_image(self):
         img = frame()
-        out = inject_gaussian(img, 0.0, np.random.default_rng(6))
+        out = inject_gaussian(img, 0.0, np.random.default_rng(6), *CLIP)
         assert out.tobytes() == img.tobytes()
         assert out is not img
 
@@ -74,12 +79,12 @@ class TestGaussian:
 
     def test_output_clipped_into_sensor_range(self):
         img = frame()
-        out = inject_gaussian(img, 100.0, np.random.default_rng(9))
+        out = inject_gaussian(img, 100.0, np.random.default_rng(9), *CLIP)
         assert out.min() >= 0.01
         assert out.max() <= 2.0
 
 
 def test_occlusion_floors_every_pixel():
-    out = inject_occlusion(frame())
+    out = inject_occlusion(frame(), CAM.min_depth)
     np.testing.assert_array_equal(out, 0.01)
     assert out.shape == (48, 64)

@@ -206,6 +206,16 @@ class TestBundleLoading:
         with pytest.raises(CheckpointError, match="embedded config: .*net.encoder"):
             load_bundle(path)
 
+    @pytest.mark.parametrize("line", ["selector.beta = nan", "selector.gamma = 0.1",
+                                      "reward.hip_bias = -0.5", "net.depth_frames = 2"])
+    def test_embedded_config_naming_a_key_no_run_read_is_refused(self, bundle, line):
+        path, arrays, meta = bundle
+        meta["config"] += line + "\n"
+        save_checkpoint(path, arrays, meta)
+        key = line.partition(" ")[0]
+        with pytest.raises(CheckpointError, match=rf"embedded config: unknown config key '{key}'"):
+            load_bundle(path)
+
     @pytest.mark.parametrize("fault", ["unknown_key", "f32_tag", "version_1"])
     def test_cli_reports_a_bad_bundle_as_json(self, bundle, tmp_path, capsys, fault):
         path, arrays, meta = bundle

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from redloco.config import RewardConfig, WorldConfig
 from redloco.world import PlanarWorld, compute_reward, linear_velocity_reward, make_command
-from redloco.world.rewards import PLANAR_ZERO, TERM_SCALES
+from redloco.world.rewards import TERM_SCALES
 
 
 def reference_tracking(c_x, v_along, v_norm):
@@ -71,7 +71,7 @@ def step_reward(w, action, rcfg):
 class TestRewardTable:
     SCALES = {"lin_vel_tracking": 1.5, "ang_vel_tracking": 0.5, "collision": -10.0,
               "joint_energy": -1e-5, "action_rate": -0.1, "default_pos": -0.04,
-              "hip_bias": -0.5, "joint_acc": -2.5e-7, "orientation": -1.0}
+              "joint_acc": -2.5e-7, "orientation": -1.0}
 
     def _step(self, command=0.6, action=(0.5, 0.0)):
         w = PlanarWorld(WorldConfig(), "flat", np.random.default_rng(0))
@@ -85,14 +85,7 @@ class TestRewardTable:
         assert list(r.values) == list(r.contributions) == list(self.SCALES)
         for name, scale in self.SCALES.items():
             assert getattr(rcfg, TERM_SCALES[name]) == scale
-            if name not in PLANAR_ZERO:
-                assert r.contributions[name][0] == scale * r.values[name][0] * w.cfg.dt
-
-    def test_planar_inapplicable_term_is_flagged_zero(self):
-        _, r, _ = self._step()
-        assert PLANAR_ZERO == ("hip_bias",)
-        assert r.values["hip_bias"][0] == 0.0
-        assert r.contributions["hip_bias"][0] == 0.0
+            assert r.contributions[name][0] == scale * r.values[name][0] * w.cfg.dt
 
     def test_total_is_sum_of_contributions(self):
         _, r, _ = self._step()

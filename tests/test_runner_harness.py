@@ -12,6 +12,7 @@ from redloco.harness import (ExperimentSpec, NoiseEvent, calibrate_beta_run, run
                              run_noise_robustness, run_trace, switch_delay_text)
 from redloco.harness import protocols
 from redloco.harness.protocols import _make_noise_hook, max_switch_delay, switch_delays
+from redloco.selector.autoencoder import PAIR_FRAMES
 from redloco.sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from redloco.training import Trainer, load_bundle, train
 from redloco.training.runner import VecRunner
@@ -77,7 +78,7 @@ class TestRunner:
                 assert tick.clean_stage.any() == tick.clean_stage.all()
                 runner.set_latents(np.zeros(3, dtype=np.int64))
             assert not runner.step(np.zeros((3, 2))).resets.any()
-        taint = cfg.net.depth_frames
+        taint = PAIR_FRAMES
         assert clean == [None, True] + [False] * taint + [True] * (6 - taint)
 
     def test_noise_hook_draws_robot_by_robot_in_event_order(self):

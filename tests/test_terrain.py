@@ -7,17 +7,19 @@ from redloco.config import WorldConfig
 from redloco.errors import ContractError
 from redloco.world import N_LEVELS, TERRAIN_KINDS, difficulty_value, generate_terrain
 
+CFG = WorldConfig()
+
 
 def test_flat_is_all_zero_with_no_voids():
-    hf = generate_terrain("flat", 4, 123)
+    hf = generate_terrain("flat", 4, 123, CFG)
     np.testing.assert_array_equal(hf.heights, 0.0)
     assert not hf.void.any()
 
 
 def test_generation_is_deterministic_per_kind_level_seed():
     for kind in TERRAIN_KINDS:
-        a = generate_terrain(kind, 3, 77)
-        b = generate_terrain(kind, 3, 77)
+        a = generate_terrain(kind, 3, 77, CFG)
+        b = generate_terrain(kind, 3, 77, CFG)
         assert a.heights.tobytes() == b.heights.tobytes()
         assert (a.void == b.void).all()
 
@@ -51,7 +53,7 @@ def test_stair_step_heights_follow_the_schedule():
 
 def test_difficulty_nondecreasing_in_level_for_every_kind():
     for kind in TERRAIN_KINDS:
-        vals = [difficulty_value(kind, lv) for lv in range(N_LEVELS)]
+        vals = [difficulty_value(kind, lv, CFG) for lv in range(N_LEVELS)]
         assert all(b >= a for a, b in zip(vals, vals[1:])), kind
         if kind != "flat":
             assert vals[-1] > vals[0]
@@ -59,12 +61,12 @@ def test_difficulty_nondecreasing_in_level_for_every_kind():
 
 def test_void_cells_only_on_gap_terrain():
     for kind in TERRAIN_KINDS:
-        hf = generate_terrain(kind, 9, 1)
+        hf = generate_terrain(kind, 9, 1, CFG)
         assert hf.void.any() == (kind == "gap")
 
 
 def test_height_at_returns_minus_inf_over_void():
-    hf = generate_terrain("gap", 9, 2)
+    hf = generate_terrain("gap", 9, 2, CFG)
     i = int(np.argmax(hf.void))
     x = (i + 0.5) * hf.cell_size
     assert hf.height_at(x) == -np.inf
@@ -73,7 +75,7 @@ def test_height_at_returns_minus_inf_over_void():
 
 def test_level_out_of_range_rejected():
     with pytest.raises(ContractError):
-        generate_terrain("flat", 10, 0)
+        generate_terrain("flat", 10, 0, CFG)
     with pytest.raises(ContractError):
-        generate_terrain("volcano", 0, 0)
+        generate_terrain("volcano", 0, 0, CFG)
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from redloco.config import tiny_config
-from redloco.errors import ConfigError, ContractError, RolloutAbort
-from redloco.training import RolloutBuffer, Trainer, train
+from redloco.errors import ContractError, RolloutAbort
+from redloco.nn import load_checkpoint
+from redloco.training import RolloutBuffer, Trainer, load_bundle, train
 from redloco.training.supervised import supervised_update
 
 
@@ -80,6 +81,20 @@ class TestTinyTraining:
         r2 = train(cfg2, tmp_path / "b")
         assert r1.metrics.read_text() == r2.metrics.read_text()
         assert r1.checkpoint.read_bytes() == r2.checkpoint.read_bytes()
+
+    def test_checkpoint_every_writes_a_loadable_checkpoint_per_period(self, tmp_path):
+        cfg = tiny_config()
+        cfg.checkpoint_every = 1
+        res = train(cfg, tmp_path)
+        assert (sorted(p.name for p in tmp_path.glob("checkpoint_*.ckpt"))
+                == ["checkpoint_1.ckpt", "checkpoint_2.ckpt"])
+        for it in (1, 2):
+            _, _, meta = load_bundle(tmp_path / f"checkpoint_{it}.ckpt")
+            assert meta["iteration"] == it
+        last, _ = load_checkpoint(tmp_path / "checkpoint_2.ckpt")
+        final, _ = load_checkpoint(res.checkpoint)
+        assert list(last) == list(final)
+        assert all(np.array_equal(last[k], final[k]) for k in final)
 
     def test_different_seed_changes_the_run(self, tmp_path):
         cfg1 = tiny_config()
@@ -201,13 +216,6 @@ class TestTapeReplay:
         after = list(_arrays(tick))
         assert len(after) == len(before)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
-
-
-def test_depth_frames_other_than_two_is_rejected_when_the_networks_are_built(tmp_path):
-    cfg = tiny_config()
-    cfg.net.depth_frames = 3
-    with pytest.raises(ConfigError, match="net.depth_frames"):
-        Trainer(cfg, tmp_path / "run")
 
 
 class TestSupervisedGating:

@@ -293,10 +293,10 @@ class ScalarEnv:
             default_pos = min(dev * dev, rcfg.default_pos_cap)
         values = [lin, float(np.exp(-(rate_err ** 2) / rcfg.ang_vel_sigma)),
                   1.0 if collision else 0.0, abs(r.ax * r.vx),
-                  float(np.sum((a - prev.last_action) ** 2)), default_pos, 0.0,
+                  float(np.sum((a - prev.last_action) ** 2)), default_pos,
                   ((r.ax - prev.ax) / cfg.dt) ** 2, r.pitch ** 2]
         scales = [rcfg.lin_vel, rcfg.ang_vel, rcfg.collision, rcfg.joint_energy,
-                  rcfg.action_rate, rcfg.default_pos, 0.0, rcfg.joint_acc, rcfg.orientation]
+                  rcfg.action_rate, rcfg.default_pos, rcfg.joint_acc, rcfg.orientation]
         return values + [float(sum(s * v * mult for s, v in zip(scales, values)))]
 
     def observation(self) -> np.ndarray:
