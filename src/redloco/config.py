@@ -217,6 +217,8 @@ def _coerce(raw: str, typ: Any, key: str) -> Any:
         except ValueError:
             raise ConfigError(f"{key}: invalid {typ.__name__} {raw!r}") from None
     if typ is str:
+        if not raw:
+            raise ConfigError(f"{key}: expected a value, got an empty one")
         return raw
     raise ConfigError(f"{key}: unsupported field type {typ}")
 

@@ -48,8 +48,6 @@ class ExperimentSpec:
     name: str
     checkpoint: str
     beta: float
-    terrain_kind: str = "flat"
-    terrain_level: int = 0
     robots: int = 20
     command: float = 0.6
     steps: int = 600
@@ -148,7 +146,7 @@ def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
     n, auto = spec.robots, arm == "auto"
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(spec.seed).spawn(2 * n)]
     hook = _make_noise_hook(spec.noise_events, rngs[n:], cfg.camera)
-    return _deploy(cfg, nets, spec.steps, [spec.terrain_kind] * n, [spec.terrain_level] * n,
+    return _deploy(cfg, nets, spec.steps, ["flat"] * n, [0] * n,
                    [make_command(spec.command) for _ in range(n)], rngs[:n], score=auto,
                    p=np.full(n, 0.0 if arm == "op_only" else 1.0),
                    filt=(spec.beta, spec.gamma) if auto else None, hook=hook)[0]

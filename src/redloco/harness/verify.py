@@ -47,9 +47,6 @@ def check_op_loss(seed: int) -> float:
         val, _ = loss_op(out, v_true, z_hat)
         return val
 
-    for net in (op, him):
-        for p in net.params():
-            p.zero_grad()
     z_hat, him_tape = him.forward(next_obs, v_true)
     out, rec = op.forward(obs, hidden)
     _, grads = loss_op(out, v_true, z_hat)
@@ -77,9 +74,6 @@ def check_vp_loss(seed: int) -> float:
         val, _ = loss_vp(out, v_true, z_hat, h_f, m_t)
         return val
 
-    for net in (vp, him):
-        for p in net.params():
-            p.zero_grad()
     z_hat, him_tape = him.forward(next_obs, v_true)
     out, rec = vp.forward(obs, depth, hidden)
     _, grads = loss_vp(out, v_true, z_hat, h_f, m_t)
@@ -100,14 +94,10 @@ def check_ad_loss(seed: int) -> float:
         diff = recon - frames
         return float(np.mean(diff * diff))
 
-    ae.zero_grads()
     recon, _, tape = ae.forward(frames)
     diff = recon - frames
     ae.backward(tape, (2.0 / diff.size) * diff)
-    worst = 0.0
-    for p in ae.params():
-        worst = max(worst, rel_err(p.grad, fd_grad(objective, p.values)))
-    return worst
+    return _check_params(objective, (ae,))
 
 
 def run_loss_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:

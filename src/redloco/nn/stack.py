@@ -4,7 +4,9 @@ A :class:`LayerStack` owns its parameters (created at construction from a
 seeded generator), validates shape contracts once up front, and threads an
 optional GRU hidden state through forward/backward. Gradient accumulation is
 additive: grads are zeroed only by an explicit ``zero_grad``/``zero_grads``
-call or by :func:`redloco.nn.optim.adam_update` after its step.
+call or by an :class:`redloco.nn.optim.Adam` step. An optimizer rebinds each
+parameter's ``values`` and ``grad`` to views of its flat arena, so code
+writes ``p.values[...]`` and never rebinds either.
 
 Concurrency contract: forward/backward over independent inputs may run in
 parallel, but accumulation into one TensorParam must be single-writer, and
@@ -24,19 +26,15 @@ from . import layers as L
 
 @dataclass
 class TensorParam:
-    """A dense trainable array with gradient and optimizer-moment buffers."""
+    """A dense trainable array, its gradient and its optimizer step count."""
 
     name: str
     values: np.ndarray
     grad: np.ndarray = dc_field(init=False)
-    moment1: np.ndarray = dc_field(init=False)
-    moment2: np.ndarray = dc_field(init=False)
     step_count: int = 0
 
     def __post_init__(self) -> None:
         self.grad = np.zeros_like(self.values)
-        self.moment1 = np.zeros_like(self.values)
-        self.moment2 = np.zeros_like(self.values)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -82,14 +82,14 @@ def ppo_update(policy: GaussianPolicy, critic: Critic, policy_opt: Adam,
             _, g_bound = mean_bound_loss(mu)
             policy.backward_logp(tape, mu, a, g_logp, g_bound)
             policy.log_std.grad -= cfg.entropy_coef * policy.entropy_grad_logstd()
-            clip_grad_norm(policy.params(), cfg.max_grad_norm)
+            clip_grad_norm(policy_opt, cfg.max_grad_norm)
             policy_opt.step()
 
             v, vtape = critic.evaluate(co)
             diff = v - ret
             v_loss = float(np.mean(diff * diff))
             critic.backward_value(vtape, cfg.value_coef * 2.0 * diff / diff.size)
-            clip_grad_norm(critic.params(), cfg.max_grad_norm)
+            clip_grad_norm(critic_opt, cfg.max_grad_norm)
             critic_opt.step()
 
             surr_vals.append(surr)

@@ -23,7 +23,6 @@ from ..nn import LayerStack
 
 @dataclass
 class TickData:
-    step: int
     flat_obs: np.ndarray           # (E, H1 * od)
     depth_pairs: np.ndarray        # (E, 2, H, W)
     op_out: EstimatorOutput
@@ -132,9 +131,8 @@ class VecRunner:
         self.m_t_held = priv.m_t
         resets_before = self.resets_since_tick.copy()
         self.resets_since_tick[...] = False
-        return TickData(self.global_step, flat_obs, depth_pairs, op_out, vp_out,
-                        op_rec, vp_rec, priv.v_true, priv.h_f, priv.m_t, losses, pair_valid,
-                        clean_stage, resets_before)
+        return TickData(flat_obs, depth_pairs, op_out, vp_out, op_rec, vp_rec, priv.v_true,
+                        priv.h_f, priv.m_t, losses, pair_valid, clean_stage, resets_before)
 
     def set_latents(self, masks: np.ndarray) -> None:
         self.masks = np.asarray(masks, dtype=np.int64)

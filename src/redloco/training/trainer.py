@@ -12,9 +12,9 @@ import numpy as np
 
 from .. import config as config_mod
 from ..config import TrainConfig
-from ..errors import RolloutAbort
+from ..errors import ConfigError, RolloutAbort
 from ..nn import Adam
-from ..world import OBS_DIM
+from ..world import OBS_DIM, TERRAIN_KINDS
 from .bundle import Networks, build_networks, critic_obs_dim, policy_obs_dim, save_bundle
 from .ppo import ppo_update
 from .rollout import RolloutBuffer
@@ -43,8 +43,9 @@ class TrainResult:
 class Trainer:
     def __init__(self, cfg: TrainConfig, out_dir: str | Path | None = None) -> None:
         self.cfg = cfg
-        self.out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        if unknown := [k for k in cfg.terrain_mix if k not in TERRAIN_KINDS]:
+            raise ConfigError(f"terrain_mix: unknown terrain kind {unknown[0]!r}; known "
+                              f"kinds: {', '.join(TERRAIN_KINDS)}")
         ss = np.random.SeedSequence(cfg.seed)
         child = ss.spawn(5 + cfg.n_envs)
         self.net_rng = np.random.default_rng(child[0])
@@ -66,6 +67,9 @@ class Trainer:
         self.vp_opt = Adam(self.nets.vp.params(), p.est_lr)
         self.him_opt = Adam(self.nets.him.params(), p.est_lr)
         self.ae_opt = Adam(self.nets.ae.params(), p.ae_lr)
+        # the run directory exists only once the config has built everything
+        self.out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
     def collect(self, iteration: int) -> tuple[RolloutBuffer, np.ndarray]:

@@ -186,6 +186,9 @@ class TestCli:
     @pytest.mark.parametrize("text, named", [
         pytest.param("seed = 1\nseed = 2\n", "seed: set twice, on lines 1 and 2", id="repeat"),
         pytest.param("terrain_mix =\n", "terrain_mix: expected at least one", id="empty-mix"),
+        pytest.param("out_dir =\n", "out_dir: expected a value", id="empty-out-dir"),
+        pytest.param("terrain_mix = flat, volcano\n", "terrain_mix: unknown terrain kind "
+                     "'volcano'", id="unknown-terrain"),
         *(pytest.param(f"{key} = 0.1\n", key, id=key) for key in DELETED_KEYS),
     ])
     def test_refused_config_is_one_json_line_and_writes_nothing(self, tmp_path, capsys,

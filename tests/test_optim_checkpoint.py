@@ -9,8 +9,8 @@ import pytest
 from redloco.config import tiny_config
 from redloco.errors import CheckpointError
 from redloco.harness.cli import cli
-from redloco.nn import Adam, TensorParam, adam_update, load_checkpoint, save_checkpoint
-from redloco.training import build_networks, load_bundle, save_bundle
+from redloco.nn import Adam, TensorParam, clip_grad_norm, load_checkpoint, save_checkpoint
+from redloco.training import Trainer, build_networks, load_bundle, save_bundle
 
 
 def read_manifest(path) -> tuple[dict, bytes]:
@@ -31,7 +31,7 @@ def rewrite_manifest(path, edit) -> None:
 class TestAdam:
     def test_zero_grad_leaves_values_unchanged(self):
         p = TensorParam("w", np.array([1.0, -2.0, 3.0]))
-        assert adam_update(p, lr=0.01)
+        assert Adam([p], lr=0.01).step() == 0
         np.testing.assert_array_equal(p.values, [1.0, -2.0, 3.0])
 
     def test_first_step_moves_by_lr_times_sign(self):
@@ -39,37 +39,102 @@ class TestAdam:
         for g in (0.5, -0.25, 3.0):
             p = TensorParam("w", np.array([1.0]))
             p.grad[...] = g
-            adam_update(p, lr=1e-3)
+            Adam([p], lr=1e-3).step()
             assert p.values[0] == pytest.approx(1.0 - 1e-3 * np.sign(g), abs=1e-9)
 
     def test_constant_grad_moves_monotonically_against_its_sign(self):
         p = TensorParam("w", np.array([0.0]))
+        opt = Adam([p], lr=1e-2)
         vals = [0.0]
         for _ in range(5):
             p.grad[...] = 2.0
-            adam_update(p, lr=1e-2)
+            opt.step()
             vals.append(float(p.values[0]))
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_non_finite_grad_rejected_and_flagged(self):
         p = TensorParam("w", np.array([1.0]))
+        opt = Adam([p], lr=1e-3)
         p.grad[...] = np.nan
-        assert not adam_update(p, lr=1e-3)
+        assert opt.step() == 1
         assert p.values[0] == 1.0
         assert p.step_count == 0
         np.testing.assert_array_equal(p.grad, [0.0])
-        opt = Adam([p], lr=1e-3)
         p.grad[...] = np.inf
         assert opt.step() == 1
-        assert opt.rejected == 1
+        assert opt.rejected == 2
 
     def test_grads_zeroed_and_step_counted_after_update(self):
         p = TensorParam("w", np.array([1.0, 2.0]))
         p.grad[...] = [0.1, -0.1]
-        adam_update(p, lr=1e-3)
+        Adam([p], lr=1e-3).step()
         np.testing.assert_array_equal(p.grad, [0.0, 0.0])
         assert p.step_count == 1
         assert np.isfinite(p.values).all()
+
+    def test_a_non_finite_grad_rejects_only_its_own_parameter(self):
+        bad = TensorParam("bad", np.array([5.0, 6.0, 7.0]))
+        good = TensorParam("good", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        opt = Adam([bad, good], lr=1e-2)
+        bad.grad[...], good.grad[...] = 1.0, 0.5
+        opt.step()
+        bad_before, good_before = bad.values.copy(), good.values.copy()
+        moments_before = opt.moment1[:3].copy(), opt.moment2[:3].copy()
+        bad.grad[...], good.grad[...] = [1.0, np.nan, 1.0], 0.5
+        assert opt.step() == 1
+        assert opt.rejected == 1
+        assert (bad.step_count, good.step_count) == (1, 2)
+        np.testing.assert_array_equal(bad.values, bad_before)
+        np.testing.assert_array_equal(opt.moment1[:3], moments_before[0])
+        np.testing.assert_array_equal(opt.moment2[:3], moments_before[1])
+        assert (good.values < good_before).all()
+        np.testing.assert_array_equal(opt.grad, np.zeros(7))
+        # the next step bias-corrects each parameter from its own step count
+        ref = TensorParam("ref", good.values.copy(), step_count=good.step_count)
+        ref_opt = Adam([ref], lr=1e-2)
+        ref_opt.moment1[...], ref_opt.moment2[...] = opt.moment1[3:], opt.moment2[3:]
+        bad.grad[...], good.grad[...], ref.grad[...] = 1.0, 0.25, 0.25
+        assert opt.step() == 0 and ref_opt.step() == 0
+        assert good.values.tobytes() == ref.values.tobytes()
+
+    def test_clip_matches_a_per_parameter_reference_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        shapes = [(5, 3), (3,), (2, 2, 3, 3), (1,), (200,)]
+        params = [TensorParam(f"p{i}", rng.standard_normal(s)) for i, s in enumerate(shapes)]
+        opt = Adam(params, lr=1e-3)
+        for max_norm in (1e9, 0.5):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.uniform(-3, 3, s) for s in shapes]
+            total = 0.0
+            for g in grads:
+                total += float(np.sum(g ** 2))
+            want_norm = float(np.sqrt(total))
+            if want_norm > max_norm:
+                scale = max_norm / (want_norm + 1e-12)
+                want = [g * scale for g in grads]
+            else:
+                want = grads
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            assert clip_grad_norm(opt, max_norm) == want_norm
+            for p, w in zip(params, want):
+                assert p.grad.tobytes() == w.tobytes()
+
+    def test_params_are_views_into_their_optimizers_arena(self, tmp_path):
+        tr = Trainer(tiny_config(), tmp_path / "run")
+        res = tr.run()
+        segment = {}
+        for opt in (tr.policy_opt, tr.critic_opt, tr.op_opt, tr.vp_opt, tr.him_opt, tr.ae_opt):
+            for p, seg in zip(opt.params, opt.segments):
+                assert np.shares_memory(p.values, opt.values)
+                assert np.shares_memory(p.grad, opt.grad)
+                segment[id(p)] = opt.values[seg]
+        arrays, _ = load_checkpoint(res.checkpoint)
+        for entry, obj in tr.nets.named_stacks().items():
+            named = ([(entry, obj)] if isinstance(obj, TensorParam)
+                     else [(f"{entry}/{p.name}", p) for p in obj.params()])
+            for name, p in named:
+                assert arrays.pop(name).tobytes() == segment.pop(id(p)).tobytes()
+        assert not arrays and not segment
 
 
 class TestCheckpoint:
