@@ -8,6 +8,7 @@ one legal setting is a constant where it is used, not a key.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -198,6 +199,45 @@ def tiny_config(**overrides: Any) -> TrainConfig:
 PRESETS = {"desk": desk_config, "paper-shape": paper_shape_config, "tiny": tiny_config}
 
 
+@dataclass(frozen=True)
+class Bound:
+    """The legal range of one numeric key: ``low`` to ``high``, inclusive
+    unless ``open_low``."""
+    low: float
+    high: float = math.inf
+    open_low: bool = False
+
+    def admits(self, value: float) -> bool:
+        above = value > self.low if self.open_low else value >= self.low
+        return above and value <= self.high      # NaN fails both
+
+    def __str__(self) -> str:
+        close = ")" if self.high == math.inf else "]"
+        return f"{'(' if self.open_low else '['}{self.low:g}, {self.high:g}{close}"
+
+
+# One range per key. A key missing here is not range-checked yet. The upper
+# ends are 5x the default step and 10x the default cell.
+BOUNDS = {
+    "n_envs": Bound(1),
+    "horizon": Bound(1),
+    "world.dt": Bound(0.0, 0.1, open_low=True),
+    "world.cell_size": Bound(0.0, 0.5, open_low=True),
+}
+
+
+def validate(cfg: TrainConfig) -> TrainConfig:
+    """Refuse a value outside its key's bound, naming the key, the value and
+    the range."""
+    for key, bound in BOUNDS.items():
+        value = cfg
+        for part in key.split("."):
+            value = getattr(value, part)
+        if not bound.admits(value):
+            raise ConfigError(f"{key} = {value!r} is outside its range {bound}")
+    return cfg
+
+
 def _coerce(raw: str, typ: Any, key: str) -> Any:
     raw = raw.strip()
     origin = getattr(typ, "__origin__", None)
@@ -274,7 +314,7 @@ def parse_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
             raise ConfigError(f"{key}: set twice, on lines {seen[key]} and {lineno}")
         seen[key] = lineno
         set_key(cfg, key, raw)
-    return cfg
+    return validate(cfg)
 
 
 def load(path: str | Path, base: TrainConfig | None = None) -> TrainConfig:

@@ -133,6 +133,10 @@ def cli(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":
+            # Path("") is the current directory, where a run would overwrite
+            # whatever is there
+            raise ConfigError("--out: expected a path, got an empty one")
         if args.cmd == "train":
             cfg = config_mod.PRESETS[args.preset]()
             if args.config:

@@ -7,6 +7,7 @@ accumulate into ``TensorParam.grad`` (additive; the optimizer zeroes).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -260,51 +261,108 @@ def backward(layer: LayerDesc, P: dict[str, Any], rec: Any, gy: np.ndarray,
 
 
 # --- conv2d ---
-# Channels-last internally. Each kernel tap is one GEMM of a contiguous
-# (N, C) window against a contiguous (C, O) weight slice, accumulated in
-# (di, dj) order; with a strided 4-D operand numpy would run one small matrix
-# product per image row instead. The per-tap weights are laid out once per
-# call. At the shapes the networks run this gives the same bits as the plain
-# per-tap loop (tests/test_conv_kernels.py).
+# Channels-last internally, in stride-phase layout. An image zero-padded by p
+# is stored as one (s, s, B, hq, wq, C) array: padded cell (r, c) sits at
+# phase (r % s, c % s), row r // s, column c // s. Tap (di, dj) then reads
+# the block ph[di % s, dj % s, :, di//s : di//s+ho, dj//s : dj//s+wo, :],
+# whose rows are contiguous runs of wo * C values, and scatter-adds into a
+# phase array land on the same runs. Each tap copies its block into one
+# window buffer and runs one GEMM of that contiguous (N, C) window against a
+# contiguous (C, O) weight slice into one product buffer. Both buffers are
+# allocated once per call and nothing is kept between calls, so a record
+# never shares memory with a later call. Taps accumulate in (di, dj) order,
+# which gives the bits of the plain per-tap loop with contiguous windows
+# (tests/test_conv_kernels.py).
+# Conv2d phases its padded input and its input grad, Deconv2d its padded
+# full-size output and the output grad. Phase arrays start zeroed, so input
+# grad cells that no window reaches come back as 0.
+
+@functools.lru_cache(maxsize=64)
+def _phase_spans(h: int, w: int, s: int, p: int):
+    """Phase rows/columns ``hq, wq`` of an (h, w) image padded by p, and for
+    each phase that holds image cells the index of those cells in the phase
+    array and the matching (B, C, rows, cols) index into the image."""
+    def axis(n):
+        spans = []
+        for a in range(s):
+            i0 = max(0, -(-(p - a) // s))     # first phase row at or past the pad
+            r0 = a + s * i0 - p
+            if r0 < n:
+                spans.append((a, slice(i0, i0 + len(range(r0, n, s))), slice(r0, None, s)))
+        return spans
+    pairs = tuple(((a, b, slice(None), rows, cols), (slice(None), slice(None), rs, cs))
+                  for a, rows, rs in axis(h) for b, cols, cs in axis(w))
+    return -(-(h + 2 * p) // s), -(-(w + 2 * p) // s), pairs
+
+
+@functools.lru_cache(maxsize=64)
+def _taps(k: int, s: int, ho: int, wo: int):
+    """(di, dj, index of tap (di, dj)'s (B, ho, wo, C) block in a phase array)."""
+    return tuple((di, dj, (di % s, dj % s, slice(None), slice(di // s, di // s + ho),
+                           slice(dj // s, dj // s + wo)))
+                 for di in range(k) for dj in range(k))
+
+
+def _to_phases(x, s, p):
+    """(B, C, H, W) -> its zero padding by p, as (s, s, B, hq, wq, C) phases."""
+    B, C, H, Wd = x.shape
+    hq, wq, pairs = _phase_spans(H, Wd, s, p)
+    ph = np.zeros((s, s, B, hq, wq, C), dtype=x.dtype)
+    for dst, src in pairs:
+        ph[dst] = x[src].transpose(0, 2, 3, 1)
+    return ph
+
+
+def _from_phases(ph, shape, s, p):
+    """The (B, C, H, W) image inside the padding of a phase array."""
+    out = np.empty(shape, dtype=ph.dtype)
+    for src, dst in _phase_spans(shape[2], shape[3], s, p)[2]:
+        out[dst] = ph[src].transpose(0, 3, 1, 2)
+    return out
+
 
 def _conv2d_fwd(x, W, b, L: Conv2d):
     B, C, H, Wd = x.shape
     _, ho, wo = conv_shape((C, H, Wd), L.kernel, L.stride, L.pad, L.c_out)
-    p, s = L.pad, L.stride
-    xp_t = np.zeros((B, H + 2 * p, Wd + 2 * p, C), dtype=x.dtype)
-    xp_t[:, p:p + H, p:p + Wd, :] = x.transpose(0, 2, 3, 1)
+    ph = _to_phases(x, L.stride, L.pad)
     w_t = np.ascontiguousarray(W.transpose(2, 3, 1, 0))      # (k, k, C, O)
-    y = np.empty((B * ho * wo, L.c_out), dtype=x.dtype)
+    win = np.empty((B, ho, wo, C), dtype=x.dtype)
+    xs = win.reshape(-1, C)
+    prod = np.empty((B * ho * wo, L.c_out), dtype=x.dtype)
+    y = np.empty_like(prod)
     y[...] = b
-    for di in range(L.kernel):
-        for dj in range(L.kernel):
-            xs = xp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :].reshape(-1, C)
-            y += xs @ w_t[di, dj]
-    out = np.empty((B, L.c_out, ho, wo), dtype=x.dtype)
+    for di, dj, tap in _taps(L.kernel, L.stride, ho, wo):
+        win[...] = ph[tap]
+        np.matmul(xs, w_t[di, dj], out=prod)
+        y += prod
+    out = prod.reshape(B, L.c_out, ho, wo)        # the product buffer is free now
     out[...] = y.reshape(B, ho, wo, L.c_out).transpose(0, 3, 1, 2)
-    return out, (xp_t, x.shape)
+    return out, (ph, x.shape)
 
 
 def _conv2d_bwd(gy, rec, P, L: Conv2d, need_input_grad: bool = True):
-    xp_t, xshape = rec
-    B, C, H, Wd = xshape
+    ph, xshape = rec
+    B, C = xshape[:2]
     ho, wo = gy.shape[2], gy.shape[3]
-    p, s = L.pad, L.stride
     w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 0, 1))   # (k, k, O, C)
     gy_flat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, L.c_out)
     P["b"].grad += gy_flat.sum(0)
-    gxp_t = np.zeros_like(xp_t) if need_input_grad else None
-    for di in range(L.kernel):
-        for dj in range(L.kernel):
-            xs = xp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :].reshape(-1, C)
-            P["W"].grad[:, :, di, dj] += (xs.T @ gy_flat).T
-            if need_input_grad:
-                gxp_t[:, di:di + s * ho:s, dj:dj + s * wo:s, :] += (
-                    gy_flat @ w_t[di, dj]).reshape(B, ho, wo, C)
+    win = np.empty((B, ho, wo, C), dtype=gy.dtype)
+    xs = win.reshape(-1, C)
+    gw = np.empty((C, L.c_out), dtype=gy.dtype)
+    if need_input_grad:
+        gph = np.zeros_like(ph)
+        prod = np.empty_like(win)
+    for di, dj, tap in _taps(L.kernel, L.stride, ho, wo):
+        win[...] = ph[tap]
+        np.matmul(xs.T, gy_flat, out=gw)
+        P["W"].grad[:, :, di, dj] += gw.T
+        if need_input_grad:
+            np.matmul(gy_flat, w_t[di, dj], out=prod.reshape(-1, C))
+            gph[tap] += prod
     if not need_input_grad:
         return None
-    gx_t = gxp_t[:, p:p + H, p:p + Wd, :] if p else gxp_t
-    return np.ascontiguousarray(gx_t.transpose(0, 3, 1, 2))
+    return _from_phases(gph, xshape, L.stride, L.pad)
 
 
 # --- deconv2d (transposed conv) ---
@@ -312,38 +370,42 @@ def _conv2d_bwd(gy, rec, P, L: Conv2d, need_input_grad: bool = True):
 def _deconv2d_fwd(x, W, b, L: Deconv2d):
     B, C, H, Wd = x.shape
     _, ho, wo = deconv_shape((C, H, Wd), L.kernel, L.stride, L.pad, L.out_pad, L.c_out)
-    s, p = L.stride, L.pad
+    s = L.stride
     x_t = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     x_flat = x_t.reshape(-1, C)
     w_t = np.ascontiguousarray(W.transpose(2, 3, 0, 1))      # (k, k, C, O)
-    full_t = np.zeros((B, (H - 1) * s + L.kernel + L.out_pad[0],
-                       (Wd - 1) * s + L.kernel + L.out_pad[1], L.c_out), dtype=x.dtype)
-    for di in range(L.kernel):
-        for dj in range(L.kernel):
-            full_t[:, di:di + s * H:s, dj:dj + s * Wd:s, :] += (
-                x_flat @ w_t[di, dj]).reshape(B, H, Wd, L.c_out)
-    out = np.empty((B, L.c_out, ho, wo), dtype=x.dtype)
-    out[...] = full_t[:, p:p + ho, p:p + wo, :].transpose(0, 3, 1, 2)
+    hq, wq, _ = _phase_spans(ho, wo, s, L.pad)
+    fph = np.zeros((s, s, B, hq, wq, L.c_out), dtype=x.dtype)
+    prod = np.empty((B, H, Wd, L.c_out), dtype=x.dtype)
+    for di, dj, tap in _taps(L.kernel, s, H, Wd):
+        np.matmul(x_flat, w_t[di, dj], out=prod.reshape(-1, L.c_out))
+        fph[tap] += prod
+    out = _from_phases(fph, (B, L.c_out, ho, wo), s, L.pad)
     out += b[:, None, None]
-    return out, (x_t, full_t.shape)
+    return out, (x_t,)
 
 
 def _deconv2d_bwd(gy, rec, P, L: Deconv2d):
-    x_t, full_shape = rec
+    x_t = rec[0]
     B, H, Wd, C = x_t.shape
-    s, p = L.stride, L.pad
     w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 1, 0))   # (k, k, O, C)
     P["b"].grad += gy.sum((0, 2, 3))
-    gfull_t = np.zeros(full_shape, dtype=gy.dtype)
-    gfull_t[:, p:p + gy.shape[2], p:p + gy.shape[3], :] = gy.transpose(0, 2, 3, 1)
-    gx = np.zeros((B * H * Wd, C), dtype=x_t.dtype)
+    gph = _to_phases(gy, L.stride, L.pad)
+    win = np.empty((B, H, Wd, L.c_out), dtype=gy.dtype)
+    gs = win.reshape(-1, L.c_out)
+    gw = np.empty((C, L.c_out), dtype=gy.dtype)
+    prod = np.empty((B * H * Wd, C), dtype=gy.dtype)
+    gx = np.zeros_like(prod)
     x_flat = x_t.reshape(-1, C)
-    for di in range(L.kernel):
-        for dj in range(L.kernel):
-            gs = gfull_t[:, di:di + s * H:s, dj:dj + s * Wd:s, :].reshape(-1, L.c_out)
-            P["W"].grad[:, :, di, dj] += x_flat.T @ gs
-            gx += gs @ w_t[di, dj]
-    return np.ascontiguousarray(gx.reshape(B, H, Wd, C).transpose(0, 3, 1, 2))
+    for di, dj, tap in _taps(L.kernel, L.stride, H, Wd):
+        win[...] = gph[tap]
+        np.matmul(x_flat.T, gs, out=gw)
+        P["W"].grad[:, :, di, dj] += gw
+        np.matmul(gs, w_t[di, dj], out=prod)
+        gx += prod
+    out = prod.reshape(B, C, H, Wd)
+    out[...] = gx.reshape(B, H, Wd, C).transpose(0, 3, 1, 2)
+    return out
 
 
 # --- gru cell ---

@@ -118,6 +118,11 @@ class TestConfig:
         assert cfg.terrain_mix == ("flat", "gap", "rough")
         assert cfg.net.cnn_channels == (4, 8, 16)
 
+    @pytest.mark.parametrize("preset", sorted(config_mod.PRESETS))
+    def test_every_preset_lies_inside_the_bounds(self, preset):
+        cfg = config_mod.PRESETS[preset]()
+        assert config_mod.validate(cfg) is cfg
+
     def test_presets_differ_in_camera_resolution(self):
         desk = config_mod.desk_config()
         paper = config_mod.paper_shape_config()
@@ -183,27 +188,53 @@ class TestCli:
         assert payload["error"] == "ConfigError"
         assert "world.dt" in payload["message"] and "'abc'" in payload["message"]
 
-    @pytest.mark.parametrize("text, named", [
-        pytest.param("seed = 1\nseed = 2\n", "seed: set twice, on lines 1 and 2", id="repeat"),
-        pytest.param("terrain_mix =\n", "terrain_mix: expected at least one", id="empty-mix"),
-        pytest.param("out_dir =\n", "out_dir: expected a value", id="empty-out-dir"),
+    @pytest.mark.parametrize("text, named, out", [
+        pytest.param("seed = 1\nseed = 2\n", "seed: set twice, on lines 1 and 2", "run",
+                     id="repeat"),
+        pytest.param("terrain_mix =\n", "terrain_mix: expected at least one", "run",
+                     id="empty-mix"),
+        pytest.param("out_dir =\n", "out_dir: expected a value", "run", id="empty-out-dir"),
+        pytest.param("seed = 1\n", "--out: expected a path", "", id="empty-out-flag"),
         pytest.param("terrain_mix = flat, volcano\n", "terrain_mix: unknown terrain kind "
-                     "'volcano'", id="unknown-terrain"),
-        *(pytest.param(f"{key} = 0.1\n", key, id=key) for key in DELETED_KEYS),
+                     "'volcano'", "run", id="unknown-terrain"),
+        *(pytest.param(f"{key} = 0.1\n", key, "run", id=key) for key in DELETED_KEYS),
+        *(pytest.param(f"{key} = {raw}\n", f"{key} = {shown} is outside its range "
+                       f"{config_mod.BOUNDS[key]}", "run", id=f"{key}={raw}")
+          for key, raw, shown in [
+              ("n_envs", "0", "0"), ("horizon", "0", "0"), ("world.cell_size", "0", "0.0"),
+              ("world.cell_size", "0.6", "0.6"), ("world.dt", "-0.02", "-0.02"),
+              ("world.dt", "0.2", "0.2"), ("world.dt", "nan", "nan")]),
     ])
     def test_refused_config_is_one_json_line_and_writes_nothing(self, tmp_path, capsys,
-                                                                 text, named):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(text)
-        code = cli(["train", "--preset", "tiny", "--config", str(cfg_file),
-                    "--out", str(tmp_path / "run")])
+                                                                 monkeypatch, text, named,
+                                                                 out):
+        # relative paths: an empty --out would be the working directory
+        monkeypatch.chdir(tmp_path)
+        Path("bad.cfg").write_text(text)
+        code = cli(["train", "--preset", "tiny", "--config", "bad.cfg", "--out", out])
         assert code == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         payload = json.loads(lines[0])
         assert payload["error"] == "ConfigError"
         assert named in payload["message"]
-        assert not (tmp_path / "run").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-noise", "--checkpoint", "missing.ckpt", "--beta", "0.1"],
+        ["sweep-gamma", "--checkpoint", "missing.ckpt", "--beta", "0.1"],
+        ["trace", "--checkpoint", "missing.ckpt", "--beta", "0.1"],
+        ["render-depth"],
+        ["calibrate-beta", "--checkpoint", "missing.ckpt"],
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_refuses_an_empty_out(self, tmp_path, capsys, monkeypatch,
+                                                   argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli(argv + ["--out", ""]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "ConfigError",
+                           "message": "--out: expected a path, got an empty one"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_rollout_abort_is_a_structured_error(self, tmp_path, capsys):
         # a NaN learning rate poisons the weights at the first update, so the
