@@ -30,17 +30,37 @@ class EstimatorOutput:
     gru_hidden: np.ndarray           # (B, gru_hidden)
 
 
-def _fuse_encoder(cfg: NetConfig, n_tokens: int, rng: np.random.Generator) -> LayerStack:
-    """Two-layer MLP over the concatenated embedding tokens."""
-    width = n_tokens * cfg.embed_out
-    return LayerStack([Linear(width, cfg.encoder_hidden), Elu(),
-                       Linear(cfg.encoder_hidden, cfg.encoder_out)], (width,), rng)
-
-
 class _EstimatorBase:
-    cfg: NetConfig
-    stacks: dict[str, LayerStack]
-    head_names: tuple[str, ...]
+    """The shared spine. The stacks are built in one fixed order, which fixes
+    the RNG draws and the checkpoint entry order: the observation ``embed``,
+    the extra token stacks, ``gru``, the three shared heads, the extra heads,
+    then the ``enc`` MLP over the concatenated tokens."""
+
+    def __init__(self, cfg: NetConfig, obs_dim: int, rng: np.random.Generator,
+                 tokens=(), extra_heads=()) -> None:
+        """``tokens``: (name, layers, input shape) per extra embedding, each
+        ending in ``cfg.embed_out`` features; ``extra_heads``: (name, width)
+        per extra linear head."""
+        self.cfg = cfg
+        g = cfg.gru_hidden
+        flat = cfg.history_len * obs_dim
+        self.stacks = {"embed": LayerStack([Linear(flat, cfg.embed_hidden), Elu(),
+                                            Linear(cfg.embed_hidden, cfg.embed_out), Elu()],
+                                           (flat,), rng)}
+        for name, layers, shape in tokens:
+            self.stacks[name] = LayerStack(layers, shape, rng)
+        self.token_names = tuple(self.stacks)
+        self.stacks["gru"] = LayerStack([GruCell(cfg.encoder_out, g)], (cfg.encoder_out,), rng)
+        heads = [("head_h", [Linear(g, cfg.latent), Tanh()]), ("head_v", [Linear(g, 2)]),
+                 ("head_z", [Linear(g, cfg.z_dim)])]
+        heads += [(name, [Linear(g, width)]) for name, width in extra_heads]
+        for name, layers in heads:
+            self.stacks[name] = LayerStack(layers, (g,), rng)
+        self.head_names = tuple(name for name, _ in heads)
+        width = len(self.token_names) * cfg.embed_out
+        self.stacks["enc"] = LayerStack([Linear(width, cfg.encoder_hidden), Elu(),
+                                         Linear(cfg.encoder_hidden, cfg.encoder_out)],
+                                        (width,), rng)
 
     def params(self):
         for s in self.stacks.values():
@@ -54,19 +74,25 @@ class _EstimatorBase:
         tapes and ``backward`` refuses tapes stamped with another."""
         return sum(p.step_count for p in self.params())
 
-    def _spine(self, tokens: np.ndarray, hidden: np.ndarray, tapes: dict) -> EstimatorOutput:
-        """Encoder MLP -> GRU -> heads over the concatenated embedding tokens."""
-        enc, _, tapes["enc"] = self.stacks["enc"].forward(tokens)
+    def _forward(self, inputs, hidden: np.ndarray) -> tuple[EstimatorOutput, dict]:
+        """Embeddings (one input per token) -> encoder MLP -> GRU -> heads."""
+        tapes: dict = {"version": self._version()}
+        embs = []
+        for name, x in zip(self.token_names, inputs):
+            emb, _, tapes[name] = self.stacks[name].forward(x)
+            embs.append(emb)
+        enc, _, tapes["enc"] = self.stacks["enc"].forward(np.concatenate(embs, axis=1))
         h_gru, new_hidden, tapes["gru"] = self.stacks["gru"].forward(enc, hidden)
         heads = {}
         for name in self.head_names:
             heads[name], _, tapes[name] = self.stacks[name].forward(h_gru)
         return EstimatorOutput(heads["head_h"], heads["head_v"], heads["head_z"],
-                               heads.get("head_hf"), heads.get("head_mt"), new_hidden)
+                               heads.get("head_hf"), heads.get("head_mt"), new_hidden), tapes
 
-    def _spine_backward(self, tapes: dict, grads: dict[str, np.ndarray],
-                        hidden_grad: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Heads -> GRU -> encoder; returns the token and previous-hidden grads."""
+    def _backward(self, tapes: dict, grads: dict[str, np.ndarray],
+                  hidden_grad: np.ndarray | None) -> np.ndarray:
+        """Heads -> GRU -> encoder -> embeddings; accumulates parameter grads
+        and returns the grad w.r.t. the previous hidden."""
         if tapes["version"] != self._version():
             raise ContractError("tapes were recorded under weights that have stepped "
                                 "since; run the estimator forward again")
@@ -77,102 +103,50 @@ class _EstimatorBase:
         g_enc, g_hidden_prev = self.stacks["gru"].backward(
             tapes["gru"], g_gru, hidden_grad=hidden_grad)
         g_tokens, _ = self.stacks["enc"].backward(tapes["enc"], g_enc)
-        return g_tokens, g_hidden_prev
+        d = self.cfg.embed_out
+        for i, name in enumerate(self.token_names):
+            self.stacks[name].backward(tapes[name], g_tokens[:, i * d:(i + 1) * d],
+                                       need_input_grad=False)
+        return g_hidden_prev
 
 
 class OpEstimator(_EstimatorBase):
     """Latent, velocity and target-latent heads from proprioception history."""
 
-    head_names = ("head_h", "head_v", "head_z")
-
-    def __init__(self, cfg: NetConfig, obs_dim: int, rng: np.random.Generator) -> None:
-        self.cfg = cfg
-        self.obs_dim = obs_dim
-        flat = cfg.history_len * obs_dim
-        self.stacks = {
-            "embed": LayerStack([Linear(flat, cfg.embed_hidden), Elu(),
-                                 Linear(cfg.embed_hidden, cfg.embed_out), Elu()],
-                                (flat,), rng),
-            "gru": LayerStack([GruCell(cfg.encoder_out, cfg.gru_hidden)],
-                              (cfg.encoder_out,), rng),
-            "head_h": LayerStack([Linear(cfg.gru_hidden, cfg.latent), Tanh()],
-                                 (cfg.gru_hidden,), rng),
-            "head_v": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng),
-            "head_z": LayerStack([Linear(cfg.gru_hidden, cfg.z_dim)],
-                                 (cfg.gru_hidden,), rng),
-        }
-        # built last: the RNG draws and the checkpoint entry order follow it
-        self.stacks["enc"] = _fuse_encoder(cfg, 1, rng)
-
+    # forward and backward are defined per class, not inherited: the tracer in
+    # bench/spans.py wraps them through each class's own __dict__
     def forward(self, flat_obs: np.ndarray, hidden: np.ndarray
                 ) -> tuple[EstimatorOutput, dict]:
-        tapes: dict = {"version": self._version()}
-        emb, _, tapes["embed"] = self.stacks["embed"].forward(flat_obs)
-        return self._spine(emb, hidden, tapes), tapes
+        return self._forward((flat_obs,), hidden)
 
     def backward(self, tapes: dict, grads: dict[str, np.ndarray],
                  hidden_grad: np.ndarray | None = None) -> np.ndarray:
-        """Accumulates parameter grads; returns grad w.r.t. the previous hidden."""
-        g_emb, g_hidden_prev = self._spine_backward(tapes, grads, hidden_grad)
-        self.stacks["embed"].backward(tapes["embed"], g_emb, need_input_grad=False)
-        return g_hidden_prev
+        return self._backward(tapes, grads, hidden_grad)
 
 
 class VpEstimator(_EstimatorBase):
     """Adds a depth-frame embedding and terrain-prediction heads."""
 
-    head_names = ("head_h", "head_v", "head_z", "head_hf", "head_mt")
-
     def __init__(self, cfg: NetConfig, obs_dim: int, depth_hw: tuple[int, int],
                  profile_samples: int, rng: np.random.Generator) -> None:
-        self.cfg = cfg
-        self.obs_dim = obs_dim
-        self.depth_hw = depth_hw
         c1, c2, c3 = cfg.cnn_channels
         k, s, p = cfg.cnn_kernel, cfg.cnn_stride, cfg.cnn_pad
         shape = (PAIR_FRAMES,) + depth_hw
-        s1 = conv_shape(shape, k, s, p, c1)
-        s2 = conv_shape(s1, k, s, p, c2)
-        s3 = conv_shape(s2, k, s, p, c3)
-        cnn_flat = int(np.prod(s3))
-        self.cnn_out_shape = s3
-        flat = cfg.history_len * obs_dim
-        self.stacks = {
-            "embed": LayerStack([Linear(flat, cfg.embed_hidden), Elu(),
-                                 Linear(cfg.embed_hidden, cfg.embed_out), Elu()],
-                                (flat,), rng),
-            "cnn": LayerStack([Conv2d(PAIR_FRAMES, c1, k, s, p), Elu(),
-                               Conv2d(c1, c2, k, s, p), Elu(),
-                               Conv2d(c2, c3, k, s, p), Elu(),
-                               Flatten(), Linear(cnn_flat, cfg.embed_out), Elu()],
-                              shape, rng),
-            "gru": LayerStack([GruCell(cfg.encoder_out, cfg.gru_hidden)],
-                              (cfg.encoder_out,), rng),
-            "head_h": LayerStack([Linear(cfg.gru_hidden, cfg.latent), Tanh()],
-                                 (cfg.gru_hidden,), rng),
-            "head_v": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng),
-            "head_z": LayerStack([Linear(cfg.gru_hidden, cfg.z_dim)],
-                                 (cfg.gru_hidden,), rng),
-            "head_hf": LayerStack([Linear(cfg.gru_hidden, 2)], (cfg.gru_hidden,), rng),
-            "head_mt": LayerStack([Linear(cfg.gru_hidden, profile_samples)],
-                                  (cfg.gru_hidden,), rng),
-        }
-        self.stacks["enc"] = _fuse_encoder(cfg, 2, rng)
+        self.cnn_out_shape = conv_shape(conv_shape(conv_shape(shape, k, s, p, c1),
+                                                   k, s, p, c2), k, s, p, c3)
+        cnn = [Conv2d(PAIR_FRAMES, c1, k, s, p), Elu(), Conv2d(c1, c2, k, s, p), Elu(),
+               Conv2d(c2, c3, k, s, p), Elu(),
+               Flatten(), Linear(int(np.prod(self.cnn_out_shape)), cfg.embed_out), Elu()]
+        super().__init__(cfg, obs_dim, rng, tokens=[("cnn", cnn, shape)],
+                         extra_heads=[("head_hf", 2), ("head_mt", profile_samples)])
 
     def forward(self, flat_obs: np.ndarray, depth: np.ndarray, hidden: np.ndarray
                 ) -> tuple[EstimatorOutput, dict]:
-        tapes: dict = {"version": self._version()}
-        emb, _, tapes["embed"] = self.stacks["embed"].forward(flat_obs)
-        demb, _, tapes["cnn"] = self.stacks["cnn"].forward(depth)
-        return self._spine(np.concatenate([emb, demb], axis=1), hidden, tapes), tapes
+        return self._forward((flat_obs, depth), hidden)
 
     def backward(self, tapes: dict, grads: dict[str, np.ndarray],
                  hidden_grad: np.ndarray | None = None) -> np.ndarray:
-        g_tokens, g_hidden_prev = self._spine_backward(tapes, grads, hidden_grad)
-        d = self.cfg.embed_out
-        self.stacks["embed"].backward(tapes["embed"], g_tokens[:, :d], need_input_grad=False)
-        self.stacks["cnn"].backward(tapes["cnn"], g_tokens[:, d:], need_input_grad=False)
-        return g_hidden_prev
+        return self._backward(tapes, grads, hidden_grad)
 
 
 class HimTargetEncoder:

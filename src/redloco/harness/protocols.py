@@ -38,6 +38,9 @@ class NoiseEvent:
                                 f"{', '.join(NOISE_KINDS)}")
         if self.kind != "occlusion" and not 0.0 <= self.level <= 100.0:
             raise ContractError(f"noise level {self.level} outside [0, 100]")
+        if self.offset is not None and self.offset <= self.onset:
+            raise ContractError(f"noise window ends at step {self.offset}, at or before "
+                                f"its onset {self.onset}; the offset must be later")
 
     def active(self, step: int) -> bool:
         return step >= self.onset and (self.offset is None or step < self.offset)
@@ -100,16 +103,18 @@ class EpisodeResult:
 
 
 def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], levels: list[int],
-            commands, env_rngs, score: bool, p: np.ndarray, filt: tuple[float, float] | None,
+            commands, env_rngs, score: bool, filt: tuple[float, float] | None,
             hook) -> tuple[EpisodeResult, BatchWorld]:
     """The deployment loop: one robot per entry of ``kinds`` on its fixed command,
     driven by the policy mean for ``steps`` sim steps. Each estimator tick scores
-    the frame pairs if ``score``, advances every robot's vision trust (from ``p``)
-    by one `filter_step` if ``filt = (beta, gamma)``, and selects vision where P > 0.5."""
+    the frame pairs if ``score``, advances every robot's vision trust P, which
+    starts at 1, by one `filter_step` if ``filt = (beta, gamma)``, and selects
+    vision where P > 0.5."""
     cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, episode_steps=steps + 1))
     runner = VecRunner(cfg, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae if score else None,
                        fixed_commands=commands, start_levels=levels)
     n = len(kinds)
+    p = np.ones(n)
     vx, rewards = np.zeros((2, steps, n))
     xz = np.zeros((steps, n, 2))
     terminated = np.zeros((steps, n), dtype=bool)
@@ -139,16 +144,14 @@ def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
 
     arm = "auto": anomaly selector drives the estimator choice.
     arm = "vp_only": selector disabled, vision latent pinned.
-    arm = "op_only": proprio latent pinned.
     """
-    if arm not in ("auto", "vp_only", "op_only"):
+    if arm not in ("auto", "vp_only"):
         raise ContractError(f"unknown arm {arm!r}")
     n, auto = spec.robots, arm == "auto"
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(spec.seed).spawn(2 * n)]
     hook = _make_noise_hook(spec.noise_events, rngs[n:], cfg.camera)
     return _deploy(cfg, nets, spec.steps, ["flat"] * n, [0] * n,
                    [make_command(spec.command) for _ in range(n)], rngs[:n], score=auto,
-                   p=np.full(n, 0.0 if arm == "op_only" else 1.0),
                    filt=(spec.beta, spec.gamma) if auto else None, hook=hook)[0]
 
 
@@ -180,7 +183,14 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
             raise ContractError(f"{name} {value} does not fit the summary's windows, steps "
                                 f"[{pre_from}, noise_onset) and [{post.start}, {post.stop}): "
                                 f"{name} must be {bound}")
-    # each condition's spec is built, and so checked, before the checkpoint loads
+    # each condition's spec and file name are built, and so checked, before the
+    # checkpoint loads; two conditions under one name would overwrite each other
+    cnames = [f"{kind}_{int(level)}" for kind, level in conditions]
+    for i, cname in enumerate(cnames):
+        if cname in cnames[:i]:
+            (k0, l0), (k1, l1) = conditions[cnames.index(cname)], conditions[i]
+            raise ContractError(f"noise conditions {k0}:{l0:g} and {k1}:{l1:g} share the "
+                                f"name {cname!r}, so their files would overwrite each other")
     cspecs = [dataclasses.replace(
         spec, noise_events=[NoiseEvent(kind, level, spec.noise_onset)] if level > 0 else [])
         for kind, level in conditions]
@@ -190,8 +200,7 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
     summary = {"schema": "noise-robustness-summary/v1", "name": spec.name,
                "command": spec.command, "onset": spec.noise_onset,
                "robots": spec.robots, "seed": spec.seed, "conditions": []}
-    for (kind, level), cspec in zip(conditions, cspecs):
-        cname = f"{kind}_{int(level)}"
+    for (kind, level), cname, cspec in zip(conditions, cnames, cspecs):
         auto = run_episode(cfg, nets, cspec, "auto")
         vp = run_episode(cfg, nets, cspec, "vp_only")
         mean_auto = auto.vx.mean(axis=1)
@@ -291,7 +300,7 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
             "gamma": float(gamma),
             "first_onset_delays": delays[0],
             "predicted_delay_ticks": min_flip_ticks(float(gamma)),
-            "mean_delay_ticks": float(np.mean(flat)) if flat else float("nan"),
+            "mean_delay_ticks": float(np.mean(flat)) if flat else None,   # none switched
             "switch_count": int(flips.sum()),
             "recurrence_max_p_err": max_p_err,
             "recurrence_flips_match": bool(flips_match),
@@ -302,10 +311,11 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
                 "switch_count,recurrence_max_p_err,recurrence_flips_match\n")
         for r in rows:
             first = max(r["first_onset_delays"])
+            mean = float("nan") if r["mean_delay_ticks"] is None else r["mean_delay_ticks"]
             f.write(f"{r['gamma']!r},{first},{r['predicted_delay_ticks']},"
-                    f"{r['mean_delay_ticks']!r},{r['switch_count']},"
+                    f"{mean!r},{r['switch_count']},"
                     f"{r['recurrence_max_p_err']!r},{r['recurrence_flips_match']}\n")
-    (out / "gamma_sweep.json").write_text(json.dumps(result, indent=2))
+    (out / "gamma_sweep.json").write_text(json.dumps(result, indent=2, allow_nan=False))
     return result
 
 
@@ -351,7 +361,7 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
     levels = [int(pick_rng.integers(0, 6)) for _ in range(episodes)]
     commands = [sample_command(pick_rng, 2, cfg.world) for _ in range(episodes)]
     ep, w = _deploy(cfg, nets, steps, kinds, levels, commands, env_rngs, score=True,
-                    p=np.ones(episodes), filt=None, hook=None)
+                    filt=None, hook=None)
     # successful = never fell and actually performed the commanded task
     # (a zero command has no commanded distance)
     failed = ep.terminated.any(axis=0)

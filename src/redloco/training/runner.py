@@ -143,8 +143,7 @@ class VecRunner:
         cfg = self.cfg
         w = self.world
         ev = w.step(actions)
-        reward = compute_reward(w, w.prev_ax, w.prev_action, w.last_action, w.c_x, w.c_yaw,
-                                ev.collision, cfg.reward)
+        reward = compute_reward(w, ev.collision, cfg.reward)
         done = ev.done
         ids = np.flatnonzero(done)
         if ids.size:

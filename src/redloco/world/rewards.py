@@ -40,16 +40,16 @@ def linear_velocity_reward(c_x, v_along, v_norm):
                     1.0 / (1.0 + np.asarray(v_norm)))[()]
 
 
-def compute_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarray,
-                   action: np.ndarray, c_x: np.ndarray, c_yaw: np.ndarray,
-                   collision: np.ndarray, rcfg: RewardConfig) -> BatchReward:
-    """The reward of every env's last step, from its state after the step and
-    its ax and action before it. Squares of scalar-model quantities use
-    ``float_power``, C ``pow``; ``** 2`` on an array multiplies instead, which
-    rounds differently for about one value in a thousand."""
+def compute_reward(world: BatchWorld, collision: np.ndarray,
+                   rcfg: RewardConfig) -> BatchReward:
+    """The reward of every env's last step, all read from ``world``: its state
+    and command after the step, and its ax and action before it. Squares of
+    scalar-model quantities use ``float_power``, C ``pow``; ``** 2`` on an
+    array multiplies instead, which rounds differently for about one value in
+    a thousand."""
     cfg = world.cfg
     dt = cfg.dt
-    vx = world.vx
+    vx, c_x, c_yaw = world.vx, world.c_x, world.c_yaw
     v_along = vx * np.cos(c_yaw)
     # angular-rate tracking: the gait-implied rate grows with the speed along
     # the heading and is tracked against the rate the command implies. The
@@ -63,10 +63,10 @@ def compute_reward(world: BatchWorld, prev_ax: np.ndarray, prev_action: np.ndarr
         "ang_vel_tracking": np.exp(-np.float_power(rate_err, 2) / rcfg.ang_vel_sigma),
         "collision": np.where(collision, 1.0, 0.0),
         "joint_energy": np.abs(world.ax * vx),
-        "action_rate": ((action - prev_action) ** 2).sum(axis=1),
+        "action_rate": ((world.last_action - world.prev_action) ** 2).sum(axis=1),
         "default_pos": np.where(support > -np.inf,
                                 np.minimum(dev * dev, rcfg.default_pos_cap), 0.0),
-        "joint_acc": np.float_power((world.ax - prev_ax) / dt, 2),
+        "joint_acc": np.float_power((world.ax - world.prev_ax) / dt, 2),
         "orientation": np.float_power(world.pitch, 2),
     }
     contributions = {name: getattr(rcfg, scale) * values[name] * dt

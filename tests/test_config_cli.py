@@ -273,6 +273,8 @@ class TestCli:
         (["trace", "--noise", "smoke:0:10"], "--noise", "smoke:0:10"),
         (["sweep-gamma", "--gammas", "a"], "--gammas", "a"),
         (["sweep-gamma", "--gammas", "0.1,0"], "--gammas", "0"),
+        (["trace", "--noise", "occlusion:0:300:200"], "--noise", "occlusion:0:300:200"),
+        (["trace", "--noise", "occlusion:0:300:300"], "--noise", "occlusion:0:300:300"),
     ])
     def test_malformed_noise_and_gamma_flags_are_refused_before_loading(
             self, tmp_path, capsys, argv, flag, token):
@@ -284,6 +286,22 @@ class TestCli:
         payload = json.loads(lines[0])
         assert payload["error"] == "ConfigError"
         assert flag in payload["message"] and repr(token) in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_noise_conditions_that_share_a_name_are_refused_before_loading(
+            self, tmp_path, capsys):
+        # both would write velocity_gaussian_30.csv and traces_gaussian_30.jsonl
+        code = cli(["eval-noise", "--conditions", "gaussian:30,gaussian:30.4",
+                    "--checkpoint", str(tmp_path / "missing.ckpt"), "--beta", "0.1",
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ContractError"
+        message = payload["message"]
+        assert "gaussian:30 " in message and "gaussian:30.4" in message
+        assert "'gaussian_30'" in message
         assert not (tmp_path / "out").exists()
 
     def test_malformed_beta_file_names_the_file_and_the_value(self, tmp_path, capsys):

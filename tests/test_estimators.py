@@ -198,6 +198,17 @@ class TestVpEstimator:
         assert np.isfinite(out.h).all()
 
 
+class TestBuildOrder:
+    def test_stacks_are_built_in_the_pinned_order(self):
+        # the build order fixes the init draws and the checkpoint entry names
+        rng = np.random.default_rng(8)
+        op = OpEstimator(CFG, OBS, rng)
+        vp = VpEstimator(CFG, OBS, HW, K, rng)
+        assert list(op.stacks) == ["embed", "gru", "head_h", "head_v", "head_z", "enc"]
+        assert list(vp.stacks) == ["embed", "cnn", "gru", "head_h", "head_v", "head_z",
+                                   "head_hf", "head_mt", "enc"]
+
+
 class TestHimTarget:
     def test_zero_weights_map_to_zero_latent(self):
         rng = np.random.default_rng(11)

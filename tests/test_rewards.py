@@ -64,8 +64,7 @@ def step_reward(w, action, rcfg):
     """Step a one-env world; its events and the `compute_reward` of the step."""
     b = w.batch
     ev = b.step(np.array([action], dtype=np.float64))
-    return ev, compute_reward(b, b.prev_ax, b.prev_action, b.last_action, b.c_x, b.c_yaw,
-                              ev.collision, rcfg)
+    return ev, compute_reward(b, ev.collision, rcfg)
 
 
 class TestRewardTable:

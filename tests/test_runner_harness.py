@@ -9,7 +9,8 @@ import pytest
 from redloco.config import tiny_config
 from redloco.errors import ContractError
 from redloco.harness import (ExperimentSpec, NoiseEvent, calibrate_beta_run, run_episode,
-                             run_noise_robustness, run_trace, switch_delay_text)
+                             run_gamma_sweep, run_noise_robustness, run_trace,
+                             switch_delay_text)
 from redloco.harness import protocols
 from redloco.harness.protocols import _make_noise_hook, max_switch_delay, switch_delays
 from redloco.selector.autoencoder import PAIR_FRAMES
@@ -177,6 +178,8 @@ class TestHarness:
         spec = ExperimentSpec("t", str(tiny_ckpt), beta=0.5, robots=1, steps=10, seed=0)
         with pytest.raises(ContractError):
             run_episode(cfg, nets, spec, "both")
+        with pytest.raises(ContractError):
+            run_episode(cfg, nets, spec, "op_only")
 
     def test_noise_event_bounds_validated(self, tiny_ckpt):
         with pytest.raises(ContractError):
@@ -193,6 +196,13 @@ class TestHarness:
             NoiseEvent("smoke", 30.0, 10)
         with pytest.raises(ContractError, match="outside"):
             NoiseEvent("gaussian", 130.0, 10)
+
+    @pytest.mark.parametrize("offset", [200, 300])
+    def test_a_noise_window_must_end_after_its_onset(self, offset):
+        with pytest.raises(ContractError, match=f"ends at step {offset}, at or before its "
+                                                f"onset 300"):
+            NoiseEvent("occlusion", 0.0, 300, offset)
+        assert NoiseEvent("occlusion", 0.0, 300, 301).active(300)
 
     def test_same_spec_same_outputs(self, tiny_ckpt, tmp_path):
         spec = ExperimentSpec("t", str(tiny_ckpt), beta=0.5, robots=2, steps=40,
@@ -246,3 +256,17 @@ class TestNoiseProtocolReport:
             step, auto, vp = line.split(",")
             assert int(step) >= 0
             assert np.isfinite(float(auto)) and np.isfinite(float(vp))
+
+    def test_a_sweep_where_no_robot_switches_writes_strict_json(self, tiny_ckpt, tmp_path):
+        # a huge beta means no robot switches, so no switch delay has a mean
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=1e9, robots=2, steps=560, seed=0)
+        res = run_gamma_sweep(spec, [0.1, 1.0], tmp_path)
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+        strict = json.loads((tmp_path / "gamma_sweep.json").read_text(),
+                            parse_constant=refuse)
+        assert strict == res
+        assert [r["mean_delay_ticks"] for r in res["rows"]] == [None, None]
+        rows = (tmp_path / "gamma_sweep.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[3] for row in rows] == ["nan", "nan"]

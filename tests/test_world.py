@@ -356,9 +356,7 @@ class TestBatchMatchesSingle:
             actions[:, 1] = np.where(act_rng.random(n) < 0.1, actions[:, 1],
                                      np.minimum(actions[:, 1], 0.4))
             ev = batch.step(actions)
-            reward = compute_reward(batch, batch.prev_ax, batch.prev_action,
-                                    batch.last_action, batch.c_x, batch.c_yaw, ev.collision,
-                                    rcfg)
+            reward = compute_reward(batch, ev.collision, rcfg)
             obs = batch.observation()
             priv = batch.privileged()
             for i, w in enumerate(singles):
@@ -366,8 +364,7 @@ class TestBatchMatchesSingle:
                 prev = w.snapshot()
                 ev_i = w.step(actions[i])
                 b = w.batch
-                r = compute_reward(b, b.prev_ax, b.prev_action, b.last_action, b.c_x,
-                                   b.c_yaw, np.array([ev_i.collision]), rcfg)
+                r = compute_reward(b, np.array([ev_i.collision]), rcfg)
                 assert ev.at(i) == ev_i
                 for name in STATE_FIELDS:
                     assert same_bits(getattr(batch, name)[i], getattr(w.robot, name)), name
