@@ -217,12 +217,19 @@ class Bound:
 
 
 # One range per key. A key missing here is not range-checked yet. The upper
-# ends are 5x the default step and 10x the default cell.
+# ends are 5x the default step and 10x the default cell. Learning rates stop
+# at 1: an Adam step moves each weight by up to about the learning rate.
 BOUNDS = {
     "n_envs": Bound(1),
     "horizon": Bound(1),
     "world.dt": Bound(0.0, 0.1, open_low=True),
     "world.cell_size": Bound(0.0, 0.5, open_low=True),
+    "ppo.epochs": Bound(1),
+    "ppo.minibatches": Bound(1),
+    "ppo.ae_epochs": Bound(1),
+    "ppo.ae_batch": Bound(1),
+    "ppo.est_lr": Bound(0.0, 1.0, open_low=True),
+    "ppo.ae_lr": Bound(0.0, 1.0, open_low=True),
 }
 
 

@@ -276,6 +276,10 @@ def backward(layer: LayerDesc, P: dict[str, Any], rec: Any, gy: np.ndarray,
 # Conv2d phases its padded input and its input grad, Deconv2d its padded
 # full-size output and the output grad. Phase arrays start zeroed, so input
 # grad cells that no window reaches come back as 0.
+# A record keeps only the input itself (the deconv's as a channels-last
+# view), which the caller or the previous layer's record holds anyway; the
+# backward builds the phases or the contiguous copy again. So the input must
+# not be written in place while its tape is live.
 
 @functools.lru_cache(maxsize=64)
 def _phase_spans(h: int, w: int, s: int, p: int):
@@ -337,11 +341,12 @@ def _conv2d_fwd(x, W, b, L: Conv2d):
         y += prod
     out = prod.reshape(B, L.c_out, ho, wo)        # the product buffer is free now
     out[...] = y.reshape(B, ho, wo, L.c_out).transpose(0, 3, 1, 2)
-    return out, (ph, x.shape)
+    return out, (x, x.shape)
 
 
 def _conv2d_bwd(gy, rec, P, L: Conv2d, need_input_grad: bool = True):
-    ph, xshape = rec
+    x, xshape = rec
+    ph = _to_phases(x, L.stride, L.pad)
     B, C = xshape[:2]
     ho, wo = gy.shape[2], gy.shape[3]
     w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 0, 1))   # (k, k, O, C)
@@ -382,11 +387,11 @@ def _deconv2d_fwd(x, W, b, L: Deconv2d):
         fph[tap] += prod
     out = _from_phases(fph, (B, L.c_out, ho, wo), s, L.pad)
     out += b[:, None, None]
-    return out, (x_t,)
+    return out, (x.transpose(0, 2, 3, 1),)
 
 
 def _deconv2d_bwd(gy, rec, P, L: Deconv2d):
-    x_t = rec[0]
+    x_t = np.ascontiguousarray(rec[0])
     B, H, Wd, C = x_t.shape
     w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 1, 0))   # (k, k, O, C)
     P["b"].grad += gy.sum((0, 2, 3))

@@ -10,7 +10,10 @@ writes ``p.values[...]`` and never rebinds either.
 
 Concurrency contract: forward/backward over independent inputs may run in
 parallel, but accumulation into one TensorParam must be single-writer, and
-optimizer steps are exclusive.
+optimizer steps are exclusive. The trainer relies on this: its autoencoder
+update runs on a worker thread while PPO and the estimator update run on the
+calling thread. The two lanes share no parameter, optimizer or generator,
+and both only read the rollout, so each parameter has one writer.
 """
 
 from __future__ import annotations

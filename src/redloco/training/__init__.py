@@ -4,7 +4,7 @@ from .ppo import PPOStats, normalize_advantages, ppo_update, surrogate_and_grad
 from .rollout import RolloutBuffer
 from .runner import StepData, TickData, VecRunner
 from .schedule import AdaptationSchedule, PhaseTracker, terrain_class
-from .supervised import SupervisedStats, supervised_update
+from .supervised import AutoencoderStats, SupervisedStats, autoencoder_update, supervised_update
 from .trainer import TrainResult, Trainer, train
 
 __all__ = [
@@ -12,5 +12,6 @@ __all__ = [
     "save_bundle", "Critic", "GaussianPolicy", "PPOStats", "normalize_advantages",
     "ppo_update", "surrogate_and_grad", "RolloutBuffer", "StepData", "TickData",
     "VecRunner", "AdaptationSchedule", "PhaseTracker", "terrain_class",
-    "SupervisedStats", "supervised_update", "TrainResult", "Trainer", "train",
+    "AutoencoderStats", "SupervisedStats", "autoencoder_update", "supervised_update",
+    "TrainResult", "Trainer", "train",
 ]

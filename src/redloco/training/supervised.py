@@ -1,5 +1,8 @@
-"""Supervised updates: estimator BPTT over tick sequences, target-encoder
-training, and autoencoder reconstruction on clean depth pairs.
+"""Supervised updates: estimator BPTT over tick sequences with
+target-encoder training (`supervised_update`), and autoencoder
+reconstruction on clean depth pairs (`autoencoder_update`). The two share no
+parameter, optimizer or generator and only read the ticks, so the trainer
+runs them concurrently.
 
 The estimator BPTT replays the forward tapes each tick recorded during
 collection (truncated backprop at rollout boundaries); nothing is run
@@ -29,8 +32,13 @@ from .runner import TickData
 class SupervisedStats:
     loss_op: float
     loss_vp: float
-    loss_ad: float
     n_vp_rows: int
+    rejected_updates: int
+
+
+@dataclass
+class AutoencoderStats:
+    loss_ad: float
     n_ae_pairs: int
     rejected_updates: int
 
@@ -66,11 +74,10 @@ def _bptt(net, outs, tapes, sels, loss, ticks: list[TickData], him: HimTargetEnc
 
 
 def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
-                      ae: LayerStack | None, op_opt: Adam, vp_opt: Adam,
-                      him_opt: Adam, ae_opt: Adam | None, ticks: list[TickData],
-                      cfg: PPOConfig, ae_rng: np.random.Generator) -> SupervisedStats:
+                      op_opt: Adam, vp_opt: Adam, him_opt: Adam,
+                      ticks: list[TickData]) -> SupervisedStats:
     if not ticks:
-        return SupervisedStats(float("nan"), float("nan"), float("nan"), 0, 0, 0)
+        return SupervisedStats(float("nan"), float("nan"), 0, 0)
     for net in (op, vp, him):
         for p in net.params():
             p.zero_grad()
@@ -103,35 +110,37 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
     if n_vp_rows:
         rejected += vp_opt.step()
     rejected += him_opt.step()
-
-    # ---- anomaly autoencoder on clean randomize-stage pairs ------------------
-    ad_loss = float("nan")
-    n_pairs = 0
-    if ae is not None and ae_opt is not None:
-        clean = [tk.depth_pairs[tk.clean_stage] for tk in ticks if tk.clean_stage.any()]
-        if clean:
-            pool = np.concatenate(clean, axis=0)
-            n_pairs = min(pool.shape[0], cfg.ae_batch)
-            for epoch in range(max(1, cfg.ae_epochs)):
-                if pool.shape[0] > cfg.ae_batch:
-                    idx = ae_rng.choice(pool.shape[0], size=cfg.ae_batch, replace=False)
-                    pairs = pool[idx]
-                else:
-                    pairs = pool
-                ae.zero_grads()
-                recon, _, tape = ae.forward(pairs)
-                diff = recon - pairs
-                per = np.mean(diff * diff, axis=(1, 2, 3))
-                if epoch == 0:
-                    ad_loss = float(per.mean())
-                # beta is the largest clean score, so each pair's gradient is
-                # weighted by its own loss: this descends the mean squared
-                # per-pair loss and presses the tail down, not just the mean
-                weight = (per / per.mean())[:, None, None, None]
-                ae.backward(tape, (2.0 / diff.size) * weight * diff, need_input_grad=False)
-                rejected += ae_opt.step()
-
     return SupervisedStats(
         op_loss_sum / op_ticks if op_ticks else float("nan"),
         vp_loss_sum / vp_ticks if vp_ticks else float("nan"),
-        ad_loss, n_vp_rows, n_pairs, rejected)
+        n_vp_rows, rejected)
+
+
+def autoencoder_update(ae: LayerStack, ae_opt: Adam, ticks: list[TickData],
+                       cfg: PPOConfig, ae_rng: np.random.Generator) -> AutoencoderStats:
+    """``cfg.ae_epochs`` steps of the anomaly autoencoder, each on at most
+    ``cfg.ae_batch`` clean randomize-stage pairs drawn from the ticks."""
+    clean = [tk.depth_pairs[tk.clean_stage] for tk in ticks if tk.clean_stage.any()]
+    if not clean:
+        return AutoencoderStats(float("nan"), 0, 0)
+    pool = np.concatenate(clean, axis=0)
+    ad_loss, rejected = float("nan"), 0
+    for epoch in range(cfg.ae_epochs):
+        if pool.shape[0] > cfg.ae_batch:
+            idx = ae_rng.choice(pool.shape[0], size=cfg.ae_batch, replace=False)
+            pairs = pool[idx]
+        else:
+            pairs = pool
+        ae.zero_grads()
+        recon, _, tape = ae.forward(pairs)
+        diff = recon - pairs
+        per = np.mean(diff * diff, axis=(1, 2, 3))
+        if epoch == 0:
+            ad_loss = float(per.mean())
+        # beta is the largest clean score, so each pair's gradient is
+        # weighted by its own loss: this descends the mean squared
+        # per-pair loss and presses the tail down, not just the mean
+        weight = (per / per.mean())[:, None, None, None]
+        ae.backward(tape, (2.0 / diff.size) * weight * diff, need_input_grad=False)
+        rejected += ae_opt.step()
+    return AutoencoderStats(ad_loss, min(pool.shape[0], cfg.ae_batch), rejected)

@@ -1,10 +1,12 @@
 """Joint training loop: rollouts, policy update, supervised estimator and
 autoencoder updates, curriculum and adaptation schedules, metrics, and
-checkpoints. Fully deterministic under a fixed master seed."""
+checkpoints. Fully deterministic under a fixed master seed: the autoencoder
+update runs on a worker thread beside the others and gives the same bits."""
 
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,11 +18,12 @@ from ..errors import ConfigError, RolloutAbort
 from ..nn import Adam
 from ..world import OBS_DIM, TERRAIN_KINDS
 from .bundle import Networks, build_networks, critic_obs_dim, policy_obs_dim, save_bundle
-from .ppo import ppo_update
+from .ppo import PPOStats, ppo_update
 from .rollout import RolloutBuffer
 from .runner import VecRunner
 from .schedule import AdaptationSchedule, PhaseTracker, terrain_class
-from .supervised import supervised_update
+from .supervised import (AutoencoderStats, SupervisedStats, autoencoder_update,
+                         supervised_update)
 
 METRICS_SCHEMA = "train-metrics/v1"
 METRICS_COLUMNS = (
@@ -118,6 +121,10 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def run(self) -> TrainResult:
+        """Train for ``cfg.iterations``. Each iteration's autoencoder update
+        runs on one worker thread (the lane) while PPO and the estimator
+        update run on this one; the lane is joined before the iteration is
+        logged, and before ``run`` returns or raises."""
         import time
         t_start = time.time()
         cfg = self.cfg
@@ -131,43 +138,38 @@ class Trainer:
         kfile.write("iteration,env,kind,terrain_class,mask\n")
         mean_lin = 0.0
         try:
-            for it in range(cfg.iterations):
-                self.runner.phase = self.phase.phase
-                buf, bootstrap = self.collect(it)
-                adv, ret = buf.compute_advantages(bootstrap, cfg.ppo.discount,
-                                                  cfg.ppo.gae_lambda)
-                stats = ppo_update(
-                    self.nets.policy, self.nets.critic, self.policy_opt,
-                    self.critic_opt, buf.flat(buf.obs), buf.flat(buf.critic_obs),
-                    buf.flat(buf.actions), buf.flat(buf.log_probs),
-                    adv.reshape(-1), ret.reshape(-1), cfg.ppo, self.shuffle_rng)
-                sup = supervised_update(
-                    self.nets.op, self.nets.vp, self.nets.him, self.nets.ae,
-                    self.op_opt, self.vp_opt, self.him_opt, self.ae_opt,
-                    buf.ticks, cfg.ppo, self.ae_rng)
-                mean_lin = float(buf.lin_vel[:buf.ptr].mean())
-                self.phase.update(it, mean_lin)
-                row = (
-                    it, float(buf.rewards[:buf.ptr].mean()), mean_lin, sup.loss_op,
-                    sup.loss_vp, sup.loss_ad, stats.surrogate, stats.value_loss,
-                    stats.entropy, stats.clip_fraction,
-                    float(np.mean(self.runner.levels())), self.phase.phase,
-                    float(np.mean(buf.masks[:buf.ptr] == 0)),
-                    int(buf.terminated[:buf.ptr].sum() + buf.truncated[:buf.ptr].sum()),
-                    int(buf.collisions[:buf.ptr].sum()),
-                    int(stats.adv_norm_skipped), sup.rejected_updates,
-                )
-                mfile.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                     for v in row) + "\n")
-                masks = self.schedule.masks(it)
-                for i, kind in enumerate(self.kinds):
-                    kfile.write(f"{it},{i},{kind},{terrain_class(kind)},{masks[i]}\n")
-                if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
-                    save_bundle(self.out_dir / f"checkpoint_{it + 1}.ckpt", cfg,
-                                self.nets, {"iteration": it + 1})
-                # the ticks hold their forward tapes: free this rollout
-                # before the next one is collected
-                del buf
+            with ThreadPoolExecutor(max_workers=1) as lane:
+                for it in range(cfg.iterations):
+                    self.runner.phase = self.phase.phase
+                    buf, bootstrap = self.collect(it)
+                    adv, ret = buf.compute_advantages(bootstrap, cfg.ppo.discount,
+                                                      cfg.ppo.gae_lambda)
+                    # the autoencoder shares no parameter, optimizer or generator
+                    # with PPO and the estimators, and both lanes only read the
+                    # rollout, so the order of their steps cannot change a bit
+                    ae_job = lane.submit(autoencoder_update, self.nets.ae, self.ae_opt,
+                                         buf.ticks, cfg.ppo, self.ae_rng)
+                    stats = ppo_update(
+                        self.nets.policy, self.nets.critic, self.policy_opt,
+                        self.critic_opt, buf.flat(buf.obs), buf.flat(buf.critic_obs),
+                        buf.flat(buf.actions), buf.flat(buf.log_probs),
+                        adv.reshape(-1), ret.reshape(-1), cfg.ppo, self.shuffle_rng)
+                    sup = supervised_update(self.nets.op, self.nets.vp, self.nets.him,
+                                            self.op_opt, self.vp_opt, self.him_opt,
+                                            buf.ticks)
+                    ae = ae_job.result()
+                    mean_lin = float(buf.lin_vel[:buf.ptr].mean())
+                    self.phase.update(it, mean_lin)
+                    mfile.write(self._metrics_row(it, buf, stats, sup, ae, mean_lin))
+                    masks = self.schedule.masks(it)
+                    for i, kind in enumerate(self.kinds):
+                        kfile.write(f"{it},{i},{kind},{terrain_class(kind)},{masks[i]}\n")
+                    if cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
+                        save_bundle(self.out_dir / f"checkpoint_{it + 1}.ckpt", cfg,
+                                    self.nets, {"iteration": it + 1})
+                    # the ticks hold their forward tapes: free this rollout
+                    # before the next one is collected
+                    del buf
         finally:
             mfile.close()
             kfile.close()
@@ -176,6 +178,22 @@ class Trainer:
         config_mod.save(cfg, self.out_dir / "config.resolved.cfg")
         return TrainResult(ckpt, metrics_path, masks_path, cfg.iterations, mean_lin,
                            duration=time.time() - t_start)
+
+    def _metrics_row(self, it: int, buf: RolloutBuffer, stats: PPOStats,
+                     sup: SupervisedStats, ae: AutoencoderStats, mean_lin: float) -> str:
+        """Iteration ``it``'s metrics.csv line, once the phase tracker has
+        seen the iteration."""
+        row = (
+            it, float(buf.rewards[:buf.ptr].mean()), mean_lin, sup.loss_op,
+            sup.loss_vp, ae.loss_ad, stats.surrogate, stats.value_loss,
+            stats.entropy, stats.clip_fraction,
+            float(np.mean(self.runner.levels())), self.phase.phase,
+            float(np.mean(buf.masks[:buf.ptr] == 0)),
+            int(buf.terminated[:buf.ptr].sum() + buf.truncated[:buf.ptr].sum()),
+            int(buf.collisions[:buf.ptr].sum()),
+            int(stats.adv_norm_skipped), sup.rejected_updates + ae.rejected_updates,
+        )
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 def train(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResult:

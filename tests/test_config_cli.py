@@ -203,7 +203,11 @@ class TestCli:
           for key, raw, shown in [
               ("n_envs", "0", "0"), ("horizon", "0", "0"), ("world.cell_size", "0", "0.0"),
               ("world.cell_size", "0.6", "0.6"), ("world.dt", "-0.02", "-0.02"),
-              ("world.dt", "0.2", "0.2"), ("world.dt", "nan", "nan")]),
+              ("world.dt", "0.2", "0.2"), ("world.dt", "nan", "nan"),
+              ("ppo.epochs", "0", "0"), ("ppo.minibatches", "0", "0"),
+              ("ppo.ae_epochs", "0", "0"), ("ppo.ae_batch", "0", "0"),
+              ("ppo.est_lr", "nan", "nan"), ("ppo.est_lr", "0", "0.0"),
+              ("ppo.ae_lr", "nan", "nan"), ("ppo.ae_lr", "1.5", "1.5")]),
     ])
     def test_refused_config_is_one_json_line_and_writes_nothing(self, tmp_path, capsys,
                                                                  monkeypatch, text, named,

@@ -158,6 +158,16 @@ def test_record_keeps_the_input_layout_the_traced_bench_reads(layer, in_shape):
         assert np.array_equal(rec[0], x.transpose(0, 2, 3, 1))
 
 
+@pytest.mark.parametrize("layer, in_shape", CASES)
+def test_record_holds_the_input_itself_not_a_copy(layer, in_shape):
+    # the caller already holds the input, so a tape that copied it would hold
+    # it twice
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2,) + in_shape)
+    _, _, rec = layers.forward(layer, _params(layer, rng), x)
+    assert np.shares_memory(rec[0], x)
+
+
 # --- any geometry, against the padded-NHWC glue with contiguous windows ---
 # The glue the phase layout replaced: pad into one (B, H, W, C) array and copy
 # each strided tap window out of it. Each window is made contiguous

@@ -1,16 +1,22 @@
 """Rollout bookkeeping, supervised gating, determinism, abort diagnostics."""
 
 import dataclasses
+import importlib
 import json
+import math
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from redloco.config import tiny_config
+from redloco.config import desk_config, tiny_config
 from redloco.errors import ContractError, RolloutAbort
 from redloco.nn import load_checkpoint
-from redloco.training import RolloutBuffer, Trainer, load_bundle, train
-from redloco.training.supervised import supervised_update
+from redloco.training import RolloutBuffer, Trainer, load_bundle, ppo_update, train
+from redloco.training.supervised import autoencoder_update, supervised_update
+
+trainer_mod = importlib.import_module("redloco.training.trainer")
 
 
 def test_buffer_holds_exactly_horizon_times_envs_records():
@@ -178,8 +184,7 @@ class TestTapeReplay:
 
     def _grads(self, tr, ticks):
         grabs = [GradGrab(net.params()) for net in (tr.nets.op, tr.nets.vp, tr.nets.him)]
-        stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, None, *grabs, None,
-                                  ticks, tr.cfg.ppo, tr.ae_rng)
+        stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, *grabs, ticks)
         return stats, [g.grads for g in grabs]
 
     def test_replayed_tapes_give_the_grads_of_a_recompute(self, tmp_path):
@@ -230,9 +235,8 @@ class TestSupervisedGating:
         for tick in buf.ticks:
             tick.masks = np.ones_like(tick.masks)
         before = [p.values.copy() for p in tr.nets.vp.params()]
-        stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, tr.nets.ae,
-                                  tr.op_opt, tr.vp_opt, tr.him_opt, tr.ae_opt,
-                                  buf.ticks, tr.cfg.ppo, tr.ae_rng)
+        stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him,
+                                  tr.op_opt, tr.vp_opt, tr.him_opt, buf.ticks)
         assert stats.n_vp_rows == 0
         assert np.isnan(stats.loss_vp)
         for p, b in zip(tr.nets.vp.params(), before):
@@ -243,17 +247,15 @@ class TestSupervisedGating:
         for tick in buf.ticks:
             tick.clean_stage[...] = False   # as if every pair were deployment-noised
         before = [p.values.copy() for p in tr.nets.ae.params()]
-        stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, tr.nets.ae,
-                                  tr.op_opt, tr.vp_opt, tr.him_opt, tr.ae_opt,
-                                  buf.ticks, tr.cfg.ppo, tr.ae_rng)
+        stats = autoencoder_update(tr.nets.ae, tr.ae_opt, buf.ticks, tr.cfg.ppo, tr.ae_rng)
         assert stats.n_ae_pairs == 0
         for p, b in zip(tr.nets.ae.params(), before):
             np.testing.assert_array_equal(p.values, b)
 
     def test_a_second_update_on_one_rollout_refuses_its_stale_tapes(self, tmp_path):
         tr, buf = self._setup(tmp_path)
-        args = (tr.nets.op, tr.nets.vp, tr.nets.him, tr.nets.ae, tr.op_opt, tr.vp_opt,
-                tr.him_opt, tr.ae_opt, buf.ticks, tr.cfg.ppo, tr.ae_rng)
+        args = (tr.nets.op, tr.nets.vp, tr.nets.him, tr.op_opt, tr.vp_opt, tr.him_opt,
+                buf.ticks)
         supervised_update(*args)
         # the first update stepped the weights the tapes were recorded under
         with pytest.raises(ContractError, match="stepped"):
@@ -262,18 +264,79 @@ class TestSupervisedGating:
     def test_losses_drop_when_overfitting_a_frozen_rollout(self, tmp_path):
         tr = Trainer(tiny_config(), tmp_path / "run")
         buf, op_h0, vp_h0 = collect_with_hiddens(tr)
-        first = last = None
+        first = last = first_ae = last_ae = None
         for k in range(60):
             # the update replays tapes, so each pass records them under the new weights
             ticks = recompute_tapes(tr.nets.op, tr.nets.vp, buf.ticks, op_h0, vp_h0)
-            stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, tr.nets.ae,
-                                      tr.op_opt, tr.vp_opt, tr.him_opt, tr.ae_opt,
-                                      ticks, tr.cfg.ppo, tr.ae_rng)
+            stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him,
+                                      tr.op_opt, tr.vp_opt, tr.him_opt, ticks)
+            ae_stats = autoencoder_update(tr.nets.ae, tr.ae_opt, ticks, tr.cfg.ppo, tr.ae_rng)
             if k == 0:
-                first = stats
-            last = stats
+                first, first_ae = stats, ae_stats
+            last, last_ae = stats, ae_stats
         assert last.loss_op < first.loss_op
-        assert last.loss_ad < first.loss_ad
+        assert last_ae.loss_ad < first_ae.loss_ad
+
+
+class TestUpdateLanes:
+    OPTIMIZERS = ("policy_opt", "critic_opt", "op_opt", "vp_opt", "him_opt", "ae_opt")
+
+    def test_lanes_give_the_bits_of_serial_updates(self, tmp_path):
+        lanes = Trainer(desk_config(seed=5, iterations=3), tmp_path / "lanes")
+        serial = Trainer(desk_config(seed=5, iterations=3), tmp_path / "serial")
+        cfg = serial.cfg
+        rows = []
+        for it in range(cfg.iterations):
+            serial.runner.phase = serial.phase.phase
+            buf, bootstrap = serial.collect(it)
+            adv, ret = buf.compute_advantages(bootstrap, cfg.ppo.discount,
+                                              cfg.ppo.gae_lambda)
+            stats = ppo_update(serial.nets.policy, serial.nets.critic, serial.policy_opt,
+                               serial.critic_opt, buf.flat(buf.obs),
+                               buf.flat(buf.critic_obs), buf.flat(buf.actions),
+                               buf.flat(buf.log_probs), adv.reshape(-1), ret.reshape(-1),
+                               cfg.ppo, serial.shuffle_rng)
+            sup = supervised_update(serial.nets.op, serial.nets.vp, serial.nets.him,
+                                    serial.op_opt, serial.vp_opt, serial.him_opt, buf.ticks)
+            ae = autoencoder_update(serial.nets.ae, serial.ae_opt, buf.ticks, cfg.ppo,
+                                    serial.ae_rng)
+            mean_lin = float(buf.lin_vel[:buf.ptr].mean())
+            serial.phase.update(it, mean_lin)
+            rows.append(serial._metrics_row(it, buf, stats, sup, ae, mean_lin))
+        res = lanes.run()
+        got = res.metrics.read_text().splitlines(keepends=True)[2:]
+        assert got == rows
+        # the autoencoder trained in every iteration, so the lanes overlapped
+        loss_ad = trainer_mod.METRICS_COLUMNS.index("loss_ad")
+        assert all(math.isfinite(float(r.split(",")[loss_ad])) for r in got)
+        for name in self.OPTIMIZERS:
+            a, b = getattr(lanes, name), getattr(serial, name)
+            for arena in ("values", "moment1", "moment2"):
+                assert np.array_equal(getattr(a, arena), getattr(b, arena)), (name, arena)
+
+    @pytest.mark.parametrize("target", ["autoencoder_update", "ppo_update"])
+    def test_a_failing_update_is_raised_after_the_lane_is_joined(self, tmp_path,
+                                                                 monkeypatch, target):
+        class Boom(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise Boom(target)
+
+        opened = []
+
+        def tracked_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(trainer_mod, target, boom)
+        monkeypatch.setattr(trainer_mod, "open", tracked_open, raising=False)
+        threads = threading.active_count()
+        with pytest.raises(Boom, match=target):
+            Trainer(tiny_config(), tmp_path).run()
+        assert threading.active_count() == threads
+        assert [Path(f.name).name for f in opened] == ["metrics.csv", "masks.csv"]
+        assert all(f.closed for f in opened)
 
 
 def test_mask_log_matches_schedule(tmp_path):
