@@ -219,11 +219,20 @@ class Bound:
 # One range per key. A key missing here is not range-checked yet. The upper
 # ends are 5x the default step and 10x the default cell. Learning rates stop
 # at 1: an Adam step moves each weight by up to about the learning rate.
+# Periods and lengths count steps, ticks or iterations, so they start at 1.
+# The PPO ratio clip is a fraction of 1; discount and lambda are weights.
 BOUNDS = {
     "n_envs": Bound(1),
     "horizon": Bound(1),
+    "flip_period": Bound(1),
     "world.dt": Bound(0.0, 0.1, open_low=True),
     "world.cell_size": Bound(0.0, 0.5, open_low=True),
+    "world.episode_steps": Bound(1),
+    "net.history_len": Bound(1),
+    "selector.tick_period": Bound(1),
+    "ppo.clip": Bound(0.0, 1.0, open_low=True),
+    "ppo.discount": Bound(0.0, 1.0),
+    "ppo.gae_lambda": Bound(0.0, 1.0),
     "ppo.epochs": Bound(1),
     "ppo.minibatches": Bound(1),
     "ppo.ae_epochs": Bound(1),

@@ -205,20 +205,19 @@ def cli(argv: list[str]) -> int:
 
 
 def _render_depth_cmd(args) -> None:
-    from ..sensor import camera as cam_mod
-    from ..sensor import render
-    from ..world import PlanarWorld
+    from ..sensor import dump_text, render_batch
+    from ..world import BatchWorld
 
     cfg = config_mod.PRESETS[args.preset]()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ss = np.random.SeedSequence(args.seed)
     env_rng, render_rng = (np.random.default_rng(c) for c in ss.spawn(2))
-    world = PlanarWorld(cfg.world, args.terrain, env_rng, level=args.level)
+    world = BatchWorld(cfg.world, [args.terrain], [env_rng], [args.level])
     for k in range(args.frames):
-        img = render(world, cfg.camera, render_rng, randomize=args.randomize)
+        data, poses = render_batch(world, cfg.camera, [render_rng], args.randomize)
         path = out / f"frame_{k:03d}.txt"
-        path.write_text(cam_mod.dump_text(img))
+        path.write_text(dump_text(data[0], poses[0], args.randomize))
         print(path)
 
 

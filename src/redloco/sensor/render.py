@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import CameraConfig
 from ..errors import ContractError
 from ..world.batch import BatchWorld
-from ..world.robot import PlanarWorld
-from .camera import STAGE_RANDOMIZED, STAGE_RAW, CameraModel, DepthImage, validate_camera
+from .camera import validate_camera
 
 
 def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
@@ -102,7 +102,7 @@ def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
     return depth
 
 
-def _ray_geometry(cam: CameraModel, body_x: np.ndarray, body_z: np.ndarray,
+def _ray_geometry(cam: CameraConfig, body_x: np.ndarray, body_z: np.ndarray,
                   body_pitch: np.ndarray, d_pos: np.ndarray, d_pitch: np.ndarray,
                   d_yaw: np.ndarray):
     """Camera pose and (E, H, W) ray directions of E bodies; ``d_pos`` is
@@ -118,17 +118,7 @@ def _ray_geometry(cam: CameraModel, body_x: np.ndarray, body_z: np.ndarray,
     return cam_x, cam_z, depression, dx, dz
 
 
-def render(world: PlanarWorld, camera: CameraModel, rng: np.random.Generator | None = None,
-           randomize: bool = False) -> DepthImage:
-    """Render one depth frame from the robot's current pose (see `render_batch`)."""
-    if randomize and rng is None:
-        raise ContractError("randomized render requires an rng")
-    data, poses = render_batch(world.batch, camera, [rng], randomize)
-    return DepthImage(data[0], tuple(poses[0]),
-                      STAGE_RANDOMIZED if randomize else STAGE_RAW)
-
-
-def render_batch(world: BatchWorld, camera: CameraModel,
+def render_batch(world: BatchWorld, camera: CameraConfig,
                  rngs: list[np.random.Generator], randomize: bool = True
                  ) -> tuple[np.ndarray, np.ndarray]:
     """One frame per env with a single shared ray march: the (E, H, W) depth

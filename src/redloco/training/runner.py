@@ -65,7 +65,6 @@ class VecRunner:
         # eval runs fix each env's command: resets keep it, the curriculum stays put
         self.fixed_commands = fixed_commands
         self.phase = 1
-        self.env_rngs = env_rngs
         self.world = BatchWorld(cfg.world, kinds, env_rngs, start_levels)
         if fixed_commands is not None:
             self.world.reset(range(self.n), fixed_commands)
@@ -74,7 +73,6 @@ class VecRunner:
         self.op_hidden = op.zero_hidden(self.n)
         self.vp_hidden = vp.zero_hidden(self.n)
         self.latents = np.zeros((self.n, 2 * cfg.net.latent))
-        self.masks = np.zeros(self.n, dtype=np.int64)
         self.m_t_held = np.zeros((self.n, cfg.world.profile_samples))
         self.obs = np.zeros((self.n, OBS_DIM))
         self.global_step = 0
@@ -106,7 +104,7 @@ class VecRunner:
         (E, H, W) frame stack at sim step ``step``; it returns the stack and
         an (E,) mask of the rows it corrupted."""
         cam = self.cfg.camera
-        frames, _ = render_batch(self.world, cam, self.env_rngs, randomize=True)
+        frames, _ = render_batch(self.world, cam, self.world.rngs, randomize=True)
         frames = edge_truncate_resize(frames, cam.edge_border)
         # deployment corruption lands on the processed image the networks consume
         corrupted = np.zeros(self.n, dtype=bool)
@@ -135,8 +133,7 @@ class VecRunner:
                         priv.h_f, priv.m_t, losses, pair_valid, clean_stage, resets_before)
 
     def set_latents(self, masks: np.ndarray) -> None:
-        self.masks = np.asarray(masks, dtype=np.int64)
-        self.latents = fuse_batch(self._last_op_h, self._last_vp_h, self.masks)
+        self.latents = fuse_batch(self._last_op_h, self._last_vp_h, masks)
 
     # -- one sim step over all envs -------------------------------------------
     def step(self, actions: np.ndarray) -> StepData:

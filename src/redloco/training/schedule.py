@@ -8,8 +8,6 @@ see data every iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..world.terrain import DIFFICULT_KINDS, TERRAIN_KINDS
@@ -22,30 +20,19 @@ def terrain_class(kind: str) -> str:
     return "difficult" if kind in DIFFICULT_KINDS else "simple"
 
 
-@dataclass
 class AdaptationSchedule:
-    kinds: list[str]
-    flip_period: int
-    offsets: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.classes = [terrain_class(k) for k in self.kinds]
-        # stagger among the simple envs so both estimators drive the policy
-        # somewhere every iteration
-        self.offsets = []
-        rank = 0
-        for c in self.classes:
-            self.offsets.append(rank % 2 if c == "simple" else 0)
-            rank += c == "simple"
-
-    def mask(self, iteration: int, env: int) -> int:
-        if self.classes[env] == "difficult":
-            return 0
-        return ((iteration // self.flip_period) % 2) ^ self.offsets[env]
+    def __init__(self, kinds: list[str], flip_period: int) -> None:
+        self.flip_period = flip_period
+        self.simple = np.array([terrain_class(k) == "simple" for k in kinds], dtype=bool)
+        # stagger among the simple envs (by their rank among them) so both
+        # estimators drive the policy somewhere every iteration
+        self.offsets = np.where(self.simple, (np.cumsum(self.simple) - 1) % 2, 0)
 
     def masks(self, iteration: int) -> np.ndarray:
-        return np.array([self.mask(iteration, i) for i in range(len(self.kinds))],
-                        dtype=np.int64)
+        """(E,) int64 masks: 0 (vision) on difficult envs, the flipping
+        phase XOR the env's offset on simple ones."""
+        phase = (iteration // self.flip_period) % 2
+        return np.where(self.simple, phase ^ self.offsets, 0)
 
 
 class PhaseTracker:

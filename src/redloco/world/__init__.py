@@ -1,5 +1,5 @@
 from .terrain import (DIFFICULT_KINDS, N_LEVELS, SIMPLE_KINDS, TERRAIN_KINDS,
-                      Heightfield, difficulty_value, generate_terrain)
+                      Heightfield, generate_terrain)
 from .commands import Command, make_command, sample_command, update_curriculum
 from .batch import OBS_DIM, BatchEvents, BatchWorld, PrivilegedInfo, StepEvents
 from .robot import PlanarWorld, RobotState
@@ -7,8 +7,8 @@ from .rewards import BatchReward, compute_reward, linear_velocity_reward
 
 __all__ = [
     "DIFFICULT_KINDS", "N_LEVELS", "SIMPLE_KINDS", "TERRAIN_KINDS", "Heightfield",
-    "difficulty_value", "generate_terrain", "Command", "make_command",
-    "sample_command", "update_curriculum", "OBS_DIM", "BatchEvents", "BatchWorld",
-    "PrivilegedInfo", "StepEvents", "PlanarWorld", "RobotState", "BatchReward",
-    "compute_reward", "linear_velocity_reward",
+    "generate_terrain", "Command", "make_command", "sample_command",
+    "update_curriculum", "OBS_DIM", "BatchEvents", "BatchWorld", "PrivilegedInfo",
+    "StepEvents", "PlanarWorld", "RobotState", "BatchReward", "compute_reward",
+    "linear_velocity_reward",
 ]

@@ -89,7 +89,6 @@ class BatchWorld:
         self.rngs = list(rngs)
         self.level = np.array(levels if levels is not None else [0] * n, dtype=np.int64)
         self.curriculum_phase = np.ones(n, dtype=np.int64)
-        self.fields: list[Heightfield | None] = [None] * n
         self.heights = np.zeros((n, cfg.terrain_cells))
         self.void = np.zeros((n, cfg.terrain_cells), dtype=bool)
         self.x, self.z, self.vx, self.vz, self.pitch = (np.zeros(n) for _ in range(5))
@@ -141,15 +140,13 @@ class BatchWorld:
         self.start_x[ids] = self.x[ids]
 
     def set_terrain(self, i: int, hf: Heightfield) -> None:
-        """Install a heightfield for env i; its arrays become views of the batch."""
+        """Copy a heightfield into env i's rows of ``heights`` and ``void``."""
         if hf.heights.shape != self.heights.shape[1:] or hf.cell_size != self.cfg.cell_size:
-            raise ContractError(f"heightfield of {hf.n_cells} cells x {hf.cell_size} m does "
-                                f"not match the world's {self.heights.shape[1]} x "
+            raise ContractError(f"heightfield of {len(hf.heights)} cells x {hf.cell_size} m "
+                                f"does not match the world's {self.heights.shape[1]} x "
                                 f"{self.cfg.cell_size} m")
         self.heights[i] = hf.heights
         self.void[i] = hf.void
-        hf.heights, hf.void = self.heights[i], self.void[i]
-        self.fields[i] = hf
 
     @property
     def along(self) -> np.ndarray:

@@ -1,9 +1,11 @@
 """One environment as a view of a one-env `BatchWorld`.
 
 `PlanarWorld` holds no dynamics, reward or label arithmetic of its own: it
-keeps the single-env interface (``w.robot.vx = ...``, ``w.heightfield = hf``,
-``w.step([a0, a1])``) for the CLI's depth renders and the tests, and
-delegates every computation to the batch code.
+keeps the single-env interface (``w.robot.vx = ...``, ``w.step([a0, a1])``)
+that the benchmark's span map wraps by name and the tests use as a one-env
+oracle, and delegates every computation to the batch code. Its terrain and
+every array live in ``w.batch`` (``w.batch.set_terrain(0, hf)``,
+``w.batch.heights[0]``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from ..config import WorldConfig
 from ..errors import ContractError
 from .batch import JOINT_PHASE0, BatchWorld, PrivilegedInfo, StepEvents
 from .commands import Command, make_command
-from .terrain import Heightfield
 
 
 @dataclass
@@ -71,14 +72,6 @@ class PlanarWorld:
     @property
     def cfg(self) -> WorldConfig:
         return self.batch.cfg
-
-    @property
-    def heightfield(self) -> Heightfield:
-        return self.batch.fields[0]
-
-    @heightfield.setter
-    def heightfield(self, hf: Heightfield) -> None:
-        self.batch.set_terrain(0, hf)
 
     @property
     def command(self) -> Command:

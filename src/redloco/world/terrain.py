@@ -29,21 +29,6 @@ class Heightfield:
     level: int
     difficulty: dict = field(default_factory=dict)
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.heights)
-
-    def cell_at(self, x: float) -> int:
-        return min(max(int(np.floor(x / self.cell_size)), 0), self.n_cells - 1)
-
-    def height_at(self, x: float) -> float:
-        """Terrain height under x; void cells return -inf."""
-        i = self.cell_at(x)
-        return -np.inf if self.void[i] else float(self.heights[i])
-
-    def is_void_at(self, x: float) -> bool:
-        return bool(self.void[self.cell_at(x)])
-
 
 def _lerp(span: tuple[float, float], level: int) -> float:
     return span[0] + (span[1] - span[0]) * level / (N_LEVELS - 1)
@@ -110,11 +95,3 @@ def generate_terrain(kind: str, level: int, seed: int, cfg: WorldConfig) -> Heig
             i += plat + spacing
 
     return Heightfield(cell, heights, void, kind, level, diff)
-
-
-def difficulty_value(kind: str, level: int, cfg: WorldConfig) -> float:
-    """The kind's primary difficulty parameter at a level (for monotonicity checks)."""
-    span = {"flat": (0.0, 0.0), "rough": cfg.rough_amp_range,
-            "stairs_up": cfg.step_height_range, "stairs_down": cfg.step_height_range,
-            "gap": cfg.gap_width_range, "platform": cfg.platform_height_range}[kind]
-    return _lerp(span, level)

@@ -2,6 +2,13 @@
 drive the behavioral acceptance criteria; everything trains hermetically
 inside the pytest temp root."""
 
+import os
+
+# One BLAS thread, as the benchmark runs: a spinning BLAS worker thread takes
+# the core that the autoencoder update lane runs on. Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -22,8 +22,8 @@ from redloco.harness import (ExperimentSpec, NoiseEvent, run_episode, run_gamma_
 from redloco.harness.verify import run_full_suite
 from redloco.nn import load_checkpoint, save_checkpoint
 from redloco.selector import MODE_OP, MODE_VP, filter_update, make_selector, min_flip_ticks
-from redloco.sensor import render, edge_truncate_resize, inject_gaussian, inject_salt_pepper
-from redloco.sensor.camera import CameraModel
+from redloco.sensor import (edge_truncate_resize, inject_gaussian, inject_salt_pepper,
+                            render_batch)
 from redloco.training import load_bundle, train
 from redloco.training.runner import VecRunner
 from redloco.world import PlanarWorld, generate_terrain, linear_velocity_reward, make_command
@@ -118,22 +118,22 @@ def test_criterion_4_raycast_oracle():
     # flat: ray-plane closed form
     w = PlanarWorld(cfg, "flat", np.random.default_rng(0))
     w.robot.pitch = 0.0
-    img = render(w, cam)
-    _, cam_z, _, _ = img.pose_used
+    frames, poses = render_batch(w.batch, cam, [None], randomize=False)
+    img, (_, cam_z, _, _) = frames[0], poses[0]
     rows, _ = angles()
     expect = np.where(np.sin(rows) > 1e-12, cam_z / np.maximum(np.sin(rows), 1e-12),
                       cam.max_range)
     expect = np.clip(expect, cam.min_depth, cam.max_range)
-    worst = max(worst, float(np.abs(img.data - expect[:, None]).max()))
+    worst = max(worst, float(np.abs(img - expect[:, None]).max()))
 
     # single step: piecewise closed form per pixel
     hf = generate_terrain("flat", 0, 0, cfg)
     step_x, step_h = 6.0, 0.4
     hf.heights[int(step_x / cfg.cell_size):] = step_h
-    w.heightfield = hf
+    w.batch.set_terrain(0, hf)
     w.robot.x, w.robot.z = 5.0, cfg.stand_height
-    img2 = render(w, cam)
-    cam_x, cam_z, _, _ = img2.pose_used
+    frames, poses = render_batch(w.batch, cam, [None], randomize=False)
+    img2, (cam_x, cam_z, _, _) = frames[0], poses[0]
     rows, cols = angles()
     for r in range(cam.height):
         for c in range(cam.width):
@@ -151,17 +151,21 @@ def test_criterion_4_raycast_oracle():
             if t_wall > 0 and 0.0 <= cam_z + t_wall * dz < step_h:
                 best = min(best, t_wall)
             want = np.clip(best, cam.min_depth, cam.max_range)
-            worst = max(worst, abs(float(img2.data[r, c]) - want))
+            worst = max(worst, abs(float(img2[r, c]) - want))
 
     # range invariant across pipeline stages
     rng = np.random.default_rng(1)
+
+    def randomized():
+        return render_batch(w.batch, cam, [rng], randomize=True)[0][0]
+
     in_range = True
-    for stage in (img.data, img2.data,
-                  render(w, cam, rng, randomize=True).data,
-                  edge_truncate_resize(render(w, cam, rng, True).data, 2),
-                  inject_gaussian(render(w, cam, rng, True).data, 100.0, rng,
+    for stage in (img, img2,
+                  randomized(),
+                  edge_truncate_resize(randomized(), 2),
+                  inject_gaussian(randomized(), 100.0, rng,
                                   cam.max_range, cam.min_depth),
-                  inject_salt_pepper(render(w, cam, rng, True).data, 70.0, rng,
+                  inject_salt_pepper(randomized(), 70.0, rng,
                                      cam.max_range, cam.min_depth)):
         in_range &= stage.min() > 0 and stage.max() <= 2.0
     ok = worst < 1e-6 and in_range

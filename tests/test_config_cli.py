@@ -15,7 +15,9 @@ import redloco
 from redloco import config as config_mod
 from redloco.errors import ConfigError
 from redloco.harness.cli import cli
+from redloco.sensor import dump_text, render_batch
 from redloco.training import Trainer
+from redloco.world import BatchWorld
 
 # keys deleted because no run could read them; a config or an embedded
 # checkpoint config that names one is refused
@@ -156,13 +158,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "gru_cell" in out and "PASS" in out
 
-    def test_render_depth_writes_text_frames(self, tmp_path, capsys):
+    @pytest.mark.parametrize("randomize", [False, True], ids=["raw", "randomize"])
+    def test_render_depth_writes_text_frames(self, tmp_path, capsys, randomize):
         code = cli(["render-depth", "--terrain", "stairs_up", "--level", "3",
-                    "--seed", "5", "--frames", "2", "--out", str(tmp_path)])
+                    "--seed", "5", "--frames", "2", "--out", str(tmp_path)]
+                   + ["--randomize"] * randomize)
         assert code == 0
         frames = sorted(tmp_path.glob("frame_*.txt"))
         assert len(frames) == 2
         assert frames[0].read_text().startswith("schema: depth-frame/v1")
+        # the frames of a one-env batch world built from the seed's two children
+        cfg = config_mod.desk_config()
+        env_rng, render_rng = (np.random.default_rng(c)
+                               for c in np.random.SeedSequence(5).spawn(2))
+        world = BatchWorld(cfg.world, ["stairs_up"], [env_rng], [3])
+        for path in frames:
+            data, poses = render_batch(world, cfg.camera, [render_rng], randomize)
+            assert path.read_text() == dump_text(data[0], poses[0], randomize)
 
     def test_train_cli_is_deterministic(self, tmp_path):
         cfg_file = tmp_path / "tiny.cfg"
@@ -207,7 +219,11 @@ class TestCli:
               ("ppo.epochs", "0", "0"), ("ppo.minibatches", "0", "0"),
               ("ppo.ae_epochs", "0", "0"), ("ppo.ae_batch", "0", "0"),
               ("ppo.est_lr", "nan", "nan"), ("ppo.est_lr", "0", "0.0"),
-              ("ppo.ae_lr", "nan", "nan"), ("ppo.ae_lr", "1.5", "1.5")]),
+              ("ppo.ae_lr", "nan", "nan"), ("ppo.ae_lr", "1.5", "1.5"),
+              ("selector.tick_period", "0", "0"), ("flip_period", "0", "0"),
+              ("net.history_len", "0", "0"), ("world.episode_steps", "0", "0"),
+              ("ppo.clip", "-1", "-1.0"), ("ppo.clip", "0", "0.0"),
+              ("ppo.discount", "2", "2.0"), ("ppo.gae_lambda", "3", "3.0")]),
     ])
     def test_refused_config_is_one_json_line_and_writes_nothing(self, tmp_path, capsys,
                                                                  monkeypatch, text, named,

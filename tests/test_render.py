@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from redloco.config import CameraConfig, WorldConfig
 from redloco.errors import ContractError
-from redloco.sensor import (STAGE_RANDOMIZED, STAGE_RAW, edge_truncate_resize, march_rays,
-                            render, render_batch)
-from redloco.sensor.camera import dump_text
+from redloco.sensor import dump_text, edge_truncate_resize, march_rays, render_batch
 from redloco.world import (TERRAIN_KINDS, BatchWorld, PlanarWorld, generate_terrain,
                            make_command)
 
@@ -25,6 +23,12 @@ def flat_world(seed=0, cfg=None):
     w.reset_episode(command=make_command(0.5))
     w.robot.pitch = 0.0
     return w
+
+
+def render_one(w, cam, rng=None, randomize=False):
+    """The frame and pose row of a one-env world, from `render_batch`."""
+    data, poses = render_batch(w.batch, cam, [rng], randomize)
+    return data[0], poses[0]
 
 
 def ray_angles(cam):
@@ -44,14 +48,14 @@ class TestClosedForms:
     def test_flat_render_matches_ray_plane_distance_everywhere(self):
         cam = CameraConfig()
         w = flat_world()
-        img = render(w, cam)
-        cam_x, cam_z, dep, _ = img.pose_used
+        data, pose = render_one(w, cam)
+        cam_x, cam_z, dep, _ = pose
         rows, _ = ray_angles(cam)
         expected = np.where(np.sin(rows) > 1e-12,
                             cam_z / np.maximum(np.sin(rows), 1e-12), cam.max_range)
         expected = np.clip(expected, cam.min_depth, cam.max_range)
         # depth is independent of column yaw on flat ground
-        assert np.abs(img.data - expected[:, None]).max() < 1e-6
+        assert np.abs(data - expected[:, None]).max() < 1e-6
 
     def test_single_step_terrain_matches_piecewise_closed_form(self):
         cfg = WorldConfig()
@@ -61,11 +65,11 @@ class TestClosedForms:
         step_x, step_h = 6.0, 0.4
         i = int(step_x / cfg.cell_size)
         hf.heights[i:] = step_h
-        w.heightfield = hf
+        w.batch.set_terrain(0, hf)
         w.robot.x = 5.0
         w.robot.z = cfg.stand_height
-        img = render(w, cam)
-        cam_x, cam_z, dep, _ = img.pose_used
+        data, pose = render_one(w, cam)
+        cam_x, cam_z, dep, _ = pose
         rows, cols = ray_angles(cam)
         for r in range(cam.height):
             for c in range(cam.width):
@@ -83,7 +87,7 @@ class TestClosedForms:
                 if 0 < t_wall and 0.0 <= cam_z + t_wall * dz < step_h:
                     best = min(best, t_wall)
                 want = np.clip(best, cam.min_depth, cam.max_range)
-                assert img.data[r, c] == pytest.approx(want, abs=1e-6), (r, c)
+                assert data[r, c] == pytest.approx(want, abs=1e-6), (r, c)
 
     def test_rays_over_a_void_span_run_out_at_max_range(self):
         heights = np.zeros((1, 400))
@@ -224,34 +228,28 @@ class TestInvariantsAndDeterminism:
         cam = CameraConfig(height=12, width=16)
         w = PlanarWorld(WorldConfig(), "gap", np.random.default_rng(5), level=7)
         rng = np.random.default_rng(9)
-        raw = render(w, cam)
-        rand = render(w, cam, rng, randomize=True)
-        crop = edge_truncate_resize(rand.data, 2)
-        for data in (raw.data, rand.data, crop):
+        raw, _ = render_one(w, cam)
+        rand, _ = render_one(w, cam, rng, randomize=True)
+        crop = edge_truncate_resize(rand, 2)
+        for data in (raw, rand, crop):
             assert data.min() > 0
             assert data.max() <= cam.max_range
-        assert raw.stage == STAGE_RAW
-        assert rand.stage == STAGE_RANDOMIZED
 
     def test_raw_render_is_deterministic(self):
         cam = CameraConfig(height=12, width=16)
         w = flat_world(3)
-        a = render(w, cam)
-        b = render(w, cam)
-        assert a.data.tobytes() == b.data.tobytes()
+        a, _ = render_one(w, cam)
+        b, _ = render_one(w, cam)
+        assert a.tobytes() == b.tobytes()
 
     def test_randomized_render_is_deterministic_given_the_seed(self):
         cam = CameraConfig(height=12, width=16)
         w = flat_world(3)
-        a = render(w, cam, np.random.default_rng(7), randomize=True)
-        b = render(w, cam, np.random.default_rng(7), randomize=True)
-        assert a.data.tobytes() == b.data.tobytes()
-        c = render(w, cam, np.random.default_rng(8), randomize=True)
-        assert a.data.tobytes() != c.data.tobytes()
-
-    def test_randomize_requires_rng(self):
-        with pytest.raises(ContractError):
-            render(flat_world(), CameraConfig(), None, randomize=True)
+        a, _ = render_one(w, cam, np.random.default_rng(7), randomize=True)
+        b, _ = render_one(w, cam, np.random.default_rng(7), randomize=True)
+        assert a.tobytes() == b.tobytes()
+        c, _ = render_one(w, cam, np.random.default_rng(8), randomize=True)
+        assert a.tobytes() != c.tobytes()
 
     @pytest.mark.parametrize("randomize", [False, True])
     def test_batch_render_matches_kind_of_single_renders(self, randomize):
@@ -261,16 +259,17 @@ class TestInvariantsAndDeterminism:
         kinds = ("flat", "stairs_up", "gap", "platform")
         batch = BatchWorld(WorldConfig(), list(kinds),
                            [np.random.default_rng(s) for s in range(4)], [9] * 4)
-        worlds = [PlanarWorld(WorldConfig(), kind, np.random.default_rng(s), level=9)
+        worlds = [BatchWorld(WorldConfig(), [kind], [np.random.default_rng(s)], [9])
                   for s, kind in enumerate(kinds)]
         frames, poses = render_batch(batch, cam,
                                      [np.random.default_rng([5, i]) for i in range(4)],
                                      randomize=randomize)
         assert frames.shape == (4, 12, 16) and poses.shape == (4, 4)
         for i, w in enumerate(worlds):
-            single = render(w, cam, np.random.default_rng([5, i]), randomize=randomize)
-            assert frames[i].tobytes() == single.data.tobytes()
-            assert tuple(poses[i]) == single.pose_used
+            single, pose = render_batch(w, cam, [np.random.default_rng([5, i])],
+                                        randomize=randomize)
+            assert frames[i].tobytes() == single[0].tobytes()
+            assert tuple(poses[i]) == tuple(pose[0])
 
     def test_batch_draws_are_each_envs_scalar_uniforms_then_two_fields(self, monkeypatch):
         # the draw order of the first batched render: per env four scalar
@@ -311,13 +310,13 @@ class TestInvariantsAndDeterminism:
         # empirical std of randomized depths vs sqrt(var_add + (prop*d)^2)
         cam = CameraConfig(height=48, width=64, ang_jitter=0.0, pos_jitter=0.0)
         w = flat_world()
-        raw = render(w, cam)
+        raw, _ = render_one(w, cam)
         rng = np.random.default_rng(123)
         samples = np.stack([
-            render(w, cam, rng, randomize=True).data for _ in range(40)])
-        inner = raw.data < cam.max_range - 0.3   # keep away from the clip
-        inner &= raw.data > 0.4
-        d = raw.data[inner]
+            render_one(w, cam, rng, randomize=True)[0] for _ in range(40)])
+        inner = raw < cam.max_range - 0.3   # keep away from the clip
+        inner &= raw > 0.4
+        d = raw[inner]
         emp_std = samples[:, inner].std(axis=0)
         want = np.sqrt(cam.add_noise_std ** 2 + (cam.prop_noise_std * d) ** 2)
         ratio = emp_std.mean() / want.mean()
@@ -326,9 +325,9 @@ class TestInvariantsAndDeterminism:
 
 class TestEdgeTruncateResize:
     def test_border_zero_is_identity(self):
-        img = render(flat_world(), CameraConfig(height=12, width=16))
-        out = edge_truncate_resize(img.data, 0)
-        assert out.tobytes() == img.data.tobytes()
+        data, _ = render_one(flat_world(), CameraConfig(height=12, width=16))
+        out = edge_truncate_resize(data, 0)
+        assert out.tobytes() == data.tobytes()
 
     def test_constant_image_survives_any_border(self):
         data = np.full((12, 16), 1.37)
@@ -358,11 +357,11 @@ class TestEdgeTruncateResize:
 
 
 def test_depth_frame_dump_writes_the_header_and_every_pixel_exactly():
-    img = render(flat_world(), CameraConfig(height=12, width=16))
-    lines = dump_text(img).splitlines()
+    data, pose = render_one(flat_world(), CameraConfig(height=12, width=16))
+    lines = dump_text(data, pose, False).splitlines()
     assert lines[:5] == ["schema: depth-frame/v1", "rows: 12", "cols: 16",
-                         f"stage: {img.stage}",
-                         "pose: " + " ".join(repr(float(v)) for v in img.pose_used)]
+                         "stage: raw",
+                         "pose: " + " ".join(repr(float(v)) for v in pose)]
     assert len(lines) == 5 + 12
-    for row, line in zip(img.data, lines[5:]):
+    for row, line in zip(data, lines[5:]):
         assert line.split() == [repr(float(v)) for v in row]

@@ -9,6 +9,7 @@ from redloco.training import (AdaptationSchedule, Critic, GaussianPolicy, PhaseT
                               normalize_advantages, ppo_update, surrogate_and_grad,
                               terrain_class)
 from redloco.training.ppo import MEAN_BOUND, mean_bound_loss
+from redloco.world import TERRAIN_KINDS
 
 
 class TestAdaptationSchedule:
@@ -22,17 +23,18 @@ class TestAdaptationSchedule:
 
     def test_simple_envs_flip_every_twenty_iterations(self):
         sched = AdaptationSchedule(self.KINDS, flip_period=20)
-        assert sched.mask(19, 0) != sched.mask(20, 0)
-        assert sched.mask(39, 0) != sched.mask(40, 0)
+        assert sched.masks(19)[0] != sched.masks(20)[0]
+        assert sched.masks(39)[0] != sched.masks(40)[0]
         for it in range(100):
+            masks = sched.masks(it)
             for i, kind in enumerate(self.KINDS):
                 if terrain_class(kind) == "simple":
                     want = ((it // 20) % 2) ^ sched.offsets[i]
-                    assert sched.mask(it, i) == want
+                    assert masks[i] == want
 
     def test_simple_envs_are_staggered(self):
         sched = AdaptationSchedule(self.KINDS, flip_period=20)
-        simple_masks = [sched.mask(0, i) for i, k in enumerate(self.KINDS)
+        simple_masks = [m for m, k in zip(sched.masks(0), self.KINDS)
                         if terrain_class(k) == "simple"]
         assert 0 in simple_masks and 1 in simple_masks
 
@@ -41,6 +43,23 @@ class TestAdaptationSchedule:
         for it in range(60):
             masks = sched.masks(it)
             assert (masks == 0).any() and (masks == 1).any()
+
+    def test_masks_equal_the_per_env_rule(self):
+        # the per-env reference: 0 on difficult envs; on simple ones the phase
+        # XOR the env's rank among the simple envs, mod 2
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            kinds = list(rng.choice(TERRAIN_KINDS, size=int(rng.integers(1, 30))))
+            period = int(rng.integers(1, 25))
+            sched = AdaptationSchedule(kinds, period)
+            for it in range(29):
+                want, rank = [], 0
+                for kind in kinds:
+                    simple = terrain_class(kind) == "simple"
+                    want.append(((it // period) % 2) ^ (rank % 2) if simple else 0)
+                    rank += simple
+                masks = sched.masks(it)
+                assert masks.dtype == np.int64 and masks.tolist() == want
 
 
 class TestPhaseTracker:

@@ -5,7 +5,7 @@ import pytest
 
 from redloco.config import WorldConfig
 from redloco.errors import ContractError
-from redloco.world import N_LEVELS, TERRAIN_KINDS, difficulty_value, generate_terrain
+from redloco.world import N_LEVELS, TERRAIN_KINDS, generate_terrain
 
 CFG = WorldConfig()
 
@@ -44,7 +44,8 @@ def test_gap_width_strictly_larger_at_top_level():
 def test_stair_step_heights_follow_the_schedule():
     cfg = WorldConfig()
     hf = generate_terrain("stairs_up", 3, 11, cfg)
-    expected = difficulty_value("stairs_up", 3, cfg)
+    lo, hi = cfg.step_height_range
+    expected = lo + (hi - lo) * 3 / (N_LEVELS - 1)
     rises = np.diff(hf.heights)
     rises = rises[rises > 1e-9]
     np.testing.assert_allclose(rises, expected, atol=1e-12)
@@ -53,7 +54,9 @@ def test_stair_step_heights_follow_the_schedule():
 
 def test_difficulty_nondecreasing_in_level_for_every_kind():
     for kind in TERRAIN_KINDS:
-        vals = [difficulty_value(kind, lv, CFG) for lv in range(N_LEVELS)]
+        # each kind's one difficulty parameter; flat has none and reads 0
+        vals = [sum(generate_terrain(kind, lv, 0, CFG).difficulty.values())
+                for lv in range(N_LEVELS)]
         assert all(b >= a for a, b in zip(vals, vals[1:])), kind
         if kind != "flat":
             assert vals[-1] > vals[0]
@@ -63,14 +66,6 @@ def test_void_cells_only_on_gap_terrain():
     for kind in TERRAIN_KINDS:
         hf = generate_terrain(kind, 9, 1, CFG)
         assert hf.void.any() == (kind == "gap")
-
-
-def test_height_at_returns_minus_inf_over_void():
-    hf = generate_terrain("gap", 9, 2, CFG)
-    i = int(np.argmax(hf.void))
-    x = (i + 0.5) * hf.cell_size
-    assert hf.height_at(x) == -np.inf
-    assert hf.is_void_at(x)
 
 
 def test_level_out_of_range_rejected():

@@ -125,13 +125,14 @@ class TestObservation:
         acts = [np.array([0.8, 0.0])] * 400
         w_flat = make_world("flat", seed=21, command=1.0)
         w_gap = make_world("gap", level=6, seed=21, command=1.0)
-        w_gap.heightfield = generate_terrain("gap", 6, 99, w_gap.cfg)
+        w_gap.batch.set_terrain(0, generate_terrain("gap", 6, 99, w_gap.cfg))
+        terrain = ScalarEnv(w_gap)
         w_flat.robot.vx = w_gap.robot.vx = 0.5
         front = max(w_gap.cfg.foot_offsets)
         t_star = None
         obs_flat, obs_gap = [], []
         for t, a in enumerate(acts):
-            if w_gap.heightfield.is_void_at(w_gap.robot.x + front):
+            if terrain.height_at(w_gap.robot.x + front) == -np.inf:
                 t_star = t
                 break
             obs_flat.append(w_flat.observation())
@@ -159,12 +160,12 @@ class TestPrivileged:
 
     def test_foot_over_gap_reads_max_clearance(self):
         w = make_world("gap", level=9, seed=6)
-        hf = w.heightfield
-        i = int(np.argmax(hf.void))
+        void = w.batch.void[0]
+        i = int(np.argmax(void))
         gap_len = 0
-        while hf.void[i + gap_len]:
+        while void[i + gap_len]:
             gap_len += 1
-        w.robot.x = (i + gap_len / 2) * hf.cell_size - max(w.cfg.foot_offsets)
+        w.robot.x = (i + gap_len / 2) * w.cfg.cell_size - max(w.cfg.foot_offsets)
         p = w.privileged()
         assert p.h_f[0] == pytest.approx(w.cfg.max_clearance)
 
@@ -175,7 +176,8 @@ class TestPrivileged:
         p = w.privileged()
         lo, hi = w.cfg.profile_span
         xs = w.robot.x + np.linspace(lo, hi, w.cfg.profile_samples)
-        expected = [np.clip(w.robot.z - w.heightfield.height_at(x),
+        terrain = ScalarEnv(w)
+        expected = [np.clip(w.robot.z - terrain.height_at(x),
                             -w.cfg.max_clearance, w.cfg.max_clearance) for x in xs]
         np.testing.assert_allclose(p.m_t, expected, atol=1e-12)
 
@@ -397,7 +399,7 @@ class TestBatchMatchesSingle:
                 ref = ScalarEnv(singles[i])
                 hf, cmd, gain, vx = ref.reset(*self.CASES[i], phase=1)
                 singles[i].reset_episode()
-                assert same_bits(singles[i].heightfield.heights, hf.heights)
+                assert same_bits(singles[i].batch.heights[0], hf.heights)
                 assert singles[i].command == cmd
                 assert same_bits([singles[i].motor_gain, singles[i].robot.vx], [gain, vx])
                 assert ref.rng.bit_generator.state == singles[i].batch.rngs[0].bit_generator.state
