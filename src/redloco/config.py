@@ -221,6 +221,10 @@ class Bound:
 # at 1: an Adam step moves each weight by up to about the learning rate.
 # Periods and lengths count steps, ticks or iterations, so they start at 1.
 # The PPO ratio clip is a fraction of 1; discount and lambda are weights.
+# The camera renders at least 4x4 pixels. Its fields of view and mount pitch
+# stay below a right angle (1.5 rad), its mount within 1 m of the body and its
+# range within 10 m. Its minimum depth is above 0 and at most 1 m; jitters
+# (m, rad) lie in [0, 0.5] and noise scales in [0, 1].
 BOUNDS = {
     "n_envs": Bound(1),
     "horizon": Bound(1),
@@ -239,6 +243,20 @@ BOUNDS = {
     "ppo.ae_batch": Bound(1),
     "ppo.est_lr": Bound(0.0, 1.0, open_low=True),
     "ppo.ae_lr": Bound(0.0, 1.0, open_low=True),
+    "camera.height": Bound(4),
+    "camera.width": Bound(4),
+    "camera.fov_v": Bound(0.0, 1.5, open_low=True),
+    "camera.fov_h": Bound(0.0, 1.5, open_low=True),
+    "camera.mount_forward": Bound(-1.0, 1.0),
+    "camera.mount_up": Bound(-1.0, 1.0),
+    "camera.mount_pitch": Bound(-1.5, 1.5),
+    "camera.max_range": Bound(0.0, 10.0, open_low=True),
+    "camera.min_depth": Bound(0.0, 1.0, open_low=True),
+    "camera.pos_jitter": Bound(0.0, 0.5),
+    "camera.ang_jitter": Bound(0.0, 0.5),
+    "camera.prop_noise_std": Bound(0.0, 1.0),
+    "camera.add_noise_std": Bound(0.0, 1.0),
+    "camera.edge_border": Bound(0),
 }
 
 

@@ -17,7 +17,7 @@ from ..selector import (MODE_VP, calibrate_beta, filter_step, filter_update, mak
                         min_flip_ticks, trace_record)
 from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from ..training.bundle import Networks, load_bundle
-from ..training.runner import VecRunner
+from ..training.runner import RunnerState, VecRunner
 from ..world import BatchWorld, make_command, sample_command
 
 DEFAULT_CONDITIONS = (("gaussian", 30.0), ("gaussian", 70.0), ("gaussian", 100.0),
@@ -58,6 +58,8 @@ class ExperimentSpec:
     gamma: float = 0.1
     seed: int = 0
     noise_events: list[NoiseEvent] = field(default_factory=list)
+    # a clean prefix of this spec (see `clean_prefix`) that `run_episode` resumes from
+    start: CleanPrefix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("robots", "steps"):
@@ -102,24 +104,88 @@ class EpisodeResult:
     losses: np.ndarray           # (n_ticks, robots), nan where pair invalid
 
 
+@dataclass
+class CleanPrefix:
+    """The clean start that every arm, condition and gamma of one protocol
+    share: the runner captured just before the tick at sim step ``fork``, and
+    the ``fork`` steps and the scored ticks before it. `clean_prefix` builds
+    it for a spec's ``robots``, ``seed``, ``command`` and ``beta``."""
+    robots: int
+    seed: int
+    command: float
+    beta: float
+    fork: int
+    state: RunnerState
+    episode: EpisodeResult       # P and modes are all 1; losses are the scores
+
+
+def _spec_robots(spec: ExperimentSpec) -> tuple[dict, list]:
+    """`_deploy`'s robot arguments for the spec's robots (flat ground, level 0,
+    the spec's command; robot i steps with generator i of the spec's seed) and
+    their noise generators (robot i corrupts with generator n + i)."""
+    n = spec.robots
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(spec.seed).spawn(2 * n)]
+    return dict(kinds=["flat"] * n, levels=[0] * n,
+                commands=[make_command(spec.command) for _ in range(n)],
+                env_rngs=rngs[:n]), rngs[n:]
+
+
+def _deploy_runner(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str],
+                   levels: list[int], commands, env_rngs, score: bool) -> VecRunner:
+    """A runner for ``steps`` deployment steps: no episode times out within
+    them, each robot keeps its command, and the autoencoder scores the frame
+    pairs if ``score``."""
+    cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, episode_steps=steps + 1))
+    return VecRunner(cfg, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae if score else None,
+                     fixed_commands=commands, start_levels=levels)
+
+
+def _step_logs(steps: int, n: int) -> tuple[np.ndarray, ...]:
+    """Zeroed per-step logs: vx, rewards, xz and terminated."""
+    return (np.zeros((steps, n)), np.zeros((steps, n)), np.zeros((steps, n, 2)),
+            np.zeros((steps, n), dtype=bool))
+
+
+def _act(runner: VecRunner, nets: Networks, t: int, logs: tuple[np.ndarray, ...]) -> None:
+    """One sim step on the policy mean, logged in row ``t`` of ``logs``."""
+    vx, rewards, xz, terminated = logs
+    sd = runner.step(np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0))
+    vx[t], rewards[t], terminated[t] = runner.world.vx, sd.rewards, sd.terminated
+    xz[t, :, 0], xz[t, :, 1] = runner.world.x, runner.world.z
+
+
+def _scores(tick, n: int) -> np.ndarray:
+    """A tick's anomaly scores, nan where the pair is invalid or nothing scored."""
+    return (np.full(n, np.nan) if tick.losses is None
+            else np.where(tick.pair_valid, tick.losses, np.nan))
+
+
 def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], levels: list[int],
             commands, env_rngs, score: bool, filt: tuple[float, float] | None,
-            hook) -> tuple[EpisodeResult, BatchWorld]:
+            hook, start: CleanPrefix | None = None) -> tuple[EpisodeResult, BatchWorld]:
     """The deployment loop: one robot per entry of ``kinds`` on its fixed command,
     driven by the policy mean for ``steps`` sim steps. Each estimator tick scores
     the frame pairs if ``score``, advances every robot's vision trust P, which
     starts at 1, by one `filter_step` if ``filt = (beta, gamma)``, and selects
-    vision where P > 0.5."""
-    cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, episode_steps=steps + 1))
-    runner = VecRunner(cfg, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae if score else None,
-                       fixed_commands=commands, start_levels=levels)
+    vision where P > 0.5. With ``start`` the loop resumes at ``start.fork``:
+    the runner is restored from the prefix's capture, the prefix's steps and
+    ticks are logged as they were (its scores only if ``score``), and P
+    restarts at 1, where the prefix left it."""
+    runner = _deploy_runner(cfg, nets, steps, kinds, levels, commands, env_rngs, score)
     n = len(kinds)
+    logs = _step_logs(steps, n)
+    tick_steps, p_log, losses_log, t0 = [], [], [], 0
+    if start is not None:
+        pre, t0 = start.episode, start.fork
+        runner.restore(start.state)
+        for log, logged in zip(logs, (pre.vx, pre.rewards, pre.xz, pre.terminated)):
+            log[:t0] = logged
+        tick_steps += pre.tick_steps
+        p_log += [np.ones(n)] * len(pre.tick_steps)
+        losses_log += (list(pre.losses) if score
+                       else [np.full(n, np.nan)] * len(pre.tick_steps))
     p = np.ones(n)
-    vx, rewards = np.zeros((2, steps, n))
-    xz = np.zeros((steps, n, 2))
-    terminated = np.zeros((steps, n), dtype=bool)
-    tick_steps, p_log, losses_log = [], [], []
-    for t in range(steps):
+    for t in range(t0, steps):
         if runner.is_tick_step():
             tick = runner.tick_estimators(hook)
             if filt is not None:
@@ -127,32 +193,84 @@ def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], leve
             runner.set_latents((p <= 0.5).astype(np.int64))
             tick_steps.append(t)
             p_log.append(p)
-            losses_log.append(np.full(n, np.nan) if tick.losses is None
-                              else np.where(tick.pair_valid, tick.losses, np.nan))
-        actions = np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0)
-        sd = runner.step(actions)
-        vx[t], rewards[t], terminated[t] = runner.world.vx, sd.rewards, sd.terminated
-        xz[t, :, 0], xz[t, :, 1] = runner.world.x, runner.world.z
+            losses_log.append(_scores(tick, n))
+        _act(runner, nets, t, logs)
     p_ticks = np.array(p_log)
-    return EpisodeResult(vx, rewards, xz, terminated, tick_steps, p_ticks,
-                         (p_ticks > 0.5).astype(np.int64), np.array(losses_log)), runner.world
+    return EpisodeResult(*logs, tick_steps, p_ticks, (p_ticks > 0.5).astype(np.int64),
+                         np.array(losses_log)), runner.world
+
+
+def clean_prefix(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec,
+                 onset: int) -> CleanPrefix:
+    """Run the spec's robots on the scored deployment loop with P pinned at 1,
+    capturing the runner before each tick, and stop before the first tick at
+    or after ``onset`` or the first tick where some valid pair does not score
+    below ``spec.beta``. Up to there every run of the spec steps the same bits,
+    whatever its arm, noise from ``onset`` on, or gamma: the noise hook draws
+    nothing before an onset and the autoencoder draws nothing at all, and
+    while every valid pair votes 1, (1 - gamma) * 1 + gamma * 1 rounds to
+    exactly 1 for every gamma in (0, 1], so every robot keeps P = 1 and vision."""
+    n = spec.robots
+    robots, _ = _spec_robots(spec)
+    runner = _deploy_runner(cfg, nets, spec.steps, score=True, **robots)
+    logs = _step_logs(spec.steps, n)
+    tick_steps, losses_log, fork = [], [], spec.steps
+    vision = np.zeros(n, dtype=np.int64)
+    for t in range(spec.steps):
+        if runner.is_tick_step():
+            state = runner.capture()
+            if t >= onset:
+                fork = t
+                break
+            tick = runner.tick_estimators()
+            if (tick.pair_valid & ~(tick.losses < spec.beta)).any():
+                fork = t
+                break
+            runner.set_latents(vision)
+            tick_steps.append(t)
+            losses_log.append(_scores(tick, n))
+        _act(runner, nets, t, logs)
+    else:
+        state = runner.capture()
+    ones = np.ones((len(tick_steps), n))
+    episode = EpisodeResult(*(log[:fork] for log in logs), tick_steps, ones,
+                            ones.astype(np.int64), np.array(losses_log))
+    return CleanPrefix(spec.robots, spec.seed, spec.command, spec.beta, fork, state, episode)
+
+
+def _first_noisy_tick(events: list[NoiseEvent], steps: int, period: int) -> int:
+    """The first tick step at which some event corrupts the frames, else ``steps``."""
+    return next((t for t in range(0, steps, period) if any(ev.active(t) for ev in events)),
+                steps)
 
 
 def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
                 ) -> EpisodeResult:
-    """Run one synchronized episode of ``spec.robots`` robots.
+    """Run one synchronized episode of ``spec.robots`` robots, from
+    ``spec.start`` if it holds a clean prefix of this spec.
 
     arm = "auto": anomaly selector drives the estimator choice.
     arm = "vp_only": selector disabled, vision latent pinned.
     """
     if arm not in ("auto", "vp_only"):
         raise ContractError(f"unknown arm {arm!r}")
-    n, auto = spec.robots, arm == "auto"
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(spec.seed).spawn(2 * n)]
-    hook = _make_noise_hook(spec.noise_events, rngs[n:], cfg.camera)
-    return _deploy(cfg, nets, spec.steps, ["flat"] * n, [0] * n,
-                   [make_command(spec.command) for _ in range(n)], rngs[:n], score=auto,
-                   filt=(spec.beta, spec.gamma) if auto else None, hook=hook)[0]
+    start = spec.start
+    if start is not None:
+        built = dict(robots=start.robots, seed=start.seed, command=start.command,
+                     beta=start.beta)
+        want = dict(robots=spec.robots, seed=spec.seed, command=spec.command, beta=spec.beta)
+        if built != want:
+            raise ContractError(f"the clean prefix was built for {built}, not for this "
+                                f"spec's {want}")
+        first = _first_noisy_tick(spec.noise_events, spec.steps, cfg.selector.tick_period)
+        if start.fork > first:
+            raise ContractError(f"the clean prefix forks at step {start.fork}, past this "
+                                f"spec's first noisy tick at step {first}")
+    auto = arm == "auto"
+    robots, noise_rngs = _spec_robots(spec)
+    hook = _make_noise_hook(spec.noise_events, noise_rngs, cfg.camera)
+    return _deploy(cfg, nets, spec.steps, **robots, score=auto,
+                   filt=(spec.beta, spec.gamma) if auto else None, hook=hook, start=start)[0]
 
 
 def _flips(modes: np.ndarray) -> np.ndarray:
@@ -197,6 +315,9 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg, nets, _ = load_bundle(spec.checkpoint)
+    # both arms of every condition step the same bits up to the onset
+    start = clean_prefix(cfg, nets, spec, spec.noise_onset)
+    cspecs = [dataclasses.replace(cspec, start=start) for cspec in cspecs]
     summary = {"schema": "noise-robustness-summary/v1", "name": spec.name,
                "command": spec.command, "onset": spec.noise_onset,
                "robots": spec.robots, "seed": spec.seed, "conditions": []}
@@ -277,11 +398,14 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
     period = cfg.selector.tick_period
     timeline = [NoiseEvent("salt_pepper", 70.0, on, on + 100) for on in onsets] + [
         NoiseEvent("salt_pepper", 70.0, on, on + period) for on in flickers]
+    # every gamma steps the same bits up to the first onset
+    start = clean_prefix(cfg, nets, spec, min(ev.onset for ev in timeline))
     rows = []
     result = {"schema": "gamma-sweep/v1", "name": spec.name, "onsets": onsets,
               "seed": spec.seed, "rows": rows}
     for gamma in gammas:
-        gspec = dataclasses.replace(spec, gamma=float(gamma), noise_events=list(timeline))
+        gspec = dataclasses.replace(spec, gamma=float(gamma), noise_events=list(timeline),
+                                    start=start)
         ep = run_episode(cfg, nets, gspec, "auto")
         delays = [switch_delays(ep.modes, ep.tick_steps, onset)[0].tolist()
                   for onset in onsets]

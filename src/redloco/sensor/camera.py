@@ -11,8 +11,8 @@ from ..errors import ContractError
 def validate_camera(cam: CameraConfig) -> None:
     if cam.height < 4 or cam.width < 4:
         raise ContractError(f"camera resolution must be at least 4x4, got {cam.height}x{cam.width}")
-    if cam.max_range <= 0:
-        raise ContractError("max_range must be positive")
+    if not cam.max_range > 0:       # NaN fails too
+        raise ContractError(f"max_range must be positive, got {cam.max_range}")
 
 
 def dump_text(data: np.ndarray, pose: np.ndarray, randomized: bool) -> str:

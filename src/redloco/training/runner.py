@@ -4,6 +4,8 @@ Owns the environments, history buffers, estimator hidden states, and the
 10 Hz-analog estimator tick (every ``tick_period`` sim steps). The caller
 decides the fusion masks each tick, so the trainer can apply the adaptation
 schedule while the eval harness runs the anomaly selector or pins a mask.
+`VecRunner.capture` takes the runner's state as named arrays and `restore`
+puts it back, so a run can continue from any step bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import TrainConfig
+from ..errors import ContractError
 from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer,
                           VpEstimator, fuse_batch)
 from ..selector.autoencoder import PAIR_FRAMES, anomaly_scores
@@ -49,6 +52,18 @@ class StepData:
     truncated: np.ndarray
     resets: np.ndarray
     collisions: np.ndarray
+
+
+@dataclass
+class RunnerState:
+    """A `VecRunner` between two steps, as plain named arrays: ``arrays`` maps
+    "world.x", "proprio.data", "depth.rendered", "runner.latents" and so on
+    to copies of every array of the world, the two history buffers and the
+    runner. It holds no networks and no config."""
+    arrays: dict[str, np.ndarray]
+    rng_states: list[dict]         # each world generator's bit_generator.state
+    global_step: int
+    phase: int
 
 
 class VecRunner:
@@ -167,3 +182,39 @@ class VecRunner:
 
     def is_tick_step(self) -> bool:
         return self.global_step % self.cfg.selector.tick_period == 0
+
+    # -- state as named arrays -------------------------------------------------
+    def _parts(self) -> dict:
+        return {"world": self.world, "proprio": self.proprio, "depth": self.depth,
+                "runner": self}
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """Every array attribute of the world, the buffers and the runner, by
+        name (not copied)."""
+        return {f"{part}.{key}": value for part, obj in self._parts().items()
+                for key, value in vars(obj).items() if isinstance(value, np.ndarray)}
+
+    def capture(self) -> RunnerState:
+        """The runner's state before its next step or tick."""
+        return RunnerState({name: arr.copy() for name, arr in self._arrays().items()},
+                           [rng.bit_generator.state for rng in self.world.rngs],
+                           self.global_step, self.phase)
+
+    def restore(self, state: RunnerState) -> None:
+        """Put a capture back. The runner must be built from the same config,
+        terrain kinds and estimators; the capture stays reusable."""
+        mine = self._arrays()
+        if mine.keys() != state.arrays.keys() or len(state.rng_states) != self.n:
+            raise ContractError("runner state does not fit this runner: its arrays or "
+                                "generators are not this runner's")
+        for name, arr in state.arrays.items():
+            if arr.shape != mine[name].shape or arr.dtype != mine[name].dtype:
+                raise ContractError(f"runner state {name} is {arr.dtype} {arr.shape}, this "
+                                    f"runner's is {mine[name].dtype} {mine[name].shape}")
+        parts = self._parts()
+        for name, arr in state.arrays.items():
+            part, _, key = name.partition(".")
+            setattr(parts[part], key, arr.copy())
+        for rng, rng_state in zip(self.world.rngs, state.rng_states):
+            rng.bit_generator.state = rng_state
+        self.global_step, self.phase = state.global_step, state.phase

@@ -45,7 +45,8 @@ class TrainResult:
 
 class Trainer:
     def __init__(self, cfg: TrainConfig, out_dir: str | Path | None = None) -> None:
-        self.cfg = cfg
+        # a config built in code gets the range checks a config file gets
+        self.cfg = config_mod.validate(cfg)
         if unknown := [k for k in cfg.terrain_mix if k not in TERRAIN_KINDS]:
             raise ConfigError(f"terrain_mix: unknown terrain kind {unknown[0]!r}; known "
                               f"kinds: {', '.join(TERRAIN_KINDS)}")

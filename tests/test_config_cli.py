@@ -125,6 +125,18 @@ class TestConfig:
         cfg = config_mod.PRESETS[preset]()
         assert config_mod.validate(cfg) is cfg
 
+    def test_a_config_built_in_code_is_refused_before_the_run_directory(self, tmp_path):
+        cfg = config_mod.tiny_config(flip_period=0)
+        with pytest.raises(ConfigError, match="flip_period = 0 is outside its range"):
+            Trainer(cfg, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_camera_test_settings_lie_inside_the_bounds(self):
+        for cam in (config_mod.CameraConfig(height=12, width=16),
+                    config_mod.CameraConfig(height=48, width=64, ang_jitter=0.0,
+                                            pos_jitter=0.0)):
+            config_mod.validate(config_mod.TrainConfig(camera=cam))
+
     def test_presets_differ_in_camera_resolution(self):
         desk = config_mod.desk_config()
         paper = config_mod.paper_shape_config()
@@ -223,7 +235,10 @@ class TestCli:
               ("selector.tick_period", "0", "0"), ("flip_period", "0", "0"),
               ("net.history_len", "0", "0"), ("world.episode_steps", "0", "0"),
               ("ppo.clip", "-1", "-1.0"), ("ppo.clip", "0", "0.0"),
-              ("ppo.discount", "2", "2.0"), ("ppo.gae_lambda", "3", "3.0")]),
+              ("ppo.discount", "2", "2.0"), ("ppo.gae_lambda", "3", "3.0"),
+              ("camera.max_range", "nan", "nan"), ("camera.max_range", "0", "0.0"),
+              ("camera.edge_border", "-1", "-1"), ("camera.fov_v", "0", "0.0"),
+              ("camera.min_depth", "-1", "-1.0")]),
     ])
     def test_refused_config_is_one_json_line_and_writes_nothing(self, tmp_path, capsys,
                                                                  monkeypatch, text, named,

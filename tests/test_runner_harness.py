@@ -6,16 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from redloco.config import tiny_config
+from redloco.config import desk_config, tiny_config
 from redloco.errors import ContractError
-from redloco.harness import (ExperimentSpec, NoiseEvent, calibrate_beta_run, run_episode,
-                             run_gamma_sweep, run_noise_robustness, run_trace,
+from redloco.harness import (ExperimentSpec, NoiseEvent, calibrate_beta_run, clean_prefix,
+                             run_episode, run_gamma_sweep, run_noise_robustness, run_trace,
                              switch_delay_text)
 from redloco.harness import protocols
 from redloco.harness.protocols import _make_noise_hook, max_switch_delay, switch_delays
 from redloco.selector.autoencoder import PAIR_FRAMES
 from redloco.sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
-from redloco.training import Trainer, load_bundle, train
+from redloco.training import Trainer, build_networks, load_bundle, train
 from redloco.training.runner import VecRunner
 from redloco.world import make_command
 
@@ -145,6 +145,84 @@ class TestRunner:
         assert len(widths) == 1
 
 
+class TestCaptureRestore:
+    """A runner captured as named arrays continues bit for bit once restored."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        cfg = desk_config(n_envs=8)
+        cfg.world.episode_steps = 23       # every env times out, and resets, at step 23
+        return cfg, build_networks(cfg, np.random.default_rng(0))
+
+    @staticmethod
+    def _runner(desk, seed):
+        cfg, nets = desk
+        mix = list(cfg.terrain_mix)
+        kinds = [mix[i % len(mix)] for i in range(cfg.n_envs)]
+        rngs = [np.random.default_rng([seed, i]) for i in range(cfg.n_envs)]
+        return VecRunner(cfg, kinds, rngs, nets.op, nets.vp)
+
+    @staticmethod
+    def _advance(runner, desk):
+        """One sim step on the policy mean, after a tick when one is due."""
+        if runner.is_tick_step():
+            runner.tick_estimators()
+            runner.set_latents(np.arange(runner.n) % 2)
+        actions = np.clip(desk[1].policy.mean(runner.policy_obs()), -1.0, 1.0)
+        return runner.step(actions)
+
+    def test_a_restored_capture_replays_the_run_bit_for_bit(self, desk):
+        runner = self._runner(desk, seed=1)
+        runner.phase = 2                   # curriculum resets draw phase-2 commands
+        # 0 and 10 are tick steps, 23 comes right after the timeout resets
+        ks, m = (0, 10, 23, 31), 50
+        captures, reset_steps = {}, []
+        while runner.global_step < m:
+            if runner.global_step in ks:
+                captures[runner.global_step] = runner.capture()
+            if self._advance(runner, desk).resets.any():
+                reset_steps.append(runner.global_step)
+        assert 23 in reset_steps and sorted(captures) == list(ks)
+        want = runner.capture()
+        for k, state in captures.items():
+            # other generators and a phase-1 start: the capture must overwrite all of it
+            fresh = self._runner(desk, seed=2)
+            fresh.restore(state)
+            while fresh.global_step < m:
+                self._advance(fresh, desk)
+            got = fresh.capture()
+            assert got.arrays.keys() == want.arrays.keys()
+            for name, arr in want.arrays.items():
+                assert np.array_equal(got.arrays[name], arr), (k, name)
+            assert got.rng_states == want.rng_states, k
+            assert (got.global_step, got.phase) == (m, 2)
+
+    def test_the_capture_holds_every_array_of_the_world_the_buffers_and_the_runner(
+            self, desk):
+        runner = self._runner(desk, seed=1)
+        for _ in range(7):
+            self._advance(runner, desk)
+        state = runner.capture()
+        parts = {"world": runner.world, "proprio": runner.proprio, "depth": runner.depth,
+                 "runner": runner}
+        names = [f"{part}.{key}" for part, obj in parts.items()
+                 for key, value in vars(obj).items() if isinstance(value, np.ndarray)]
+        assert sorted(state.arrays) == sorted(names)
+        for name in names:
+            part, _, key = name.partition(".")
+            live = getattr(parts[part], key)
+            assert state.arrays[name] is not live and np.array_equal(state.arrays[name], live)
+        assert state.rng_states == [rng.bit_generator.state for rng in runner.world.rngs]
+        assert (state.global_step, state.phase) == (7, 1)
+
+    def test_a_capture_of_other_robots_is_refused(self, desk):
+        cfg, nets = desk
+        small = VecRunner(cfg, ["flat"] * 3, [np.random.default_rng(i) for i in range(3)],
+                          nets.op, nets.vp)
+        with pytest.raises(ContractError, match="does not fit"):
+            self._runner(desk, seed=1).restore(small.capture())
+
+
 class TestHarness:
     def test_deployment_noise_hook_changes_frame_stage(self, tiny_ckpt):
         cfg, nets, _ = load_bundle(tiny_ckpt)
@@ -224,6 +302,154 @@ class TestHarness:
         res = calibrate_beta_run(tiny_ckpt, episodes=3, seed=1, steps=40)
         assert res["losses_count"] == len(res["losses"]) > 0
         assert res["beta"] == max(res["losses"])
+
+
+def _files(d):
+    return {str(p.relative_to(d)): p.read_bytes() for p in sorted(d.rglob("*"))}
+
+
+def _assert_same_episode(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestFork:
+    """The noise protocol and the gamma sweep run their clean prefix once and
+    fork every arm, condition and gamma from it; the reference runs each of
+    them from step 0."""
+    ROBOTS, SEED, ONSET = 3, 3, 152        # 152 is off the 5-step tick grid
+
+    @pytest.fixture(scope="class")
+    def betas(self, tiny_ckpt):
+        """Betas at which the prefix reaches the first tick at or after the
+        onset, stops after the first valid tick, and stops at it."""
+        cfg, nets, _ = load_bundle(tiny_ckpt)
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=1e9, robots=self.ROBOTS, steps=560,
+                              seed=self.SEED)
+        scores = clean_prefix(cfg, nets, spec, 200).episode.losses
+        first_valid = np.nanmax(scores[1])            # tick 0 has no valid pair
+        return {"full": 1.01 * float(np.nanmax(scores)),
+                "midway": float(np.nextafter(first_valid, np.inf)), "first": 1e-9}
+
+    @staticmethod
+    def _run(monkeypatch, protocol, forked):
+        """Runs ``protocol()`` forked, or with every episode from step 0; returns
+        its (spec, arm, episode) calls and the forks of the prefixes built."""
+        calls, forks, building = [], [], []
+        run, build = protocols.run_episode, protocols.clean_prefix
+
+        def recorded(cfg, nets, spec, arm):
+            assert not building, "the prefix builder called run_episode"
+            calls.append((spec, arm, run(cfg, nets, spec, arm)))
+            return calls[-1][2]
+
+        def prefix(*args):
+            building.append(True)
+            start = build(*args)
+            building.pop()
+            forks.append(start.fork)
+            return start if forked else None
+        with monkeypatch.context() as m:
+            m.setattr(protocols, "run_episode", recorded)
+            m.setattr(protocols, "clean_prefix", prefix)
+            protocol()
+        return calls, forks
+
+    def _compare(self, tmp_path, monkeypatch, protocol):
+        """The forked run's files and episodes equal the reference's; returns
+        the forked run's calls and its one fork."""
+        runs = {}
+        for forked in (True, False):
+            out = tmp_path / ("forked" if forked else "reference")
+            runs[forked] = (*self._run(monkeypatch, lambda: protocol(out), forked), _files(out))
+        (calls, forks, files), (ref_calls, ref_forks, ref_files) = runs[True], runs[False]
+        assert files == ref_files and len(files) > 0
+        assert len(forks) == 1 and forks == ref_forks
+        assert len(calls) == len(ref_calls)
+        for (spec, arm, ep), (ref_spec, ref_arm, ref_ep) in zip(calls, ref_calls):
+            assert spec.start is not None and spec.start.fork == forks[0]
+            assert ref_spec.start is None
+            assert (spec, arm) == (ref_spec, ref_arm)      # start is not compared
+            _assert_same_episode(ep, ref_ep)
+        return calls, forks[0]
+
+    @staticmethod
+    def _fork_fits(kind, fork, ticks, onset):
+        first_valid, at_onset = ticks[1], next(t for t in ticks if t >= onset)
+        if kind == "full":
+            return fork == at_onset
+        if kind == "first":
+            return fork == first_valid
+        return first_valid < fork < at_onset
+
+    @pytest.mark.parametrize("kind", ["full", "midway"])
+    def test_the_forked_noise_protocol_gives_the_bits_of_unforked_runs(
+            self, tiny_ckpt, tmp_path, monkeypatch, betas, kind):
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=betas[kind], robots=self.ROBOTS,
+                              steps=400, noise_onset=self.ONSET, seed=self.SEED)
+        conditions = (("salt_pepper", 30.0), ("gaussian", 0.0))     # level 0: no noise
+        calls, fork = self._compare(
+            tmp_path, monkeypatch,
+            lambda out: run_noise_robustness(spec, out, conditions=conditions))
+        # one full-length run_episode per (condition, arm), as a benchmark clock counts
+        assert [(c.robots, c.steps, len(c.noise_events), arm) for c, arm, _ in calls] == [
+            (3, 400, 1, "auto"), (3, 400, 1, "vp_only"), (3, 400, 0, "auto"),
+            (3, 400, 0, "vp_only")]
+        assert self._fork_fits(kind, fork, calls[0][2].tick_steps, self.ONSET), fork
+
+    @pytest.mark.parametrize("kind", ["full", "first"])
+    def test_the_forked_gamma_sweep_gives_the_bits_of_unforked_runs(
+            self, tiny_ckpt, tmp_path, monkeypatch, betas, kind):
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=betas[kind], robots=self.ROBOTS,
+                              steps=560, seed=self.SEED)
+        calls, fork = self._compare(
+            tmp_path, monkeypatch, lambda out: run_gamma_sweep(spec, [0.05, 0.3, 1.0], out))
+        assert [(c.robots, c.steps, c.gamma, arm) for c, arm, _ in calls] == [
+            (3, 560, 0.05, "auto"), (3, 560, 0.3, "auto"), (3, 560, 1.0, "auto")]
+        assert self._fork_fits(kind, fork, calls[0][2].tick_steps, 200), fork
+
+    def test_an_onset_at_step_0_forks_before_the_first_tick(self, tiny_ckpt):
+        cfg, nets, _ = load_bundle(tiny_ckpt)
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=0.5, robots=self.ROBOTS, steps=40,
+                              seed=self.SEED, noise_events=[NoiseEvent("occlusion", 0.0, 0)])
+        start = clean_prefix(cfg, nets, spec, 0)
+        assert start.fork == 0 and start.episode.vx.shape == (0, self.ROBOTS)
+        for arm in ("auto", "vp_only"):
+            _assert_same_episode(run_episode(cfg, nets, dataclasses.replace(spec, start=start),
+                                             arm),
+                                 run_episode(cfg, nets, spec, arm))
+
+    def test_the_prefix_builder_drives_the_loop_without_run_episode(self, tiny_ckpt,
+                                                                    monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("the prefix builder called run_episode")
+        monkeypatch.setattr(protocols, "run_episode", refuse)
+        cfg, nets, _ = load_bundle(tiny_ckpt)
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=1e9, robots=self.ROBOTS, steps=200,
+                              seed=self.SEED)
+        start = clean_prefix(cfg, nets, spec, 100)
+        assert start.fork == 100 and start.episode.vx.shape == (100, self.ROBOTS)
+        assert start.episode.tick_steps == list(range(0, 100, 5))
+
+    def test_a_mismatched_start_is_refused(self, tiny_ckpt):
+        cfg, nets, _ = load_bundle(tiny_ckpt)
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=1e9, robots=self.ROBOTS, steps=200,
+                              seed=self.SEED)
+        start = clean_prefix(cfg, nets, spec, 100)
+        for change in (dict(robots=2), dict(seed=4), dict(command=0.5), dict(beta=1.0)):
+            with pytest.raises(ContractError, match="the clean prefix was built for"):
+                run_episode(cfg, nets, dataclasses.replace(spec, start=start, **change),
+                            "auto")
+        # an onset at step 92 is first seen by the tick at step 95, before the fork
+        early = dataclasses.replace(spec, start=start,
+                                    noise_events=[NoiseEvent("gaussian", 30.0, 92)])
+        with pytest.raises(ContractError, match="forks at step 100, past this spec's first "
+                                                "noisy tick at step 95"):
+            run_episode(cfg, nets, early, "vp_only")
 
 
 class TestNoiseProtocolReport:
