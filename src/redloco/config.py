@@ -21,41 +21,7 @@ from .errors import ConfigError
 class WorldConfig:
     dt: float = 0.02
     cell_size: float = 0.05
-    terrain_cells: int = 480
-    spawn_x: float = 2.0
-    stand_height: float = 0.30
-    foot_offsets: tuple[float, float] = (0.15, -0.15)
-    max_step: float = 0.12
-    gravity: float = 9.81
-    accel_max: float = 8.0
-    drag: float = 4.0
-    v_hop: float = 3.5
-    hop_threshold: float = 0.5
-    impact_loss: float = 0.05
-    osc_base_rate: float = 1.0
-    osc_rate_per_speed: float = 12.0
-    pitch_gain: float = 0.08
-    pitch_relax: float = 10.0
-    # gait-induced posture wobble grows with speed (random, so a single
-    # observation cannot be inverted for the speed)
-    pitch_wobble_per_speed: float = 0.03
-    max_pitch: float = 1.2
     episode_steps: int = 400
-    motor_gain_range: tuple[float, float] = (0.85, 1.15)
-    init_speed_range: tuple[float, float] = (0.0, 0.5)
-    yaw_cmd_range: float = 0.4
-    zero_cmd_snap: float = 0.02
-    max_clearance: float = 2.0
-    profile_span: tuple[float, float] = (-0.5, 1.1)
-    profile_samples: int = 17
-    foot_patch: float = 0.05
-    patch_samples: int = 5
-    fall_margin: float = 1.0
-    # linear difficulty schedules over curriculum levels 0..9
-    gap_width_range: tuple[float, float] = (0.1, 0.8)
-    platform_height_range: tuple[float, float] = (0.1, 0.5)
-    step_height_range: tuple[float, float] = (0.05, 0.2)
-    rough_amp_range: tuple[float, float] = (0.01, 0.1)
 
 
 @dataclass
@@ -82,18 +48,12 @@ class NetConfig:
     embed_hidden: int = 64
     embed_out: int = 32
     cnn_channels: tuple[int, int, int] = (8, 16, 32)
-    cnn_kernel: int = 3
-    cnn_stride: int = 2
-    cnn_pad: int = 1
     encoder_hidden: int = 64
     encoder_out: int = 32
     gru_hidden: int = 64
     latent: int = 32
     z_dim: int = 16
     him_hidden: int = 32
-    actor_hidden: tuple[int, int] = (128, 64)
-    critic_hidden: tuple[int, int] = (128, 64)
-    init_log_std: float = -0.7
 
 
 @dataclass
@@ -103,9 +63,6 @@ class SelectorConfig:
     tick_period: int = 5
     ae_channels: tuple[int, int, int] = (8, 16, 32)
     ae_bottleneck: int = 128
-    ae_kernel: int = 3
-    ae_stride: int = 2
-    ae_pad: int = 1
 
 
 @dataclass
@@ -118,32 +75,8 @@ class PPOConfig:
     clip: float = 0.2
     epochs: int = 4
     minibatches: int = 4
-    entropy_coef: float = 0.005
-    value_coef: float = 0.5
-    max_grad_norm: float = 1.0
     ae_batch: int = 256
     ae_epochs: int = 4
-
-
-@dataclass
-class RewardConfig:
-    lin_vel: float = 1.5
-    ang_vel: float = 0.5
-    collision: float = -10.0
-    joint_energy: float = -1e-5
-    action_rate: float = -0.1
-    default_pos: float = -0.04
-    joint_acc: float = -2.5e-7
-    orientation: float = -1.0
-    ang_vel_sigma: float = 0.5
-    # deterministic gait-implied angular rate, gait_rate_gain * (speed along
-    # the heading), tracked against the rate the command implies; the capped
-    # tracking term is flat above c_x, so this term alone prices overspeed
-    gait_rate_gain: float = 3.0
-    # height deviation is measured in units of this length (squared, capped)
-    # so the planar posture analog matches joint-space penalty magnitudes
-    default_pos_unit: float = 0.1
-    default_pos_cap: float = 25.0
 
 
 @dataclass
@@ -157,9 +90,6 @@ class TrainConfig:
     terrain_mix: tuple[str, ...] = ("flat", "stairs_up", "gap", "flat", "stairs_down",
                                     "platform", "flat", "rough")
     flip_period: int = 20
-    promote_ratio: float = 0.8
-    demote_ratio: float = 0.4
-    phase_threshold: float = 0.7
     phase_budget_frac: float = 0.6
     checkpoint_every: int = 0    # 0 = final only
     out_dir: str = "runs/default"
@@ -168,7 +98,6 @@ class TrainConfig:
     net: NetConfig = field(default_factory=NetConfig)
     selector: SelectorConfig = field(default_factory=SelectorConfig)
     ppo: PPOConfig = field(default_factory=PPOConfig)
-    reward: RewardConfig = field(default_factory=RewardConfig)
 
 
 def desk_config(**overrides: Any) -> TrainConfig:
@@ -216,24 +145,38 @@ class Bound:
         return f"{'(' if self.open_low else '['}{self.low:g}, {self.high:g}{close}"
 
 
-# One range per key. A key missing here is not range-checked yet. The upper
-# ends are 5x the default step and 10x the default cell. Learning rates stop
-# at 1: an Adam step moves each weight by up to about the learning rate.
-# Periods and lengths count steps, ticks or iterations, so they start at 1.
-# The PPO ratio clip is a fraction of 1; discount and lambda are weights.
-# The camera renders at least 4x4 pixels. Its fields of view and mount pitch
-# stay below a right angle (1.5 rad), its mount within 1 m of the body and its
-# range within 10 m. Its minimum depth is above 0 and at most 1 m; jitters
-# (m, rad) lie in [0, 0.5] and noise scales in [0, 1].
+# One range per numeric key. The upper ends are 5x the default step and 10x
+# the default cell. Learning rates stop at 1: an Adam step moves each weight by
+# up to about the learning rate. Periods, lengths and layer widths count
+# steps, ticks, iterations or units, so they start at 1. The PPO ratio clip is
+# a fraction of 1; discount and lambda are weights. The camera renders at
+# least 4x4 pixels. Its fields of view and mount pitch stay below a right
+# angle (1.5 rad), its mount within 1 m of the body and its range within
+# 10 m. Its minimum depth is above 0 and at most 1 m; jitters (m, rad) lie in
+# [0, 0.5] and noise scales in [0, 1].
 BOUNDS = {
+    "seed": Bound(0),
     "n_envs": Bound(1),
     "horizon": Bound(1),
+    "iterations": Bound(1),
     "flip_period": Bound(1),
+    "phase_budget_frac": Bound(0.0, 1.0),
+    "checkpoint_every": Bound(0),
     "world.dt": Bound(0.0, 0.1, open_low=True),
     "world.cell_size": Bound(0.0, 0.5, open_low=True),
     "world.episode_steps": Bound(1),
     "net.history_len": Bound(1),
+    "net.embed_hidden": Bound(1),
+    "net.embed_out": Bound(1),
+    "net.encoder_hidden": Bound(1),
+    "net.encoder_out": Bound(1),
+    "net.gru_hidden": Bound(1),
+    "net.latent": Bound(1),
+    "net.z_dim": Bound(1),
+    "net.him_hidden": Bound(1),
     "selector.tick_period": Bound(1),
+    "selector.ae_bottleneck": Bound(1),
+    "ppo.lr": Bound(0.0, 1.0, open_low=True),
     "ppo.clip": Bound(0.0, 1.0, open_low=True),
     "ppo.discount": Bound(0.0, 1.0),
     "ppo.gae_lambda": Bound(0.0, 1.0),
@@ -262,13 +205,18 @@ BOUNDS = {
 
 def validate(cfg: TrainConfig) -> TrainConfig:
     """Refuse a value outside its key's bound, naming the key, the value and
-    the range."""
+    the range; then a camera border that leaves no interior to resample."""
     for key, bound in BOUNDS.items():
         value = cfg
         for part in key.split("."):
             value = getattr(value, part)
         if not bound.admits(value):
             raise ConfigError(f"{key} = {value!r} is outside its range {bound}")
+    cam = cfg.camera
+    if 2 * cam.edge_border >= min(cam.height, cam.width):
+        raise ConfigError(f"camera.edge_border = {cam.edge_border} crops the whole "
+                          f"{cam.height}x{cam.width} frame: twice the border must be "
+                          f"below the smaller side")
     return cfg
 
 
@@ -303,7 +251,7 @@ def set_key(cfg: TrainConfig, key: str, raw: str) -> None:
     parts = key.split(".")
     for p in parts[:-1]:
         if not hasattr(obj, p):
-            raise ConfigError(f"unknown config section {p!r} in key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         obj = getattr(obj, p)
     name = parts[-1]
     hints = typing.get_type_hints(type(obj))

@@ -19,6 +19,10 @@ from ..errors import ContractError
 from ..nn import Conv2d, Elu, Flatten, GruCell, LayerStack, Linear, Tanh, conv_shape
 from ..selector.autoencoder import PAIR_FRAMES
 
+# every conv of the depth embedding halves the frame: 3x3 kernels, stride 2,
+# padding 1
+CNN_KERNEL, CNN_STRIDE, CNN_PAD = 3, 2, 1
+
 
 @dataclass
 class EstimatorOutput:
@@ -130,7 +134,7 @@ class VpEstimator(_EstimatorBase):
     def __init__(self, cfg: NetConfig, obs_dim: int, depth_hw: tuple[int, int],
                  profile_samples: int, rng: np.random.Generator) -> None:
         c1, c2, c3 = cfg.cnn_channels
-        k, s, p = cfg.cnn_kernel, cfg.cnn_stride, cfg.cnn_pad
+        k, s, p = CNN_KERNEL, CNN_STRIDE, CNN_PAD
         shape = (PAIR_FRAMES,) + depth_hw
         self.cnn_out_shape = conv_shape(conv_shape(conv_shape(shape, k, s, p, c1),
                                                    k, s, p, c2), k, s, p, c3)

@@ -208,6 +208,8 @@ def _render_depth_cmd(args) -> None:
     from ..sensor import dump_text, render_batch
     from ..world import BatchWorld
 
+    if args.seed < 0:
+        raise ContractError(f"seed must be at least 0, got {args.seed}")
     cfg = config_mod.PRESETS[args.preset]()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

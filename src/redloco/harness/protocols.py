@@ -65,6 +65,8 @@ class ExperimentSpec:
         for name in ("robots", "steps"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be at least 0, got {self.seed}")
         make_selector(self.beta, self.gamma)    # refuses a non-finite beta, gamma outside (0, 1]
         for ev in self.noise_events:
             if not 0 <= ev.onset < self.steps:
@@ -476,6 +478,8 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
     for name, value in (("episodes", episodes), ("steps", steps)):
         if value < 1:
             raise ContractError(f"{name} must be at least 1, got {value}")
+    if seed < 0:
+        raise ContractError(f"seed must be at least 0, got {seed}")
     cfg, nets, _ = load_bundle(checkpoint)
     mix = list(cfg.terrain_mix)
     children = np.random.SeedSequence([seed, 917]).spawn(episodes + 1)
@@ -483,7 +487,7 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
     env_rngs = [np.random.default_rng(c) for c in children[:episodes]]
     kinds = [mix[i % len(mix)] for i in range(episodes)]
     levels = [int(pick_rng.integers(0, 6)) for _ in range(episodes)]
-    commands = [sample_command(pick_rng, 2, cfg.world) for _ in range(episodes)]
+    commands = [sample_command(pick_rng, 2) for _ in range(episodes)]
     ep, w = _deploy(cfg, nets, steps, kinds, levels, commands, env_rngs, score=True,
                     filt=None, hook=None)
     # successful = never fell and actually performed the commanded task

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import NetConfig, SelectorConfig
+from ..errors import ContractError
 from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator, loss_op, loss_vp
 from ..nn.gradcheck import LAYER_KINDS, fd_grad, rel_err, run_layer_suite
 from ..selector.autoencoder import PAIR_FRAMES, build_autoencoder
@@ -110,6 +111,8 @@ def run_loss_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
 
 def run_full_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
     """Layer kinds plus the three supervised losses; all must sit under 1e-4."""
+    if seed < 0:
+        raise ContractError(f"seed must be at least 0, got {seed}")
     results = run_layer_suite(instances, seed)
     results.update(run_loss_suite(instances, seed))
     return results

@@ -17,21 +17,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import CameraConfig, SelectorConfig, WorldConfig
+from ..config import CameraConfig, SelectorConfig
 from ..errors import ContractError
 from ..nn import (Conv2d, Deconv2d, Elu, Flatten, LayerStack, Linear, Reshape,
                   conv_shape, mirror_out_pad)
+from ..world import FOOT_OFFSETS
 
 
 # the networks read the newest frame pair: it sizes the depth buffer and the
 # first conv of the autoencoder and of the vision estimator's CNN
 PAIR_FRAMES = 2
+# every conv halves the frame: 3x3 kernels, stride 2, padding 1
+AE_KERNEL, AE_STRIDE, AE_PAD = 3, 2, 1
 
 
 def build_autoencoder(cfg: SelectorConfig, height: int, width: int,
                       rng: np.random.Generator) -> LayerStack:
     c1, c2, c3 = cfg.ae_channels
-    k, s, p = cfg.ae_kernel, cfg.ae_stride, cfg.ae_pad
+    k, s, p = AE_KERNEL, AE_STRIDE, AE_PAD
     s0 = (PAIR_FRAMES, height, width)
     s1 = conv_shape(s0, k, s, p, c1)
     s2 = conv_shape(s1, k, s, p, c2)
@@ -64,14 +67,14 @@ def loss_ad_batch(frames: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
     return np.mean(diff * diff, axis=(1, 2, 3))
 
 
-def near_depth_bound(world: WorldConfig, camera: CameraConfig) -> float:
+def near_depth_bound(camera: CameraConfig) -> float:
     """Nearest depth a surface can show a working camera.
 
     The robot cannot move its front foot into a face, and the front foot
     stands ahead of the camera mount, so no surface is nearer than that
     lead less the camera's position jitter (0.04 m at the defaults).
     """
-    return max(world.foot_offsets) - camera.mount_forward - camera.pos_jitter
+    return max(FOOT_OFFSETS) - camera.mount_forward - camera.pos_jitter
 
 
 def implausibility(frames: np.ndarray, near: float, min_depth: float) -> np.ndarray:
@@ -86,12 +89,12 @@ def implausibility(frames: np.ndarray, near: float, min_depth: float) -> np.ndar
 
 
 def anomaly_scores(frames: np.ndarray, reconstruction: np.ndarray,
-                   world: WorldConfig, camera: CameraConfig) -> np.ndarray:
+                   camera: CameraConfig) -> np.ndarray:
     """Per-sample anomaly scores for a (B, 2, H, W) batch: the reconstruction
     MSE plus ``(max_range - min_depth)^2`` times the implausibility, so a pair
     with a fully occluded frame scores above any clean-frame reconstruction
     error an in-range autoencoder output can give."""
-    near = near_depth_bound(world, camera)
+    near = near_depth_bound(camera)
     span = camera.max_range - camera.min_depth
     return (loss_ad_batch(frames, reconstruction)
             + span * span * implausibility(frames, near, camera.min_depth))

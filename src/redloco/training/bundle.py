@@ -13,7 +13,7 @@ from ..errors import CheckpointError, ConfigError
 from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator
 from ..nn import LayerStack, TensorParam, load_checkpoint, save_checkpoint
 from ..selector.autoencoder import build_autoencoder
-from ..world import OBS_DIM
+from ..world import OBS_DIM, PROFILE_SAMPLES
 from .policy import Critic, GaussianPolicy
 
 
@@ -22,7 +22,7 @@ def policy_obs_dim(cfg: TrainConfig) -> int:
 
 
 def critic_obs_dim(cfg: TrainConfig) -> int:
-    return policy_obs_dim(cfg) + 2 + cfg.world.profile_samples
+    return policy_obs_dim(cfg) + 2 + PROFILE_SAMPLES
 
 
 @dataclass
@@ -51,11 +51,11 @@ class Networks:
 def build_networks(cfg: TrainConfig, rng: np.random.Generator) -> Networks:
     op = OpEstimator(cfg.net, OBS_DIM, rng)
     vp = VpEstimator(cfg.net, OBS_DIM, (cfg.camera.height, cfg.camera.width),
-                     cfg.world.profile_samples, rng)
+                     PROFILE_SAMPLES, rng)
     him = HimTargetEncoder(cfg.net, OBS_DIM, rng)
     ae = build_autoencoder(cfg.selector, cfg.camera.height, cfg.camera.width, rng)
-    policy = GaussianPolicy(cfg.net, policy_obs_dim(cfg), 2, rng)
-    critic = Critic(cfg.net, critic_obs_dim(cfg), rng)
+    policy = GaussianPolicy(policy_obs_dim(cfg), 2, rng)
+    critic = Critic(critic_obs_dim(cfg), rng)
     return Networks(op, vp, him, ae, policy, critic)
 
 

@@ -4,21 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import NetConfig
 from ..nn import Elu, LayerStack, Linear, TensorParam
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+ACTOR_HIDDEN = (128, 64)
+CRITIC_HIDDEN = (128, 64)
+INIT_LOG_STD = -0.7
 
 
 class GaussianPolicy:
     """MLP mean head with a state-independent learned log-std."""
 
-    def __init__(self, cfg: NetConfig, obs_dim: int, act_dim: int,
-                 rng: np.random.Generator) -> None:
-        h1, h2 = cfg.actor_hidden
+    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator) -> None:
+        h1, h2 = ACTOR_HIDDEN
         self.actor = LayerStack([Linear(obs_dim, h1), Elu(), Linear(h1, h2), Elu(),
                                  Linear(h2, act_dim)], (obs_dim,), rng)
-        self.log_std = TensorParam("log_std", np.full(act_dim, cfg.init_log_std))
+        self.log_std = TensorParam("log_std", np.full(act_dim, INIT_LOG_STD))
         self.act_dim = act_dim
 
     def params(self):
@@ -70,8 +71,8 @@ class GaussianPolicy:
 
 
 class Critic:
-    def __init__(self, cfg: NetConfig, obs_dim: int, rng: np.random.Generator) -> None:
-        h1, h2 = cfg.critic_hidden
+    def __init__(self, obs_dim: int, rng: np.random.Generator) -> None:
+        h1, h2 = CRITIC_HIDDEN
         self.net = LayerStack([Linear(obs_dim, h1), Elu(), Linear(h1, h2), Elu(),
                                Linear(h2, 1)], (obs_dim,), rng)
 

@@ -19,6 +19,9 @@ from .policy import Critic, GaussianPolicy
 # it: the policy gets stuck at, say, full throttle. A quadratic penalty on the
 # mean's excess over the box keeps it where the reward can move it.
 MEAN_BOUND = 1.0
+ENTROPY_COEF = 0.005
+VALUE_COEF = 0.5
+MAX_GRAD_NORM = 1.0
 
 
 def mean_bound_loss(mu: np.ndarray) -> tuple[float, np.ndarray]:
@@ -77,19 +80,19 @@ def ppo_update(policy: GaussianPolicy, critic: Critic, policy_opt: Adam,
             lp, mu, tape = policy.evaluate(o, a)
             ratio = np.exp(lp - lp_old)
             surr, g_min_dr = surrogate_and_grad(ratio, ad, cfg.clip)
-            # loss = -surrogate - entropy_coef * entropy + mean bound
+            # loss = -surrogate - ENTROPY_COEF * entropy + mean bound
             g_logp = -g_min_dr * ratio
             _, g_bound = mean_bound_loss(mu)
             policy.backward_logp(tape, mu, a, g_logp, g_bound)
-            policy.log_std.grad -= cfg.entropy_coef * policy.entropy_grad_logstd()
-            clip_grad_norm(policy_opt, cfg.max_grad_norm)
+            policy.log_std.grad -= ENTROPY_COEF * policy.entropy_grad_logstd()
+            clip_grad_norm(policy_opt, MAX_GRAD_NORM)
             policy_opt.step()
 
             v, vtape = critic.evaluate(co)
             diff = v - ret
             v_loss = float(np.mean(diff * diff))
-            critic.backward_value(vtape, cfg.value_coef * 2.0 * diff / diff.size)
-            clip_grad_norm(critic_opt, cfg.max_grad_norm)
+            critic.backward_value(vtape, VALUE_COEF * 2.0 * diff / diff.size)
+            clip_grad_norm(critic_opt, MAX_GRAD_NORM)
             critic_opt.step()
 
             surr_vals.append(surr)

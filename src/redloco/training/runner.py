@@ -20,7 +20,7 @@ from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuff
                           VpEstimator, fuse_batch)
 from ..selector.autoencoder import PAIR_FRAMES, anomaly_scores
 from ..sensor import edge_truncate_resize, render_batch
-from ..world import OBS_DIM, BatchWorld, compute_reward, update_curriculum
+from ..world import OBS_DIM, PROFILE_SAMPLES, BatchWorld, compute_reward, update_curriculum
 from ..nn import LayerStack
 
 
@@ -88,7 +88,7 @@ class VecRunner:
         self.op_hidden = op.zero_hidden(self.n)
         self.vp_hidden = vp.zero_hidden(self.n)
         self.latents = np.zeros((self.n, 2 * cfg.net.latent))
-        self.m_t_held = np.zeros((self.n, cfg.world.profile_samples))
+        self.m_t_held = np.zeros((self.n, PROFILE_SAMPLES))
         self.obs = np.zeros((self.n, OBS_DIM))
         self.global_step = 0
         self.resets_since_tick = np.ones(self.n, dtype=bool)
@@ -139,7 +139,7 @@ class VecRunner:
         losses = None
         if self.ae is not None:
             recon, _, _ = self.ae.forward(depth_pairs)
-            losses = anomaly_scores(depth_pairs, recon, self.cfg.world, cam)
+            losses = anomaly_scores(depth_pairs, recon, cam)
         priv = self.world.privileged()
         self.m_t_held = priv.m_t
         resets_before = self.resets_since_tick.copy()
@@ -152,17 +152,15 @@ class VecRunner:
 
     # -- one sim step over all envs -------------------------------------------
     def step(self, actions: np.ndarray) -> StepData:
-        cfg = self.cfg
         w = self.world
         ev = w.step(actions)
-        reward = compute_reward(w, ev.collision, cfg.reward)
+        reward = compute_reward(w, ev.collision)
         done = ev.done
         ids = np.flatnonzero(done)
         if ids.size:
             if self.fixed_commands is None:
                 w.level[ids] = update_curriculum(w.level[ids], w.along[ids],
-                                                 w.commanded_distance[ids],
-                                                 cfg.promote_ratio, cfg.demote_ratio)
+                                                 w.commanded_distance[ids])
                 w.curriculum_phase[ids] = self.phase
             w.reset(ids, None if self.fixed_commands is None
                     else [self.fixed_commands[i] for i in ids])

@@ -13,6 +13,9 @@ import numpy as np
 from ..world.terrain import DIFFICULT_KINDS, TERRAIN_KINDS
 from ..errors import ContractError
 
+# the moving average of tracking that moves the command curriculum to phase 2
+PHASE_THRESHOLD = 0.7
+
 
 def terrain_class(kind: str) -> str:
     if kind not in TERRAIN_KINDS:

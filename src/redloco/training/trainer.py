@@ -21,7 +21,7 @@ from .bundle import Networks, build_networks, critic_obs_dim, policy_obs_dim, sa
 from .ppo import PPOStats, ppo_update
 from .rollout import RolloutBuffer
 from .runner import VecRunner
-from .schedule import AdaptationSchedule, PhaseTracker, terrain_class
+from .schedule import PHASE_THRESHOLD, AdaptationSchedule, PhaseTracker, terrain_class
 from .supervised import (AutoencoderStats, SupervisedStats, autoencoder_update,
                          supervised_update)
 
@@ -62,7 +62,7 @@ class Trainer:
         self.kinds = [mix[i % len(mix)] for i in range(cfg.n_envs)]
         self.runner = VecRunner(cfg, self.kinds, env_rngs, self.nets.op, self.nets.vp)
         self.schedule = AdaptationSchedule(self.kinds, cfg.flip_period)
-        self.phase = PhaseTracker(cfg.phase_threshold,
+        self.phase = PhaseTracker(PHASE_THRESHOLD,
                                   int(cfg.phase_budget_frac * cfg.iterations))
         p = cfg.ppo
         self.policy_opt = Adam(self.nets.policy.params(), p.lr)

@@ -1,7 +1,7 @@
 """Sagittal-plane hop-capable robots over heightfields, as one batch of arrays.
 
 Each env's body is a point mass with a stand height and two virtual feet.
-Grounded motion follows the terrain for rises up to ``max_step``; taller
+Grounded motion follows the terrain for rises up to ``MAX_STEP``; taller
 faces block and count as a collision; gaps under both feet terminate the
 episode. Hops are ballistic under gravity. A 4-phase oscillator driven by
 forward speed stands in for joint state.
@@ -23,10 +23,41 @@ import numpy as np
 from ..config import WorldConfig
 from ..errors import ContractError
 from .commands import Command, sample_command
-from .terrain import Heightfield, generate_terrain
+from .terrain import SPAWN_X, TERRAIN_CELLS, Heightfield, generate_terrain
 
 OBS_DIM = 14
 JOINT_PHASE0 = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
+
+# body and feet, in m
+STAND_HEIGHT = 0.30
+FOOT_OFFSETS = (0.15, -0.15)
+MAX_STEP = 0.12              # tallest rise the feet follow; taller faces block
+FALL_MARGIN = 1.0            # below the lowest solid cell an airborne body has fallen
+# dynamics: m/s^2, 1/s, m/s
+GRAVITY = 9.81
+ACCEL_MAX = 8.0
+DRAG = 4.0
+V_HOP = 3.5
+HOP_THRESHOLD = 0.5          # hop action above which a grounded body hops
+IMPACT_LOSS = 0.05           # share of forward speed lost per m/s of landing speed
+# the 4-phase gait oscillator, rad/s
+OSC_BASE_RATE = 1.0
+OSC_RATE_PER_SPEED = 12.0
+# posture, rad; gait-induced wobble grows with speed (random, so a single
+# observation cannot be inverted for the speed)
+PITCH_GAIN = 0.08
+PITCH_RELAX = 10.0           # 1/s
+PITCH_WOBBLE_PER_SPEED = 0.03
+MAX_PITCH = 1.2
+# per-episode randomization
+MOTOR_GAIN_RANGE = (0.85, 1.15)
+INIT_SPEED_RANGE = (0.0, 0.5)
+# privileged labels: the clearance profile ahead of the body and the foot patches
+MAX_CLEARANCE = 2.0
+PROFILE_SPAN = (-0.5, 1.1)
+PROFILE_SAMPLES = 17
+FOOT_PATCH = 0.05
+PATCH_SAMPLES = 5
 
 
 @dataclass
@@ -89,8 +120,8 @@ class BatchWorld:
         self.rngs = list(rngs)
         self.level = np.array(levels if levels is not None else [0] * n, dtype=np.int64)
         self.curriculum_phase = np.ones(n, dtype=np.int64)
-        self.heights = np.zeros((n, cfg.terrain_cells))
-        self.void = np.zeros((n, cfg.terrain_cells), dtype=bool)
+        self.heights = np.zeros((n, TERRAIN_CELLS))
+        self.void = np.zeros((n, TERRAIN_CELLS), dtype=bool)
         self.x, self.z, self.vx, self.vz, self.pitch = (np.zeros(n) for _ in range(5))
         self.ax, self.az, self.pitch_rate = (np.zeros(n) for _ in range(3))
         self.airborne = np.zeros(n, dtype=bool)
@@ -101,7 +132,7 @@ class BatchWorld:
         self.prev_action = np.zeros((n, 2))
         self.motor_gain = np.ones(n)
         self.episode_step = np.zeros(n, dtype=np.int64)
-        self.start_x = np.full(n, cfg.spawn_x)
+        self.start_x = np.full(n, SPAWN_X)
         self.commanded_distance = np.zeros(n)
         self.fall_z = np.zeros(n)
         self.c_x = np.zeros(n)
@@ -123,14 +154,14 @@ class BatchWorld:
             seed = int(rng.integers(0, 2 ** 31 - 1))
             self.set_terrain(i, generate_terrain(self.kinds[i], int(self.level[i]), seed, cfg))
             solid = self.heights[i][~self.void[i]]
-            self.fall_z[i] = (float(solid.min()) if solid.size else 0.0) - cfg.fall_margin
+            self.fall_z[i] = (float(solid.min()) if solid.size else 0.0) - FALL_MARGIN
             cmd = commands[k] if commands is not None else sample_command(
-                rng, int(self.curriculum_phase[i]), cfg)
+                rng, int(self.curriculum_phase[i]))
             self.c_x[i], self.c_yaw[i] = cmd.c_x, cmd.c_yaw
-            self.motor_gain[i] = rng.uniform(*cfg.motor_gain_range)
-            self.vx[i] = rng.uniform(*cfg.init_speed_range)
-        self.x[ids] = cfg.spawn_x
-        self.z[ids] = self.support(self.x[ids], ids) + cfg.stand_height
+            self.motor_gain[i] = rng.uniform(*MOTOR_GAIN_RANGE)
+            self.vx[i] = rng.uniform(*INIT_SPEED_RANGE)
+        self.x[ids] = SPAWN_X
+        self.z[ids] = self.support(self.x[ids], ids) + STAND_HEIGHT
         for arr in (self.vz, self.pitch, self.ax, self.az, self.pitch_rate,
                     self.last_action, self.commanded_distance):
             arr[ids] = 0.0
@@ -164,12 +195,12 @@ class BatchWorld:
         """Highest solid ground under either foot at body position x, for all
         envs or the envs ``ids``; -inf when both feet are over void."""
         env = np.arange(len(self)) if ids is None else np.asarray(ids)
-        feet = np.asarray(x)[:, None] + np.array(self.cfg.foot_offsets)
+        feet = np.asarray(x)[:, None] + np.array(FOOT_OFFSETS)
         return self._height(feet, env[:, None]).max(axis=1)
 
     def _clearance(self, z_ref: np.ndarray, x: np.ndarray, env: np.ndarray) -> np.ndarray:
         h = self._height(x, env)
-        mc = self.cfg.max_clearance
+        mc = MAX_CLEARANCE
         return np.where(h == -np.inf, mc, np.clip(z_ref - h, -mc, mc))
 
     # -- dynamics ----------------------------------------------------------------
@@ -194,41 +225,41 @@ class BatchWorld:
         self.prev_ax, self.prev_action = self.ax, self.last_action
 
         grounded = ~self.airborne
-        vx = np.where(grounded, vx + (a0 * cfg.accel_max * self.motor_gain
-                                      - cfg.drag * vx) * dt, vx)
-        hopped = grounded & (a1 > cfg.hop_threshold)
-        vz = np.where(hopped, a1 * cfg.v_hop, vz)
+        vx = np.where(grounded, vx + (a0 * ACCEL_MAX * self.motor_gain
+                                      - DRAG * vx) * dt, vx)
+        hopped = grounded & (a1 > HOP_THRESHOLD)
+        vz = np.where(hopped, a1 * V_HOP, vz)
         air = self.airborne | hopped
 
         old_support = self.support(x)
         new_x = x + vx * dt
         support_new = self.support(new_x)
         solid = support_new > -np.inf
-        top = support_new + cfg.stand_height
+        top = support_new + STAND_HEIGHT
 
-        # airborne: ballistic flight; touch down within max_step of the surface,
+        # airborne: ballistic flight; touch down within MAX_STEP of the surface,
         # else hit the face of a taller one, coming down or rising into it
-        fz = z + vz * dt - 0.5 * cfg.gravity * dt * dt
-        fvz = vz - cfg.gravity * dt
+        fz = z + vz * dt - 0.5 * GRAVITY * dt * dt
+        fvz = vz - GRAVITY * dt
         descending = solid & (fvz < 0) & (fz <= top)
-        near = fz >= top - cfg.max_step
+        near = fz >= top - MAX_STEP
         landed = air & descending & near
         air_hit = air & ((descending & ~near)
-                         | (~descending & solid & (fz < top - cfg.max_step) & (fvz >= 0)))
+                         | (~descending & solid & (fz < top - MAX_STEP) & (fvz >= 0)))
 
-        # grounded: follow rises up to max_step, stop at taller ones, walk off drops
+        # grounded: follow rises up to MAX_STEP, stop at taller ones, walk off drops
         g = ~air
         with np.errstate(invalid="ignore"):
             rise = support_new - old_support
-        g_hit = g & solid & (rise > cfg.max_step)
-        walk_off = g & solid & ~g_hit & (rise < -cfg.max_step)
+        g_hit = g & solid & (rise > MAX_STEP)
+        walk_off = g & solid & ~g_hit & (rise < -MAX_STEP)
         follow = g & solid & ~g_hit & ~walk_off
 
         collision = air_hit | g_hit
         self.x = np.where(collision, x, new_x)
         self.z = np.where(landed | follow, top, np.where(air, fz, z))
         self.vx = np.where(collision, 0.0, np.where(
-            landed, vx * np.maximum(0.0, 1.0 - cfg.impact_loss * np.abs(fvz)), vx))
+            landed, vx * np.maximum(0.0, 1.0 - IMPACT_LOSS * np.abs(fvz)), vx))
         self.vz = np.where(landed | walk_off, 0.0, np.where(air, fvz, vz))
         self.airborne = (air & ~landed) | walk_off
         fell = (air & (self.z < self.fall_z)) | (g & ~solid)
@@ -241,13 +272,13 @@ class BatchWorld:
         u = np.zeros(len(self))
         for i in np.flatnonzero(grounded):
             u[i] = self.rngs[i].uniform(-1.0, 1.0)
-        wobble = cfg.pitch_wobble_per_speed * self.vx * np.abs(self.vx) * u
-        target = cfg.pitch_gain * a0 + wobble
+        wobble = PITCH_WOBBLE_PER_SPEED * self.vx * np.abs(self.vx) * u
+        target = PITCH_GAIN * a0 + wobble
         self.pitch = np.where(grounded, self.pitch + (target - self.pitch)
-                              * min(1.0, cfg.pitch_relax * dt), self.pitch)
-        tipped = np.abs(self.pitch) > cfg.max_pitch
+                              * min(1.0, PITCH_RELAX * dt), self.pitch)
+        tipped = np.abs(self.pitch) > MAX_PITCH
 
-        rate = cfg.osc_base_rate + cfg.osc_rate_per_speed * np.abs(self.vx)
+        rate = OSC_BASE_RATE + OSC_RATE_PER_SPEED * np.abs(self.vx)
         self.joint_phase = np.mod(self.joint_phase + (rate * dt)[:, None], 2.0 * np.pi)
 
         self.ax = (self.vx - prev_vx) / dt
@@ -273,14 +304,13 @@ class BatchWorld:
     def privileged(self) -> PrivilegedInfo:
         """Velocity, the (E, K) clearance profile ahead of each body, and the
         (E, 2) per-foot patch-mean clearance."""
-        cfg = self.cfg
         env = np.arange(len(self))[:, None]
-        lo, hi = cfg.profile_span
-        xs = self.x[:, None] + np.linspace(lo, hi, cfg.profile_samples)
+        lo, hi = PROFILE_SPAN
+        xs = self.x[:, None] + np.linspace(lo, hi, PROFILE_SAMPLES)
         m_t = self._clearance(self.z[:, None], xs, env)
-        half = cfg.foot_patch / 2.0
-        feet = self.x[:, None] + np.array(cfg.foot_offsets)
-        patch = feet[:, :, None] + np.linspace(-half, half, cfg.patch_samples)
-        foot_z = self.z - cfg.stand_height
+        half = FOOT_PATCH / 2.0
+        feet = self.x[:, None] + np.array(FOOT_OFFSETS)
+        patch = feet[:, :, None] + np.linspace(-half, half, PATCH_SAMPLES)
+        foot_z = self.z - STAND_HEIGHT
         h_f = self._clearance(foot_z[:, None, None], patch, env[:, :, None]).mean(axis=2)
         return PrivilegedInfo(np.column_stack([self.vx, self.vz]), m_t, h_f)

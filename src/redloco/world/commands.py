@@ -6,9 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import WorldConfig
 from ..errors import ContractError
 from .terrain import N_LEVELS
+
+YAW_CMD_RANGE = 0.4          # rad; headings are drawn from [-0.4, 0.4]
+ZERO_CMD_SNAP = 0.02         # m/s; phase-2 speeds below this become a standstill
+# the curriculum promotes at 80% of the commanded distance, demotes below 40%
+PROMOTE_RATIO = 0.8
+DEMOTE_RATIO = 0.4
 
 
 @dataclass(frozen=True)
@@ -21,11 +26,10 @@ def make_command(c_x: float, c_yaw: float = 0.0) -> Command:
     return Command(float(c_x), float(c_yaw))
 
 
-def sample_command(rng: np.random.Generator, curriculum_phase: int,
-                   cfg: WorldConfig) -> Command:
+def sample_command(rng: np.random.Generator, curriculum_phase: int) -> Command:
     """Phase 1 draws speeds from [0.2, 1.0]; phase 2 widens to [0, 1.0].
 
-    Phase-2 draws below ``zero_cmd_snap`` collapse to an exact standstill
+    Phase-2 draws below ``ZERO_CMD_SNAP`` collapse to an exact standstill
     command so zero-velocity episodes occur with positive probability.
     """
     if curriculum_phase not in (1, 2):
@@ -34,21 +38,20 @@ def sample_command(rng: np.random.Generator, curriculum_phase: int,
         c_x = float(rng.uniform(0.2, 1.0))
     else:
         c_x = float(rng.uniform(0.0, 1.0))
-        if c_x < cfg.zero_cmd_snap:
+        if c_x < ZERO_CMD_SNAP:
             c_x = 0.0
-    c_yaw = float(rng.uniform(-cfg.yaw_cmd_range, cfg.yaw_cmd_range))
+    c_yaw = float(rng.uniform(-YAW_CMD_RANGE, YAW_CMD_RANGE))
     return make_command(c_x, c_yaw)
 
 
-def update_curriculum(level, distance, commanded, promote_ratio: float,
-                      demote_ratio: float):
-    """Promote when the episode covered >= promote_ratio of the commanded
-    distance, demote below demote_ratio; zero-command episodes keep the level.
+def update_curriculum(level, distance, commanded):
+    """Promote when the episode covered >= ``PROMOTE_RATIO`` of the commanded
+    distance, demote below ``DEMOTE_RATIO``; zero-command episodes keep the level.
     Elementwise over arrays of episodes."""
     level = np.asarray(level)
     commanded = np.asarray(commanded, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = distance / commanded
-    moved = np.where(ratio >= promote_ratio, level + 1,
-                     np.where(ratio < demote_ratio, level - 1, level))
+    moved = np.where(ratio >= PROMOTE_RATIO, level + 1,
+                     np.where(ratio < DEMOTE_RATIO, level - 1, level))
     return np.where(commanded <= 0.0, level, np.clip(moved, 0, N_LEVELS - 1))[()]

@@ -19,6 +19,14 @@ SIMPLE_KINDS = ("flat", "rough", "stairs_up", "stairs_down")
 DIFFICULT_KINDS = ("gap", "platform")
 N_LEVELS = 10
 
+TERRAIN_CELLS = 480          # 24 m at the default 0.05 m cell
+SPAWN_X = 2.0                # m; every episode starts here, on a flat approach
+# linear difficulty schedules over curriculum levels 0..9, in m
+GAP_WIDTH_RANGE = (0.1, 0.8)
+PLATFORM_HEIGHT_RANGE = (0.1, 0.5)
+STEP_HEIGHT_RANGE = (0.05, 0.2)
+ROUGH_AMP_RANGE = (0.01, 0.1)
+
 
 @dataclass
 class Heightfield:
@@ -40,25 +48,25 @@ def generate_terrain(kind: str, level: int, seed: int, cfg: WorldConfig) -> Heig
         raise ContractError(f"unknown terrain kind {kind!r}")
     if not 0 <= level < N_LEVELS:
         raise ContractError(f"level {level} outside 0..{N_LEVELS - 1}")
-    n = cfg.terrain_cells
+    n = TERRAIN_CELLS
     cell = cfg.cell_size
     rng = np.random.default_rng([abs(seed) % (2 ** 31), TERRAIN_KINDS.index(kind), level])
     heights = np.zeros(n)
     void = np.zeros(n, dtype=bool)
-    run_up = int((cfg.spawn_x + 1.0) / cell)       # flat approach before any feature
+    run_up = int((SPAWN_X + 1.0) / cell)           # flat approach before any feature
     diff: dict[str, float] = {}
 
     if kind == "flat":
         pass
     elif kind == "rough":
-        amp = _lerp(cfg.rough_amp_range, level)
+        amp = _lerp(ROUGH_AMP_RANGE, level)
         diff["roughness"] = amp
         raw = rng.uniform(-amp, amp, size=n)
         kernel = np.ones(5) / 5.0
         smooth = np.convolve(raw, kernel, mode="same")
         heights[run_up:] = smooth[run_up:]
     elif kind in ("stairs_up", "stairs_down"):
-        step_h = _lerp(cfg.step_height_range, level)
+        step_h = _lerp(STEP_HEIGHT_RANGE, level)
         diff["step_height"] = step_h
         tread = max(int(0.3 / cell), 1)
         n_steps = 8
@@ -76,7 +84,7 @@ def generate_terrain(kind: str, level: int, seed: int, cfg: WorldConfig) -> Heig
                 i += tread
         heights[i:] = heights[i - 1]
     elif kind == "gap":
-        width = _lerp(cfg.gap_width_range, level)
+        width = _lerp(GAP_WIDTH_RANGE, level)
         diff["gap_width"] = width
         gap_cells = max(int(round(width / cell)), 1)
         solid = int(1.5 / cell)
@@ -85,7 +93,7 @@ def generate_terrain(kind: str, level: int, seed: int, cfg: WorldConfig) -> Heig
             void[i:i + gap_cells] = True
             i += gap_cells + solid
     elif kind == "platform":
-        p_h = _lerp(cfg.platform_height_range, level)
+        p_h = _lerp(PLATFORM_HEIGHT_RANGE, level)
         diff["platform_height"] = p_h
         plat = int(1.2 / cell)
         spacing = int(2.0 / cell)

@@ -27,6 +27,7 @@ from redloco.sensor import (edge_truncate_resize, inject_gaussian, inject_salt_p
 from redloco.training import load_bundle, train
 from redloco.training.runner import VecRunner
 from redloco.world import PlanarWorld, generate_terrain, linear_velocity_reward, make_command
+from redloco.world.batch import STAND_HEIGHT
 from redloco.config import CameraConfig, WorldConfig
 
 
@@ -131,7 +132,7 @@ def test_criterion_4_raycast_oracle():
     step_x, step_h = 6.0, 0.4
     hf.heights[int(step_x / cfg.cell_size):] = step_h
     w.batch.set_terrain(0, hf)
-    w.robot.x, w.robot.z = 5.0, cfg.stand_height
+    w.robot.x, w.robot.z = 5.0, STAND_HEIGHT
     frames, poses = render_batch(w.batch, cam, [None], randomize=False)
     img2, (cam_x, cam_z, _, _) = frames[0], poses[0]
     rows, cols = angles()

@@ -17,11 +17,16 @@ from redloco.errors import ConfigError
 from redloco.harness.cli import cli
 from redloco.sensor import dump_text, render_batch
 from redloco.training import Trainer
+from redloco.training import runner as runner_mod
 from redloco.world import BatchWorld
 
-# keys deleted because no run could read them; a config or an embedded
-# checkpoint config that names one is refused
-DELETED_KEYS = ("selector.beta", "selector.gamma", "reward.hip_bias", "net.depth_frames")
+# keys deleted because no run could read them or because they have one value,
+# now a constant where it is used; a config or an embedded checkpoint config
+# that names one is refused
+DELETED_KEYS = ("selector.beta", "selector.gamma", "reward.hip_bias", "net.depth_frames",
+                "phase_threshold", "world.stand_height", "world.gap_width_range",
+                "net.actor_hidden", "selector.ae_kernel", "ppo.max_grad_norm",
+                "reward.lin_vel")
 
 
 def config_keys() -> list[str]:
@@ -30,13 +35,37 @@ def config_keys() -> list[str]:
             if not line.startswith("#")]
 
 
+def default_value(key: str):
+    value = config_mod.TrainConfig()
+    for part in key.split("."):
+        value = getattr(value, part)
+    return value
+
+
+def outside_bounds() -> list[tuple[str, str]]:
+    """(key, text) for a value just outside each end of every bound, and NaN
+    for every float key; each text is the repr of the value it parses to."""
+    cases = []
+    for key, bound in config_mod.BOUNDS.items():
+        if isinstance(default_value(key), int):
+            raws = [str(int(bound.low) - 1)]
+            if bound.high != np.inf:
+                raws.append(str(int(bound.high) + 1))
+            cases += [(key, raw) for raw in raws]
+            continue
+        low = bound.low if bound.open_low else np.nextafter(bound.low, -np.inf)
+        values = [low] + ([np.nextafter(bound.high, np.inf)] if bound.high != np.inf else [])
+        cases += [(key, repr(float(v))) for v in values] + [(key, "nan")]
+    return cases
+
+
 class TestConfig:
     def test_text_round_trip_preserves_every_field(self):
         cfg = config_mod.desk_config()
         cfg.seed = 9
         cfg.terrain_mix = ("flat", "gap")
         cfg.selector.tick_period = 3
-        cfg.reward.collision = -5.0
+        cfg.ppo.lr = 5e-4
         back = config_mod.parse_text(config_mod.to_text(cfg))
         assert back == cfg
 
@@ -120,6 +149,11 @@ class TestConfig:
         assert cfg.terrain_mix == ("flat", "gap", "rough")
         assert cfg.net.cnn_channels == (4, 8, 16)
 
+    def test_every_numeric_key_has_a_bound(self):
+        numeric = [k for k in config_keys() if isinstance(default_value(k), (int, float))]
+        assert numeric and [k for k in numeric if k not in config_mod.BOUNDS] == []
+        assert sorted(config_mod.BOUNDS) == sorted(numeric)
+
     @pytest.mark.parametrize("preset", sorted(config_mod.PRESETS))
     def test_every_preset_lies_inside_the_bounds(self, preset):
         cfg = config_mod.PRESETS[preset]()
@@ -154,6 +188,17 @@ class TestCli:
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "redloco.harness.cli",
              "--help"], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_importing_redloco_pins_blas_to_one_thread_unless_set(self):
+        src = str(Path(redloco.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(PYTHONPATH=src, MKL_NUM_THREADS="3")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, redloco; print(*(os.environ[v] for v in "
+             "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1", "3"]
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +284,11 @@ class TestCli:
               ("camera.max_range", "nan", "nan"), ("camera.max_range", "0", "0.0"),
               ("camera.edge_border", "-1", "-1"), ("camera.fov_v", "0", "0.0"),
               ("camera.min_depth", "-1", "-1.0")]),
+        *(pytest.param(f"{key} = {raw}\n", f"{key} = {raw} is outside its range "
+                       f"{config_mod.BOUNDS[key]}", "run", id=f"bound:{key}={raw}")
+          for key, raw in outside_bounds()),
+        pytest.param("camera.edge_border = 6\n", "camera.edge_border = 6 crops the whole "
+                     "12x16 frame", "run", id="edge-border-crops-the-frame"),
     ])
     def test_refused_config_is_one_json_line_and_writes_nothing(self, tmp_path, capsys,
                                                                  monkeypatch, text, named,
@@ -271,13 +321,51 @@ class TestCli:
                            "message": "--out: expected a path, got an empty one"}
         assert list(tmp_path.iterdir()) == []
 
-    def test_rollout_abort_is_a_structured_error(self, tmp_path, capsys):
-        # a NaN learning rate poisons the weights at the first update, so the
-        # next rollout aborts
-        cfg_file = tmp_path / "nan_lr.cfg"
-        cfg_file.write_text("ppo.lr = nan\n")
-        code = cli(["train", "--preset", "tiny", "--config", str(cfg_file),
-                    "--iterations", "3", "--out", str(tmp_path / "run")])
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--iterations", "0")])
+    def test_train_flags_outside_their_bounds_are_refused(self, tmp_path, capsys,
+                                                         monkeypatch, flag, value):
+        monkeypatch.chdir(tmp_path)
+        assert cli(["train", "--preset", "tiny", flag, value, "--out", "run"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        key = flag.removeprefix("--")
+        assert payload == {"error": "ConfigError", "message": f"{key} = {value} is outside "
+                           f"its range {config_mod.BOUNDS[key]}"}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-noise", "--checkpoint", "missing.ckpt", "--beta", "0.1", "--out", "out"],
+        ["sweep-gamma", "--checkpoint", "missing.ckpt", "--beta", "0.1", "--out", "out"],
+        ["trace", "--checkpoint", "missing.ckpt", "--beta", "0.1", "--out", "out"],
+        ["calibrate-beta", "--checkpoint", "missing.ckpt", "--out", "out"],
+        ["render-depth", "--out", "out"],
+        ["gradcheck", "--instances", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_a_negative_seed_is_refused_before_anything_runs(self, tmp_path, capsys,
+                                                             monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli(argv + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ContractError",
+                                        "message": "seed must be at least 0, got -1"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rollout_abort_is_a_structured_error(self, tmp_path, capsys, monkeypatch):
+        # a reward phase that returns NaN aborts the rollout
+        real = runner_mod.compute_reward
+
+        def nan_reward(*args):
+            reward = real(*args)
+            reward.total[:] = np.nan
+            return reward
+
+        monkeypatch.setattr(runner_mod, "compute_reward", nan_reward)
+        code = cli(["train", "--preset", "tiny", "--iterations", "3",
+                    "--out", str(tmp_path / "run")])
         assert code == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1

@@ -272,7 +272,10 @@ class TestBundleLoading:
             load_bundle(path)
 
     @pytest.mark.parametrize("line", ["selector.beta = nan", "selector.gamma = 0.1",
-                                      "reward.hip_bias = -0.5", "net.depth_frames = 2"])
+                                      "reward.hip_bias = -0.5", "net.depth_frames = 2",
+                                      "promote_ratio = 0.8", "world.gravity = 9.81",
+                                      "net.cnn_kernel = 3", "selector.ae_pad = 1",
+                                      "ppo.entropy_coef = 0.005", "reward.collision = -10.0"])
     def test_embedded_config_naming_a_key_no_run_read_is_refused(self, bundle, line):
         path, arrays, meta = bundle
         meta["config"] += line + "\n"

@@ -14,6 +14,8 @@ from redloco.errors import ContractError
 from redloco.sensor import dump_text, edge_truncate_resize, march_rays, render_batch
 from redloco.world import (TERRAIN_KINDS, BatchWorld, PlanarWorld, generate_terrain,
                            make_command)
+from redloco.world.batch import STAND_HEIGHT
+from redloco.world.terrain import SPAWN_X
 
 render_mod = importlib.import_module("redloco.sensor.render")
 
@@ -67,7 +69,7 @@ class TestClosedForms:
         hf.heights[i:] = step_h
         w.batch.set_terrain(0, hf)
         w.robot.x = 5.0
-        w.robot.z = cfg.stand_height
+        w.robot.z = STAND_HEIGHT
         data, pose = render_one(w, cam)
         cam_x, cam_z, dep, _ = pose
         rows, cols = ray_angles(cam)
@@ -209,10 +211,10 @@ class TestLiveRayMarch:
             world = BatchWorld(cfg, kinds,
                                [np.random.default_rng(s) for s in range(len(kinds))], levels)
             # stand the robots at points along the course, not only at spawn
-            x = cfg.spawn_x + 1.3 * (np.arange(len(kinds)) % 4)
+            x = SPAWN_X + 1.3 * (np.arange(len(kinds)) % 4)
             support = world.support(x)
             world.x[:] = x
-            world.z[:] = np.where(np.isfinite(support), support, 0.0) + cfg.stand_height
+            world.z[:] = np.where(np.isfinite(support), support, 0.0) + STAND_HEIGHT
             return render_batch(world, cam, [np.random.default_rng([3, i])
                                              for i in range(len(kinds))], randomize=True)
 

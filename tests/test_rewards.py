@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redloco.config import RewardConfig, WorldConfig
+from redloco.config import WorldConfig
 from redloco.world import PlanarWorld, compute_reward, linear_velocity_reward, make_command
+from redloco.world.batch import ACCEL_MAX, DRAG
 from redloco.world.rewards import TERM_SCALES
 
 
@@ -60,11 +61,11 @@ class TestTrackingReward:
         assert 0.0 <= linear_velocity_reward(0.0, v, v) <= 1.0
 
 
-def step_reward(w, action, rcfg):
+def step_reward(w, action):
     """Step a one-env world; its events and the `compute_reward` of the step."""
     b = w.batch
     ev = b.step(np.array([action], dtype=np.float64))
-    return ev, compute_reward(b, ev.collision, rcfg)
+    return ev, compute_reward(b, ev.collision)
 
 
 class TestRewardTable:
@@ -75,19 +76,18 @@ class TestRewardTable:
     def _step(self, command=0.6, action=(0.5, 0.0)):
         w = PlanarWorld(WorldConfig(), "flat", np.random.default_rng(0))
         w.reset_episode(command=make_command(command))
-        rcfg = RewardConfig()
-        _, r = step_reward(w, action, rcfg)
-        return w, r, rcfg
+        _, r = step_reward(w, action)
+        return w, r
 
     def test_every_table_term_is_present_with_its_scale(self):
-        w, r, rcfg = self._step()
+        w, r = self._step()
         assert list(r.values) == list(r.contributions) == list(self.SCALES)
         for name, scale in self.SCALES.items():
-            assert getattr(rcfg, TERM_SCALES[name]) == scale
+            assert TERM_SCALES[name] == scale
             assert r.contributions[name][0] == scale * r.values[name][0] * w.cfg.dt
 
     def test_total_is_sum_of_contributions(self):
-        _, r, _ = self._step()
+        _, r = self._step()
         assert r.total[0] == pytest.approx(sum(c[0] for c in r.contributions.values()),
                                            abs=1e-15)
 
@@ -95,9 +95,8 @@ class TestRewardTable:
         w = PlanarWorld(WorldConfig(), "platform", np.random.default_rng(4), level=9)
         w.reset_episode(command=make_command(1.0))
         w.robot.vx = 1.5
-        rcfg = RewardConfig()
         for _ in range(500):
-            ev, r = step_reward(w, [1.0, 0.0], rcfg)
+            ev, r = step_reward(w, [1.0, 0.0])
             if ev.collision[0]:
                 assert r.contributions["collision"][0] == pytest.approx(
                     -10.0 * w.cfg.dt, abs=1e-15)
@@ -108,7 +107,7 @@ class TestRewardTable:
         w = PlanarWorld(WorldConfig(), "flat", np.random.default_rng(1))
         w.reset_episode(command=make_command(0.6, c_yaw=0.3))
         w.robot.vx = 0.5
-        _, r = step_reward(w, [0.0, 0.0], RewardConfig())
+        _, r = step_reward(w, [0.0, 0.0])
         expected = reference_tracking(0.6, w.robot.vx * np.cos(0.3), abs(w.robot.vx))
         assert r.values["lin_vel_tracking"][0] == pytest.approx(expected, abs=1e-12)
 
@@ -125,11 +124,10 @@ class TestOverspeedCost:
         w.reset_episode(command=make_command(command))
         w.robot.vx = speed
         # throttle that exactly balances drag at this speed
-        action = [w.cfg.drag * speed / (w.cfg.accel_max * w.motor_gain), 0.0]
-        rcfg = RewardConfig()
+        action = [DRAG * speed / (ACCEL_MAX * w.motor_gain), 0.0]
         total = 0.0
         for _ in range(self.STEPS):
-            total += float(step_reward(w, action, rcfg)[1].total[0])
+            total += float(step_reward(w, action)[1].total[0])
         assert w.robot.vx == pytest.approx(speed, abs=1e-9)
         return total
 
@@ -141,7 +139,7 @@ class TestOverspeedCost:
 
     @pytest.mark.parametrize("command", [0.3, 0.6, 1.0])
     def test_half_a_meter_per_second_over_costs_a_tenth_of_the_best_step(self, command):
-        rcfg = RewardConfig()
-        best_step = (rcfg.lin_vel + rcfg.ang_vel) * WorldConfig().dt
+        best_step = ((TERM_SCALES["lin_vel_tracking"] + TERM_SCALES["ang_vel_tracking"])
+                     * WorldConfig().dt)
         cost = (self._hold(command, command) - self._hold(command, command + 0.5)) / self.STEPS
         assert cost >= 0.1 * best_step

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from redloco.config import NetConfig, PPOConfig
+from redloco.config import PPOConfig
 from redloco.nn import Adam
 from redloco.training import (AdaptationSchedule, Critic, GaussianPolicy, PhaseTracker,
                               normalize_advantages, ppo_update, surrogate_and_grad,
@@ -112,15 +112,13 @@ class TestSurrogate:
 
 class TestPolicyPieces:
     def test_gaussian_entropy_matches_closed_form(self):
-        cfg = NetConfig()
-        pol = GaussianPolicy(cfg, 8, 2, np.random.default_rng(0))
+        pol = GaussianPolicy(8, 2, np.random.default_rng(0))
         sig = np.exp(pol.log_std.values)
         want = float(np.sum(np.log(sig)) + 0.5 * 2 * (1 + np.log(2 * np.pi)))
         assert pol.entropy() == pytest.approx(want, abs=1e-12)
 
     def test_logp_matches_scipy_style_formula(self):
-        cfg = NetConfig()
-        pol = GaussianPolicy(cfg, 4, 2, np.random.default_rng(1))
+        pol = GaussianPolicy(4, 2, np.random.default_rng(1))
         obs = np.random.default_rng(2).standard_normal((5, 4))
         acts, logps = pol.act(obs, np.random.default_rng(3))
         mu = pol.mean(obs)
@@ -143,11 +141,10 @@ class TestPolicyPieces:
         np.testing.assert_array_equal(out, adv)
 
     def test_ppo_update_runs_and_reports_stats(self):
-        cfg = NetConfig()
         ppo_cfg = PPOConfig(epochs=2, minibatches=2)
         rng = np.random.default_rng(5)
-        pol = GaussianPolicy(cfg, 6, 2, rng)
-        crit = Critic(cfg, 6, rng)
+        pol = GaussianPolicy(6, 2, rng)
+        crit = Critic(6, rng)
         n = 64
         obs = rng.standard_normal((n, 6))
         acts, logp = pol.act(obs, rng)
@@ -181,11 +178,10 @@ class TestMeanBound:
     def test_update_pulls_a_saturated_mean_back_toward_the_box(self):
         # with uninformative (constant) advantages the surrogate is flat, so
         # only the bound moves a mean that the action clip would freeze
-        cfg = NetConfig()
         rng = np.random.default_rng(6)
-        pol = GaussianPolicy(cfg, 6, 2, rng)
+        pol = GaussianPolicy(6, 2, rng)
         pol.actor.layer_params[-1]["b"].values[...] = [3.0, -3.0]
-        crit = Critic(cfg, 6, rng)
+        crit = Critic(6, rng)
         n = 64
         obs = rng.standard_normal((n, 6))
         before = pol.mean(obs)

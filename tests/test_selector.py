@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redloco.config import SelectorConfig, WorldConfig, desk_config
+from redloco.config import SelectorConfig, desk_config
 from redloco.errors import ContractError
 from redloco.selector import (MODE_OP, MODE_VP, anomaly_scores, build_autoencoder,
                               calibrate_beta, filter_step, filter_update, implausibility,
@@ -203,32 +203,31 @@ class TestAutoencoder:
 
 
 class TestAnomalyScore:
-    WORLD = WorldConfig()
     CAM = desk_config().camera
 
     def test_near_bound_comes_from_the_mount_geometry(self):
-        near = near_depth_bound(self.WORLD, self.CAM)
+        near = near_depth_bound(self.CAM)
         assert near == pytest.approx(0.15 - 0.10 - 0.01, abs=1e-12)
         assert near > self.CAM.min_depth
 
     def test_occluded_pair_scores_above_any_clean_range_beta(self):
         rng = np.random.default_rng(6)
         ae = build_autoencoder(SelectorConfig(), 12, 16, rng)
-        near = near_depth_bound(self.WORLD, self.CAM)
+        near = near_depth_bound(self.CAM)
         # clean-range frames sit at or beyond the near bound; reconstructions
         # anywhere in the camera range
         clean = rng.uniform(near, self.CAM.max_range, (256, 2, 12, 16))
         recon = rng.uniform(self.CAM.min_depth, self.CAM.max_range, clean.shape)
-        beta = calibrate_beta(anomaly_scores(clean, recon, self.WORLD, self.CAM))
+        beta = calibrate_beta(anomaly_scores(clean, recon, self.CAM))
         occluded = np.full((1, 2, 12, 16), self.CAM.min_depth)
         onset = np.stack([clean[0, 1], occluded[0, 0]])[None]
         for pair in (occluded, onset):
-            score = anomaly_scores(pair, ae.forward(pair)[0], self.WORLD, self.CAM)
+            score = anomaly_scores(pair, ae.forward(pair)[0], self.CAM)
             assert score[0] > beta
 
     def test_occlusion_is_anomalous_even_when_reconstructed_exactly(self):
         occluded = np.full((3, 2, 12, 16), self.CAM.min_depth)
-        scores = anomaly_scores(occluded, occluded.copy(), self.WORLD, self.CAM)
+        scores = anomaly_scores(occluded, occluded.copy(), self.CAM)
         span = self.CAM.max_range - self.CAM.min_depth
         np.testing.assert_allclose(scores, span * span, rtol=1e-12)
 
@@ -238,7 +237,7 @@ class TestAnomalyScore:
         world = BatchWorld(cfg.world, kinds, [np.random.default_rng(i) for i in range(6)],
                            [9] * 6)
         rngs = [np.random.default_rng(10 + i) for i in range(len(kinds))]
-        near = near_depth_bound(cfg.world, cfg.camera)
+        near = near_depth_bound(cfg.camera)
         for _ in range(40):
             frames = edge_truncate_resize(render_batch(world, cfg.camera, rngs)[0],
                                           cfg.camera.edge_border)
@@ -246,7 +245,7 @@ class TestAnomalyScore:
             assert (implausibility(pairs, near, cfg.camera.min_depth) == 0.0).all()
             recon = pairs + 0.05
             np.testing.assert_array_equal(
-                anomaly_scores(pairs, recon, cfg.world, cfg.camera),
+                anomaly_scores(pairs, recon, cfg.camera),
                 loss_ad_batch(pairs, recon))
             for _ in range(4):
                 world.reset(np.flatnonzero(world.step(np.tile([0.6, 0.0], (6, 1))).done))

@@ -6,6 +6,7 @@ import pytest
 from redloco.config import WorldConfig
 from redloco.errors import ContractError
 from redloco.world import N_LEVELS, TERRAIN_KINDS, generate_terrain
+from redloco.world.terrain import STEP_HEIGHT_RANGE
 
 CFG = WorldConfig()
 
@@ -44,7 +45,7 @@ def test_gap_width_strictly_larger_at_top_level():
 def test_stair_step_heights_follow_the_schedule():
     cfg = WorldConfig()
     hf = generate_terrain("stairs_up", 3, 11, cfg)
-    lo, hi = cfg.step_height_range
+    lo, hi = STEP_HEIGHT_RANGE
     expected = lo + (hi - lo) * 3 / (N_LEVELS - 1)
     rises = np.diff(hf.heights)
     rises = rises[rises > 1e-9]

@@ -7,10 +7,18 @@ import copy
 import numpy as np
 import pytest
 
-from redloco.config import RewardConfig, WorldConfig
+from redloco.config import WorldConfig
 from redloco.errors import ContractError
 from redloco.world import (OBS_DIM, TERRAIN_KINDS, BatchWorld, PlanarWorld, compute_reward,
                            generate_terrain, make_command, sample_command)
+from redloco.world.batch import (ACCEL_MAX, DRAG, FOOT_OFFSETS, FOOT_PATCH, GRAVITY,
+                                 HOP_THRESHOLD, IMPACT_LOSS, INIT_SPEED_RANGE, MAX_CLEARANCE,
+                                 MAX_PITCH, MAX_STEP, MOTOR_GAIN_RANGE, OSC_BASE_RATE,
+                                 OSC_RATE_PER_SPEED, PATCH_SAMPLES, PITCH_GAIN, PITCH_RELAX,
+                                 PITCH_WOBBLE_PER_SPEED, PROFILE_SAMPLES, PROFILE_SPAN,
+                                 STAND_HEIGHT, V_HOP)
+from redloco.world.rewards import (ANG_VEL_SIGMA, DEFAULT_POS_CAP, DEFAULT_POS_UNIT,
+                                   GAIT_RATE_GAIN, TERM_SCALES)
 from redloco.world.robot import STATE_FIELDS
 
 
@@ -44,7 +52,6 @@ class TestDynamics:
     def test_hop_apex_matches_ballistic_closed_form(self):
         w = make_world(command=0.0)
         w.robot.vx = 0.0
-        cfg = w.cfg
         start_z = w.robot.z
         zs = []
         w.step([0.0, 1.0])
@@ -56,7 +63,7 @@ class TestDynamics:
             zs.append(w.robot.z)
         apex = max(zs) - start_z
         # discrete sampling undershoots the parabola peak by at most g*dt^2/8
-        assert apex == pytest.approx(cfg.v_hop ** 2 / (2 * cfg.gravity), abs=1e-3)
+        assert apex == pytest.approx(V_HOP ** 2 / (2 * GRAVITY), abs=1e-3)
 
     def test_advancing_over_a_gap_without_hopping_falls_within_one_step(self):
         w = make_world("gap", level=9, seed=3, command=1.0)
@@ -128,7 +135,7 @@ class TestObservation:
         w_gap.batch.set_terrain(0, generate_terrain("gap", 6, 99, w_gap.cfg))
         terrain = ScalarEnv(w_gap)
         w_flat.robot.vx = w_gap.robot.vx = 0.5
-        front = max(w_gap.cfg.foot_offsets)
+        front = max(FOOT_OFFSETS)
         t_star = None
         obs_flat, obs_gap = [], []
         for t, a in enumerate(acts):
@@ -165,20 +172,20 @@ class TestPrivileged:
         gap_len = 0
         while void[i + gap_len]:
             gap_len += 1
-        w.robot.x = (i + gap_len / 2) * w.cfg.cell_size - max(w.cfg.foot_offsets)
+        w.robot.x = (i + gap_len / 2) * w.cfg.cell_size - max(FOOT_OFFSETS)
         p = w.privileged()
-        assert p.h_f[0] == pytest.approx(w.cfg.max_clearance)
+        assert p.h_f[0] == pytest.approx(MAX_CLEARANCE)
 
     def test_profile_over_stairs_matches_generated_field(self):
         w = make_world("stairs_up", level=5, seed=7)
         w.robot.x = 4.0
         w.robot.z = 0.8
         p = w.privileged()
-        lo, hi = w.cfg.profile_span
-        xs = w.robot.x + np.linspace(lo, hi, w.cfg.profile_samples)
+        lo, hi = PROFILE_SPAN
+        xs = w.robot.x + np.linspace(lo, hi, PROFILE_SAMPLES)
         terrain = ScalarEnv(w)
         expected = [np.clip(w.robot.z - terrain.height_at(x),
-                            -w.cfg.max_clearance, w.cfg.max_clearance) for x in xs]
+                            -MAX_CLEARANCE, MAX_CLEARANCE) for x in xs]
         np.testing.assert_allclose(p.m_t, expected, atol=1e-12)
 
 
@@ -205,7 +212,7 @@ class ScalarEnv:
 
     def support(self, x):
         best = -np.inf
-        for off in self.cfg.foot_offsets:
+        for off in FOOT_OFFSETS:
             best = max(best, self.height_at(x + off))
         return best
 
@@ -216,30 +223,30 @@ class ScalarEnv:
                   termination=None, truncated=False)
         prev_vx, prev_vz, prev_pitch = r.vx, r.vz, r.pitch
         if not r.airborne:
-            r.vx += (a[0] * cfg.accel_max * self.motor_gain - cfg.drag * r.vx) * dt
-            if a[1] > cfg.hop_threshold:
-                r.vz = float(a[1]) * cfg.v_hop
+            r.vx += (a[0] * ACCEL_MAX * self.motor_gain - DRAG * r.vx) * dt
+            if a[1] > HOP_THRESHOLD:
+                r.vz = float(a[1]) * V_HOP
                 r.airborne = True
                 ev["hopped"] = True
         old_x = r.x
         old_support = self.support(old_x)
         new_x = r.x + r.vx * dt
         if r.airborne:
-            new_z = r.z + r.vz * dt - 0.5 * cfg.gravity * dt * dt
-            r.vz -= cfg.gravity * dt
+            new_z = r.z + r.vz * dt - 0.5 * GRAVITY * dt * dt
+            r.vz -= GRAVITY * dt
             support_new = self.support(new_x)
-            top = support_new + cfg.stand_height
+            top = support_new + STAND_HEIGHT
             if support_new > -np.inf and r.vz < 0 and new_z <= top:
-                if new_z >= top - cfg.max_step:
+                if new_z >= top - MAX_STEP:
                     r.x, r.z = new_x, top
-                    r.vx *= max(0.0, 1.0 - cfg.impact_loss * abs(r.vz))
+                    r.vx *= max(0.0, 1.0 - IMPACT_LOSS * abs(r.vz))
                     r.vz = 0.0
                     r.airborne = False
                     ev["landed"] = True
                 else:
                     ev["collision"] = True
                     r.x, r.z, r.vx = old_x, new_z, 0.0
-            elif support_new > -np.inf and new_z < top - cfg.max_step and r.vz >= 0:
+            elif support_new > -np.inf and new_z < top - MAX_STEP and r.vz >= 0:
                 ev["collision"] = True
                 r.x, r.z, r.vx = old_x, new_z, 0.0
             else:
@@ -253,21 +260,21 @@ class ScalarEnv:
                 ev["terminated"], ev["termination"] = True, "fall"
             else:
                 rise = support_new - old_support
-                if rise > cfg.max_step:
+                if rise > MAX_STEP:
                     ev["collision"] = True
                     r.vx = 0.0
-                elif rise < -cfg.max_step:
+                elif rise < -MAX_STEP:
                     r.x, r.airborne, r.vz = new_x, True, 0.0
                 else:
-                    r.x, r.z = new_x, support_new + cfg.stand_height
+                    r.x, r.z = new_x, support_new + STAND_HEIGHT
         if not r.airborne:
-            wobble = (cfg.pitch_wobble_per_speed * r.vx * abs(r.vx)
+            wobble = (PITCH_WOBBLE_PER_SPEED * r.vx * abs(r.vx)
                       * float(self.rng.uniform(-1.0, 1.0)))
-            target = cfg.pitch_gain * float(a[0]) + wobble
-            r.pitch += (target - r.pitch) * min(1.0, cfg.pitch_relax * dt)
-        if abs(r.pitch) > cfg.max_pitch:
+            target = PITCH_GAIN * float(a[0]) + wobble
+            r.pitch += (target - r.pitch) * min(1.0, PITCH_RELAX * dt)
+        if abs(r.pitch) > MAX_PITCH:
             ev["terminated"], ev["termination"] = True, "pitch"
-        rate = cfg.osc_base_rate + cfg.osc_rate_per_speed * abs(r.vx)
+        rate = OSC_BASE_RATE + OSC_RATE_PER_SPEED * abs(r.vx)
         r.joint_phase = np.mod(r.joint_phase + rate * dt, 2.0 * np.pi)
         r.ax = (r.vx - prev_vx) / dt
         r.az = (r.vz - prev_vz) / dt
@@ -277,7 +284,7 @@ class ScalarEnv:
         ev["truncated"] = self.episode_step >= cfg.episode_steps and not ev["terminated"]
         return ev
 
-    def reward(self, prev, action, collision, rcfg) -> list[float]:
+    def reward(self, prev, action, collision) -> list[float]:
         """Raw values of the reward terms in table order, then the total."""
         cfg, r = self.cfg, self.r
         a = np.asarray(action, dtype=np.float64)
@@ -287,18 +294,17 @@ class ScalarEnv:
             lin = min(v_along, self.c_x) / (self.c_x + 1e-5)
         else:
             lin = 1.0 / (1.0 + float(abs(r.vx)))
-        rate_err = rcfg.gait_rate_gain * (v_along - self.c_x)
+        rate_err = GAIT_RATE_GAIN * (v_along - self.c_x)
         support = self.support(r.x)
         default_pos = 0.0
         if support > -np.inf:
-            dev = (r.z - (support + cfg.stand_height)) / rcfg.default_pos_unit
-            default_pos = min(dev * dev, rcfg.default_pos_cap)
-        values = [lin, float(np.exp(-(rate_err ** 2) / rcfg.ang_vel_sigma)),
+            dev = (r.z - (support + STAND_HEIGHT)) / DEFAULT_POS_UNIT
+            default_pos = min(dev * dev, DEFAULT_POS_CAP)
+        values = [lin, float(np.exp(-(rate_err ** 2) / ANG_VEL_SIGMA)),
                   1.0 if collision else 0.0, abs(r.ax * r.vx),
                   float(np.sum((a - prev.last_action) ** 2)), default_pos,
                   ((r.ax - prev.ax) / cfg.dt) ** 2, r.pitch ** 2]
-        scales = [rcfg.lin_vel, rcfg.ang_vel, rcfg.collision, rcfg.joint_energy,
-                  rcfg.action_rate, rcfg.default_pos, rcfg.joint_acc, rcfg.orientation]
+        scales = list(TERM_SCALES.values())
         return values + [float(sum(s * v * mult for s, v in zip(scales, values)))]
 
     def observation(self) -> np.ndarray:
@@ -308,27 +314,27 @@ class ScalarEnv:
                          r.last_action[0], r.last_action[1], 0.0 if r.airborne else 1.0])
 
     def clearance(self, z_ref, x):
-        h, mc = self.height_at(x), self.cfg.max_clearance
+        h, mc = self.height_at(x), MAX_CLEARANCE
         return mc if h == -np.inf else float(np.clip(z_ref - h, -mc, mc))
 
     def privileged(self):
-        cfg, r = self.cfg, self.r
-        lo, hi = cfg.profile_span
+        r = self.r
+        lo, hi = PROFILE_SPAN
         m_t = [self.clearance(r.z, x)
-               for x in r.x + np.linspace(lo, hi, cfg.profile_samples)]
-        half = cfg.foot_patch / 2.0
-        offsets = np.linspace(-half, half, cfg.patch_samples)
-        h_f = [np.mean([self.clearance(r.z - cfg.stand_height, r.x + f + o) for o in offsets])
-               for f in cfg.foot_offsets]
+               for x in r.x + np.linspace(lo, hi, PROFILE_SAMPLES)]
+        half = FOOT_PATCH / 2.0
+        offsets = np.linspace(-half, half, PATCH_SAMPLES)
+        h_f = [np.mean([self.clearance(r.z - STAND_HEIGHT, r.x + f + o) for o in offsets])
+               for f in FOOT_OFFSETS]
         return [r.vx, r.vz], m_t, h_f
 
     def reset(self, kind: str, level: int, phase: int):
         """Terrain, command, motor gain and initial speed of a new episode."""
         seed = int(self.rng.integers(0, 2 ** 31 - 1))
         hf = generate_terrain(kind, level, seed, self.cfg)
-        cmd = sample_command(self.rng, phase, self.cfg)
-        gain = float(self.rng.uniform(*self.cfg.motor_gain_range))
-        vx = float(self.rng.uniform(*self.cfg.init_speed_range))
+        cmd = sample_command(self.rng, phase)
+        gain = float(self.rng.uniform(*MOTOR_GAIN_RANGE))
+        vx = float(self.rng.uniform(*INIT_SPEED_RANGE))
         return hf, cmd, gain, vx
 
 
@@ -341,7 +347,6 @@ class TestBatchMatchesSingle:
 
     def test_batch_steps_bit_for_bit_like_its_envs_one_at_a_time(self):
         cfg = WorldConfig(episode_steps=60)
-        rcfg = RewardConfig()
         kinds = [k for k, _ in self.CASES]
         levels = [lv for _, lv in self.CASES]
         n = len(kinds)
@@ -358,7 +363,7 @@ class TestBatchMatchesSingle:
             actions[:, 1] = np.where(act_rng.random(n) < 0.1, actions[:, 1],
                                      np.minimum(actions[:, 1], 0.4))
             ev = batch.step(actions)
-            reward = compute_reward(batch, ev.collision, rcfg)
+            reward = compute_reward(batch, ev.collision)
             obs = batch.observation()
             priv = batch.privileged()
             for i, w in enumerate(singles):
@@ -366,7 +371,7 @@ class TestBatchMatchesSingle:
                 prev = w.snapshot()
                 ev_i = w.step(actions[i])
                 b = w.batch
-                r = compute_reward(b, np.array([ev_i.collision]), rcfg)
+                r = compute_reward(b, np.array([ev_i.collision]))
                 assert ev.at(i) == ev_i
                 for name in STATE_FIELDS:
                     assert same_bits(getattr(batch, name)[i], getattr(w.robot, name)), name
@@ -384,7 +389,7 @@ class TestBatchMatchesSingle:
                 for name in STATE_FIELDS:
                     assert same_bits(getattr(ref.r, name), getattr(w.robot, name)), name
                 assert ref.rng.bit_generator.state == w.batch.rngs[0].bit_generator.state
-                assert same_bits(ref.reward(prev, actions[i], ev_i.collision, rcfg),
+                assert same_bits(ref.reward(prev, actions[i], ev_i.collision),
                                  [v[0] for v in r.values.values()] + [r.total[0]])
                 assert same_bits(ref.observation(), obs[i])
                 want = ref.privileged()
