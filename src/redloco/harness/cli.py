@@ -189,6 +189,9 @@ def cli(argv: list[str]) -> int:
                   f"({result['losses_count']} losses over "
                   f"{result['successful_episodes']} successful episodes) -> {args.out}")
         elif args.cmd == "gradcheck":
+            if not args.tolerance > 0:      # NaN too: every row would FAIL
+                raise ConfigError(f"--tolerance: bad value {args.tolerance!r}, "
+                                  f"want a number above 0")
             results = run_full_suite(args.instances, args.seed)
             ok = True
             for name, err in results.items():
@@ -211,11 +214,13 @@ def _render_depth_cmd(args) -> None:
     if args.seed < 0:
         raise ContractError(f"seed must be at least 0, got {args.seed}")
     cfg = config_mod.PRESETS[args.preset]()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ss = np.random.SeedSequence(args.seed)
     env_rng, render_rng = (np.random.default_rng(c) for c in ss.spawn(2))
     world = BatchWorld(cfg.world, [args.terrain], [env_rng], [args.level])
+    if args.frames < 1:
+        raise ContractError(f"frames must be at least 1, got {args.frames}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for k in range(args.frames):
         data, poses = render_batch(world, cfg.camera, [render_rng], args.randomize)
         path = out / f"frame_{k:03d}.txt"

@@ -32,55 +32,38 @@ def _check_params(objective, nets, eps: float = 1e-5) -> float:
     return worst
 
 
-def check_op_loss(seed: int) -> float:
-    rng = np.random.default_rng([seed, 11])
-    op = OpEstimator(TINY_NET, TINY_OBS, rng)
+def check_estimator_loss(vision: bool, seed: int) -> float:
+    """loss_vp through the VP estimator (``vision``) or loss_op through the OP
+    estimator, each with the HIM target encoder, from stream [seed, 23] or
+    [seed, 11]."""
+    rng = np.random.default_rng([seed, 23 if vision else 11])
+    est = (VpEstimator(TINY_NET, TINY_OBS, TINY_HW, TINY_PROFILE, rng) if vision
+           else OpEstimator(TINY_NET, TINY_OBS, rng))
     him = HimTargetEncoder(TINY_NET, TINY_OBS, rng)
     b = int(rng.integers(1, 3))
-    obs = rng.standard_normal((b, TINY_NET.history_len * TINY_OBS))
+    inputs = [rng.standard_normal((b, TINY_NET.history_len * TINY_OBS))]
+    if vision:
+        inputs.append(rng.uniform(0.1, 2.0, (b, PAIR_FRAMES) + TINY_HW))
     hidden = rng.standard_normal((b, TINY_NET.gru_hidden)) * 0.5
     next_obs = rng.standard_normal((b, TINY_OBS))
     v_true = rng.standard_normal((b, 2))
+    loss, labels = loss_op, ()
+    if vision:      # h_f, m_t
+        loss, labels = loss_vp, (rng.uniform(0, 2, (b, 2)),
+                                 rng.uniform(-1, 1, (b, TINY_PROFILE)))
 
     def objective() -> float:
         z_hat, _ = him.forward(next_obs, v_true)
-        out, _ = op.forward(obs, hidden)
-        val, _ = loss_op(out, v_true, z_hat)
+        out, _ = est.forward(*inputs, hidden)
+        val, _ = loss(out, v_true, z_hat, *labels)
         return val
 
     z_hat, him_tape = him.forward(next_obs, v_true)
-    out, rec = op.forward(obs, hidden)
-    _, grads = loss_op(out, v_true, z_hat)
+    out, rec = est.forward(*inputs, hidden)
+    _, grads = loss(out, v_true, z_hat, *labels)
     him.backward(him_tape, grads["z_hat"])
-    op.backward(rec, grads)
-    return _check_params(objective, (op, him))
-
-
-def check_vp_loss(seed: int) -> float:
-    rng = np.random.default_rng([seed, 23])
-    vp = VpEstimator(TINY_NET, TINY_OBS, TINY_HW, TINY_PROFILE, rng)
-    him = HimTargetEncoder(TINY_NET, TINY_OBS, rng)
-    b = int(rng.integers(1, 3))
-    obs = rng.standard_normal((b, TINY_NET.history_len * TINY_OBS))
-    depth = rng.uniform(0.1, 2.0, (b, PAIR_FRAMES) + TINY_HW)
-    hidden = rng.standard_normal((b, TINY_NET.gru_hidden)) * 0.5
-    next_obs = rng.standard_normal((b, TINY_OBS))
-    v_true = rng.standard_normal((b, 2))
-    h_f = rng.uniform(0, 2, (b, 2))
-    m_t = rng.uniform(-1, 1, (b, TINY_PROFILE))
-
-    def objective() -> float:
-        z_hat, _ = him.forward(next_obs, v_true)
-        out, _ = vp.forward(obs, depth, hidden)
-        val, _ = loss_vp(out, v_true, z_hat, h_f, m_t)
-        return val
-
-    z_hat, him_tape = him.forward(next_obs, v_true)
-    out, rec = vp.forward(obs, depth, hidden)
-    _, grads = loss_vp(out, v_true, z_hat, h_f, m_t)
-    him.backward(him_tape, grads["z_hat"])
-    vp.backward(rec, grads)
-    return _check_params(objective, (vp, him))
+    est.backward(rec, grads)
+    return _check_params(objective, (est, him))
 
 
 def check_ad_loss(seed: int) -> float:
@@ -102,15 +85,18 @@ def check_ad_loss(seed: int) -> float:
 
 
 def run_loss_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
+    if instances < 1:
+        raise ContractError(f"instances must be at least 1, got {instances}")
     out = {}
-    out["loss_op"] = max(check_op_loss(seed + i) for i in range(instances))
-    out["loss_vp"] = max(check_vp_loss(seed + i) for i in range(instances))
+    out["loss_op"] = max(check_estimator_loss(False, seed + i) for i in range(instances))
+    out["loss_vp"] = max(check_estimator_loss(True, seed + i) for i in range(instances))
     out["loss_ad"] = max(check_ad_loss(seed + i) for i in range(instances))
     return out
 
 
 def run_full_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
-    """Layer kinds plus the three supervised losses; all must sit under 1e-4."""
+    """Layer kinds plus the three supervised losses; all must sit under 1e-4.
+    Refuses a negative seed, and fewer than one instance."""
     if seed < 0:
         raise ContractError(f"seed must be at least 0, got {seed}")
     results = run_layer_suite(instances, seed)

@@ -10,6 +10,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..errors import ContractError
 from . import layers as L
 from .stack import LayerStack
 
@@ -101,6 +102,8 @@ LAYER_KINDS = ("linear", "elu", "tanh", "conv2d", "deconv2d", "gru_cell", "flatt
 def run_layer_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
     """Max FD relative error per layer kind over random small instances.
     Each kind draws from its own stream, keyed by a stable hash of its name."""
+    if instances < 1:
+        raise ContractError(f"instances must be at least 1, got {instances}")
     out: dict[str, float] = {}
     for kind in LAYER_KINDS:
         rng = np.random.default_rng([seed, zlib.crc32(kind.encode())])

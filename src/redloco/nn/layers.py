@@ -260,22 +260,25 @@ def backward(layer: LayerDesc, P: dict[str, Any], rec: Any, gy: np.ndarray,
     raise ContractError(f"unknown layer kind {k!r}")
 
 
-# --- conv2d ---
+# --- conv2d and deconv2d ---
 # Channels-last internally, in stride-phase layout. An image zero-padded by p
 # is stored as one (s, s, B, hq, wq, C) array: padded cell (r, c) sits at
 # phase (r % s, c % s), row r // s, column c // s. Tap (di, dj) then reads
 # the block ph[di % s, dj % s, :, di//s : di//s+ho, dj//s : dj//s+wo, :],
 # whose rows are contiguous runs of wo * C values, and scatter-adds into a
-# phase array land on the same runs. Each tap copies its block into one
-# window buffer and runs one GEMM of that contiguous (N, C) window against a
-# contiguous (C, O) weight slice into one product buffer. Both buffers are
-# allocated once per call and nothing is kept between calls, so a record
-# never shares memory with a later call. Taps accumulate in (di, dj) order,
-# which gives the bits of the plain per-tap loop with contiguous windows
+# phase array land on the same runs.
+# A transposed conv's forward is a conv's input-grad pass and its input grad
+# a conv forward, so two tap loops serve both layers. The gather loop phases
+# an image, copies each tap's block into one window buffer and accumulates
+# window @ w_t[di, dj] into a sum that starts at the bias (conv forward) or
+# at zero (deconv input grad); the weight grad (window.T @ flat).T comes from
+# the same copy (conv and deconv backward). The scatter loop scatter-adds
+# flat @ w_t[di, dj] into a zeroed phase array (conv input grad, deconv
+# forward), so cells no tap reaches come back as 0. Every buffer is allocated
+# once per call and nothing is kept between calls, so a record never shares
+# memory with a later call. Taps accumulate in (di, dj) order, which gives
+# the bits of the plain per-tap loop with contiguous windows
 # (tests/test_conv_kernels.py).
-# Conv2d phases its padded input and its input grad, Deconv2d its padded
-# full-size output and the output grad. Phase arrays start zeroed, so input
-# grad cells that no window reaches come back as 0.
 # A record keeps only the input itself (the deconv's as a channels-last
 # view), which the caller or the previous layer's record holds anyway; the
 # backward builds the phases or the contiguous copy again. So the input must
@@ -325,92 +328,81 @@ def _from_phases(ph, shape, s, p):
     return out
 
 
-def _conv2d_fwd(x, W, b, L: Conv2d):
-    B, C, H, Wd = x.shape
-    _, ho, wo = conv_shape((C, H, Wd), L.kernel, L.stride, L.pad, L.c_out)
+def _gather(x, L, ho, wo, W=None, start=0.0, flat=None, grad=None):
+    """Gather loop over the (ho, wo) tap blocks of x (B, C, H, W) padded by
+    L.pad. With weights W, returns start + sum of window @ w_t[di, dj] as
+    (B, O, ho, wo); with ``flat`` (B * ho * wo, F), adds (window.T @ flat).T
+    into grad[:, :, di, dj]."""
     ph = _to_phases(x, L.stride, L.pad)
-    w_t = np.ascontiguousarray(W.transpose(2, 3, 1, 0))      # (k, k, C, O)
+    B, C = x.shape[:2]
     win = np.empty((B, ho, wo, C), dtype=x.dtype)
     xs = win.reshape(-1, C)
-    prod = np.empty((B * ho * wo, L.c_out), dtype=x.dtype)
-    y = np.empty_like(prod)
-    y[...] = b
+    if flat is not None:
+        gw = np.empty((C, flat.shape[1]), dtype=x.dtype)
+    if W is not None:
+        w_t = np.ascontiguousarray(W.transpose(2, 3, 1, 0))      # (k, k, C, O)
+        prod = np.empty((B * ho * wo, w_t.shape[3]), dtype=x.dtype)
+        acc = np.empty_like(prod)
+        acc[...] = start
     for di, dj, tap in _taps(L.kernel, L.stride, ho, wo):
         win[...] = ph[tap]
-        np.matmul(xs, w_t[di, dj], out=prod)
-        y += prod
-    out = prod.reshape(B, L.c_out, ho, wo)        # the product buffer is free now
-    out[...] = y.reshape(B, ho, wo, L.c_out).transpose(0, 3, 1, 2)
-    return out, (x, x.shape)
+        if flat is not None:
+            np.matmul(xs.T, flat, out=gw)
+            grad[:, :, di, dj] += gw.T
+        if W is not None:
+            np.matmul(xs, w_t[di, dj], out=prod)
+            acc += prod
+    if W is None:
+        return None
+    out = prod.reshape(B, -1, ho, wo)             # the product buffer is free now
+    out[...] = acc.reshape(B, ho, wo, -1).transpose(0, 3, 1, 2)
+    return out
+
+
+def _scatter(x_t, W, L, size):
+    """Scatter loop: flat @ w_t[di, dj] for the channels-last x_t (B, h, w, F)
+    scatter-added at the (h, w) tap blocks of a zeroed phase array, returned
+    as the (B, O) + size image inside its padding by L.pad."""
+    B, h, w, F = x_t.shape
+    s = L.stride
+    flat = x_t.reshape(-1, F)
+    w_t = np.ascontiguousarray(W.transpose(2, 3, 0, 1))          # (k, k, F, O)
+    O = w_t.shape[3]
+    hq, wq, _ = _phase_spans(*size, s, L.pad)
+    ph = np.zeros((s, s, B, hq, wq, O), dtype=x_t.dtype)
+    prod = np.empty((B, h, w, O), dtype=x_t.dtype)
+    for di, dj, tap in _taps(L.kernel, s, h, w):
+        np.matmul(flat, w_t[di, dj], out=prod.reshape(-1, O))
+        ph[tap] += prod
+    return _from_phases(ph, (B, O) + size, s, L.pad)
+
+
+def _conv2d_fwd(x, W, b, L: Conv2d):
+    _, ho, wo = conv_shape(x.shape[1:], L.kernel, L.stride, L.pad, L.c_out)
+    return _gather(x, L, ho, wo, W, b), (x, x.shape)
 
 
 def _conv2d_bwd(gy, rec, P, L: Conv2d, need_input_grad: bool = True):
     x, xshape = rec
-    ph = _to_phases(x, L.stride, L.pad)
-    B, C = xshape[:2]
-    ho, wo = gy.shape[2], gy.shape[3]
-    w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 0, 1))   # (k, k, O, C)
-    gy_flat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, L.c_out)
+    gy_t = np.ascontiguousarray(gy.transpose(0, 2, 3, 1))
+    gy_flat = gy_t.reshape(-1, L.c_out)
     P["b"].grad += gy_flat.sum(0)
-    win = np.empty((B, ho, wo, C), dtype=gy.dtype)
-    xs = win.reshape(-1, C)
-    gw = np.empty((C, L.c_out), dtype=gy.dtype)
-    if need_input_grad:
-        gph = np.zeros_like(ph)
-        prod = np.empty_like(win)
-    for di, dj, tap in _taps(L.kernel, L.stride, ho, wo):
-        win[...] = ph[tap]
-        np.matmul(xs.T, gy_flat, out=gw)
-        P["W"].grad[:, :, di, dj] += gw.T
-        if need_input_grad:
-            np.matmul(gy_flat, w_t[di, dj], out=prod.reshape(-1, C))
-            gph[tap] += prod
-    if not need_input_grad:
-        return None
-    return _from_phases(gph, xshape, L.stride, L.pad)
+    _gather(x, L, gy.shape[2], gy.shape[3], flat=gy_flat, grad=P["W"].grad)
+    return _scatter(gy_t, P["W"].values, L, xshape[2:]) if need_input_grad else None
 
-
-# --- deconv2d (transposed conv) ---
 
 def _deconv2d_fwd(x, W, b, L: Deconv2d):
-    B, C, H, Wd = x.shape
-    _, ho, wo = deconv_shape((C, H, Wd), L.kernel, L.stride, L.pad, L.out_pad, L.c_out)
-    s = L.stride
-    x_t = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-    x_flat = x_t.reshape(-1, C)
-    w_t = np.ascontiguousarray(W.transpose(2, 3, 0, 1))      # (k, k, C, O)
-    hq, wq, _ = _phase_spans(ho, wo, s, L.pad)
-    fph = np.zeros((s, s, B, hq, wq, L.c_out), dtype=x.dtype)
-    prod = np.empty((B, H, Wd, L.c_out), dtype=x.dtype)
-    for di, dj, tap in _taps(L.kernel, s, H, Wd):
-        np.matmul(x_flat, w_t[di, dj], out=prod.reshape(-1, L.c_out))
-        fph[tap] += prod
-    out = _from_phases(fph, (B, L.c_out, ho, wo), s, L.pad)
+    _, ho, wo = deconv_shape(x.shape[1:], L.kernel, L.stride, L.pad, L.out_pad, L.c_out)
+    out = _scatter(np.ascontiguousarray(x.transpose(0, 2, 3, 1)), W, L, (ho, wo))
     out += b[:, None, None]
     return out, (x.transpose(0, 2, 3, 1),)
 
 
 def _deconv2d_bwd(gy, rec, P, L: Deconv2d):
     x_t = np.ascontiguousarray(rec[0])
-    B, H, Wd, C = x_t.shape
-    w_t = np.ascontiguousarray(P["W"].values.transpose(2, 3, 1, 0))   # (k, k, O, C)
+    _, H, Wd, C = x_t.shape
     P["b"].grad += gy.sum((0, 2, 3))
-    gph = _to_phases(gy, L.stride, L.pad)
-    win = np.empty((B, H, Wd, L.c_out), dtype=gy.dtype)
-    gs = win.reshape(-1, L.c_out)
-    gw = np.empty((C, L.c_out), dtype=gy.dtype)
-    prod = np.empty((B * H * Wd, C), dtype=gy.dtype)
-    gx = np.zeros_like(prod)
-    x_flat = x_t.reshape(-1, C)
-    for di, dj, tap in _taps(L.kernel, L.stride, H, Wd):
-        win[...] = gph[tap]
-        np.matmul(x_flat.T, gs, out=gw)
-        P["W"].grad[:, :, di, dj] += gw
-        np.matmul(gs, w_t[di, dj], out=prod)
-        gx += prod
-    out = prod.reshape(B, C, H, Wd)
-    out[...] = gx.reshape(B, H, Wd, C).transpose(0, 3, 1, 2)
-    return out
+    return _gather(gy, L, H, Wd, P["W"].values, flat=x_t.reshape(-1, C), grad=P["W"].grad)
 
 
 # --- gru cell ---

@@ -39,7 +39,7 @@ class RolloutBuffer:
         return self.ptr * self.n_envs
 
     def add_step(self, obs, critic_obs, action, log_prob, value, reward, lin_vel,
-                 terminated, truncated, masks, collisions=None) -> None:
+                 terminated, truncated, masks, collisions) -> None:
         t = self.ptr
         if t >= self.horizon:
             raise RolloutAbort("rollout buffer overflow")
@@ -53,8 +53,7 @@ class RolloutBuffer:
         self.terminated[t] = terminated
         self.truncated[t] = truncated
         self.masks[t] = masks
-        if collisions is not None:
-            self.collisions[t] = collisions
+        self.collisions[t] = collisions
         self.ptr += 1
 
     def add_tick(self, tick: TickData) -> None:

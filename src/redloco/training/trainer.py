@@ -107,7 +107,7 @@ class Trainer:
                 pending = None
             buf.add_step(obs_p, obs_c, actions, log_probs, values, sd.rewards,
                          sd.lin_vel, sd.terminated, sd.truncated, masks,
-                         collisions=sd.collisions)
+                         sd.collisions)
         bootstrap = self.nets.critic.value(runner.critic_obs())
         return buf, bootstrap
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redloco
 from redloco import config as config_mod
@@ -154,6 +157,33 @@ class TestConfig:
         assert numeric and [k for k in numeric if k not in config_mod.BOUNDS] == []
         assert sorted(config_mod.BOUNDS) == sorted(numeric)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), key=st.sampled_from(sorted(config_mod.BOUNDS)))
+    def test_any_value_outside_a_bound_is_refused_naming_the_key(self, data, key):
+        bound = config_mod.BOUNDS[key]
+        integer = isinstance(default_value(key), int)
+        sides = (["below"] + (["above"] if bound.high != math.inf else [])
+                 + ([] if integer else ["nan"]))
+        side = data.draw(st.sampled_from(sides))
+        if integer:
+            value = data.draw(st.integers(max_value=int(bound.low) - 1) if side == "below"
+                              else st.integers(min_value=int(bound.high) + 1))
+        elif side == "below":
+            value = data.draw(st.floats(max_value=bound.low, exclude_max=not bound.open_low,
+                                        allow_nan=False))
+        else:
+            value = math.nan if side == "nan" else data.draw(
+                st.floats(min_value=bound.high, exclude_min=True, allow_nan=False))
+        cfg = config_mod.TrainConfig()
+        *path, name = key.split(".")
+        section = cfg
+        for part in path:
+            section = getattr(section, part)
+        setattr(section, name, value)
+        with pytest.raises(ConfigError) as exc:
+            config_mod.validate(cfg)
+        assert str(exc.value) == f"{key} = {value!r} is outside its range {bound}"
+
     @pytest.mark.parametrize("preset", sorted(config_mod.PRESETS))
     def test_every_preset_lies_inside_the_bounds(self, preset):
         cfg = config_mod.PRESETS[preset]()
@@ -214,6 +244,30 @@ class TestCli:
         assert cli(["gradcheck", "--instances", "1", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "gru_cell" in out and "PASS" in out
+
+    @pytest.mark.parametrize("argv, error, message", [
+        (["render-depth", "--level", "10"], "ContractError", "level 10 outside 0..9"),
+        (["render-depth", "--terrain", "volcano"], "ContractError",
+         "unknown terrain kind 'volcano'"),
+        (["render-depth", "--frames", "0"], "ContractError", "frames must be at least 1, got 0"),
+        (["gradcheck", "--instances", "0"], "ContractError",
+         "instances must be at least 1, got 0"),
+        (["gradcheck", "--tolerance", "nan"], "ConfigError",
+         "--tolerance: bad value nan, want a number above 0"),
+        (["gradcheck", "--tolerance", "0"], "ConfigError",
+         "--tolerance: bad value 0.0, want a number above 0"),
+    ], ids=["level", "terrain", "frames", "instances", "tolerance-nan", "tolerance-zero"])
+    def test_bad_render_and_gradcheck_flags_are_one_json_line_and_write_nothing(
+            self, tmp_path, capsys, monkeypatch, argv, error, message):
+        monkeypatch.chdir(tmp_path)
+        out = ["--out", "frames"] * (argv[0] == "render-depth")
+        assert cli(argv + out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": error, "message": message}
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("randomize", [False, True], ids=["raw", "randomize"])
     def test_render_depth_writes_text_frames(self, tmp_path, capsys, randomize):

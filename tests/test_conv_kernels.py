@@ -2,8 +2,11 @@
 
 The reference is the earlier form of the kernels: each tap multiplies a
 strided 4-D window by a strided weight view. The kernels under test lay the
-same taps out contiguously; both must give identical outputs and gradients,
-so that training under a fixed seed is unchanged by the layout. Identity
+same taps out contiguously and run them through two shared loops: a gather
+loop (conv forward, both weight grads, deconv input grad) and a scatter loop
+(conv input grad, deconv forward). Both must give identical outputs and
+gradients, so that training under a fixed seed is unchanged by the layout
+and by which loop serves which pass. Identity
 holds at the shapes the networks run (the desk chain and the paper-shape
 layers); for some other channel counts the BLAS library picks inner kernels
 that sum in another order, and the last bits may differ. At every small

@@ -6,8 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import redloco
-from redloco.harness.verify import check_ad_loss, check_op_loss, check_vp_loss
+from redloco.errors import ContractError
+from redloco.harness.verify import (check_ad_loss, check_estimator_loss, run_full_suite,
+                                   run_loss_suite)
 from redloco.nn.gradcheck import run_layer_suite
 
 TOL = 1e-4
@@ -19,6 +23,12 @@ def test_every_layer_kind_passes_fd_spot_check():
                             "flatten", "reshape"}
     for kind, err in results.items():
         assert err < TOL, f"{kind}: {err:.3e}"
+
+
+@pytest.mark.parametrize("suite", [run_layer_suite, run_loss_suite, run_full_suite])
+def test_a_suite_of_no_instances_is_refused(suite):
+    with pytest.raises(ContractError, match="instances must be at least 1, got 0"):
+        suite(instances=0)
 
 
 def test_layer_suite_does_not_depend_on_the_string_hash_salt():
@@ -37,13 +47,13 @@ def test_layer_suite_does_not_depend_on_the_string_hash_salt():
 
 
 def test_proprio_loss_gradients_flow_into_both_encoders():
-    assert check_op_loss(0) < TOL
-    assert check_op_loss(1) < TOL
+    assert check_estimator_loss(False, 0) < TOL
+    assert check_estimator_loss(False, 1) < TOL
 
 
 def test_vision_loss_gradients_cover_all_heads():
-    assert check_vp_loss(0) < TOL
-    assert check_vp_loss(1) < TOL
+    assert check_estimator_loss(True, 0) < TOL
+    assert check_estimator_loss(True, 1) < TOL
 
 
 def test_reconstruction_loss_gradients():

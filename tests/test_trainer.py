@@ -24,12 +24,14 @@ def test_buffer_holds_exactly_horizon_times_envs_records():
     for _ in range(100):
         buf.add_step(np.zeros((8, 5)), np.zeros((8, 7)), np.zeros((8, 2)),
                      np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8),
-                     np.zeros(8, bool), np.zeros(8, bool), np.zeros(8, dtype=int))
+                     np.zeros(8, bool), np.zeros(8, bool), np.zeros(8, dtype=int),
+                     np.zeros(8, bool))
     assert buf.size == 800
     with pytest.raises(RolloutAbort):
         buf.add_step(np.zeros((8, 5)), np.zeros((8, 7)), np.zeros((8, 2)),
                      np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8),
-                     np.zeros(8, bool), np.zeros(8, bool), np.zeros(8, dtype=int))
+                     np.zeros(8, bool), np.zeros(8, bool), np.zeros(8, dtype=int),
+                     np.zeros(8, bool))
 
 
 def test_gae_matches_reference_recursion():
@@ -40,7 +42,7 @@ def test_gae_matches_reference_recursion():
         buf.add_step(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 2)),
                      np.zeros(1), np.array([values[t]]), np.array([rewards[t]]),
                      np.zeros(1), np.zeros(1, bool), np.zeros(1, bool),
-                     np.zeros(1, dtype=int))
+                     np.zeros(1, dtype=int), np.zeros(1, bool))
     bootstrap = np.array([0.7])
     adv, ret = buf.compute_advantages(bootstrap, 0.99, 0.95)
     # reference recursion, coded independently
@@ -60,7 +62,8 @@ def test_termination_cuts_the_advantage_chain():
     for t, done in enumerate([False, True, False]):
         buf.add_step(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 2)),
                      np.zeros(1), np.array([0.5]), np.array([1.0]), np.zeros(1),
-                     np.array([done]), np.zeros(1, bool), np.zeros(1, dtype=int))
+                     np.array([done]), np.zeros(1, bool), np.zeros(1, dtype=int),
+                     np.zeros(1, bool))
     adv, _ = buf.compute_advantages(np.array([0.0]), 0.99, 0.95)
     # step 1 is terminal: its advantage sees no bootstrap from step 2
     assert adv[1, 0] == pytest.approx(1.0 - 0.5, abs=1e-12)
