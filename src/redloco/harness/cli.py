@@ -199,8 +199,7 @@ def cli(argv: list[str]) -> int:
                 ok &= err < args.tolerance
                 print(f"{name:14s} max rel err {err:.3e}  {status}")
             return 0 if ok else 1
-    except (CheckpointError, ConfigError, ContractError, FileNotFoundError,
-            RolloutAbort) as exc:
+    except (CheckpointError, ConfigError, ContractError, OSError, RolloutAbort) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

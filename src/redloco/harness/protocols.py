@@ -18,7 +18,7 @@ from ..selector import (MODE_VP, calibrate_beta, filter_step, filter_update, mak
 from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from ..training.bundle import Networks, load_bundle
 from ..training.runner import RunnerState, VecRunner
-from ..world import BatchWorld, make_command, sample_command
+from ..world import make_command, sample_command
 
 DEFAULT_CONDITIONS = (("gaussian", 30.0), ("gaussian", 70.0), ("gaussian", 100.0),
                       ("salt_pepper", 10.0), ("salt_pepper", 30.0), ("salt_pepper", 70.0))
@@ -67,6 +67,8 @@ class ExperimentSpec:
                 raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ContractError(f"seed must be at least 0, got {self.seed}")
+        if not np.isfinite(self.command):
+            raise ContractError(f"command must be a finite speed, got {self.command}")
         make_selector(self.beta, self.gamma)    # refuses a non-finite beta, gamma outside (0, 1]
         for ev in self.noise_events:
             if not 0 <= ev.onset < self.steps:
@@ -132,56 +134,32 @@ def _spec_robots(spec: ExperimentSpec) -> tuple[dict, list]:
                 env_rngs=rngs[:n]), rngs[n:]
 
 
-def _deploy_runner(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str],
-                   levels: list[int], commands, env_rngs, score: bool) -> VecRunner:
-    """A runner for ``steps`` deployment steps: no episode times out within
-    them, each robot keeps its command, and the autoencoder scores the frame
-    pairs if ``score``."""
-    cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, episode_steps=steps + 1))
-    return VecRunner(cfg, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae if score else None,
-                     fixed_commands=commands, start_levels=levels)
-
-
-def _step_logs(steps: int, n: int) -> tuple[np.ndarray, ...]:
-    """Zeroed per-step logs: vx, rewards, xz and terminated."""
-    return (np.zeros((steps, n)), np.zeros((steps, n)), np.zeros((steps, n, 2)),
-            np.zeros((steps, n), dtype=bool))
-
-
-def _act(runner: VecRunner, nets: Networks, t: int, logs: tuple[np.ndarray, ...]) -> None:
-    """One sim step on the policy mean, logged in row ``t`` of ``logs``."""
-    vx, rewards, xz, terminated = logs
-    sd = runner.step(np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0))
-    vx[t], rewards[t], terminated[t] = runner.world.vx, sd.rewards, sd.terminated
-    xz[t, :, 0], xz[t, :, 1] = runner.world.x, runner.world.z
-
-
-def _scores(tick, n: int) -> np.ndarray:
-    """A tick's anomaly scores, nan where the pair is invalid or nothing scored."""
-    return (np.full(n, np.nan) if tick.losses is None
-            else np.where(tick.pair_valid, tick.losses, np.nan))
-
-
 def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], levels: list[int],
             commands, env_rngs, score: bool, filt: tuple[float, float] | None,
-            hook, start: CleanPrefix | None = None) -> tuple[EpisodeResult, BatchWorld]:
+            hook, start: CleanPrefix | None = None) -> tuple[EpisodeResult, VecRunner]:
     """The deployment loop: one robot per entry of ``kinds`` on its fixed command,
-    driven by the policy mean for ``steps`` sim steps. Each estimator tick scores
-    the frame pairs if ``score``, advances every robot's vision trust P, which
-    starts at 1, by one `filter_step` if ``filt = (beta, gamma)``, and selects
-    vision where P > 0.5. With ``start`` the loop resumes at ``start.fork``:
-    the runner is restored from the prefix's capture, the prefix's steps and
-    ticks are logged as they were (its scores only if ``score``), and P
-    restarts at 1, where the prefix left it."""
-    runner = _deploy_runner(cfg, nets, steps, kinds, levels, commands, env_rngs, score)
+    driven by the policy mean for ``steps`` sim steps; no episode times out
+    within them. Each estimator tick scores the frame pairs if ``score``,
+    advances every robot's vision trust P, which starts at 1, by one
+    `filter_step` if ``filt = (beta, gamma)``, and selects vision where P > 0.5.
+    With ``start`` the loop resumes at ``start.fork``: the runner is restored
+    from the prefix's capture, the prefix's steps and ticks are logged as they
+    were (its scores only if ``score``), and P restarts at 1, where the prefix
+    left it. Returns the episode and the runner after its last step; a clean
+    prefix is a shorter run of this loop, and `clean_prefix` captures that
+    runner once."""
+    cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, episode_steps=steps + 1))
+    runner = VecRunner(cfg, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae if score else None,
+                       fixed_commands=commands, start_levels=levels)
     n = len(kinds)
-    logs = _step_logs(steps, n)
+    vx, rewards, xz = np.zeros((steps, n)), np.zeros((steps, n)), np.zeros((steps, n, 2))
+    terminated = np.zeros((steps, n), dtype=bool)
     tick_steps, p_log, losses_log, t0 = [], [], [], 0
     if start is not None:
         pre, t0 = start.episode, start.fork
         runner.restore(start.state)
-        for log, logged in zip(logs, (pre.vx, pre.rewards, pre.xz, pre.terminated)):
-            log[:t0] = logged
+        vx[:t0], rewards[:t0], xz[:t0], terminated[:t0] = (pre.vx, pre.rewards, pre.xz,
+                                                           pre.terminated)
         tick_steps += pre.tick_steps
         p_log += [np.ones(n)] * len(pre.tick_steps)
         losses_log += (list(pre.losses) if score
@@ -195,49 +173,45 @@ def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], leve
             runner.set_latents((p <= 0.5).astype(np.int64))
             tick_steps.append(t)
             p_log.append(p)
-            losses_log.append(_scores(tick, n))
-        _act(runner, nets, t, logs)
+            # nan where the pair is invalid or nothing scored
+            losses_log.append(np.full(n, np.nan) if tick.losses is None
+                              else np.where(tick.pair_valid, tick.losses, np.nan))
+        sd = runner.step(np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0))
+        vx[t], rewards[t], terminated[t] = runner.world.vx, sd.rewards, sd.terminated
+        xz[t, :, 0], xz[t, :, 1] = runner.world.x, runner.world.z
     p_ticks = np.array(p_log)
-    return EpisodeResult(*logs, tick_steps, p_ticks, (p_ticks > 0.5).astype(np.int64),
-                         np.array(losses_log)), runner.world
+    return EpisodeResult(vx, rewards, xz, terminated, tick_steps, p_ticks,
+                         (p_ticks > 0.5).astype(np.int64), np.array(losses_log)), runner
 
 
 def clean_prefix(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec,
                  onset: int) -> CleanPrefix:
-    """Run the spec's robots on the scored deployment loop with P pinned at 1,
-    capturing the runner before each tick, and stop before the first tick at
-    or after ``onset`` or the first tick where some valid pair does not score
-    below ``spec.beta``. Up to there every run of the spec steps the same bits,
-    whatever its arm, noise from ``onset`` on, or gamma: the noise hook draws
-    nothing before an onset and the autoencoder draws nothing at all, and
-    while every valid pair votes 1, (1 - gamma) * 1 + gamma * 1 rounds to
-    exactly 1 for every gamma in (0, 1], so every robot keeps P = 1 and vision."""
-    n = spec.robots
-    robots, _ = _spec_robots(spec)
-    runner = _deploy_runner(cfg, nets, spec.steps, score=True, **robots)
-    logs = _step_logs(spec.steps, n)
-    tick_steps, losses_log, fork = [], [], spec.steps
-    vision = np.zeros(n, dtype=np.int64)
-    for t in range(spec.steps):
-        if runner.is_tick_step():
-            state = runner.capture()
-            if t >= onset:
-                fork = t
-                break
-            tick = runner.tick_estimators()
-            if (tick.pair_valid & ~(tick.losses < spec.beta)).any():
-                fork = t
-                break
-            runner.set_latents(vision)
-            tick_steps.append(t)
-            losses_log.append(_scores(tick, n))
-        _act(runner, nets, t, logs)
-    else:
-        state = runner.capture()
-    ones = np.ones((len(tick_steps), n))
-    episode = EpisodeResult(*(log[:fork] for log in logs), tick_steps, ones,
-                            ones.astype(np.int64), np.array(losses_log))
-    return CleanPrefix(spec.robots, spec.seed, spec.command, spec.beta, fork, state, episode)
+    """The spec's robots on a shorter `_deploy` run, scored and filtered with
+    gamma 1, and one capture of its runner: the run stops before the first
+    tick at or after ``onset``, or before the first tick where some valid pair
+    does not score below ``spec.beta``. Gamma 1 sets exactly that pair's P to
+    0, so a run that reaches such a tick is run again, fresh, up to it. Up to
+    the fork every run of the spec steps the same bits, whatever its arm,
+    noise from ``onset`` on, or gamma: the noise hook draws nothing before an
+    onset and the autoencoder draws nothing at all, and while every valid pair
+    votes 1, (1 - gamma) * 1 + gamma * 1 rounds to exactly 1 for every gamma in
+    (0, 1], so every robot keeps P = 1 and vision."""
+    period = cfg.selector.tick_period
+
+    def run(steps: int) -> tuple[EpisodeResult, VecRunner]:
+        # fresh generators for each run, so a rerun steps the same bits
+        return _deploy(cfg, nets, steps, **_spec_robots(spec)[0], score=True,
+                       filt=(spec.beta, 1.0), hook=None)
+
+    fork = min(-(-onset // period) * period, spec.steps)
+    episode, runner = run(fork)
+    # rows, not .any(axis=1): a fork at step 0 logs no ticks, and p is then (0,)
+    stop = next((k for k, p in enumerate(episode.p) if (p < 1.0).any()), None)
+    if stop is not None:
+        fork = episode.tick_steps[stop]
+        episode, runner = run(fork)
+    return CleanPrefix(spec.robots, spec.seed, spec.command, spec.beta, fork, runner.capture(),
+                       episode)
 
 
 def _first_noisy_tick(events: list[NoiseEvent], steps: int, period: int) -> int:
@@ -304,7 +278,8 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
                                 f"[{pre_from}, noise_onset) and [{post.start}, {post.stop}): "
                                 f"{name} must be {bound}")
     # each condition's spec and file name are built, and so checked, before the
-    # checkpoint loads; two conditions under one name would overwrite each other
+    # checkpoint loads, and the checkpoint before the output directory is made; two
+    # conditions under one name would overwrite each other
     cnames = [f"{kind}_{int(level)}" for kind, level in conditions]
     for i, cname in enumerate(cnames):
         if cname in cnames[:i]:
@@ -314,9 +289,9 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
     cspecs = [dataclasses.replace(
         spec, noise_events=[NoiseEvent(kind, level, spec.noise_onset)] if level > 0 else [])
         for kind, level in conditions]
+    cfg, nets, _ = load_bundle(spec.checkpoint)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, nets, _ = load_bundle(spec.checkpoint)
     # both arms of every condition step the same bits up to the onset
     start = clean_prefix(cfg, nets, spec, spec.noise_onset)
     cspecs = [dataclasses.replace(cspec, start=start) for cspec in cspecs]
@@ -394,9 +369,9 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
     if spec.steps <= max(flickers):
         raise ContractError(f"steps {spec.steps} is too short for the sweep's noise "
                             f"timeline: steps must be at least {max(flickers) + 1}")
+    cfg, nets, _ = load_bundle(spec.checkpoint)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, nets, _ = load_bundle(spec.checkpoint)
     period = cfg.selector.tick_period
     timeline = [NoiseEvent("salt_pepper", 70.0, on, on + 100) for on in onsets] + [
         NoiseEvent("salt_pepper", 70.0, on, on + period) for on in flickers]
@@ -448,9 +423,9 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
 def run_trace(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     """Single-robot switching trace: per-tick selector records plus per-step
     body state, one JSON line each."""
+    cfg, nets, _ = load_bundle(spec.checkpoint)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, nets, _ = load_bundle(spec.checkpoint)
     ep = run_episode(cfg, nets, spec, "auto")
     records = _selector_records(ep, spec.beta, 0)
     path = out / "trace.jsonl"
@@ -488,8 +463,9 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
     kinds = [mix[i % len(mix)] for i in range(episodes)]
     levels = [int(pick_rng.integers(0, 6)) for _ in range(episodes)]
     commands = [sample_command(pick_rng, 2) for _ in range(episodes)]
-    ep, w = _deploy(cfg, nets, steps, kinds, levels, commands, env_rngs, score=True,
-                    filt=None, hook=None)
+    ep, runner = _deploy(cfg, nets, steps, kinds, levels, commands, env_rngs, score=True,
+                         filt=None, hook=None)
+    w = runner.world
     # successful = never fell and actually performed the commanded task
     # (a zero command has no commanded distance)
     failed = ep.terminated.any(axis=0)

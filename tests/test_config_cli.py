@@ -442,6 +442,61 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("checkpoint, error", [
+        ("missing", "FileNotFoundError"), ("corrupt", "CheckpointError"),
+        ("directory", "IsADirectoryError")])
+    @pytest.mark.parametrize("cmd", ["eval-noise", "sweep-gamma", "trace"])
+    def test_an_unloadable_checkpoint_is_refused_before_out_is_made(
+            self, tmp_path, capsys, monkeypatch, cmd, checkpoint, error):
+        monkeypatch.chdir(tmp_path)
+        Path("corrupt").write_bytes(b"not a checkpoint")
+        Path("directory").mkdir()
+        assert cli([cmd, "--checkpoint", checkpoint, "--beta", "0.1", "--out", "out"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == error and checkpoint in payload["message"]
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        (["train", "--preset", "tiny", "--iterations", "1", "--out", "taken"],
+         "FileExistsError"),
+        (["render-depth", "--out", "taken"], "FileExistsError"),
+        (["train", "--preset", "tiny", "--config", "directory", "--out", "run"],
+         "IsADirectoryError"),
+    ], ids=["train-out-file", "render-out-file", "train-config-dir"])
+    def test_an_os_error_is_one_json_line_and_makes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch, argv, error):
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("a file, not a directory\n")
+        Path("directory").mkdir()
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == error
+        assert ("taken" if "taken" in argv else "directory") in payload["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "taken"]
+        assert Path("taken").read_text() == "a file, not a directory\n"
+
+    @pytest.mark.parametrize("command", ["nan", "inf", "-inf"])
+    def test_a_non_finite_command_is_refused_before_loading(self, tmp_path, capsys,
+                                                            command):
+        code = cli(["eval-noise", f"--command={command}", "--beta", "0.1",
+                    "--checkpoint", str(tmp_path / "missing.ckpt"),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ContractError",
+            "message": f"command must be a finite speed, got {float(command)}"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, flag, token", [
         (["eval-noise", "--conditions", "gaussian"], "--conditions", "gaussian"),
         (["eval-noise", "--conditions", "gaussian:30,foo:30"], "--conditions", "foo:30"),

@@ -452,6 +452,40 @@ class TestFork:
             run_episode(cfg, nets, early, "vp_only")
 
 
+class TestPrefixCapture:
+    """`clean_prefix` is a shorter deployment run and captures its runner once,
+    whether it reaches the onset or stops at a tick with a failing pair."""
+
+    @pytest.fixture(scope="class")
+    def betas(self, tiny_ckpt):
+        """`TestFork`'s betas: the prefix reaches the onset, stops midway, and
+        stops at the first valid tick."""
+        cfg, nets, _ = load_bundle(tiny_ckpt)
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=1e9, robots=TestFork.ROBOTS,
+                              steps=560, seed=TestFork.SEED)
+        scores = clean_prefix(cfg, nets, spec, 200).episode.losses
+        return {"full": 1.01 * float(np.nanmax(scores)),
+                "midway": float(np.nextafter(np.nanmax(scores[1]), np.inf)), "first": 1e-9}
+
+    @pytest.mark.parametrize("kind", ["full", "midway", "first"])
+    def test_the_prefix_captures_its_runner_once(self, tiny_ckpt, monkeypatch, betas, kind):
+        cfg, nets, _ = load_bundle(tiny_ckpt)
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=betas[kind], robots=TestFork.ROBOTS,
+                              steps=400, seed=TestFork.SEED)
+        captures = []
+        capture = VecRunner.capture
+
+        def counted(runner):
+            captures.append(runner.global_step)
+            return capture(runner)
+        monkeypatch.setattr(VecRunner, "capture", counted)
+        start = clean_prefix(cfg, nets, spec, TestFork.ONSET)
+        assert captures == [start.fork] == [start.state.global_step]
+        ticks = list(range(0, spec.steps, cfg.selector.tick_period))
+        assert TestFork._fork_fits(kind, start.fork, ticks, TestFork.ONSET), start.fork
+        assert start.episode.tick_steps == [t for t in ticks if t < start.fork]
+
+
 class TestNoiseProtocolReport:
     def test_max_delay_needs_every_robot_to_switch(self):
         assert max_switch_delay([7, 9, 8]) == 9
