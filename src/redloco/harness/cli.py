@@ -182,6 +182,13 @@ def cli(argv: list[str]) -> int:
         elif args.cmd == "render-depth":
             _render_depth_cmd(args)
         elif args.cmd == "calibrate-beta":
+            # refused before the calibration runs, not after it
+            out = Path(args.out)
+            if out.is_dir():
+                raise ConfigError(f"--out: {args.out} is a directory, want a file path")
+            if not out.parent.is_dir():
+                raise ConfigError(f"--out: the directory {out.parent} of {args.out} "
+                                  f"does not exist")
             result = calibrate_beta_run(args.checkpoint, args.episodes, args.seed,
                                         steps=args.steps)
             write_beta_file(result, args.out)

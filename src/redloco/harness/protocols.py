@@ -493,8 +493,9 @@ def write_beta_file(result: dict, path: str | Path) -> None:
 
 def read_beta_file(path: str | Path) -> float:
     for line in Path(path).read_text().splitlines():
-        if line.startswith("beta"):
-            raw = line.partition("=")[2].strip()
+        key, _, raw = line.partition("=")
+        if key.strip() == "beta":
+            raw = raw.strip()
             try:
                 return float(raw)
             except ValueError:

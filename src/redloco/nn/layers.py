@@ -113,8 +113,7 @@ def deconv_shape(input_shape: tuple[int, ...], kernel: int, stride: int, padding
 def mirror_out_pad(conv_in: tuple[int, int], kernel: int, stride: int, padding: int) -> tuple[int, int]:
     """Output padding that makes a deconv exactly undo a conv of this geometry."""
     h, w = conv_in
-    ho = (h + 2 * padding - kernel) // stride + 1
-    wo = (w + 2 * padding - kernel) // stride + 1
+    _, ho, wo = conv_shape((1, h, w), kernel, stride, padding)
     oph = h - ((ho - 1) * stride - 2 * padding + kernel)
     opw = w - ((wo - 1) * stride - 2 * padding + kernel)
     if oph < 0 or opw < 0:

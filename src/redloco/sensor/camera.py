@@ -1,18 +1,8 @@
-"""Camera checks and the text export of one depth frame."""
+"""The text export of one depth frame."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..config import CameraConfig
-from ..errors import ContractError
-
-
-def validate_camera(cam: CameraConfig) -> None:
-    if cam.height < 4 or cam.width < 4:
-        raise ContractError(f"camera resolution must be at least 4x4, got {cam.height}x{cam.width}")
-    if not cam.max_range > 0:       # NaN fails too
-        raise ContractError(f"max_range must be positive, got {cam.max_range}")
 
 
 def dump_text(data: np.ndarray, pose: np.ndarray, randomized: bool) -> str:

@@ -24,7 +24,6 @@ import numpy as np
 from ..config import CameraConfig
 from ..errors import ContractError
 from ..world.batch import BatchWorld
-from .camera import validate_camera
 
 
 def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
@@ -130,7 +129,6 @@ def render_batch(world: BatchWorld, camera: CameraConfig,
     Each env draws from ``rngs[i]``: its 4 jitter uniforms in a first pass
     over the envs, its 2 noise fields (one (2, H, W) draw) in a second.
     """
-    validate_camera(camera)
     n = len(world)
     shape = (camera.height, camera.width)
     jitter = np.zeros((n, 4))          # d_x, d_z, d_pitch, d_yaw

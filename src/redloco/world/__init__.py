@@ -1,15 +1,12 @@
-from .terrain import (DIFFICULT_KINDS, N_LEVELS, SIMPLE_KINDS, TERRAIN_KINDS,
-                      Heightfield, generate_terrain)
+from .terrain import DIFFICULT_KINDS, N_LEVELS, TERRAIN_KINDS, Heightfield, generate_terrain
 from .commands import Command, make_command, sample_command, update_curriculum
 from .batch import (FOOT_OFFSETS, OBS_DIM, PROFILE_SAMPLES, BatchEvents, BatchWorld,
-                    PrivilegedInfo, StepEvents)
-from .robot import PlanarWorld, RobotState
+                    PrivilegedInfo)
 from .rewards import BatchReward, compute_reward, linear_velocity_reward
 
 __all__ = [
-    "DIFFICULT_KINDS", "N_LEVELS", "SIMPLE_KINDS", "TERRAIN_KINDS", "Heightfield",
-    "generate_terrain", "Command", "make_command", "sample_command",
-    "update_curriculum", "FOOT_OFFSETS", "OBS_DIM", "PROFILE_SAMPLES", "BatchEvents",
-    "BatchWorld", "PrivilegedInfo", "StepEvents", "PlanarWorld", "RobotState",
+    "DIFFICULT_KINDS", "N_LEVELS", "TERRAIN_KINDS", "Heightfield", "generate_terrain",
+    "Command", "make_command", "sample_command", "update_curriculum", "FOOT_OFFSETS",
+    "OBS_DIM", "PROFILE_SAMPLES", "BatchEvents", "BatchWorld", "PrivilegedInfo",
     "BatchReward", "compute_reward", "linear_velocity_reward",
 ]

@@ -61,20 +61,6 @@ PATCH_SAMPLES = 5
 
 
 @dataclass
-class StepEvents:
-    collision: bool = False
-    hopped: bool = False
-    landed: bool = False
-    terminated: bool = False
-    termination: str | None = None
-    truncated: bool = False
-
-    @property
-    def done(self) -> bool:
-        return self.terminated or self.truncated
-
-
-@dataclass
 class BatchEvents:
     """One step's events, an (E,) bool array each."""
     collision: np.ndarray
@@ -91,12 +77,6 @@ class BatchEvents:
     @property
     def done(self) -> np.ndarray:
         return self.terminated | self.truncated
-
-    def at(self, i: int) -> StepEvents:
-        termination = "pitch" if self.tipped[i] else "fall" if self.fell[i] else None
-        return StepEvents(bool(self.collision[i]), bool(self.hopped[i]),
-                          bool(self.landed[i]), termination is not None, termination,
-                          bool(self.truncated[i]))
 
 
 @dataclass

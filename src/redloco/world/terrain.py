@@ -15,7 +15,6 @@ from ..config import WorldConfig
 from ..errors import ContractError
 
 TERRAIN_KINDS = ("flat", "rough", "stairs_up", "stairs_down", "gap", "platform")
-SIMPLE_KINDS = ("flat", "rough", "stairs_up", "stairs_down")
 DIFFICULT_KINDS = ("gap", "platform")
 N_LEVELS = 10
 

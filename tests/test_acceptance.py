@@ -26,7 +26,7 @@ from redloco.sensor import (edge_truncate_resize, inject_gaussian, inject_salt_p
                             render_batch)
 from redloco.training import load_bundle, train
 from redloco.training.runner import VecRunner
-from redloco.world import PlanarWorld, generate_terrain, linear_velocity_reward, make_command
+from redloco.world import BatchWorld, generate_terrain, linear_velocity_reward
 from redloco.world.batch import STAND_HEIGHT
 from redloco.config import CameraConfig, WorldConfig
 
@@ -117,9 +117,9 @@ def test_criterion_4_raycast_oracle():
         return rows, cols
 
     # flat: ray-plane closed form
-    w = PlanarWorld(cfg, "flat", np.random.default_rng(0))
-    w.robot.pitch = 0.0
-    frames, poses = render_batch(w.batch, cam, [None], randomize=False)
+    w = BatchWorld(cfg, ["flat"], [np.random.default_rng(0)])
+    w.pitch[0] = 0.0
+    frames, poses = render_batch(w, cam, [None], randomize=False)
     img, (_, cam_z, _, _) = frames[0], poses[0]
     rows, _ = angles()
     expect = np.where(np.sin(rows) > 1e-12, cam_z / np.maximum(np.sin(rows), 1e-12),
@@ -131,9 +131,9 @@ def test_criterion_4_raycast_oracle():
     hf = generate_terrain("flat", 0, 0, cfg)
     step_x, step_h = 6.0, 0.4
     hf.heights[int(step_x / cfg.cell_size):] = step_h
-    w.batch.set_terrain(0, hf)
-    w.robot.x, w.robot.z = 5.0, STAND_HEIGHT
-    frames, poses = render_batch(w.batch, cam, [None], randomize=False)
+    w.set_terrain(0, hf)
+    w.x[0], w.z[0] = 5.0, STAND_HEIGHT
+    frames, poses = render_batch(w, cam, [None], randomize=False)
     img2, (cam_x, cam_z, _, _) = frames[0], poses[0]
     rows, cols = angles()
     for r in range(cam.height):
@@ -158,7 +158,7 @@ def test_criterion_4_raycast_oracle():
     rng = np.random.default_rng(1)
 
     def randomized():
-        return render_batch(w.batch, cam, [rng], randomize=True)[0][0]
+        return render_batch(w, cam, [rng], randomize=True)[0][0]
 
     in_range = True
     for stage in (img, img2,

@@ -1,6 +1,7 @@
 """Flat-text config round-trips and CLI surface."""
 
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -16,12 +17,15 @@ from hypothesis import strategies as st
 
 import redloco
 from redloco import config as config_mod
-from redloco.errors import ConfigError
+from redloco.errors import ConfigError, ContractError
+from redloco.harness import read_beta_file
 from redloco.harness.cli import cli
 from redloco.sensor import dump_text, render_batch
 from redloco.training import Trainer
 from redloco.training import runner as runner_mod
 from redloco.world import BatchWorld
+
+cli_mod = importlib.import_module("redloco.harness.cli")
 
 # keys deleted because no run could read them or because they have one value,
 # now a constant where it is used; a config or an embedded checkpoint config
@@ -545,6 +549,37 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
         assert str(beta_file) in payload["message"] and "'abc'" in payload["message"]
+
+    @pytest.mark.parametrize("text, want", [
+        ("# schema: beta-calibration/v1\nbetamax = 3\nbeta = 0.02\n", 0.02),
+        ("# schema: beta-calibration/v1\nbeta_old = 7\n", None),
+    ], ids=["longer_key_first", "only_a_longer_key"])
+    def test_beta_file_reads_the_key_beta_exactly(self, tmp_path, text, want):
+        beta_file = tmp_path / "beta.cfg"
+        beta_file.write_text(text)
+        if want is None:
+            with pytest.raises(ContractError, match="no beta entry"):
+                read_beta_file(beta_file)
+        else:
+            assert read_beta_file(beta_file) == want
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_calibrate_beta_refuses_an_unwritable_out_before_it_calibrates(
+            self, tmp_path, capsys, monkeypatch, where):
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before --out was checked")
+
+        monkeypatch.setattr(cli_mod, "calibrate_beta_run", calibrate)
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "beta.cfg"
+        code = cli(["calibrate-beta", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                    "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert "--out" in payload["message"] and str(out) in payload["message"]
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("argv, field", [
         (["eval-noise", "--beta", "0.1", "--robots", "0"], "robots"),

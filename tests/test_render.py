@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from redloco.config import CameraConfig, WorldConfig
 from redloco.errors import ContractError
 from redloco.sensor import dump_text, edge_truncate_resize, march_rays, render_batch
-from redloco.world import (TERRAIN_KINDS, BatchWorld, PlanarWorld, generate_terrain,
-                           make_command)
+from redloco.world import TERRAIN_KINDS, BatchWorld, generate_terrain, make_command
 from redloco.world.batch import STAND_HEIGHT
 from redloco.world.terrain import SPAWN_X
 
@@ -21,15 +20,15 @@ render_mod = importlib.import_module("redloco.sensor.render")
 
 
 def flat_world(seed=0, cfg=None):
-    w = PlanarWorld(cfg or WorldConfig(), "flat", np.random.default_rng(seed))
-    w.reset_episode(command=make_command(0.5))
-    w.robot.pitch = 0.0
+    w = BatchWorld(cfg or WorldConfig(), ["flat"], [np.random.default_rng(seed)])
+    w.reset([0], [make_command(0.5)])
+    w.pitch[0] = 0.0
     return w
 
 
 def render_one(w, cam, rng=None, randomize=False):
     """The frame and pose row of a one-env world, from `render_batch`."""
-    data, poses = render_batch(w.batch, cam, [rng], randomize)
+    data, poses = render_batch(w, cam, [rng], randomize)
     return data[0], poses[0]
 
 
@@ -67,9 +66,9 @@ class TestClosedForms:
         step_x, step_h = 6.0, 0.4
         i = int(step_x / cfg.cell_size)
         hf.heights[i:] = step_h
-        w.batch.set_terrain(0, hf)
-        w.robot.x = 5.0
-        w.robot.z = STAND_HEIGHT
+        w.set_terrain(0, hf)
+        w.x[0] = 5.0
+        w.z[0] = STAND_HEIGHT
         data, pose = render_one(w, cam)
         cam_x, cam_z, dep, _ = pose
         rows, cols = ray_angles(cam)
@@ -228,7 +227,7 @@ class TestLiveRayMarch:
 class TestInvariantsAndDeterminism:
     def test_all_values_in_range_at_every_stage(self):
         cam = CameraConfig(height=12, width=16)
-        w = PlanarWorld(WorldConfig(), "gap", np.random.default_rng(5), level=7)
+        w = BatchWorld(WorldConfig(), ["gap"], [np.random.default_rng(5)], [7])
         rng = np.random.default_rng(9)
         raw, _ = render_one(w, cam)
         rand, _ = render_one(w, cam, rng, randomize=True)

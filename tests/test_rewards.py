@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redloco.config import WorldConfig
-from redloco.world import PlanarWorld, compute_reward, linear_velocity_reward, make_command
+from redloco.world import BatchWorld, compute_reward, linear_velocity_reward, make_command
 from redloco.world.batch import ACCEL_MAX, DRAG
 from redloco.world.rewards import TERM_SCALES
 
@@ -63,9 +63,8 @@ class TestTrackingReward:
 
 def step_reward(w, action):
     """Step a one-env world; its events and the `compute_reward` of the step."""
-    b = w.batch
-    ev = b.step(np.array([action], dtype=np.float64))
-    return ev, compute_reward(b, ev.collision)
+    ev = w.step(np.array([action], dtype=np.float64))
+    return ev, compute_reward(w, ev.collision)
 
 
 class TestRewardTable:
@@ -74,8 +73,8 @@ class TestRewardTable:
               "joint_acc": -2.5e-7, "orientation": -1.0}
 
     def _step(self, command=0.6, action=(0.5, 0.0)):
-        w = PlanarWorld(WorldConfig(), "flat", np.random.default_rng(0))
-        w.reset_episode(command=make_command(command))
+        w = BatchWorld(WorldConfig(), ["flat"], [np.random.default_rng(0)])
+        w.reset([0], [make_command(command)])
         _, r = step_reward(w, action)
         return w, r
 
@@ -92,9 +91,9 @@ class TestRewardTable:
                                            abs=1e-15)
 
     def test_collision_contributes_scale_times_dt(self):
-        w = PlanarWorld(WorldConfig(), "platform", np.random.default_rng(4), level=9)
-        w.reset_episode(command=make_command(1.0))
-        w.robot.vx = 1.5
+        w = BatchWorld(WorldConfig(), ["platform"], [np.random.default_rng(4)], [9])
+        w.reset([0], [make_command(1.0)])
+        w.vx[0] = 1.5
         for _ in range(500):
             ev, r = step_reward(w, [1.0, 0.0])
             if ev.collision[0]:
@@ -104,11 +103,11 @@ class TestRewardTable:
         pytest.fail("no collision occurred")
 
     def test_tracking_term_uses_projection_on_heading(self):
-        w = PlanarWorld(WorldConfig(), "flat", np.random.default_rng(1))
-        w.reset_episode(command=make_command(0.6, c_yaw=0.3))
-        w.robot.vx = 0.5
+        w = BatchWorld(WorldConfig(), ["flat"], [np.random.default_rng(1)])
+        w.reset([0], [make_command(0.6, c_yaw=0.3)])
+        w.vx[0] = 0.5
         _, r = step_reward(w, [0.0, 0.0])
-        expected = reference_tracking(0.6, w.robot.vx * np.cos(0.3), abs(w.robot.vx))
+        expected = reference_tracking(0.6, w.vx[0] * np.cos(0.3), abs(w.vx[0]))
         assert r.values["lin_vel_tracking"][0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -120,15 +119,15 @@ class TestOverspeedCost:
 
     def _hold(self, command, speed):
         """Total reward over STEPS of holding ``speed`` on flat ground."""
-        w = PlanarWorld(WorldConfig(), "flat", np.random.default_rng(0))
-        w.reset_episode(command=make_command(command))
-        w.robot.vx = speed
+        w = BatchWorld(WorldConfig(), ["flat"], [np.random.default_rng(0)])
+        w.reset([0], [make_command(command)])
+        w.vx[0] = speed
         # throttle that exactly balances drag at this speed
-        action = [DRAG * speed / (ACCEL_MAX * w.motor_gain), 0.0]
+        action = [DRAG * speed / (ACCEL_MAX * float(w.motor_gain[0])), 0.0]
         total = 0.0
         for _ in range(self.STEPS):
             total += float(step_reward(w, action)[1].total[0])
-        assert w.robot.vx == pytest.approx(speed, abs=1e-9)
+        assert w.vx[0] == pytest.approx(speed, abs=1e-9)
         return total
 
     @pytest.mark.parametrize("command", [0.3, 0.6, 1.0])

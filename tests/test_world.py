@@ -3,13 +3,15 @@ and the batched world against its envs stepped one at a time and against a
 scalar reference model."""
 
 import copy
+import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from redloco.config import WorldConfig
 from redloco.errors import ContractError
-from redloco.world import (OBS_DIM, TERRAIN_KINDS, BatchWorld, PlanarWorld, compute_reward,
+from redloco.world import (OBS_DIM, TERRAIN_KINDS, BatchWorld, compute_reward,
                            generate_terrain, make_command, sample_command)
 from redloco.world.batch import (ACCEL_MAX, DRAG, FOOT_OFFSETS, FOOT_PATCH, GRAVITY,
                                  HOP_THRESHOLD, IMPACT_LOSS, INIT_SPEED_RANGE, MAX_CLEARANCE,
@@ -19,96 +21,115 @@ from redloco.world.batch import (ACCEL_MAX, DRAG, FOOT_OFFSETS, FOOT_PATCH, GRAV
                                  STAND_HEIGHT, V_HOP)
 from redloco.world.rewards import (ANG_VEL_SIGMA, DEFAULT_POS_CAP, DEFAULT_POS_UNIT,
                                    GAIT_RATE_GAIN, TERM_SCALES)
-from redloco.world.robot import STATE_FIELDS
+
+# the body state of one env, the names of its BatchWorld arrays
+STATE_NAMES = ("x", "z", "vx", "vz", "pitch", "airborne", "ax", "az", "pitch_rate",
+               "joint_phase", "last_action")
 
 
 def make_world(kind="flat", level=0, seed=0, command=0.6, **cfg_overrides):
+    """A one-env `BatchWorld` in a fresh episode under ``command``."""
     cfg = WorldConfig(**cfg_overrides)
-    w = PlanarWorld(cfg, kind, np.random.default_rng(seed), level=level)
-    w.reset_episode(command=make_command(command))
+    w = BatchWorld(cfg, [kind], [np.random.default_rng(seed)], [level])
+    w.reset([0], [make_command(command)])
     return w
+
+
+def state(w) -> types.SimpleNamespace:
+    """Copies of env 0's body state (a row of an (E, k) array is a view)."""
+    rows = {name: getattr(w, name)[0] for name in STATE_NAMES}
+    return types.SimpleNamespace(**{name: v.copy() if isinstance(v, np.ndarray) else v
+                                    for name, v in rows.items()})
+
+
+def events(ev, i) -> dict:
+    """Env i's events, keyed as the scalar model reports them."""
+    termination = "pitch" if ev.tipped[i] else "fall" if ev.fell[i] else None
+    return dict(collision=bool(ev.collision[i]), hopped=bool(ev.hopped[i]),
+                landed=bool(ev.landed[i]), terminated=termination is not None,
+                termination=termination, truncated=bool(ev.truncated[i]))
 
 
 class TestDynamics:
     def test_zero_action_at_rest_changes_only_the_oscillator(self):
         w = make_world(command=0.0)
-        w.robot.vx = 0.0
-        before = (w.robot.x, w.robot.z, w.robot.vx, w.robot.vz, w.robot.pitch)
-        phase_before = w.robot.joint_phase.copy()
-        w.step([0.0, 0.0])
-        after = (w.robot.x, w.robot.z, w.robot.vx, w.robot.vz, w.robot.pitch)
+        w.vx[0] = 0.0
+        before = (w.x[0], w.z[0], w.vx[0], w.vz[0], w.pitch[0])
+        phase_before = w.joint_phase[0].copy()
+        w.step([[0.0, 0.0]])
+        after = (w.x[0], w.z[0], w.vx[0], w.vz[0], w.pitch[0])
         assert after == before
-        assert not np.array_equal(w.robot.joint_phase, phase_before)
+        assert not np.array_equal(w.joint_phase[0], phase_before)
 
     def test_kinetic_energy_non_increasing_under_zero_action(self):
         w = make_world(command=0.0)
-        w.robot.vx = 1.2
+        w.vx[0] = 1.2
         energies = []
         for _ in range(100):
-            w.step([0.0, 0.0])
-            energies.append(w.robot.vx ** 2 + w.robot.vz ** 2)
+            w.step([[0.0, 0.0]])
+            energies.append(w.vx[0] ** 2 + w.vz[0] ** 2)
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_hop_apex_matches_ballistic_closed_form(self):
         w = make_world(command=0.0)
-        w.robot.vx = 0.0
-        start_z = w.robot.z
+        w.vx[0] = 0.0
+        start_z = w.z[0]
         zs = []
-        w.step([0.0, 1.0])
-        zs.append(w.robot.z)
+        w.step([[0.0, 1.0]])
+        zs.append(w.z[0])
         for _ in range(200):
-            if not w.robot.airborne:
+            if not w.airborne[0]:
                 break
-            w.step([0.0, 0.0])
-            zs.append(w.robot.z)
+            w.step([[0.0, 0.0]])
+            zs.append(w.z[0])
         apex = max(zs) - start_z
         # discrete sampling undershoots the parabola peak by at most g*dt^2/8
         assert apex == pytest.approx(V_HOP ** 2 / (2 * GRAVITY), abs=1e-3)
 
     def test_advancing_over_a_gap_without_hopping_falls_within_one_step(self):
         w = make_world("gap", level=9, seed=3, command=1.0)
-        w.robot.vx = 1.5
+        w.vx[0] = 1.5
         fell_at = None
         for i in range(600):
-            ev = w.step([1.0, 0.0])
-            if ev.terminated:
+            ev = w.step([[1.0, 0.0]])
+            if ev.terminated[0]:
                 fell_at = i
-                assert ev.termination == "fall"
+                assert events(ev, 0)["termination"] == "fall"
                 break
         assert fell_at is not None
-        assert w.batch.support(w.batch.x)[0] == -np.inf     # both feet over void
+        assert w.support(w.x)[0] == -np.inf     # both feet over void
 
     def test_wall_taller_than_max_step_blocks_and_logs_collision(self):
         w = make_world("platform", level=9, seed=4, command=1.0)
-        w.robot.vx = 1.5
+        w.vx[0] = 1.5
         hit = False
         for _ in range(600):
-            ev = w.step([1.0, 0.0])
-            if ev.collision:
+            ev = w.step([[1.0, 0.0]])
+            if ev.collision[0]:
                 hit = True
-                assert w.robot.vx == 0.0
+                assert w.vx[0] == 0.0
                 break
         assert hit
 
     def test_grounded_motion_follows_small_steps(self):
         w = make_world("stairs_up", level=0, seed=5, command=1.0)
-        z0 = w.robot.z
+        z0 = w.z[0]
         for _ in range(500):
-            ev = w.step([1.0, 0.0])
-            assert not ev.collision
-            if w.robot.x > 6.0:
+            ev = w.step([[1.0, 0.0]])
+            assert not ev.collision[0]
+            if w.x[0] > 6.0:
                 break
-        assert w.robot.z > z0 + 0.2
+        assert w.z[0] > z0 + 0.2
 
     def test_nan_action_is_a_contract_error(self):
         w = make_world()
         with pytest.raises(ContractError):
-            w.step([np.nan, 0.0])
+            w.step([[np.nan, 0.0]])
 
     def test_out_of_range_action_is_a_contract_error(self):
         w = make_world()
         with pytest.raises(ContractError):
-            w.step([1.5, 0.0])
+            w.step([[1.5, 0.0]])
 
     def test_trajectories_are_bitwise_deterministic(self):
         logs = []
@@ -116,15 +137,15 @@ class TestDynamics:
             w = make_world("rough", level=4, seed=11, command=0.7)
             acc = []
             for k in range(200):
-                w.step([np.sin(k * 0.1), 0.0 if k % 50 else 0.9])
-                acc.append((w.robot.x, w.robot.z, w.robot.vx, w.robot.vz))
+                w.step([[np.sin(k * 0.1), 0.0 if k % 50 else 0.9]])
+                acc.append((w.x[0], w.z[0], w.vx[0], w.vz[0]))
             logs.append(np.array(acc))
         assert logs[0].tobytes() == logs[1].tobytes()
 
 
 class TestObservation:
     def test_observation_has_fixed_width(self):
-        assert make_world().observation().shape == (OBS_DIM,)
+        assert make_world().observation()[0].shape == (OBS_DIM,)
 
     def test_proprio_stream_blind_to_upcoming_gap(self):
         # same seed and actions on flat vs gap: observations identical until
@@ -132,21 +153,21 @@ class TestObservation:
         acts = [np.array([0.8, 0.0])] * 400
         w_flat = make_world("flat", seed=21, command=1.0)
         w_gap = make_world("gap", level=6, seed=21, command=1.0)
-        w_gap.batch.set_terrain(0, generate_terrain("gap", 6, 99, w_gap.cfg))
+        w_gap.set_terrain(0, generate_terrain("gap", 6, 99, w_gap.cfg))
         terrain = ScalarEnv(w_gap)
-        w_flat.robot.vx = w_gap.robot.vx = 0.5
+        w_flat.vx[0] = w_gap.vx[0] = 0.5
         front = max(FOOT_OFFSETS)
         t_star = None
         obs_flat, obs_gap = [], []
         for t, a in enumerate(acts):
-            if terrain.height_at(w_gap.robot.x + front) == -np.inf:
+            if terrain.height_at(w_gap.x[0] + front) == -np.inf:
                 t_star = t
                 break
-            obs_flat.append(w_flat.observation())
-            obs_gap.append(w_gap.observation())
-            w_flat.step(a)
-            ev = w_gap.step(a)
-            if ev.terminated:
+            obs_flat.append(w_flat.observation()[0])
+            obs_gap.append(w_gap.observation()[0])
+            w_flat.step([a])
+            ev = w_gap.step([a])
+            if ev.terminated[0]:
                 t_star = t + 1
                 break
         assert t_star is not None, "robot never reached the gap"
@@ -156,55 +177,54 @@ class TestObservation:
 class TestPrivileged:
     def test_velocity_is_exact(self):
         w = make_world()
-        w.robot.vx, w.robot.vz = 0.37, -0.12
-        np.testing.assert_array_equal(w.privileged().v_true, [0.37, -0.12])
+        w.vx[0], w.vz[0] = 0.37, -0.12
+        np.testing.assert_array_equal(w.privileged().v_true[0], [0.37, -0.12])
 
     def test_flat_profile_is_constant_clearance(self):
         w = make_world()
         p = w.privileged()
-        np.testing.assert_allclose(p.m_t, w.robot.z, atol=1e-12)
-        np.testing.assert_allclose(p.h_f, 0.0, atol=1e-12)
+        np.testing.assert_allclose(p.m_t[0], w.z[0], atol=1e-12)
+        np.testing.assert_allclose(p.h_f[0], 0.0, atol=1e-12)
 
     def test_foot_over_gap_reads_max_clearance(self):
         w = make_world("gap", level=9, seed=6)
-        void = w.batch.void[0]
+        void = w.void[0]
         i = int(np.argmax(void))
         gap_len = 0
         while void[i + gap_len]:
             gap_len += 1
-        w.robot.x = (i + gap_len / 2) * w.cfg.cell_size - max(FOOT_OFFSETS)
+        w.x[0] = (i + gap_len / 2) * w.cfg.cell_size - max(FOOT_OFFSETS)
         p = w.privileged()
-        assert p.h_f[0] == pytest.approx(MAX_CLEARANCE)
+        assert p.h_f[0, 0] == pytest.approx(MAX_CLEARANCE)
 
     def test_profile_over_stairs_matches_generated_field(self):
         w = make_world("stairs_up", level=5, seed=7)
-        w.robot.x = 4.0
-        w.robot.z = 0.8
+        w.x[0] = 4.0
+        w.z[0] = 0.8
         p = w.privileged()
         lo, hi = PROFILE_SPAN
-        xs = w.robot.x + np.linspace(lo, hi, PROFILE_SAMPLES)
+        xs = w.x[0] + np.linspace(lo, hi, PROFILE_SAMPLES)
         terrain = ScalarEnv(w)
-        expected = [np.clip(w.robot.z - terrain.height_at(x),
+        expected = [np.clip(w.z[0] - terrain.height_at(x),
                             -MAX_CLEARANCE, MAX_CLEARANCE) for x in xs]
-        np.testing.assert_allclose(p.m_t, expected, atol=1e-12)
+        np.testing.assert_allclose(p.m_t[0], expected, atol=1e-12)
 
 
 
 class ScalarEnv:
     """The scalar model of one env, one branch at a time in plain Python: the
     reference the batched world must reproduce bit for bit, including the
-    order of its random draws. Built from a PlanarWorld's state before a step
-    or a reset, with a copy of its generator."""
+    order of its random draws. Built from a one-env world's state before a
+    step or a reset, with a copy of its generator."""
 
-    def __init__(self, w: PlanarWorld) -> None:
-        b = w.batch
+    def __init__(self, w: BatchWorld) -> None:
         self.cfg = w.cfg
-        self.r = w.snapshot()
-        self.heights, self.void = b.heights[0].copy(), b.void[0].copy()
-        self.rng = copy.deepcopy(b.rngs[0])
-        self.motor_gain, self.fall_z = float(b.motor_gain[0]), float(b.fall_z[0])
-        self.c_x, self.c_yaw = float(b.c_x[0]), float(b.c_yaw[0])
-        self.episode_step = int(b.episode_step[0])
+        self.r = state(w)
+        self.heights, self.void = w.heights[0].copy(), w.void[0].copy()
+        self.rng = copy.deepcopy(w.rngs[0])
+        self.motor_gain, self.fall_z = float(w.motor_gain[0]), float(w.fall_z[0])
+        self.c_x, self.c_yaw = float(w.c_x[0]), float(w.c_yaw[0])
+        self.episode_step = int(w.episode_step[0])
 
     def height_at(self, x):
         i = min(max(int(np.floor(x / self.cfg.cell_size)), 0), len(self.heights) - 1)
@@ -352,7 +372,7 @@ class TestBatchMatchesSingle:
         n = len(kinds)
         batch = BatchWorld(cfg, kinds, [np.random.default_rng([7, i]) for i in range(n)],
                            levels)
-        singles = [PlanarWorld(cfg, k, np.random.default_rng([7, i]), level=lv)
+        singles = [BatchWorld(cfg, [k], [np.random.default_rng([7, i])], [lv])
                    for i, (k, lv) in enumerate(self.CASES)]
         act_rng = np.random.default_rng(3)
         resets = np.zeros(n, dtype=int)
@@ -368,28 +388,28 @@ class TestBatchMatchesSingle:
             priv = batch.privileged()
             for i, w in enumerate(singles):
                 ref = ScalarEnv(w)
-                prev = w.snapshot()
-                ev_i = w.step(actions[i])
-                b = w.batch
-                r = compute_reward(b, np.array([ev_i.collision]))
-                assert ev.at(i) == ev_i
-                for name in STATE_FIELDS:
-                    assert same_bits(getattr(batch, name)[i], getattr(w.robot, name)), name
+                prev = state(w)
+                ev_i = w.step([actions[i]])
+                r = compute_reward(w, ev_i.collision)
+                for f in fields(ev):
+                    assert getattr(ev, f.name)[i] == getattr(ev_i, f.name)[0], f.name
+                for name in STATE_NAMES:
+                    assert same_bits(getattr(batch, name)[i], getattr(w, name)[0]), name
                 assert same_bits(reward.total[i], r.total)
                 for name in r.values:
                     assert same_bits(reward.values[name][i], r.values[name]), name
                     assert same_bits(reward.contributions[name][i], r.contributions[name]), name
-                assert same_bits(obs[i], w.observation())
+                assert same_bits(obs[i], w.observation()[0])
                 p = w.privileged()
-                assert same_bits(priv.v_true[i], p.v_true)
-                assert same_bits(priv.m_t[i], p.m_t)
-                assert same_bits(priv.h_f[i], p.h_f)
+                assert same_bits(priv.v_true[i], p.v_true[0])
+                assert same_bits(priv.m_t[i], p.m_t[0])
+                assert same_bits(priv.h_f[i], p.h_f[0])
                 # the scalar model, from the same state and generator
-                assert ref.step(actions[i]) == vars(ev_i)
-                for name in STATE_FIELDS:
-                    assert same_bits(getattr(ref.r, name), getattr(w.robot, name)), name
-                assert ref.rng.bit_generator.state == w.batch.rngs[0].bit_generator.state
-                assert same_bits(ref.reward(prev, actions[i], ev_i.collision),
+                assert ref.step(actions[i]) == events(ev_i, 0)
+                for name in STATE_NAMES:
+                    assert same_bits(getattr(ref.r, name), getattr(w, name)[0]), name
+                assert ref.rng.bit_generator.state == w.rngs[0].bit_generator.state
+                assert same_bits(ref.reward(prev, actions[i], ev_i.collision[0]),
                                  [v[0] for v in r.values.values()] + [r.total[0]])
                 assert same_bits(ref.observation(), obs[i])
                 want = ref.privileged()
@@ -403,11 +423,12 @@ class TestBatchMatchesSingle:
             for i in done:
                 ref = ScalarEnv(singles[i])
                 hf, cmd, gain, vx = ref.reset(*self.CASES[i], phase=1)
-                singles[i].reset_episode()
-                assert same_bits(singles[i].batch.heights[0], hf.heights)
-                assert singles[i].command == cmd
-                assert same_bits([singles[i].motor_gain, singles[i].robot.vx], [gain, vx])
-                assert ref.rng.bit_generator.state == singles[i].batch.rngs[0].bit_generator.state
+                w = singles[i]
+                w.reset([0])
+                assert same_bits(w.heights[0], hf.heights)
+                assert make_command(w.c_x[0], w.c_yaw[0]) == cmd
+                assert same_bits([w.motor_gain[0], w.vx[0]], [gain, vx])
+                assert ref.rng.bit_generator.state == w.rngs[0].bit_generator.state
                 resets[i] += 1
         assert (resets >= 1).all()
         assert hops > 0 and landings > 0
