@@ -1,6 +1,6 @@
 """Dataclass configuration tree with a flat ``key = value`` text format.
 
-Nested fields are addressed with dotted keys (``world.dt = 0.02``).
+Nested fields are addressed with dotted keys (``camera.height = 12``).
 Tuples are comma separated. A training run reads every key; a value with
 one legal setting is a constant where it is used, not a key.
 """
@@ -19,8 +19,6 @@ from .errors import ConfigError
 
 @dataclass
 class WorldConfig:
-    dt: float = 0.02
-    cell_size: float = 0.05
     episode_steps: int = 400
 
 
@@ -28,17 +26,8 @@ class WorldConfig:
 class CameraConfig:
     height: int = 48
     width: int = 64
-    fov_v: float = 1.0
-    fov_h: float = 1.5
-    mount_forward: float = 0.10
-    mount_up: float = 0.05
-    mount_pitch: float = 0.8
-    max_range: float = 2.0
-    min_depth: float = 0.01
     pos_jitter: float = 0.01
     ang_jitter: float = 0.0872664626
-    prop_noise_std: float = 0.01
-    add_noise_std: float = 0.1
     edge_border: int = 4
 
 
@@ -60,23 +49,14 @@ class NetConfig:
 class SelectorConfig:
     # the deployed beta and gamma are not training settings: beta comes from
     # calibration (--beta/--beta-file), gamma from ExperimentSpec.gamma
-    tick_period: int = 5
     ae_channels: tuple[int, int, int] = (8, 16, 32)
     ae_bottleneck: int = 128
 
 
 @dataclass
 class PPOConfig:
-    lr: float = 3e-4
-    est_lr: float = 1e-3
-    ae_lr: float = 2e-3
-    discount: float = 0.99
-    gae_lambda: float = 0.95
-    clip: float = 0.2
     epochs: int = 4
     minibatches: int = 4
-    ae_batch: int = 256
-    ae_epochs: int = 4
 
 
 @dataclass
@@ -89,7 +69,6 @@ class TrainConfig:
     iterations: int = 600
     terrain_mix: tuple[str, ...] = ("flat", "stairs_up", "gap", "flat", "stairs_down",
                                     "platform", "flat", "rough")
-    flip_period: int = 20
     phase_budget_frac: float = 0.6
     checkpoint_every: int = 0    # 0 = final only
     out_dir: str = "runs/default"
@@ -130,40 +109,29 @@ PRESETS = {"desk": desk_config, "paper-shape": paper_shape_config, "tiny": tiny_
 
 @dataclass(frozen=True)
 class Bound:
-    """The legal range of one numeric key: ``low`` to ``high``, inclusive
-    unless ``open_low``."""
+    """The legal range of one numeric key: ``low`` to ``high``, inclusive."""
     low: float
     high: float = math.inf
-    open_low: bool = False
 
     def admits(self, value: float) -> bool:
-        above = value > self.low if self.open_low else value >= self.low
-        return above and value <= self.high      # NaN fails both
+        return self.low <= value <= self.high      # NaN fails both
 
     def __str__(self) -> str:
         close = ")" if self.high == math.inf else "]"
-        return f"{'(' if self.open_low else '['}{self.low:g}, {self.high:g}{close}"
+        return f"[{self.low:g}, {self.high:g}{close}"
 
 
-# One range per numeric key. The upper ends are 5x the default step and 10x
-# the default cell. Learning rates stop at 1: an Adam step moves each weight by
-# up to about the learning rate. Periods, lengths and layer widths count
-# steps, ticks, iterations or units, so they start at 1. The PPO ratio clip is
-# a fraction of 1; discount and lambda are weights. The camera renders at
-# least 4x4 pixels. Its fields of view and mount pitch stay below a right
-# angle (1.5 rad), its mount within 1 m of the body and its range within
-# 10 m. Its minimum depth is above 0 and at most 1 m; jitters (m, rad) lie in
-# [0, 0.5] and noise scales in [0, 1].
+# One range per numeric key. Periods, lengths, counts and layer widths count
+# steps, iterations, epochs or units, so they start at 1. The camera renders at
+# least 4x4 pixels, and its position and angle jitters (m, rad) lie in
+# [0, 0.5].
 BOUNDS = {
     "seed": Bound(0),
     "n_envs": Bound(1),
     "horizon": Bound(1),
     "iterations": Bound(1),
-    "flip_period": Bound(1),
     "phase_budget_frac": Bound(0.0, 1.0),
     "checkpoint_every": Bound(0),
-    "world.dt": Bound(0.0, 0.1, open_low=True),
-    "world.cell_size": Bound(0.0, 0.5, open_low=True),
     "world.episode_steps": Bound(1),
     "net.history_len": Bound(1),
     "net.embed_hidden": Bound(1),
@@ -174,31 +142,13 @@ BOUNDS = {
     "net.latent": Bound(1),
     "net.z_dim": Bound(1),
     "net.him_hidden": Bound(1),
-    "selector.tick_period": Bound(1),
     "selector.ae_bottleneck": Bound(1),
-    "ppo.lr": Bound(0.0, 1.0, open_low=True),
-    "ppo.clip": Bound(0.0, 1.0, open_low=True),
-    "ppo.discount": Bound(0.0, 1.0),
-    "ppo.gae_lambda": Bound(0.0, 1.0),
     "ppo.epochs": Bound(1),
     "ppo.minibatches": Bound(1),
-    "ppo.ae_epochs": Bound(1),
-    "ppo.ae_batch": Bound(1),
-    "ppo.est_lr": Bound(0.0, 1.0, open_low=True),
-    "ppo.ae_lr": Bound(0.0, 1.0, open_low=True),
     "camera.height": Bound(4),
     "camera.width": Bound(4),
-    "camera.fov_v": Bound(0.0, 1.5, open_low=True),
-    "camera.fov_h": Bound(0.0, 1.5, open_low=True),
-    "camera.mount_forward": Bound(-1.0, 1.0),
-    "camera.mount_up": Bound(-1.0, 1.0),
-    "camera.mount_pitch": Bound(-1.5, 1.5),
-    "camera.max_range": Bound(0.0, 10.0, open_low=True),
-    "camera.min_depth": Bound(0.0, 1.0, open_low=True),
     "camera.pos_jitter": Bound(0.0, 0.5),
     "camera.ang_jitter": Bound(0.0, 0.5),
-    "camera.prop_noise_std": Bound(0.0, 1.0),
-    "camera.add_noise_std": Bound(0.0, 1.0),
     "camera.edge_border": Bound(0),
 }
 

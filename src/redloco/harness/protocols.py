@@ -16,8 +16,9 @@ from ..errors import ConfigError, ContractError
 from ..selector import (MODE_VP, calibrate_beta, filter_step, filter_update, make_selector,
                         min_flip_ticks, trace_record)
 from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
+from ..sensor.camera import MAX_RANGE, MIN_DEPTH
 from ..training.bundle import Networks, load_bundle
-from ..training.runner import RunnerState, VecRunner
+from ..training.runner import TICK_PERIOD, RunnerState, VecRunner
 from ..world import make_command, sample_command
 
 DEFAULT_CONDITIONS = (("gaussian", 30.0), ("gaussian", 70.0), ("gaussian", 100.0),
@@ -76,7 +77,7 @@ class ExperimentSpec:
                                     f"{self.steps}, so an onset must lie in [0, {self.steps - 1}]")
 
 
-def _make_noise_hook(events: list[NoiseEvent], noise_rngs, cam):
+def _make_noise_hook(events: list[NoiseEvent], noise_rngs):
     """Tick hook that corrupts every robot's frame of the (E, H, W) stack with
     the events active at the step; robot i draws from ``noise_rngs[i]``,
     events in list order."""
@@ -85,13 +86,11 @@ def _make_noise_hook(events: list[NoiseEvent], noise_rngs, cam):
         for i, rng in enumerate(noise_rngs if active else ()):
             for ev in active:
                 if ev.kind == "gaussian":
-                    frames[i] = inject_gaussian(frames[i], ev.level, rng, cam.max_range,
-                                                cam.min_depth)
+                    frames[i] = inject_gaussian(frames[i], ev.level, rng, MAX_RANGE, MIN_DEPTH)
                 elif ev.kind == "salt_pepper":
-                    frames[i] = inject_salt_pepper(frames[i], ev.level, rng, cam.max_range,
-                                                   cam.min_depth)
+                    frames[i] = inject_salt_pepper(frames[i], ev.level, rng, MAX_RANGE, MIN_DEPTH)
                 else:
-                    frames[i] = inject_occlusion(frames[i], cam.min_depth)
+                    frames[i] = inject_occlusion(frames[i], MIN_DEPTH)
         return frames, np.full(len(frames), bool(active))
     return hook
 
@@ -196,14 +195,13 @@ def clean_prefix(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec,
     onset and the autoencoder draws nothing at all, and while every valid pair
     votes 1, (1 - gamma) * 1 + gamma * 1 rounds to exactly 1 for every gamma in
     (0, 1], so every robot keeps P = 1 and vision."""
-    period = cfg.selector.tick_period
 
     def run(steps: int) -> tuple[EpisodeResult, VecRunner]:
         # fresh generators for each run, so a rerun steps the same bits
         return _deploy(cfg, nets, steps, **_spec_robots(spec)[0], score=True,
                        filt=(spec.beta, 1.0), hook=None)
 
-    fork = min(-(-onset // period) * period, spec.steps)
+    fork = min(-(-onset // TICK_PERIOD) * TICK_PERIOD, spec.steps)
     episode, runner = run(fork)
     # rows, not .any(axis=1): a fork at step 0 logs no ticks, and p is then (0,)
     stop = next((k for k, p in enumerate(episode.p) if (p < 1.0).any()), None)
@@ -214,10 +212,10 @@ def clean_prefix(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec,
                        episode)
 
 
-def _first_noisy_tick(events: list[NoiseEvent], steps: int, period: int) -> int:
+def _first_noisy_tick(events: list[NoiseEvent], steps: int) -> int:
     """The first tick step at which some event corrupts the frames, else ``steps``."""
-    return next((t for t in range(0, steps, period) if any(ev.active(t) for ev in events)),
-                steps)
+    return next((t for t in range(0, steps, TICK_PERIOD)
+                 if any(ev.active(t) for ev in events)), steps)
 
 
 def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
@@ -238,13 +236,13 @@ def run_episode(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec, arm: str
         if built != want:
             raise ContractError(f"the clean prefix was built for {built}, not for this "
                                 f"spec's {want}")
-        first = _first_noisy_tick(spec.noise_events, spec.steps, cfg.selector.tick_period)
+        first = _first_noisy_tick(spec.noise_events, spec.steps)
         if start.fork > first:
             raise ContractError(f"the clean prefix forks at step {start.fork}, past this "
                                 f"spec's first noisy tick at step {first}")
     auto = arm == "auto"
     robots, noise_rngs = _spec_robots(spec)
-    hook = _make_noise_hook(spec.noise_events, noise_rngs, cfg.camera)
+    hook = _make_noise_hook(spec.noise_events, noise_rngs)
     return _deploy(cfg, nets, spec.steps, **robots, score=auto,
                    filt=(spec.beta, spec.gamma) if auto else None, hook=hook, start=start)[0]
 
@@ -286,8 +284,10 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
             (k0, l0), (k1, l1) = conditions[cnames.index(cname)], conditions[i]
             raise ContractError(f"noise conditions {k0}:{l0:g} and {k1}:{l1:g} share the "
                                 f"name {cname!r}, so their files would overwrite each other")
+    # an occlusion ignores its level, so occlusion:0 is a noisy condition
     cspecs = [dataclasses.replace(
-        spec, noise_events=[NoiseEvent(kind, level, spec.noise_onset)] if level > 0 else [])
+        spec, noise_events=[NoiseEvent(kind, level, spec.noise_onset)]
+        if kind == "occlusion" or level > 0 else [])
         for kind, level in conditions]
     cfg, nets, _ = load_bundle(spec.checkpoint)
     out = Path(out_dir)
@@ -314,7 +314,7 @@ def run_noise_robustness(spec: ExperimentSpec, out_dir: str | Path,
                     f.write(json.dumps(dict(rec, robot=i, condition=cname)) + "\n")
         delays, op_fracs = switch_delays(auto.modes, auto.tick_steps, spec.noise_onset)
         pre = slice(pre_from, spec.noise_onset)
-        op_frac = float(np.min(op_fracs)) if level > 0 else 0.0
+        op_frac = float(np.min(op_fracs)) if cspec.noise_events else 0.0
         cond = {
             "condition": cname, "kind": kind, "level": level,
             "pre_mean_auto": float(mean_auto[pre].mean()),
@@ -372,9 +372,8 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
     cfg, nets, _ = load_bundle(spec.checkpoint)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    period = cfg.selector.tick_period
     timeline = [NoiseEvent("salt_pepper", 70.0, on, on + 100) for on in onsets] + [
-        NoiseEvent("salt_pepper", 70.0, on, on + period) for on in flickers]
+        NoiseEvent("salt_pepper", 70.0, on, on + TICK_PERIOD) for on in flickers]
     # every gamma steps the same bits up to the first onset
     start = clean_prefix(cfg, nets, spec, min(ev.onset for ev in timeline))
     rows = []
@@ -500,4 +499,4 @@ def read_beta_file(path: str | Path) -> float:
                 return float(raw)
             except ValueError:
                 raise ConfigError(f"{path}: beta value {raw!r} is not a number") from None
-    raise ContractError(f"{path}: no beta entry")
+    raise ConfigError(f"{path}: no beta entry")

@@ -13,7 +13,7 @@ import numpy as np
 from ..config import NetConfig, SelectorConfig
 from ..errors import ContractError
 from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator, loss_op, loss_vp
-from ..nn.gradcheck import LAYER_KINDS, fd_grad, rel_err, run_layer_suite
+from ..nn.gradcheck import fd_grad, rel_err, run_layer_suite
 from ..selector.autoencoder import PAIR_FRAMES, build_autoencoder
 
 TINY_NET = NetConfig(history_len=2, embed_hidden=4, embed_out=3, cnn_channels=(2, 2, 2),

@@ -21,6 +21,7 @@ from ..config import CameraConfig, SelectorConfig
 from ..errors import ContractError
 from ..nn import (Conv2d, Deconv2d, Elu, Flatten, LayerStack, Linear, Reshape,
                   conv_shape, mirror_out_pad)
+from ..sensor.camera import MAX_RANGE, MIN_DEPTH, MOUNT_FORWARD
 from ..world import FOOT_OFFSETS
 
 
@@ -74,7 +75,7 @@ def near_depth_bound(camera: CameraConfig) -> float:
     stands ahead of the camera mount, so no surface is nearer than that
     lead less the camera's position jitter (0.04 m at the defaults).
     """
-    return max(FOOT_OFFSETS) - camera.mount_forward - camera.pos_jitter
+    return max(FOOT_OFFSETS) - MOUNT_FORWARD - camera.pos_jitter
 
 
 def implausibility(frames: np.ndarray, near: float, min_depth: float) -> np.ndarray:
@@ -95,6 +96,6 @@ def anomaly_scores(frames: np.ndarray, reconstruction: np.ndarray,
     with a fully occluded frame scores above any clean-frame reconstruction
     error an in-range autoencoder output can give."""
     near = near_depth_bound(camera)
-    span = camera.max_range - camera.min_depth
+    span = MAX_RANGE - MIN_DEPTH
     return (loss_ad_batch(frames, reconstruction)
-            + span * span * implausibility(frames, near, camera.min_depth))
+            + span * span * implausibility(frames, near, MIN_DEPTH))

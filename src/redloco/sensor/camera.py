@@ -1,8 +1,22 @@
-"""The text export of one depth frame."""
+"""The depth camera's fixed optics and mount, and the text export of one
+depth frame."""
 
 from __future__ import annotations
 
 import numpy as np
+
+# fields of view (rad); the mount sits ahead of and above the body origin (m),
+# pitched down from the body axis (rad)
+FOV_V = 1.0
+FOV_H = 1.5
+MOUNT_FORWARD = 0.10
+MOUNT_UP = 0.05
+MOUNT_PITCH = 0.8
+MAX_RANGE = 2.0              # m
+MIN_DEPTH = 0.01             # m
+# the randomize stage's proportional and additive range noise
+PROP_NOISE_STD = 0.01
+ADD_NOISE_STD = 0.1
 
 
 def dump_text(data: np.ndarray, pose: np.ndarray, randomized: bool) -> str:

@@ -24,6 +24,9 @@ import numpy as np
 from ..config import CameraConfig
 from ..errors import ContractError
 from ..world.batch import BatchWorld
+from ..world.terrain import CELL_SIZE
+from .camera import (ADD_NOISE_STD, FOV_H, FOV_V, MAX_RANGE, MIN_DEPTH, MOUNT_FORWARD,
+                     MOUNT_PITCH, MOUNT_UP, PROP_NOISE_STD)
 
 
 def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
@@ -107,11 +110,11 @@ def _ray_geometry(cam: CameraConfig, body_x: np.ndarray, body_z: np.ndarray,
     """Camera pose and (E, H, W) ray directions of E bodies; ``d_pos`` is
     (E, 2), the other arguments (E,)."""
     cp, sp = np.cos(body_pitch), np.sin(body_pitch)
-    cam_x = body_x + cp * cam.mount_forward - sp * cam.mount_up + d_pos[:, 0]
-    cam_z = body_z + sp * cam.mount_forward + cp * cam.mount_up + d_pos[:, 1]
-    depression = cam.mount_pitch - body_pitch + d_pitch
-    rows = depression[:, None] + np.linspace(-cam.fov_v / 2, cam.fov_v / 2, cam.height)
-    cols = d_yaw[:, None] + np.linspace(-cam.fov_h / 2, cam.fov_h / 2, cam.width)
+    cam_x = body_x + cp * MOUNT_FORWARD - sp * MOUNT_UP + d_pos[:, 0]
+    cam_z = body_z + sp * MOUNT_FORWARD + cp * MOUNT_UP + d_pos[:, 1]
+    depression = MOUNT_PITCH - body_pitch + d_pitch
+    rows = depression[:, None] + np.linspace(-FOV_V / 2, FOV_V / 2, cam.height)
+    cols = d_yaw[:, None] + np.linspace(-FOV_H / 2, FOV_H / 2, cam.width)
     dz = np.broadcast_to(-np.sin(rows)[:, :, None], (len(rows), cam.height, cam.width))
     dx = np.cos(rows)[:, :, None] * np.cos(cols)[:, None, :]
     return cam_x, cam_z, depression, dx, dz
@@ -143,17 +146,17 @@ def render_batch(world: BatchWorld, camera: CameraConfig,
     cam_x, cam_z, depression, dx, dz = _ray_geometry(
         camera, world.x, world.z, world.pitch, jitter[:, :2], jitter[:, 2], jitter[:, 3])
     per = camera.height * camera.width
-    depth = march_rays(world.heights, world.void, world.cfg.cell_size, np.repeat(cam_x, per),
-                       np.repeat(cam_z, per), dx.ravel(), dz.ravel(), camera.max_range,
+    depth = march_rays(world.heights, world.void, CELL_SIZE, np.repeat(cam_x, per),
+                       np.repeat(cam_z, per), dx.ravel(), dz.ravel(), MAX_RANGE,
                        env_ids=np.repeat(np.arange(n, dtype=np.intp), per))
     data = depth.reshape(n, *shape)
     if randomize:
         noise = np.empty((n, 2, *shape))     # proportional, additive
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=noise[i])
-        data = data * (1.0 + camera.prop_noise_std * noise[:, 0])
-        data = data + camera.add_noise_std * noise[:, 1]
-    data = np.clip(data, camera.min_depth, camera.max_range)
+        data = data * (1.0 + PROP_NOISE_STD * noise[:, 0])
+        data = data + ADD_NOISE_STD * noise[:, 1]
+    data = np.clip(data, MIN_DEPTH, MAX_RANGE)
     return data, np.column_stack([cam_x, cam_z, depression, jitter[:, 3]])
 
 

@@ -22,6 +22,12 @@ MEAN_BOUND = 1.0
 ENTROPY_COEF = 0.005
 VALUE_COEF = 0.5
 MAX_GRAD_NORM = 1.0
+# the usual constants of Schulman et al. (2017): the Adam learning rate of the
+# policy and the critic, the ratio clip, and the discount and lambda of GAE
+LR = 3e-4
+CLIP = 0.2
+DISCOUNT = 0.99
+GAE_LAMBDA = 0.95
 
 
 def mean_bound_loss(mu: np.ndarray) -> tuple[float, np.ndarray]:
@@ -79,7 +85,7 @@ def ppo_update(policy: GaussianPolicy, critic: Critic, policy_opt: Adam,
 
             lp, mu, tape = policy.evaluate(o, a)
             ratio = np.exp(lp - lp_old)
-            surr, g_min_dr = surrogate_and_grad(ratio, ad, cfg.clip)
+            surr, g_min_dr = surrogate_and_grad(ratio, ad, CLIP)
             # loss = -surrogate - ENTROPY_COEF * entropy + mean bound
             g_logp = -g_min_dr * ratio
             _, g_bound = mean_bound_loss(mu)
@@ -97,6 +103,6 @@ def ppo_update(policy: GaussianPolicy, critic: Critic, policy_opt: Adam,
 
             surr_vals.append(surr)
             v_losses.append(v_loss)
-            clip_fracs.append(float(np.mean(np.abs(ratio - 1.0) > cfg.clip)))
+            clip_fracs.append(float(np.mean(np.abs(ratio - 1.0) > CLIP)))
     return PPOStats(float(np.mean(surr_vals)), float(np.mean(v_losses)),
                     policy.entropy(), float(np.mean(clip_fracs)), skipped)

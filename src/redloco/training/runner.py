@@ -1,7 +1,7 @@
 """Vectorized stepping engine shared by the trainer and the eval harness.
 
 Owns the environments, history buffers, estimator hidden states, and the
-10 Hz-analog estimator tick (every ``tick_period`` sim steps). The caller
+10 Hz-analog estimator tick (every ``TICK_PERIOD`` sim steps). The caller
 decides the fusion masks each tick, so the trainer can apply the adaptation
 schedule while the eval harness runs the anomaly selector or pins a mask.
 `VecRunner.capture` takes the runner's state as named arrays and `restore`
@@ -10,7 +10,7 @@ puts it back, so a run can continue from any step bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from ..selector.autoencoder import PAIR_FRAMES, anomaly_scores
 from ..sensor import edge_truncate_resize, render_batch
 from ..world import OBS_DIM, PROFILE_SAMPLES, BatchWorld, compute_reward, update_curriculum
 from ..nn import LayerStack
+
+# sim steps per estimator tick: 10 Hz at the 0.02 s sim step
+TICK_PERIOD = 5
 
 
 @dataclass
@@ -179,7 +182,7 @@ class VecRunner:
                         ev.truncated, done, ev.collision)
 
     def is_tick_step(self) -> bool:
-        return self.global_step % self.cfg.selector.tick_period == 0
+        return self.global_step % TICK_PERIOD == 0
 
     # -- state as named arrays -------------------------------------------------
     def _parts(self) -> dict:

@@ -2,7 +2,7 @@
 
 Difficult terrains (gaps, platforms) always train the vision estimator
 (mask 0). Simple terrains alternate the active estimator every
-``flip_period`` iterations, with per-env phase offsets so both estimators
+``FLIP_PERIOD`` iterations, with per-env phase offsets so both estimators
 see data every iteration.
 """
 
@@ -15,6 +15,8 @@ from ..errors import ContractError
 
 # the moving average of tracking that moves the command curriculum to phase 2
 PHASE_THRESHOLD = 0.7
+# iterations between flips of the simple envs' estimator mask
+FLIP_PERIOD = 20
 
 
 def terrain_class(kind: str) -> str:

@@ -21,11 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import PPOConfig
 from ..estimators import (EstimatorOutput, HimTargetEncoder, OpEstimator, VpEstimator,
                           loss_op, loss_vp)
 from ..nn import Adam, LayerStack
 from .runner import TickData
+
+# Adam learning rates of the three estimators and of the autoencoder
+EST_LR = 1e-3
+AE_LR = 2e-3
+# autoencoder steps per iteration, and the most clean pairs in one step
+AE_EPOCHS = 4
+AE_BATCH = 256
 
 
 @dataclass
@@ -117,17 +123,17 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
 
 
 def autoencoder_update(ae: LayerStack, ae_opt: Adam, ticks: list[TickData],
-                       cfg: PPOConfig, ae_rng: np.random.Generator) -> AutoencoderStats:
-    """``cfg.ae_epochs`` steps of the anomaly autoencoder, each on at most
-    ``cfg.ae_batch`` clean randomize-stage pairs drawn from the ticks."""
+                       ae_rng: np.random.Generator) -> AutoencoderStats:
+    """``AE_EPOCHS`` steps of the anomaly autoencoder, each on at most
+    ``AE_BATCH`` clean randomize-stage pairs drawn from the ticks."""
     clean = [tk.depth_pairs[tk.clean_stage] for tk in ticks if tk.clean_stage.any()]
     if not clean:
         return AutoencoderStats(float("nan"), 0, 0)
     pool = np.concatenate(clean, axis=0)
     ad_loss, rejected = float("nan"), 0
-    for epoch in range(cfg.ae_epochs):
-        if pool.shape[0] > cfg.ae_batch:
-            idx = ae_rng.choice(pool.shape[0], size=cfg.ae_batch, replace=False)
+    for epoch in range(AE_EPOCHS):
+        if pool.shape[0] > AE_BATCH:
+            idx = ae_rng.choice(pool.shape[0], size=AE_BATCH, replace=False)
             pairs = pool[idx]
         else:
             pairs = pool
@@ -143,4 +149,4 @@ def autoencoder_update(ae: LayerStack, ae_opt: Adam, ticks: list[TickData],
         weight = (per / per.mean())[:, None, None, None]
         ae.backward(tape, (2.0 / diff.size) * weight * diff, need_input_grad=False)
         rejected += ae_opt.step()
-    return AutoencoderStats(ad_loss, min(pool.shape[0], cfg.ae_batch), rejected)
+    return AutoencoderStats(ad_loss, min(pool.shape[0], AE_BATCH), rejected)

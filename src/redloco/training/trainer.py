@@ -16,14 +16,14 @@ from .. import config as config_mod
 from ..config import TrainConfig
 from ..errors import ConfigError, RolloutAbort
 from ..nn import Adam
-from ..world import OBS_DIM, TERRAIN_KINDS
+from ..world import TERRAIN_KINDS
 from .bundle import Networks, build_networks, critic_obs_dim, policy_obs_dim, save_bundle
-from .ppo import PPOStats, ppo_update
+from .ppo import DISCOUNT, GAE_LAMBDA, LR, PPOStats, ppo_update
 from .rollout import RolloutBuffer
 from .runner import VecRunner
-from .schedule import PHASE_THRESHOLD, AdaptationSchedule, PhaseTracker, terrain_class
-from .supervised import (AutoencoderStats, SupervisedStats, autoencoder_update,
-                         supervised_update)
+from .schedule import FLIP_PERIOD, PHASE_THRESHOLD, AdaptationSchedule, PhaseTracker, terrain_class
+from .supervised import (AE_LR, EST_LR, AutoencoderStats, SupervisedStats,
+                         autoencoder_update, supervised_update)
 
 METRICS_SCHEMA = "train-metrics/v1"
 METRICS_COLUMNS = (
@@ -61,16 +61,15 @@ class Trainer:
         mix = list(cfg.terrain_mix)
         self.kinds = [mix[i % len(mix)] for i in range(cfg.n_envs)]
         self.runner = VecRunner(cfg, self.kinds, env_rngs, self.nets.op, self.nets.vp)
-        self.schedule = AdaptationSchedule(self.kinds, cfg.flip_period)
+        self.schedule = AdaptationSchedule(self.kinds, FLIP_PERIOD)
         self.phase = PhaseTracker(PHASE_THRESHOLD,
                                   int(cfg.phase_budget_frac * cfg.iterations))
-        p = cfg.ppo
-        self.policy_opt = Adam(self.nets.policy.params(), p.lr)
-        self.critic_opt = Adam(self.nets.critic.params(), p.lr)
-        self.op_opt = Adam(self.nets.op.params(), p.est_lr)
-        self.vp_opt = Adam(self.nets.vp.params(), p.est_lr)
-        self.him_opt = Adam(self.nets.him.params(), p.est_lr)
-        self.ae_opt = Adam(self.nets.ae.params(), p.ae_lr)
+        self.policy_opt = Adam(self.nets.policy.params(), LR)
+        self.critic_opt = Adam(self.nets.critic.params(), LR)
+        self.op_opt = Adam(self.nets.op.params(), EST_LR)
+        self.vp_opt = Adam(self.nets.vp.params(), EST_LR)
+        self.him_opt = Adam(self.nets.him.params(), EST_LR)
+        self.ae_opt = Adam(self.nets.ae.params(), AE_LR)
         # the run directory exists only once the config has built everything
         self.out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -143,13 +142,12 @@ class Trainer:
                 for it in range(cfg.iterations):
                     self.runner.phase = self.phase.phase
                     buf, bootstrap = self.collect(it)
-                    adv, ret = buf.compute_advantages(bootstrap, cfg.ppo.discount,
-                                                      cfg.ppo.gae_lambda)
+                    adv, ret = buf.compute_advantages(bootstrap, DISCOUNT, GAE_LAMBDA)
                     # the autoencoder shares no parameter, optimizer or generator
                     # with PPO and the estimators, and both lanes only read the
                     # rollout, so the order of their steps cannot change a bit
                     ae_job = lane.submit(autoencoder_update, self.nets.ae, self.ae_opt,
-                                         buf.ticks, cfg.ppo, self.ae_rng)
+                                         buf.ticks, self.ae_rng)
                     stats = ppo_update(
                         self.nets.policy, self.nets.critic, self.policy_opt,
                         self.critic_opt, buf.flat(buf.obs), buf.flat(buf.critic_obs),

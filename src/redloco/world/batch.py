@@ -23,9 +23,10 @@ import numpy as np
 from ..config import WorldConfig
 from ..errors import ContractError
 from .commands import Command, sample_command
-from .terrain import SPAWN_X, TERRAIN_CELLS, Heightfield, generate_terrain
+from .terrain import CELL_SIZE, SPAWN_X, TERRAIN_CELLS, Heightfield, generate_terrain
 
 OBS_DIM = 14
+DT = 0.02                    # s, one sim step
 JOINT_PHASE0 = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 
 # body and feet, in m
@@ -127,12 +128,11 @@ class BatchWorld:
         """New episodes for envs ``ids``: fresh terrain at each env's level,
         ``commands[k]`` for the k-th id (drawn when None), motor gain and
         initial speed."""
-        cfg = self.cfg
         ids = np.fromiter(ids, dtype=np.intp)
         for k, i in enumerate(ids):
             rng = self.rngs[i]
             seed = int(rng.integers(0, 2 ** 31 - 1))
-            self.set_terrain(i, generate_terrain(self.kinds[i], int(self.level[i]), seed, cfg))
+            self.set_terrain(i, generate_terrain(self.kinds[i], int(self.level[i]), seed))
             solid = self.heights[i][~self.void[i]]
             self.fall_z[i] = (float(solid.min()) if solid.size else 0.0) - FALL_MARGIN
             cmd = commands[k] if commands is not None else sample_command(
@@ -152,10 +152,9 @@ class BatchWorld:
 
     def set_terrain(self, i: int, hf: Heightfield) -> None:
         """Copy a heightfield into env i's rows of ``heights`` and ``void``."""
-        if hf.heights.shape != self.heights.shape[1:] or hf.cell_size != self.cfg.cell_size:
-            raise ContractError(f"heightfield of {len(hf.heights)} cells x {hf.cell_size} m "
-                                f"does not match the world's {self.heights.shape[1]} x "
-                                f"{self.cfg.cell_size} m")
+        if hf.heights.shape != self.heights.shape[1:]:
+            raise ContractError(f"heightfield of {len(hf.heights)} cells does not match "
+                                f"the world's {self.heights.shape[1]}")
         self.heights[i] = hf.heights
         self.void[i] = hf.void
 
@@ -167,8 +166,7 @@ class BatchWorld:
     # -- terrain queries -------------------------------------------------------
     def _height(self, x: np.ndarray, env: np.ndarray) -> np.ndarray:
         """Terrain height under x in the envs ``env`` (broadcast); -inf over void."""
-        idx = np.clip(np.floor(x / self.cfg.cell_size).astype(np.intp), 0,
-                      self.heights.shape[1] - 1)
+        idx = np.clip(np.floor(x / CELL_SIZE).astype(np.intp), 0, self.heights.shape[1] - 1)
         return np.where(self.void[env, idx], -np.inf, self.heights[env, idx])
 
     def support(self, x: np.ndarray, ids=None) -> np.ndarray:
@@ -199,28 +197,27 @@ class BatchWorld:
         cfg = self.cfg
         a = self._check_actions(actions)
         a0, a1 = a[:, 0], a[:, 1]
-        dt = cfg.dt
         x, z, vx, vz = self.x, self.z, self.vx, self.vz
         prev_vx, prev_vz, prev_pitch = vx, vz, self.pitch
         self.prev_ax, self.prev_action = self.ax, self.last_action
 
         grounded = ~self.airborne
         vx = np.where(grounded, vx + (a0 * ACCEL_MAX * self.motor_gain
-                                      - DRAG * vx) * dt, vx)
+                                      - DRAG * vx) * DT, vx)
         hopped = grounded & (a1 > HOP_THRESHOLD)
         vz = np.where(hopped, a1 * V_HOP, vz)
         air = self.airborne | hopped
 
         old_support = self.support(x)
-        new_x = x + vx * dt
+        new_x = x + vx * DT
         support_new = self.support(new_x)
         solid = support_new > -np.inf
         top = support_new + STAND_HEIGHT
 
         # airborne: ballistic flight; touch down within MAX_STEP of the surface,
         # else hit the face of a taller one, coming down or rising into it
-        fz = z + vz * dt - 0.5 * GRAVITY * dt * dt
-        fvz = vz - GRAVITY * dt
+        fz = z + vz * DT - 0.5 * GRAVITY * DT * DT
+        fvz = vz - GRAVITY * DT
         descending = solid & (fvz < 0) & (fz <= top)
         near = fz >= top - MAX_STEP
         landed = air & descending & near
@@ -255,19 +252,19 @@ class BatchWorld:
         wobble = PITCH_WOBBLE_PER_SPEED * self.vx * np.abs(self.vx) * u
         target = PITCH_GAIN * a0 + wobble
         self.pitch = np.where(grounded, self.pitch + (target - self.pitch)
-                              * min(1.0, PITCH_RELAX * dt), self.pitch)
+                              * min(1.0, PITCH_RELAX * DT), self.pitch)
         tipped = np.abs(self.pitch) > MAX_PITCH
 
         rate = OSC_BASE_RATE + OSC_RATE_PER_SPEED * np.abs(self.vx)
-        self.joint_phase = np.mod(self.joint_phase + (rate * dt)[:, None], 2.0 * np.pi)
+        self.joint_phase = np.mod(self.joint_phase + (rate * DT)[:, None], 2.0 * np.pi)
 
-        self.ax = (self.vx - prev_vx) / dt
-        self.az = (self.vz - prev_vz) / dt
-        self.pitch_rate = (self.pitch - prev_pitch) / dt
+        self.ax = (self.vx - prev_vx) / DT
+        self.az = (self.vz - prev_vz) / DT
+        self.pitch_rate = (self.pitch - prev_pitch) / DT
         self.last_action = a
 
         self.episode_step += 1
-        self.commanded_distance += self.c_x * dt
+        self.commanded_distance += self.c_x * DT
         truncated = (self.episode_step >= cfg.episode_steps) & ~(fell | tipped)
         return BatchEvents(collision, hopped, landed, fell, tipped, truncated)
 

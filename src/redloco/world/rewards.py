@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import STAND_HEIGHT, BatchWorld
+from .batch import DT, STAND_HEIGHT, BatchWorld
 
 # term name -> scale, in summation order
 TERM_SCALES = {
@@ -53,7 +53,6 @@ def compute_reward(world: BatchWorld, collision: np.ndarray) -> BatchReward:
     scalar-model quantities use ``float_power``, C ``pow``; ``** 2`` on an
     array multiplies instead, which rounds differently for about one value in
     a thousand."""
-    dt = world.cfg.dt
     vx, c_x, c_yaw = world.vx, world.c_x, world.c_yaw
     v_along = vx * np.cos(c_yaw)
     # angular-rate tracking: the gait-implied rate grows with the speed along
@@ -71,10 +70,10 @@ def compute_reward(world: BatchWorld, collision: np.ndarray) -> BatchReward:
         "action_rate": ((world.last_action - world.prev_action) ** 2).sum(axis=1),
         "default_pos": np.where(support > -np.inf,
                                 np.minimum(dev * dev, DEFAULT_POS_CAP), 0.0),
-        "joint_acc": np.float_power((world.ax - world.prev_ax) / dt, 2),
+        "joint_acc": np.float_power((world.ax - world.prev_ax) / DT, 2),
         "orientation": np.float_power(world.pitch, 2),
     }
-    contributions = {name: scale * values[name] * dt
+    contributions = {name: scale * values[name] * DT
                      for name, scale in TERM_SCALES.items()}
     return BatchReward(sum(contributions.values()), values, contributions)
 

@@ -11,14 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import WorldConfig
 from ..errors import ContractError
 
 TERRAIN_KINDS = ("flat", "rough", "stairs_up", "stairs_down", "gap", "platform")
 DIFFICULT_KINDS = ("gap", "platform")
 N_LEVELS = 10
 
-TERRAIN_CELLS = 480          # 24 m at the default 0.05 m cell
+CELL_SIZE = 0.05             # m
+TERRAIN_CELLS = 480          # 24 m
 SPAWN_X = 2.0                # m; every episode starts here, on a flat approach
 # linear difficulty schedules over curriculum levels 0..9, in m
 GAP_WIDTH_RANGE = (0.1, 0.8)
@@ -29,7 +29,6 @@ ROUGH_AMP_RANGE = (0.01, 0.1)
 
 @dataclass
 class Heightfield:
-    cell_size: float
     heights: np.ndarray          # meters, one per cell
     void: np.ndarray             # bool, one per cell
     kind: str
@@ -41,14 +40,14 @@ def _lerp(span: tuple[float, float], level: int) -> float:
     return span[0] + (span[1] - span[0]) * level / (N_LEVELS - 1)
 
 
-def generate_terrain(kind: str, level: int, seed: int, cfg: WorldConfig) -> Heightfield:
+def generate_terrain(kind: str, level: int, seed: int) -> Heightfield:
     """Build one heightfield. Difficulty grows linearly with level."""
     if kind not in TERRAIN_KINDS:
         raise ContractError(f"unknown terrain kind {kind!r}")
     if not 0 <= level < N_LEVELS:
         raise ContractError(f"level {level} outside 0..{N_LEVELS - 1}")
     n = TERRAIN_CELLS
-    cell = cfg.cell_size
+    cell = CELL_SIZE
     rng = np.random.default_rng([abs(seed) % (2 ** 31), TERRAIN_KINDS.index(kind), level])
     heights = np.zeros(n)
     void = np.zeros(n, dtype=bool)
@@ -101,4 +100,4 @@ def generate_terrain(kind: str, level: int, seed: int, cfg: WorldConfig) -> Heig
             heights[i:i + plat] = p_h
             i += plat + spacing
 
-    return Heightfield(cell, heights, void, kind, level, diff)
+    return Heightfield(heights, void, kind, level, diff)

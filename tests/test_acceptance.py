@@ -6,28 +6,28 @@ report. The behavioral criteria share one desk-scale trained checkpoint
 """
 
 import dataclasses
-import json
 import time
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redloco import config as config_mod
-from redloco.config import desk_config, tiny_config
+from redloco.config import tiny_config
 from redloco.estimators import fuse_batch
 from redloco.harness import (ExperimentSpec, NoiseEvent, run_episode, run_gamma_sweep,
                              run_noise_robustness, run_trace)
 from redloco.harness.verify import run_full_suite
 from redloco.nn import load_checkpoint, save_checkpoint
-from redloco.selector import MODE_OP, MODE_VP, filter_update, make_selector, min_flip_ticks
+from redloco.selector import MODE_OP, filter_update, make_selector, min_flip_ticks
 from redloco.sensor import (edge_truncate_resize, inject_gaussian, inject_salt_pepper,
                             render_batch)
+from redloco.sensor.camera import FOV_H, FOV_V, MAX_RANGE, MIN_DEPTH, MOUNT_PITCH
 from redloco.training import load_bundle, train
-from redloco.training.runner import VecRunner
+from redloco.training.runner import TICK_PERIOD
+from redloco.training.schedule import FLIP_PERIOD
 from redloco.world import BatchWorld, generate_terrain, linear_velocity_reward
 from redloco.world.batch import STAND_HEIGHT
+from redloco.world.terrain import CELL_SIZE
 from redloco.config import CameraConfig, WorldConfig
 
 
@@ -112,8 +112,8 @@ def test_criterion_4_raycast_oracle():
     worst = 0.0
 
     def angles():
-        rows = cam.mount_pitch + np.linspace(-cam.fov_v / 2, cam.fov_v / 2, cam.height)
-        cols = np.linspace(-cam.fov_h / 2, cam.fov_h / 2, cam.width)
+        rows = MOUNT_PITCH + np.linspace(-FOV_V / 2, FOV_V / 2, cam.height)
+        cols = np.linspace(-FOV_H / 2, FOV_H / 2, cam.width)
         return rows, cols
 
     # flat: ray-plane closed form
@@ -123,14 +123,14 @@ def test_criterion_4_raycast_oracle():
     img, (_, cam_z, _, _) = frames[0], poses[0]
     rows, _ = angles()
     expect = np.where(np.sin(rows) > 1e-12, cam_z / np.maximum(np.sin(rows), 1e-12),
-                      cam.max_range)
-    expect = np.clip(expect, cam.min_depth, cam.max_range)
+                      MAX_RANGE)
+    expect = np.clip(expect, MIN_DEPTH, MAX_RANGE)
     worst = max(worst, float(np.abs(img - expect[:, None]).max()))
 
     # single step: piecewise closed form per pixel
-    hf = generate_terrain("flat", 0, 0, cfg)
+    hf = generate_terrain("flat", 0, 0)
     step_x, step_h = 6.0, 0.4
-    hf.heights[int(step_x / cfg.cell_size):] = step_h
+    hf.heights[int(step_x / CELL_SIZE):] = step_h
     w.set_terrain(0, hf)
     w.x[0], w.z[0] = 5.0, STAND_HEIGHT
     frames, poses = render_batch(w, cam, [None], randomize=False)
@@ -140,7 +140,7 @@ def test_criterion_4_raycast_oracle():
         for c in range(cam.width):
             dz = -np.sin(rows[r])
             dx = np.cos(rows[r]) * np.cos(cols[c])
-            best = cam.max_range
+            best = MAX_RANGE
             if dz < 0:
                 t = -cam_z / dz
                 if cam_x + t * dx < step_x:
@@ -151,7 +151,7 @@ def test_criterion_4_raycast_oracle():
             t_wall = (step_x - cam_x) / dx
             if t_wall > 0 and 0.0 <= cam_z + t_wall * dz < step_h:
                 best = min(best, t_wall)
-            want = np.clip(best, cam.min_depth, cam.max_range)
+            want = np.clip(best, MIN_DEPTH, MAX_RANGE)
             worst = max(worst, abs(float(img2[r, c]) - want))
 
     # range invariant across pipeline stages
@@ -164,10 +164,8 @@ def test_criterion_4_raycast_oracle():
     for stage in (img, img2,
                   randomized(),
                   edge_truncate_resize(randomized(), 2),
-                  inject_gaussian(randomized(), 100.0, rng,
-                                  cam.max_range, cam.min_depth),
-                  inject_salt_pepper(randomized(), 70.0, rng,
-                                     cam.max_range, cam.min_depth)):
+                  inject_gaussian(randomized(), 100.0, rng, MAX_RANGE, MIN_DEPTH),
+                  inject_salt_pepper(randomized(), 70.0, rng, MAX_RANGE, MIN_DEPTH)):
         in_range &= stage.min() > 0 and stage.max() <= 2.0
     ok = worst < 1e-6 and in_range
     report(4, ok, f"max closed-form deviation {worst:.2e} m; all stages in (0, 2]: {in_range}")
@@ -219,13 +217,13 @@ def test_criterion_6_selector_separation(joint_run, calibrated_beta):
                           noise_onset=150, seed=101)
     sp = dataclasses.replace(base, noise_events=[NoiseEvent("salt_pepper", 70.0, 150)])
     sp_ep = run_episode(cfg, nets, sp, "auto")
-    sp_losses = sp_ep.losses[150 // cfg.selector.tick_period + 1:]
+    sp_losses = sp_ep.losses[150 // TICK_PERIOD + 1:]
     sp_losses = sp_losses[np.isfinite(sp_losses)]
     frac_sp_above = float(np.mean(sp_losses > beta))
 
     occ = dataclasses.replace(base, noise_events=[NoiseEvent("occlusion", 0.0, 150)])
     occ_ep = run_episode(cfg, nets, occ, "auto")
-    occ_losses = occ_ep.losses[150 // cfg.selector.tick_period + 1:]
+    occ_losses = occ_ep.losses[150 // TICK_PERIOD + 1:]
     occ_losses = occ_losses[np.isfinite(occ_losses)]
     frac_occ_above = float(np.mean(occ_losses > beta))
 
@@ -290,7 +288,7 @@ def test_criterion_9_adaptation_schedule_audit(tmp_path):
     rows = [ln.split(",") for ln in res.masks_log.read_text().splitlines()[2:]]
     assert len(rows) == 100 * cfg.n_envs
     from redloco.training import AdaptationSchedule
-    sched = AdaptationSchedule(list(cfg.terrain_mix), cfg.flip_period)
+    sched = AdaptationSchedule(list(cfg.terrain_mix), FLIP_PERIOD)
     violations = 0
     for it_s, env_s, kind, cls, mask_s in rows:
         it, env, mask = int(it_s), int(env_s), int(mask_s)

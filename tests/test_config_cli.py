@@ -1,5 +1,6 @@
 """Flat-text config round-trips and CLI surface."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import redloco
 from redloco import config as config_mod
-from redloco.errors import ConfigError, ContractError
+from redloco.errors import ConfigError
 from redloco.harness import read_beta_file
 from redloco.harness.cli import cli
 from redloco.sensor import dump_text, render_batch
@@ -33,7 +34,38 @@ cli_mod = importlib.import_module("redloco.harness.cli")
 DELETED_KEYS = ("selector.beta", "selector.gamma", "reward.hip_bias", "net.depth_frames",
                 "phase_threshold", "world.stand_height", "world.gap_width_range",
                 "net.actor_hidden", "selector.ae_kernel", "ppo.max_grad_norm",
-                "reward.lin_vel")
+                "reward.lin_vel", "world.dt", "world.cell_size", "camera.fov_v",
+                "camera.fov_h", "camera.mount_forward", "camera.mount_up",
+                "camera.mount_pitch", "camera.max_range", "camera.min_depth",
+                "camera.prop_noise_std", "camera.add_noise_std", "selector.tick_period",
+                "flip_period", "ppo.lr", "ppo.clip", "ppo.discount", "ppo.gae_lambda",
+                "ppo.est_lr", "ppo.ae_lr", "ppo.ae_epochs", "ppo.ae_batch")
+
+# the keys no run set, each now one constant in the module that reads it,
+# holding the literal that was its default: (key, module, constant, value)
+RETIRED_CONSTANTS = (
+    ("world.dt", "world.batch", "DT", 0.02),
+    ("world.cell_size", "world.terrain", "CELL_SIZE", 0.05),
+    ("camera.fov_v", "sensor.camera", "FOV_V", 1.0),
+    ("camera.fov_h", "sensor.camera", "FOV_H", 1.5),
+    ("camera.mount_forward", "sensor.camera", "MOUNT_FORWARD", 0.10),
+    ("camera.mount_up", "sensor.camera", "MOUNT_UP", 0.05),
+    ("camera.mount_pitch", "sensor.camera", "MOUNT_PITCH", 0.8),
+    ("camera.max_range", "sensor.camera", "MAX_RANGE", 2.0),
+    ("camera.min_depth", "sensor.camera", "MIN_DEPTH", 0.01),
+    ("camera.prop_noise_std", "sensor.camera", "PROP_NOISE_STD", 0.01),
+    ("camera.add_noise_std", "sensor.camera", "ADD_NOISE_STD", 0.1),
+    ("selector.tick_period", "training.runner", "TICK_PERIOD", 5),
+    ("flip_period", "training.schedule", "FLIP_PERIOD", 20),
+    ("ppo.lr", "training.ppo", "LR", 3e-4),
+    ("ppo.clip", "training.ppo", "CLIP", 0.2),
+    ("ppo.discount", "training.ppo", "DISCOUNT", 0.99),
+    ("ppo.gae_lambda", "training.ppo", "GAE_LAMBDA", 0.95),
+    ("ppo.est_lr", "training.supervised", "EST_LR", 1e-3),
+    ("ppo.ae_lr", "training.supervised", "AE_LR", 2e-3),
+    ("ppo.ae_epochs", "training.supervised", "AE_EPOCHS", 4),
+    ("ppo.ae_batch", "training.supervised", "AE_BATCH", 256),
+)
 
 
 def config_keys() -> list[str]:
@@ -60,10 +92,22 @@ def outside_bounds() -> list[tuple[str, str]]:
                 raws.append(str(int(bound.high) + 1))
             cases += [(key, raw) for raw in raws]
             continue
-        low = bound.low if bound.open_low else np.nextafter(bound.low, -np.inf)
-        values = [low] + ([np.nextafter(bound.high, np.inf)] if bound.high != np.inf else [])
+        values = [np.nextafter(bound.low, -np.inf)]
+        if bound.high != np.inf:
+            values.append(np.nextafter(bound.high, np.inf))
         cases += [(key, repr(float(v))) for v in values] + [(key, "nan")]
     return cases
+
+
+def module_level_names(path: Path) -> set[str]:
+    """Names that a module-level assignment in ``path`` binds."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
 
 
 class TestConfig:
@@ -71,15 +115,16 @@ class TestConfig:
         cfg = config_mod.desk_config()
         cfg.seed = 9
         cfg.terrain_mix = ("flat", "gap")
-        cfg.selector.tick_period = 3
-        cfg.ppo.lr = 5e-4
+        cfg.camera.pos_jitter = 0.02
+        cfg.ppo.minibatches = 3
         back = config_mod.parse_text(config_mod.to_text(cfg))
         assert back == cfg
 
     def test_dotted_keys_reach_nested_sections(self):
-        cfg = config_mod.parse_text("selector.tick_period = 4\nworld.dt = 0.01\nseed = 3\n")
-        assert cfg.selector.tick_period == 4
-        assert cfg.world.dt == 0.01
+        cfg = config_mod.parse_text("selector.ae_bottleneck = 4\ncamera.pos_jitter = 0.02\n"
+                                    "seed = 3\n")
+        assert cfg.selector.ae_bottleneck == 4
+        assert cfg.camera.pos_jitter == 0.02
         assert cfg.seed == 3
 
     def test_unknown_key_rejected(self):
@@ -90,7 +135,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_mod.parse_text("just some words\n")
 
-    @pytest.mark.parametrize("key, raw, bad", [("world.dt", "abc", "abc"),
+    @pytest.mark.parametrize("key, raw, bad", [("camera.pos_jitter", "abc", "abc"),
                                                ("n_envs", "2.5", "2.5"),
                                                ("net.cnn_channels", "4, x, 16", "x")])
     def test_malformed_value_names_the_key_and_the_value(self, key, raw, bad):
@@ -144,7 +189,7 @@ class TestConfig:
 
     def test_a_key_set_twice_names_the_key_and_both_lines(self):
         with pytest.raises(ConfigError, match=r"seed: set twice, on lines 1 and 3"):
-            config_mod.parse_text("seed = 1\nworld.dt = 0.01\nseed = 2\n")
+            config_mod.parse_text("seed = 1\ncamera.pos_jitter = 0.02\nseed = 2\n")
 
     def test_the_base_presets_values_are_not_repeats(self):
         cfg = config_mod.parse_text("camera.height = 20\n", base=config_mod.desk_config())
@@ -173,8 +218,7 @@ class TestConfig:
             value = data.draw(st.integers(max_value=int(bound.low) - 1) if side == "below"
                               else st.integers(min_value=int(bound.high) + 1))
         elif side == "below":
-            value = data.draw(st.floats(max_value=bound.low, exclude_max=not bound.open_low,
-                                        allow_nan=False))
+            value = data.draw(st.floats(max_value=bound.low, exclude_max=True, allow_nan=False))
         else:
             value = math.nan if side == "nan" else data.draw(
                 st.floats(min_value=bound.high, exclude_min=True, allow_nan=False))
@@ -194,10 +238,25 @@ class TestConfig:
         assert config_mod.validate(cfg) is cfg
 
     def test_a_config_built_in_code_is_refused_before_the_run_directory(self, tmp_path):
-        cfg = config_mod.tiny_config(flip_period=0)
-        with pytest.raises(ConfigError, match="flip_period = 0 is outside its range"):
+        cfg = config_mod.tiny_config(seed=-1)
+        with pytest.raises(ConfigError, match="seed = -1 is outside its range"):
             Trainer(cfg, tmp_path / "run")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, module, name, value", RETIRED_CONSTANTS,
+                             ids=[case[0] for case in RETIRED_CONSTANTS])
+    def test_a_retired_key_is_one_constant_with_its_old_value(self, key, module, name,
+                                                               value):
+        assert key in DELETED_KEYS
+        assert key not in config_keys() and key not in config_mod.BOUNDS
+        constant = getattr(importlib.import_module(f"redloco.{module}"), name)
+        assert type(constant) is type(value) and constant == value
+        # one module binds it; every other reader imports it, so no copy drifts
+        src = Path(redloco.__file__).parent
+        binders = [path.relative_to(src).with_suffix("").as_posix().replace("/", ".")
+                   for path in sorted(src.rglob("*.py"))
+                   if name in module_level_names(path)]
+        assert binders == [module]
 
     def test_camera_test_settings_lie_inside_the_bounds(self):
         for cam in (config_mod.CameraConfig(height=12, width=16),
@@ -307,13 +366,13 @@ class TestCli:
 
     def test_malformed_config_value_is_a_structured_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("world.dt = abc\n")
+        cfg_file.write_text("camera.pos_jitter = abc\n")
         code = cli(["train", "--preset", "tiny", "--config", str(cfg_file),
                     "--out", str(tmp_path / "run")])
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
-        assert "world.dt" in payload["message"] and "'abc'" in payload["message"]
+        assert "camera.pos_jitter" in payload["message"] and "'abc'" in payload["message"]
 
     @pytest.mark.parametrize("text, named, out", [
         pytest.param("seed = 1\nseed = 2\n", "seed: set twice, on lines 1 and 2", "run",
@@ -328,20 +387,11 @@ class TestCli:
         *(pytest.param(f"{key} = {raw}\n", f"{key} = {shown} is outside its range "
                        f"{config_mod.BOUNDS[key]}", "run", id=f"{key}={raw}")
           for key, raw, shown in [
-              ("n_envs", "0", "0"), ("horizon", "0", "0"), ("world.cell_size", "0", "0.0"),
-              ("world.cell_size", "0.6", "0.6"), ("world.dt", "-0.02", "-0.02"),
-              ("world.dt", "0.2", "0.2"), ("world.dt", "nan", "nan"),
+              ("n_envs", "0", "0"), ("horizon", "0", "0"),
               ("ppo.epochs", "0", "0"), ("ppo.minibatches", "0", "0"),
-              ("ppo.ae_epochs", "0", "0"), ("ppo.ae_batch", "0", "0"),
-              ("ppo.est_lr", "nan", "nan"), ("ppo.est_lr", "0", "0.0"),
-              ("ppo.ae_lr", "nan", "nan"), ("ppo.ae_lr", "1.5", "1.5"),
-              ("selector.tick_period", "0", "0"), ("flip_period", "0", "0"),
               ("net.history_len", "0", "0"), ("world.episode_steps", "0", "0"),
-              ("ppo.clip", "-1", "-1.0"), ("ppo.clip", "0", "0.0"),
-              ("ppo.discount", "2", "2.0"), ("ppo.gae_lambda", "3", "3.0"),
-              ("camera.max_range", "nan", "nan"), ("camera.max_range", "0", "0.0"),
-              ("camera.edge_border", "-1", "-1"), ("camera.fov_v", "0", "0.0"),
-              ("camera.min_depth", "-1", "-1.0")]),
+              ("camera.edge_border", "-1", "-1"), ("camera.pos_jitter", "nan", "nan"),
+              ("camera.ang_jitter", "-1", "-1.0"), ("phase_budget_frac", "2", "2.0")]),
         *(pytest.param(f"{key} = {raw}\n", f"{key} = {raw} is outside its range "
                        f"{config_mod.BOUNDS[key]}", "run", id=f"bound:{key}={raw}")
           for key, raw in outside_bounds()),
@@ -540,15 +590,19 @@ class TestCli:
         assert "'gaussian_30'" in message
         assert not (tmp_path / "out").exists()
 
-    def test_malformed_beta_file_names_the_file_and_the_value(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line, named", [("beta = abc", "'abc'"),
+                                             ("beta_old = 7", "no beta entry")],
+                             ids=["not_a_number", "no_beta_line"])
+    def test_malformed_beta_file_names_the_file_and_the_value(self, tmp_path, capsys, line,
+                                                              named):
         beta_file = tmp_path / "beta.cfg"
-        beta_file.write_text("# schema: beta-calibration/v1\nbeta = abc\n")
+        beta_file.write_text(f"# schema: beta-calibration/v1\n{line}\n")
         code = cli(["eval-noise", "--checkpoint", str(tmp_path / "missing.ckpt"),
                     "--beta-file", str(beta_file), "--out", str(tmp_path / "out")])
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
-        assert str(beta_file) in payload["message"] and "'abc'" in payload["message"]
+        assert str(beta_file) in payload["message"] and named in payload["message"]
 
     @pytest.mark.parametrize("text, want", [
         ("# schema: beta-calibration/v1\nbetamax = 3\nbeta = 0.02\n", 0.02),
@@ -558,7 +612,7 @@ class TestCli:
         beta_file = tmp_path / "beta.cfg"
         beta_file.write_text(text)
         if want is None:
-            with pytest.raises(ContractError, match="no beta entry"):
+            with pytest.raises(ConfigError, match="no beta entry"):
                 read_beta_file(beta_file)
         else:
             assert read_beta_file(beta_file) == want

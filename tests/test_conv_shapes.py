@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redloco.config import NetConfig, SelectorConfig
+from redloco.config import SelectorConfig
 from redloco.errors import ContractError
 from redloco.nn import conv_shape, deconv_shape, mirror_out_pad
 from redloco.selector import build_autoencoder

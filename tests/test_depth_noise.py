@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from redloco.config import CameraConfig
 from redloco.errors import ContractError
 from redloco.sensor import (GAUSSIAN_SIGMA_MAX, inject_gaussian, inject_occlusion,
                             inject_salt_pepper)
+from redloco.sensor.camera import MAX_RANGE, MIN_DEPTH
 
 
-CAM = CameraConfig()
-CLIP = (CAM.max_range, CAM.min_depth)
+CLIP = (MAX_RANGE, MIN_DEPTH)
 
 
 def frame(h=48, w=64, fill=None, seed=0):
@@ -85,6 +84,6 @@ class TestGaussian:
 
 
 def test_occlusion_floors_every_pixel():
-    out = inject_occlusion(frame(), CAM.min_depth)
+    out = inject_occlusion(frame(), MIN_DEPTH)
     np.testing.assert_array_equal(out, 0.01)
     assert out.shape == (48, 64)

@@ -275,7 +275,18 @@ class TestBundleLoading:
                                       "reward.hip_bias = -0.5", "net.depth_frames = 2",
                                       "promote_ratio = 0.8", "world.gravity = 9.81",
                                       "net.cnn_kernel = 3", "selector.ae_pad = 1",
-                                      "ppo.entropy_coef = 0.005", "reward.collision = -10.0"])
+                                      "ppo.entropy_coef = 0.005", "reward.collision = -10.0",
+                                      "camera.mount_pitch = 0.8", "ppo.discount = 0.99",
+                                      "world.cell_size = 0.05", "world.dt = 0.02",
+                                      "camera.fov_v = 1.0", "camera.fov_h = 1.5",
+                                      "camera.mount_forward = 0.1", "camera.mount_up = 0.05",
+                                      "camera.max_range = 2.0", "camera.min_depth = 0.01",
+                                      "camera.prop_noise_std = 0.01",
+                                      "camera.add_noise_std = 0.1", "selector.tick_period = 5",
+                                      "flip_period = 20", "ppo.lr = 3e-4", "ppo.clip = 0.2",
+                                      "ppo.gae_lambda = 0.95", "ppo.est_lr = 1e-3",
+                                      "ppo.ae_lr = 2e-3", "ppo.ae_epochs = 4",
+                                      "ppo.ae_batch = 256"])
     def test_embedded_config_naming_a_key_no_run_read_is_refused(self, bundle, line):
         path, arrays, meta = bundle
         meta["config"] += line + "\n"

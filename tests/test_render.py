@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from redloco.config import CameraConfig, WorldConfig
 from redloco.errors import ContractError
 from redloco.sensor import dump_text, edge_truncate_resize, march_rays, render_batch
+from redloco.sensor.camera import (ADD_NOISE_STD, FOV_H, FOV_V, MAX_RANGE, MIN_DEPTH,
+                                   MOUNT_PITCH, PROP_NOISE_STD)
 from redloco.world import TERRAIN_KINDS, BatchWorld, generate_terrain, make_command
 from redloco.world.batch import STAND_HEIGHT
-from redloco.world.terrain import SPAWN_X
+from redloco.world.terrain import CELL_SIZE, SPAWN_X
 
 render_mod = importlib.import_module("redloco.sensor.render")
 
@@ -33,8 +35,8 @@ def render_one(w, cam, rng=None, randomize=False):
 
 
 def ray_angles(cam):
-    rows = cam.mount_pitch + np.linspace(-cam.fov_v / 2, cam.fov_v / 2, cam.height)
-    cols = np.linspace(-cam.fov_h / 2, cam.fov_h / 2, cam.width)
+    rows = MOUNT_PITCH + np.linspace(-FOV_V / 2, FOV_V / 2, cam.height)
+    cols = np.linspace(-FOV_H / 2, FOV_H / 2, cam.width)
     return rows, cols
 
 
@@ -53,8 +55,8 @@ class TestClosedForms:
         cam_x, cam_z, dep, _ = pose
         rows, _ = ray_angles(cam)
         expected = np.where(np.sin(rows) > 1e-12,
-                            cam_z / np.maximum(np.sin(rows), 1e-12), cam.max_range)
-        expected = np.clip(expected, cam.min_depth, cam.max_range)
+                            cam_z / np.maximum(np.sin(rows), 1e-12), MAX_RANGE)
+        expected = np.clip(expected, MIN_DEPTH, MAX_RANGE)
         # depth is independent of column yaw on flat ground
         assert np.abs(data - expected[:, None]).max() < 1e-6
 
@@ -62,9 +64,9 @@ class TestClosedForms:
         cfg = WorldConfig()
         cam = CameraConfig(height=12, width=16)
         w = flat_world(cfg=cfg)
-        hf = generate_terrain("flat", 0, 0, cfg)
+        hf = generate_terrain("flat", 0, 0)
         step_x, step_h = 6.0, 0.4
-        i = int(step_x / cfg.cell_size)
+        i = int(step_x / CELL_SIZE)
         hf.heights[i:] = step_h
         w.set_terrain(0, hf)
         w.x[0] = 5.0
@@ -76,7 +78,7 @@ class TestClosedForms:
             for c in range(cam.width):
                 dz = -np.sin(rows[r])
                 dx = np.cos(rows[r]) * np.cos(cols[c])
-                best = cam.max_range
+                best = MAX_RANGE
                 if dz < 0:
                     t = (0.0 - cam_z) / dz
                     if cam_x + t * dx < step_x:
@@ -87,7 +89,7 @@ class TestClosedForms:
                 t_wall = (step_x - cam_x) / dx
                 if 0 < t_wall and 0.0 <= cam_z + t_wall * dz < step_h:
                     best = min(best, t_wall)
-                want = np.clip(best, cam.min_depth, cam.max_range)
+                want = np.clip(best, MIN_DEPTH, MAX_RANGE)
                 assert data[r, c] == pytest.approx(want, abs=1e-6), (r, c)
 
     def test_rays_over_a_void_span_run_out_at_max_range(self):
@@ -234,7 +236,7 @@ class TestInvariantsAndDeterminism:
         crop = edge_truncate_resize(rand, 2)
         for data in (raw, rand, crop):
             assert data.min() > 0
-            assert data.max() <= cam.max_range
+            assert data.max() <= MAX_RANGE
 
     def test_raw_render_is_deterministic(self):
         cam = CameraConfig(height=12, width=16)
@@ -303,8 +305,8 @@ class TestInvariantsAndDeterminism:
         fields = [(r.standard_normal((12, 16)), r.standard_normal((12, 16))) for r in rngs]
         prop = np.stack([f[0] for f in fields])
         add = np.stack([f[1] for f in fields])
-        want = seen["depth"].reshape(n, 12, 16) * (1.0 + cam.prop_noise_std * prop)
-        want = np.clip(want + cam.add_noise_std * add, cam.min_depth, cam.max_range)
+        want = seen["depth"].reshape(n, 12, 16) * (1.0 + PROP_NOISE_STD * prop)
+        want = np.clip(want + ADD_NOISE_STD * add, MIN_DEPTH, MAX_RANGE)
         assert frames.tobytes() == want.tobytes()
 
     def test_noise_statistics_match_the_model(self):
@@ -315,11 +317,11 @@ class TestInvariantsAndDeterminism:
         rng = np.random.default_rng(123)
         samples = np.stack([
             render_one(w, cam, rng, randomize=True)[0] for _ in range(40)])
-        inner = raw < cam.max_range - 0.3   # keep away from the clip
+        inner = raw < MAX_RANGE - 0.3   # keep away from the clip
         inner &= raw > 0.4
         d = raw[inner]
         emp_std = samples[:, inner].std(axis=0)
-        want = np.sqrt(cam.add_noise_std ** 2 + (cam.prop_noise_std * d) ** 2)
+        want = np.sqrt(ADD_NOISE_STD ** 2 + (PROP_NOISE_STD * d) ** 2)
         ratio = emp_std.mean() / want.mean()
         assert 0.9 < ratio < 1.1
 

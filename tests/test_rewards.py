@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from redloco.config import WorldConfig
 from redloco.world import BatchWorld, compute_reward, linear_velocity_reward, make_command
-from redloco.world.batch import ACCEL_MAX, DRAG
+from redloco.world.batch import ACCEL_MAX, DRAG, DT
 from redloco.world.rewards import TERM_SCALES
 
 
@@ -83,7 +83,7 @@ class TestRewardTable:
         assert list(r.values) == list(r.contributions) == list(self.SCALES)
         for name, scale in self.SCALES.items():
             assert TERM_SCALES[name] == scale
-            assert r.contributions[name][0] == scale * r.values[name][0] * w.cfg.dt
+            assert r.contributions[name][0] == scale * r.values[name][0] * DT
 
     def test_total_is_sum_of_contributions(self):
         _, r = self._step()
@@ -98,7 +98,7 @@ class TestRewardTable:
             ev, r = step_reward(w, [1.0, 0.0])
             if ev.collision[0]:
                 assert r.contributions["collision"][0] == pytest.approx(
-                    -10.0 * w.cfg.dt, abs=1e-15)
+                    -10.0 * DT, abs=1e-15)
                 return
         pytest.fail("no collision occurred")
 
@@ -139,6 +139,6 @@ class TestOverspeedCost:
     @pytest.mark.parametrize("command", [0.3, 0.6, 1.0])
     def test_half_a_meter_per_second_over_costs_a_tenth_of_the_best_step(self, command):
         best_step = ((TERM_SCALES["lin_vel_tracking"] + TERM_SCALES["ang_vel_tracking"])
-                     * WorldConfig().dt)
+                     * DT)
         cost = (self._hold(command, command) - self._hold(command, command + 0.5)) / self.STEPS
         assert cost >= 0.1 * best_step

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from redloco.harness import protocols
 from redloco.harness.protocols import _make_noise_hook, max_switch_delay, switch_delays
 from redloco.selector.autoencoder import PAIR_FRAMES
 from redloco.sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
+from redloco.sensor.camera import MAX_RANGE, MIN_DEPTH
 from redloco.training import Trainer, build_networks, load_bundle, train
-from redloco.training.runner import VecRunner
-from redloco.world import make_command
+from redloco.training.runner import TICK_PERIOD, VecRunner
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,8 @@ def tiny_ckpt(tmp_path_factory):
 class TestRunner:
     def _runner(self, n=3, ae=False, cfg=None):
         cfg = cfg or tiny_config()
-        tr = Trainer(cfg, "/tmp/_unused_runner")
+        with tempfile.TemporaryDirectory() as unused:
+            tr = Trainer(cfg, unused)
         rngs = [np.random.default_rng([9, i]) for i in range(n)]
         return cfg, VecRunner(cfg, ["flat"] * n, rngs, tr.nets.op, tr.nets.vp,
                               ae=tr.nets.ae if ae else None)
@@ -64,12 +66,11 @@ class TestRunner:
         assert not tick.pair_valid.any()
 
     def test_one_noisy_tick_taints_exactly_the_next_depth_frames_ticks(self):
-        cfg, runner = self._runner()
-        period = cfg.selector.tick_period
+        _, runner = self._runner()
+        period = TICK_PERIOD
         noisy = 2 * period                   # the third tick
         rngs = [np.random.default_rng([4, i]) for i in range(3)]
-        hook = _make_noise_hook([NoiseEvent("gaussian", 30.0, noisy, noisy + 1)], rngs,
-                                cfg.camera)
+        hook = _make_noise_hook([NoiseEvent("gaussian", 30.0, noisy, noisy + 1)], rngs)
         clean = []
         for step in range(0, 8 * period):
             if runner.is_tick_step():
@@ -87,7 +88,7 @@ class TestRunner:
         events = [NoiseEvent("gaussian", 60.0, 5, 20), NoiseEvent("salt_pepper", 40.0, 10),
                   NoiseEvent("occlusion", 0.0, 30, 35)]
         hook_rngs = [np.random.default_rng([4, i]) for i in range(3)]
-        hook = _make_noise_hook(events, hook_rngs, cam)
+        hook = _make_noise_hook(events, hook_rngs)
         ref_rngs = [np.random.default_rng([4, i]) for i in range(3)]
         frames = np.random.default_rng(8).uniform(0.2, 1.8, (3, cam.height, cam.width))
         for step in range(0, 40, 5):
@@ -97,13 +98,13 @@ class TestRunner:
                     if not ev.active(step):
                         continue
                     if ev.kind == "gaussian":
-                        want[i] = inject_gaussian(want[i], ev.level, rng, cam.max_range,
-                                                  cam.min_depth)
+                        want[i] = inject_gaussian(want[i], ev.level, rng, MAX_RANGE,
+                                                  MIN_DEPTH)
                     elif ev.kind == "salt_pepper":
-                        want[i] = inject_salt_pepper(want[i], ev.level, rng, cam.max_range,
-                                                     cam.min_depth)
+                        want[i] = inject_salt_pepper(want[i], ev.level, rng, MAX_RANGE,
+                                                     MIN_DEPTH)
                     else:
-                        want[i] = inject_occlusion(want[i], cam.min_depth)
+                        want[i] = inject_occlusion(want[i], MIN_DEPTH)
             got, corrupted = hook(frames.copy(), step)
             assert got.tobytes() == want.tobytes(), step
             assert corrupted.tolist() == [any(ev.active(step) for ev in events)] * 3
@@ -481,7 +482,7 @@ class TestPrefixCapture:
         monkeypatch.setattr(VecRunner, "capture", counted)
         start = clean_prefix(cfg, nets, spec, TestFork.ONSET)
         assert captures == [start.fork] == [start.state.global_step]
-        ticks = list(range(0, spec.steps, cfg.selector.tick_period))
+        ticks = list(range(0, spec.steps, TICK_PERIOD))
         assert TestFork._fork_fits(kind, start.fork, ticks, TestFork.ONSET), start.fork
         assert start.episode.tick_steps == [t for t in ticks if t < start.fork]
 
@@ -516,6 +517,30 @@ class TestNoiseProtocolReport:
             step, auto, vp = line.split(",")
             assert int(step) >= 0
             assert np.isfinite(float(auto)) and np.isfinite(float(vp))
+
+    def test_an_occlusion_at_level_zero_switches_every_robot(self, tiny_ckpt, tmp_path):
+        # an occlusion ignores its level, so occlusion:0 (the form of the trace
+        # command's default) occludes from the onset on; an occluded pair scores
+        # at least (MAX_RANGE - MIN_DEPTH)^2 = 3.96, above this beta
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=3.0, robots=2, steps=410,
+                              noise_onset=150, seed=2)
+        summary = run_noise_robustness(spec, tmp_path, conditions=(("occlusion", 0.0),))
+        cond = summary["conditions"][0]
+        assert min(cond["switch_delay_ticks"]) > 0
+        assert cond["min_op_mode_fraction_post_switch"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "salt_pepper"])
+    def test_a_levelled_condition_at_level_zero_runs_clean(self, tiny_ckpt, tmp_path, kind):
+        # the beta under which occlusion:0 switches every robot; with no noise
+        # event the selector arm never leaves vision, so both arms step alike
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=3.0, robots=2, steps=410,
+                              noise_onset=150, seed=2)
+        summary = run_noise_robustness(spec, tmp_path, conditions=((kind, 0.0),))
+        cond = summary["conditions"][0]
+        assert cond["switch_delay_ticks"] == [-1, -1]
+        assert cond["min_op_mode_fraction_post_switch"] == 0.0
+        rows = (tmp_path / f"velocity_{kind}_0.csv").read_text().splitlines()[2:]
+        assert all(row.split(",")[1] == row.split(",")[2] for row in rows)
 
     def test_a_sweep_where_no_robot_switches_writes_strict_json(self, tiny_ckpt, tmp_path):
         # a huge beta means no robot switches, so no switch delay has a mean

@@ -14,6 +14,7 @@ from redloco.selector import (MODE_OP, MODE_VP, anomaly_scores, build_autoencode
                               loss_ad_batch, make_selector, min_flip_ticks, near_depth_bound,
                               trace_record)
 from redloco.sensor import edge_truncate_resize, inject_occlusion, render_batch
+from redloco.sensor.camera import MAX_RANGE, MIN_DEPTH
 from redloco.world import BatchWorld
 
 
@@ -208,7 +209,7 @@ class TestAnomalyScore:
     def test_near_bound_comes_from_the_mount_geometry(self):
         near = near_depth_bound(self.CAM)
         assert near == pytest.approx(0.15 - 0.10 - 0.01, abs=1e-12)
-        assert near > self.CAM.min_depth
+        assert near > MIN_DEPTH
 
     def test_occluded_pair_scores_above_any_clean_range_beta(self):
         rng = np.random.default_rng(6)
@@ -216,19 +217,19 @@ class TestAnomalyScore:
         near = near_depth_bound(self.CAM)
         # clean-range frames sit at or beyond the near bound; reconstructions
         # anywhere in the camera range
-        clean = rng.uniform(near, self.CAM.max_range, (256, 2, 12, 16))
-        recon = rng.uniform(self.CAM.min_depth, self.CAM.max_range, clean.shape)
+        clean = rng.uniform(near, MAX_RANGE, (256, 2, 12, 16))
+        recon = rng.uniform(MIN_DEPTH, MAX_RANGE, clean.shape)
         beta = calibrate_beta(anomaly_scores(clean, recon, self.CAM))
-        occluded = np.full((1, 2, 12, 16), self.CAM.min_depth)
+        occluded = np.full((1, 2, 12, 16), MIN_DEPTH)
         onset = np.stack([clean[0, 1], occluded[0, 0]])[None]
         for pair in (occluded, onset):
             score = anomaly_scores(pair, ae.forward(pair)[0], self.CAM)
             assert score[0] > beta
 
     def test_occlusion_is_anomalous_even_when_reconstructed_exactly(self):
-        occluded = np.full((3, 2, 12, 16), self.CAM.min_depth)
+        occluded = np.full((3, 2, 12, 16), MIN_DEPTH)
         scores = anomaly_scores(occluded, occluded.copy(), self.CAM)
-        span = self.CAM.max_range - self.CAM.min_depth
+        span = MAX_RANGE - MIN_DEPTH
         np.testing.assert_allclose(scores, span * span, rtol=1e-12)
 
     def test_rendered_frames_are_plausible(self):
@@ -242,16 +243,16 @@ class TestAnomalyScore:
             frames = edge_truncate_resize(render_batch(world, cfg.camera, rngs)[0],
                                           cfg.camera.edge_border)
             pairs = np.stack([frames, frames], axis=1)
-            assert (implausibility(pairs, near, cfg.camera.min_depth) == 0.0).all()
+            assert (implausibility(pairs, near, MIN_DEPTH) == 0.0).all()
             recon = pairs + 0.05
             np.testing.assert_array_equal(
                 anomaly_scores(pairs, recon, cfg.camera),
                 loss_ad_batch(pairs, recon))
             for _ in range(4):
                 world.reset(np.flatnonzero(world.step(np.tile([0.6, 0.0], (6, 1))).done))
-        occ = inject_occlusion(frames[0], cfg.camera.min_depth)
+        occ = inject_occlusion(frames[0], MIN_DEPTH)
         assert implausibility(np.stack([occ, occ])[None], near,
-                              cfg.camera.min_depth)[0] == 1.0
+                              MIN_DEPTH)[0] == 1.0
 
 
 class TestTraceExport:

@@ -14,6 +14,8 @@ from redloco.config import desk_config, tiny_config
 from redloco.errors import ContractError, RolloutAbort
 from redloco.nn import load_checkpoint
 from redloco.training import RolloutBuffer, Trainer, load_bundle, ppo_update, train
+from redloco.training.ppo import DISCOUNT, GAE_LAMBDA
+from redloco.training.runner import TICK_PERIOD
 from redloco.training.supervised import autoencoder_update, supervised_update
 
 trainer_mod = importlib.import_module("redloco.training.trainer")
@@ -212,13 +214,13 @@ class TestTapeReplay:
         runner = tr.runner
         n = tr.cfg.n_envs
         runner.tick_estimators()
-        for _ in range(tr.cfg.selector.tick_period):
+        for _ in range(TICK_PERIOD):
             runner.step(np.zeros((n, 2)))
         tick = runner.tick_estimators()       # hiddens are non-zero from here on
         assert tick.op_out.gru_hidden.any() and tick.vp_out.gru_hidden.any()
         before = [a.copy() for a in _arrays(tick)]
         resets = np.zeros(n, dtype=bool)
-        for _ in range(tr.cfg.selector.tick_period - 1):
+        for _ in range(TICK_PERIOD - 1):
             resets |= runner.step(np.zeros((n, 2))).resets
         assert resets.any()
         after = list(_arrays(tick))
@@ -250,7 +252,7 @@ class TestSupervisedGating:
         for tick in buf.ticks:
             tick.clean_stage[...] = False   # as if every pair were deployment-noised
         before = [p.values.copy() for p in tr.nets.ae.params()]
-        stats = autoencoder_update(tr.nets.ae, tr.ae_opt, buf.ticks, tr.cfg.ppo, tr.ae_rng)
+        stats = autoencoder_update(tr.nets.ae, tr.ae_opt, buf.ticks, tr.ae_rng)
         assert stats.n_ae_pairs == 0
         for p, b in zip(tr.nets.ae.params(), before):
             np.testing.assert_array_equal(p.values, b)
@@ -273,7 +275,7 @@ class TestSupervisedGating:
             ticks = recompute_tapes(tr.nets.op, tr.nets.vp, buf.ticks, op_h0, vp_h0)
             stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him,
                                       tr.op_opt, tr.vp_opt, tr.him_opt, ticks)
-            ae_stats = autoencoder_update(tr.nets.ae, tr.ae_opt, ticks, tr.cfg.ppo, tr.ae_rng)
+            ae_stats = autoencoder_update(tr.nets.ae, tr.ae_opt, ticks, tr.ae_rng)
             if k == 0:
                 first, first_ae = stats, ae_stats
             last, last_ae = stats, ae_stats
@@ -292,8 +294,7 @@ class TestUpdateLanes:
         for it in range(cfg.iterations):
             serial.runner.phase = serial.phase.phase
             buf, bootstrap = serial.collect(it)
-            adv, ret = buf.compute_advantages(bootstrap, cfg.ppo.discount,
-                                              cfg.ppo.gae_lambda)
+            adv, ret = buf.compute_advantages(bootstrap, DISCOUNT, GAE_LAMBDA)
             stats = ppo_update(serial.nets.policy, serial.nets.critic, serial.policy_opt,
                                serial.critic_opt, buf.flat(buf.obs),
                                buf.flat(buf.critic_obs), buf.flat(buf.actions),
@@ -301,8 +302,7 @@ class TestUpdateLanes:
                                cfg.ppo, serial.shuffle_rng)
             sup = supervised_update(serial.nets.op, serial.nets.vp, serial.nets.him,
                                     serial.op_opt, serial.vp_opt, serial.him_opt, buf.ticks)
-            ae = autoencoder_update(serial.nets.ae, serial.ae_opt, buf.ticks, cfg.ppo,
-                                    serial.ae_rng)
+            ae = autoencoder_update(serial.nets.ae, serial.ae_opt, buf.ticks, serial.ae_rng)
             mean_lin = float(buf.lin_vel[:buf.ptr].mean())
             serial.phase.update(it, mean_lin)
             rows.append(serial._metrics_row(it, buf, stats, sup, ae, mean_lin))

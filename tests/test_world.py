@@ -13,7 +13,7 @@ from redloco.config import WorldConfig
 from redloco.errors import ContractError
 from redloco.world import (OBS_DIM, TERRAIN_KINDS, BatchWorld, compute_reward,
                            generate_terrain, make_command, sample_command)
-from redloco.world.batch import (ACCEL_MAX, DRAG, FOOT_OFFSETS, FOOT_PATCH, GRAVITY,
+from redloco.world.batch import (ACCEL_MAX, DRAG, DT, FOOT_OFFSETS, FOOT_PATCH, GRAVITY,
                                  HOP_THRESHOLD, IMPACT_LOSS, INIT_SPEED_RANGE, MAX_CLEARANCE,
                                  MAX_PITCH, MAX_STEP, MOTOR_GAIN_RANGE, OSC_BASE_RATE,
                                  OSC_RATE_PER_SPEED, PATCH_SAMPLES, PITCH_GAIN, PITCH_RELAX,
@@ -21,6 +21,7 @@ from redloco.world.batch import (ACCEL_MAX, DRAG, FOOT_OFFSETS, FOOT_PATCH, GRAV
                                  STAND_HEIGHT, V_HOP)
 from redloco.world.rewards import (ANG_VEL_SIGMA, DEFAULT_POS_CAP, DEFAULT_POS_UNIT,
                                    GAIT_RATE_GAIN, TERM_SCALES)
+from redloco.world.terrain import CELL_SIZE
 
 # the body state of one env, the names of its BatchWorld arrays
 STATE_NAMES = ("x", "z", "vx", "vz", "pitch", "airborne", "ax", "az", "pitch_rate",
@@ -153,7 +154,7 @@ class TestObservation:
         acts = [np.array([0.8, 0.0])] * 400
         w_flat = make_world("flat", seed=21, command=1.0)
         w_gap = make_world("gap", level=6, seed=21, command=1.0)
-        w_gap.set_terrain(0, generate_terrain("gap", 6, 99, w_gap.cfg))
+        w_gap.set_terrain(0, generate_terrain("gap", 6, 99))
         terrain = ScalarEnv(w_gap)
         w_flat.vx[0] = w_gap.vx[0] = 0.5
         front = max(FOOT_OFFSETS)
@@ -193,7 +194,7 @@ class TestPrivileged:
         gap_len = 0
         while void[i + gap_len]:
             gap_len += 1
-        w.x[0] = (i + gap_len / 2) * w.cfg.cell_size - max(FOOT_OFFSETS)
+        w.x[0] = (i + gap_len / 2) * CELL_SIZE - max(FOOT_OFFSETS)
         p = w.privileged()
         assert p.h_f[0, 0] == pytest.approx(MAX_CLEARANCE)
 
@@ -227,7 +228,7 @@ class ScalarEnv:
         self.episode_step = int(w.episode_step[0])
 
     def height_at(self, x):
-        i = min(max(int(np.floor(x / self.cfg.cell_size)), 0), len(self.heights) - 1)
+        i = min(max(int(np.floor(x / CELL_SIZE)), 0), len(self.heights) - 1)
         return -np.inf if self.void[i] else float(self.heights[i])
 
     def support(self, x):
@@ -237,7 +238,7 @@ class ScalarEnv:
         return best
 
     def step(self, action) -> dict:
-        cfg, r, dt = self.cfg, self.r, self.cfg.dt
+        cfg, r, dt = self.cfg, self.r, DT
         a = np.asarray(action, dtype=np.float64)
         ev = dict(collision=False, hopped=False, landed=False, terminated=False,
                   termination=None, truncated=False)
@@ -308,7 +309,7 @@ class ScalarEnv:
         """Raw values of the reward terms in table order, then the total."""
         cfg, r = self.cfg, self.r
         a = np.asarray(action, dtype=np.float64)
-        mult = cfg.dt
+        mult = DT
         v_along = float(r.vx * np.cos(self.c_yaw))
         if self.c_x != 0.0:
             lin = min(v_along, self.c_x) / (self.c_x + 1e-5)
@@ -323,7 +324,7 @@ class ScalarEnv:
         values = [lin, float(np.exp(-(rate_err ** 2) / ANG_VEL_SIGMA)),
                   1.0 if collision else 0.0, abs(r.ax * r.vx),
                   float(np.sum((a - prev.last_action) ** 2)), default_pos,
-                  ((r.ax - prev.ax) / cfg.dt) ** 2, r.pitch ** 2]
+                  ((r.ax - prev.ax) / DT) ** 2, r.pitch ** 2]
         scales = list(TERM_SCALES.values())
         return values + [float(sum(s * v * mult for s, v in zip(scales, values)))]
 
@@ -351,7 +352,7 @@ class ScalarEnv:
     def reset(self, kind: str, level: int, phase: int):
         """Terrain, command, motor gain and initial speed of a new episode."""
         seed = int(self.rng.integers(0, 2 ** 31 - 1))
-        hf = generate_terrain(kind, level, seed, self.cfg)
+        hf = generate_terrain(kind, level, seed)
         cmd = sample_command(self.rng, phase)
         gain = float(self.rng.uniform(*MOTOR_GAIN_RANGE))
         vx = float(self.rng.uniform(*INIT_SPEED_RANGE))
