@@ -29,12 +29,17 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
                 "meta": meta,
                 "entries": [{"name": name, "shape": list(a.shape)} for name, a in wire.items()]}
     mbytes = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(mbytes)))
-        f.write(mbytes)
-        for a in wire.values():
-            f.write(a.tobytes())
+    tmp = Path(f"{path}.tmp")     # renamed over ``path`` once whole: a failed write leaves it
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(mbytes)))
+            f.write(mbytes)
+            for a in wire.values():
+                f.write(a.tobytes())
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _field(obj, key: str, where: str):

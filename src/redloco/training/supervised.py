@@ -1,8 +1,9 @@
 """Supervised updates: estimator BPTT over tick sequences with
 target-encoder training (`supervised_update`), and autoencoder
-reconstruction on clean depth pairs (`autoencoder_update`). The two share no
-parameter, optimizer or generator and only read the ticks, so the trainer
-runs them concurrently.
+reconstruction on the clean depth pairs that `clean_pairs` pools from the
+ticks (`autoencoder_update`). The two share no parameter, optimizer or
+generator, so the trainer runs the autoencoder update in a worker process
+beside the estimator update and the next rollout.
 
 The estimator BPTT replays the forward tapes each tick recorded during
 collection (truncated backprop at rollout boundaries); nothing is run
@@ -122,14 +123,19 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
         n_vp_rows, rejected)
 
 
-def autoencoder_update(ae: LayerStack, ae_opt: Adam, ticks: list[TickData],
+def clean_pairs(ticks: list[TickData]) -> np.ndarray:
+    """The rollout's clean randomize-stage depth pairs, pooled in tick order
+    for the autoencoder: (N, 2, H, W), with N = 0 when there are none."""
+    clean = [tk.depth_pairs[tk.clean_stage] for tk in ticks]
+    return np.concatenate(clean, axis=0) if clean else np.empty((0, 2, 0, 0))
+
+
+def autoencoder_update(ae: LayerStack, ae_opt: Adam, pool: np.ndarray,
                        ae_rng: np.random.Generator) -> AutoencoderStats:
     """``AE_EPOCHS`` steps of the anomaly autoencoder, each on at most
-    ``AE_BATCH`` clean randomize-stage pairs drawn from the ticks."""
-    clean = [tk.depth_pairs[tk.clean_stage] for tk in ticks if tk.clean_stage.any()]
-    if not clean:
+    ``AE_BATCH`` pairs drawn from the ``clean_pairs`` pool."""
+    if not pool.shape[0]:
         return AutoencoderStats(float("nan"), 0, 0)
-    pool = np.concatenate(clean, axis=0)
     ad_loss, rejected = float("nan"), 0
     for epoch in range(AE_EPOCHS):
         if pool.shape[0] > AE_BATCH:

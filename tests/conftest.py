@@ -4,8 +4,9 @@ inside the pytest temp root."""
 
 import os
 
-# One BLAS thread, as the benchmark runs: a spinning BLAS worker thread takes
-# the core that the autoencoder update lane runs on. Set before numpy loads.
+# One BLAS thread per process, as the benchmark runs: a spinning BLAS worker
+# thread takes the core that the autoencoder lane process runs on. Set before
+# numpy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

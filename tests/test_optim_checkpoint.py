@@ -1,5 +1,6 @@
 """Optimizer update rules and checkpoint container round-trips."""
 
+import importlib
 import json
 import struct
 
@@ -11,6 +12,8 @@ from redloco.errors import CheckpointError
 from redloco.harness.cli import cli
 from redloco.nn import Adam, TensorParam, clip_grad_norm, load_checkpoint, save_checkpoint
 from redloco.training import Trainer, build_networks, load_bundle, save_bundle
+
+checkpoint_mod = importlib.import_module("redloco.nn.checkpoint")
 
 
 def read_manifest(path) -> tuple[dict, bytes]:
@@ -159,6 +162,38 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "a.ckpt", arrays, meta={"k": 1})
         save_checkpoint(tmp_path / "b.ckpt", arrays, meta={"k": 1})
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_a_failed_write_leaves_the_old_checkpoint_and_no_temporary(self, tmp_path,
+                                                                        monkeypatch):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, self._arrays(1), meta={"k": 1})
+        before = path.read_bytes()
+
+        class FailingFile:
+            """A file whose second write raises, as a full disk would."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                return self.f.write(data)
+
+        monkeypatch.setattr(checkpoint_mod, "open",
+                            lambda *args, **kwargs: FailingFile(open(*args, **kwargs)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, self._arrays(2), meta={"k": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

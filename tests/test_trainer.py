@@ -2,9 +2,13 @@
 
 import dataclasses
 import importlib
+import io
 import json
 import math
+import multiprocessing
+import os
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,7 @@ from redloco.nn import load_checkpoint
 from redloco.training import RolloutBuffer, Trainer, load_bundle, ppo_update, train
 from redloco.training.ppo import DISCOUNT, GAE_LAMBDA
 from redloco.training.runner import TICK_PERIOD
-from redloco.training.supervised import autoencoder_update, supervised_update
+from redloco.training.supervised import autoencoder_update, clean_pairs, supervised_update
 
 trainer_mod = importlib.import_module("redloco.training.trainer")
 
@@ -252,7 +256,7 @@ class TestSupervisedGating:
         for tick in buf.ticks:
             tick.clean_stage[...] = False   # as if every pair were deployment-noised
         before = [p.values.copy() for p in tr.nets.ae.params()]
-        stats = autoencoder_update(tr.nets.ae, tr.ae_opt, buf.ticks, tr.ae_rng)
+        stats = autoencoder_update(tr.nets.ae, tr.ae_opt, clean_pairs(buf.ticks), tr.ae_rng)
         assert stats.n_ae_pairs == 0
         for p, b in zip(tr.nets.ae.params(), before):
             np.testing.assert_array_equal(p.values, b)
@@ -275,7 +279,7 @@ class TestSupervisedGating:
             ticks = recompute_tapes(tr.nets.op, tr.nets.vp, buf.ticks, op_h0, vp_h0)
             stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him,
                                       tr.op_opt, tr.vp_opt, tr.him_opt, ticks)
-            ae_stats = autoencoder_update(tr.nets.ae, tr.ae_opt, ticks, tr.ae_rng)
+            ae_stats = autoencoder_update(tr.nets.ae, tr.ae_opt, clean_pairs(ticks), tr.ae_rng)
             if k == 0:
                 first, first_ae = stats, ae_stats
             last, last_ae = stats, ae_stats
@@ -283,14 +287,21 @@ class TestSupervisedGating:
         assert last_ae.loss_ad < first_ae.loss_ad
 
 
+class Boom(Exception):
+    """Raised by a patched update; module-level, so it crosses the lane's pipe."""
+
+
 class TestUpdateLanes:
     OPTIMIZERS = ("policy_opt", "critic_opt", "op_opt", "vp_opt", "him_opt", "ae_opt")
 
     def test_lanes_give_the_bits_of_serial_updates(self, tmp_path):
-        lanes = Trainer(desk_config(seed=5, iterations=3), tmp_path / "lanes")
-        serial = Trainer(desk_config(seed=5, iterations=3), tmp_path / "serial")
+        # 32 envs pool more clean pairs than one autoencoder batch holds, so
+        # every update draws its batches from ae_rng
+        lanes = Trainer(desk_config(seed=5, iterations=3, n_envs=32), tmp_path / "lanes")
+        serial = Trainer(desk_config(seed=5, iterations=3, n_envs=32), tmp_path / "serial")
+        unmoved = serial.ae_rng.bit_generator.state
         cfg = serial.cfg
-        rows = []
+        rows = io.StringIO()
         for it in range(cfg.iterations):
             serial.runner.phase = serial.phase.phase
             buf, bootstrap = serial.collect(it)
@@ -302,10 +313,13 @@ class TestUpdateLanes:
                                cfg.ppo, serial.shuffle_rng)
             sup = supervised_update(serial.nets.op, serial.nets.vp, serial.nets.him,
                                     serial.op_opt, serial.vp_opt, serial.him_opt, buf.ticks)
-            ae = autoencoder_update(serial.nets.ae, serial.ae_opt, buf.ticks, serial.ae_rng)
+            ae = autoencoder_update(serial.nets.ae, serial.ae_opt, clean_pairs(buf.ticks),
+                                    serial.ae_rng)
             mean_lin = float(buf.lin_vel[:buf.ptr].mean())
             serial.phase.update(it, mean_lin)
-            rows.append(serial._metrics_row(it, buf, stats, sup, ae, mean_lin))
+            serial._row_writer(rows, io.StringIO(), it, buf, stats, sup, mean_lin)(ae)
+        rows = rows.getvalue().splitlines(keepends=True)
+        assert serial.ae_rng.bit_generator.state != unmoved
         res = lanes.run()
         got = res.metrics.read_text().splitlines(keepends=True)[2:]
         assert got == rows
@@ -316,30 +330,92 @@ class TestUpdateLanes:
             a, b = getattr(lanes, name), getattr(serial, name)
             for arena in ("values", "moment1", "moment2"):
                 assert np.array_equal(getattr(a, arena), getattr(b, arena)), (name, arena)
+            assert a.rejected == b.rejected, name
+            assert ([p.step_count for p in a.params]
+                    == [p.step_count for p in b.params]), name
+        # the lane's state came back: its generator stands where the serial one does
+        assert lanes.ae_rng.bit_generator.state == serial.ae_rng.bit_generator.state
+        assert all(p.step_count == 3 * 4 for p in lanes.ae_opt.params)
 
-    @pytest.mark.parametrize("target", ["autoencoder_update", "ppo_update"])
-    def test_a_failing_update_is_raised_after_the_lane_is_joined(self, tmp_path,
-                                                                 monkeypatch, target):
-        class Boom(Exception):
-            pass
-
-        def boom(*args, **kwargs):
-            raise Boom(target)
-
+    @staticmethod
+    def _track_open(monkeypatch):
+        """The files the trainer opens, as it opens them."""
         opened = []
 
         def tracked_open(*args, **kwargs):
             opened.append(open(*args, **kwargs))
             return opened[-1]
 
-        monkeypatch.setattr(trainer_mod, target, boom)
         monkeypatch.setattr(trainer_mod, "open", tracked_open, raising=False)
+        return opened
+
+    @staticmethod
+    def _assert_left_clean(opened, threads):
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
+        assert [Path(f.name).name for f in opened] == ["metrics.csv", "masks.csv"]
+        assert all(f.closed for f in opened)
+
+    @pytest.mark.parametrize("target", ["autoencoder_update", "ppo_update"])
+    def test_a_failing_update_is_raised_after_the_lane_is_joined(self, tmp_path,
+                                                                 monkeypatch, target):
+        def boom(*args, **kwargs):
+            raise Boom(target)
+
+        opened = self._track_open(monkeypatch)
+        monkeypatch.setattr(trainer_mod, target, boom)
         threads = threading.active_count()
         with pytest.raises(Boom, match=target):
             Trainer(tiny_config(), tmp_path).run()
-        assert threading.active_count() == threads
-        assert [Path(f.name).name for f in opened] == ["metrics.csv", "masks.csv"]
-        assert all(f.closed for f in opened)
+        self._assert_left_clean(opened, threads)
+
+    def test_an_error_that_cannot_cross_the_pipe_comes_back_by_name(self, tmp_path,
+                                                                    monkeypatch):
+        class LocalBoom(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise LocalBoom("the pool was bad")
+
+        opened = self._track_open(monkeypatch)
+        monkeypatch.setattr(trainer_mod, "autoencoder_update", boom)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="LocalBoom: the pool was bad") as info:
+            Trainer(tiny_config(), tmp_path).run()
+        assert info.match("Traceback")
+        self._assert_left_clean(opened, threads)
+
+    def test_a_dead_lane_is_raised_with_its_exit_code(self, tmp_path, monkeypatch):
+        opened = self._track_open(monkeypatch)
+        monkeypatch.setattr(trainer_mod, "autoencoder_update", lambda *args: os._exit(3))
+        threads = threading.active_count()
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            Trainer(tiny_config(), tmp_path).run()
+        assert time.monotonic() - t0 < 30
+        self._assert_left_clean(opened, threads)
+
+    def test_an_abort_in_the_next_collect_keeps_the_previous_row(self, tmp_path,
+                                                                  monkeypatch):
+        cfg = tiny_config()
+        res = train(cfg, tmp_path / "whole")
+        whole = res.metrics.read_text().splitlines(keepends=True)
+        whole_masks = res.masks_log.read_text().splitlines(keepends=True)
+        collect = Trainer.collect
+
+        def abort_second(tr, iteration):
+            if iteration == 1:     # iteration 0's autoencoder update is out by now
+                raise RolloutAbort("forced at iteration 1")
+            return collect(tr, iteration)
+
+        monkeypatch.setattr(Trainer, "collect", abort_second)
+        with pytest.raises(RolloutAbort, match="forced"):
+            Trainer(tiny_config(), tmp_path / "aborted").run()
+        assert multiprocessing.active_children() == []
+        got = (tmp_path / "aborted" / "metrics.csv").read_text().splitlines(keepends=True)
+        assert got == whole[:3]
+        got_masks = (tmp_path / "aborted" / "masks.csv").read_text().splitlines(keepends=True)
+        assert got_masks == whole_masks[:2 + cfg.n_envs]
 
 
 def test_mask_log_matches_schedule(tmp_path):
