@@ -5,17 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractError
+from ..selector.autoencoder import PAIR_FRAMES
+from ..world import OBS_DIM
 
 
 class ProprioBuffer:
-    """The last H proprioception vectors of E envs as one (E, H, od) ring,
-    oldest first."""
+    """The last H proprioception vectors of E envs as one (E, H, OBS_DIM)
+    ring, oldest first."""
 
-    def __init__(self, n: int, length: int, dim: int) -> None:
-        self.data = np.zeros((n, length, dim))
+    def __init__(self, n: int, length: int) -> None:
+        self.data = np.zeros((n, length, OBS_DIM))
 
     def push(self, obs: np.ndarray) -> None:
-        """Append one (E, od) observation row per env."""
+        """Append one (E, OBS_DIM) observation row per env."""
         obs = np.asarray(obs, dtype=np.float64)
         want = (self.data.shape[0], self.data.shape[2])
         if obs.shape != want:
@@ -24,7 +26,7 @@ class ProprioBuffer:
         self.data[:, -1] = obs
 
     def flat(self) -> np.ndarray:
-        """(E, H * od), oldest first."""
+        """(E, H * OBS_DIM), oldest first."""
         return self.data.reshape(len(self.data), -1).copy()
 
     def reset(self, ids) -> None:
@@ -32,14 +34,15 @@ class ProprioBuffer:
 
 
 class DepthBuffer:
-    """The last D depth frames of E envs as one (E, D, H, W) ring, oldest
-    first. ``rendered`` marks slots that hold a frame (not a zero pad) and
-    ``clean`` those whose frame carries training randomization only."""
+    """The last ``PAIR_FRAMES`` depth frames of E envs as one (E, 2, H, W)
+    ring, oldest first. ``rendered`` marks slots that hold a frame (not a
+    zero pad) and ``clean`` those whose frame carries training randomization
+    only."""
 
-    def __init__(self, n: int, length: int, height: int, width: int) -> None:
-        self.data = np.zeros((n, length, height, width))
-        self.rendered = np.zeros((n, length), dtype=bool)
-        self.clean = np.zeros((n, length), dtype=bool)
+    def __init__(self, n: int, height: int, width: int) -> None:
+        self.data = np.zeros((n, PAIR_FRAMES, height, width))
+        self.rendered = np.zeros((n, PAIR_FRAMES), dtype=bool)
+        self.clean = np.zeros((n, PAIR_FRAMES), dtype=bool)
 
     def push(self, frames: np.ndarray, corrupted: np.ndarray) -> None:
         """Append one (E, H, W) frame per env; ``corrupted`` (E,) marks frames
@@ -53,8 +56,9 @@ class DepthBuffer:
             arr[:, -1] = new
 
     def newest_pair(self) -> np.ndarray:
-        """The two most recent frames as (E, 2, H, W), older first."""
-        return self.data[:, -2:].copy()
+        """The two most recent frames as (E, 2, H, W), older first: the
+        whole ring."""
+        return self.data.copy()
 
     def reset(self, ids) -> None:
         for arr in (self.data, self.rendered, self.clean):

@@ -123,6 +123,8 @@ def _gamma(tok: str) -> float:
 
 def _resolve_beta(args) -> float:
     if args.beta is not None:
+        if not np.isfinite(args.beta):
+            raise ConfigError(f"--beta: bad value {args.beta!r}, want a finite number")
         return args.beta
     if args.beta_file:
         return read_beta_file(args.beta_file)

@@ -16,7 +16,6 @@ from ..errors import ConfigError, ContractError
 from ..selector import (MODE_VP, calibrate_beta, filter_step, filter_update, make_selector,
                         min_flip_ticks, trace_record)
 from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
-from ..sensor.camera import MAX_RANGE, MIN_DEPTH
 from ..training.bundle import Networks, load_bundle
 from ..training.runner import TICK_PERIOD, RunnerState, VecRunner
 from ..world import make_command, sample_command
@@ -86,11 +85,11 @@ def _make_noise_hook(events: list[NoiseEvent], noise_rngs):
         for i, rng in enumerate(noise_rngs if active else ()):
             for ev in active:
                 if ev.kind == "gaussian":
-                    frames[i] = inject_gaussian(frames[i], ev.level, rng, MAX_RANGE, MIN_DEPTH)
+                    frames[i] = inject_gaussian(frames[i], ev.level, rng)
                 elif ev.kind == "salt_pepper":
-                    frames[i] = inject_salt_pepper(frames[i], ev.level, rng, MAX_RANGE, MIN_DEPTH)
+                    frames[i] = inject_salt_pepper(frames[i], ev.level, rng)
                 else:
-                    frames[i] = inject_occlusion(frames[i], MIN_DEPTH)
+                    frames[i] = inject_occlusion(frames[i])
         return frames, np.full(len(frames), bool(active))
     return hook
 
@@ -496,7 +495,10 @@ def read_beta_file(path: str | Path) -> float:
         if key.strip() == "beta":
             raw = raw.strip()
             try:
-                return float(raw)
+                beta = float(raw)
             except ValueError:
                 raise ConfigError(f"{path}: beta value {raw!r} is not a number") from None
+            if not np.isfinite(beta):
+                raise ConfigError(f"{path}: beta value {raw!r} is not finite")
+            return beta
     raise ConfigError(f"{path}: no beta entry")

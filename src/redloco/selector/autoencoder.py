@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import CameraConfig, SelectorConfig
+from ..config import SelectorConfig
 from ..errors import ContractError
 from ..nn import (Conv2d, Deconv2d, Elu, Flatten, LayerStack, Linear, Reshape,
                   conv_shape, mirror_out_pad)
-from ..sensor.camera import MAX_RANGE, MIN_DEPTH, MOUNT_FORWARD
+from ..sensor.camera import MAX_RANGE, MIN_DEPTH, MOUNT_FORWARD, POS_JITTER
 from ..world import FOOT_OFFSETS
 
 
@@ -30,6 +30,11 @@ from ..world import FOOT_OFFSETS
 PAIR_FRAMES = 2
 # every conv halves the frame: 3x3 kernels, stride 2, padding 1
 AE_KERNEL, AE_STRIDE, AE_PAD = 3, 2, 1
+# Nearest depth a surface can show a working camera (0.04 m). The robot
+# cannot move its front foot into a face, and the front foot stands ahead of
+# the camera mount, so no surface is nearer than that lead less the camera's
+# position jitter.
+NEAR_DEPTH = max(FOOT_OFFSETS) - MOUNT_FORWARD - POS_JITTER
 
 
 def build_autoencoder(cfg: SelectorConfig, height: int, width: int,
@@ -68,34 +73,19 @@ def loss_ad_batch(frames: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
     return np.mean(diff * diff, axis=(1, 2, 3))
 
 
-def near_depth_bound(camera: CameraConfig) -> float:
-    """Nearest depth a surface can show a working camera.
-
-    The robot cannot move its front foot into a face, and the front foot
-    stands ahead of the camera mount, so no surface is nearer than that
-    lead less the camera's position jitter (0.04 m at the defaults).
-    """
-    return max(FOOT_OFFSETS) - MOUNT_FORWARD - camera.pos_jitter
-
-
-def implausibility(frames: np.ndarray, near: float, min_depth: float) -> np.ndarray:
+def implausibility(frames: np.ndarray) -> np.ndarray:
     """Per-sample share in [0, 1] by which a (B, F, H, W) batch falls short of
     the near bound: 0 while every frame's mean depth is at or beyond
-    ``near``, 1 when some frame sits entirely at ``min_depth``."""
-    if near <= min_depth:
-        return np.zeros(frames.shape[0])
+    ``NEAR_DEPTH``, 1 when some frame sits entirely at ``MIN_DEPTH``."""
     means = frames.mean(axis=(2, 3))
-    short = np.clip((near - means) / (near - min_depth), 0.0, 1.0)
+    short = np.clip((NEAR_DEPTH - means) / (NEAR_DEPTH - MIN_DEPTH), 0.0, 1.0)
     return short.max(axis=1)
 
 
-def anomaly_scores(frames: np.ndarray, reconstruction: np.ndarray,
-                   camera: CameraConfig) -> np.ndarray:
+def anomaly_scores(frames: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
     """Per-sample anomaly scores for a (B, 2, H, W) batch: the reconstruction
     MSE plus ``(max_range - min_depth)^2`` times the implausibility, so a pair
     with a fully occluded frame scores above any clean-frame reconstruction
     error an in-range autoencoder output can give."""
-    near = near_depth_bound(camera)
     span = MAX_RANGE - MIN_DEPTH
-    return (loss_ad_batch(frames, reconstruction)
-            + span * span * implausibility(frames, near, MIN_DEPTH))
+    return loss_ad_batch(frames, reconstruction) + span * span * implausibility(frames)

@@ -14,7 +14,10 @@ MOUNT_UP = 0.05
 MOUNT_PITCH = 0.8
 MAX_RANGE = 2.0              # m
 MIN_DEPTH = 0.01             # m
-# the randomize stage's proportional and additive range noise
+# the randomize stage's uniform pose jitter: position (m) and pitch and yaw
+# (rad, 5 degrees), then its proportional and additive range noise
+POS_JITTER = 0.01
+ANG_JITTER = 0.0872664626
 PROP_NOISE_STD = 0.01
 ADD_NOISE_STD = 0.1
 

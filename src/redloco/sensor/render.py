@@ -25,8 +25,8 @@ from ..config import CameraConfig
 from ..errors import ContractError
 from ..world.batch import BatchWorld
 from ..world.terrain import CELL_SIZE
-from .camera import (ADD_NOISE_STD, FOV_H, FOV_V, MAX_RANGE, MIN_DEPTH, MOUNT_FORWARD,
-                     MOUNT_PITCH, MOUNT_UP, PROP_NOISE_STD)
+from .camera import (ADD_NOISE_STD, ANG_JITTER, FOV_H, FOV_V, MAX_RANGE, MIN_DEPTH,
+                     MOUNT_FORWARD, MOUNT_PITCH, MOUNT_UP, POS_JITTER, PROP_NOISE_STD)
 
 
 def march_rays(heights: np.ndarray, void: np.ndarray, cell_size: float,
@@ -140,8 +140,7 @@ def render_batch(world: BatchWorld, camera: CameraConfig,
             rng.random(out=jitter[i])
         # low + (high - low) * u is rng.uniform's own arithmetic, so these are
         # the bits of four scalar uniform(-bound, bound) draws per env
-        bound = np.array([camera.pos_jitter, camera.pos_jitter,
-                          camera.ang_jitter, camera.ang_jitter])
+        bound = np.array([POS_JITTER, POS_JITTER, ANG_JITTER, ANG_JITTER])
         jitter = -bound + 2.0 * bound * jitter
     cam_x, cam_z, depression, dx, dz = _ray_geometry(
         camera, world.x, world.z, world.pitch, jitter[:, :2], jitter[:, 2], jitter[:, 3])

@@ -54,7 +54,7 @@ def build_networks(cfg: TrainConfig, rng: np.random.Generator) -> Networks:
                      PROFILE_SAMPLES, rng)
     him = HimTargetEncoder(cfg.net, OBS_DIM, rng)
     ae = build_autoencoder(cfg.selector, cfg.camera.height, cfg.camera.width, rng)
-    policy = GaussianPolicy(policy_obs_dim(cfg), 2, rng)
+    policy = GaussianPolicy(policy_obs_dim(cfg), rng)
     critic = Critic(critic_obs_dim(cfg), rng)
     return Networks(op, vp, him, ae, policy, critic)
 

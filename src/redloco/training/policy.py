@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Elu, LayerStack, Linear, TensorParam
+from ..world import ACT_DIM
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 ACTOR_HIDDEN = (128, 64)
@@ -15,12 +16,11 @@ INIT_LOG_STD = -0.7
 class GaussianPolicy:
     """MLP mean head with a state-independent learned log-std."""
 
-    def __init__(self, obs_dim: int, act_dim: int, rng: np.random.Generator) -> None:
+    def __init__(self, obs_dim: int, rng: np.random.Generator) -> None:
         h1, h2 = ACTOR_HIDDEN
         self.actor = LayerStack([Linear(obs_dim, h1), Elu(), Linear(h1, h2), Elu(),
-                                 Linear(h2, act_dim)], (obs_dim,), rng)
-        self.log_std = TensorParam("log_std", np.full(act_dim, INIT_LOG_STD))
-        self.act_dim = act_dim
+                                 Linear(h2, ACT_DIM)], (obs_dim,), rng)
+        self.log_std = TensorParam("log_std", np.full(ACT_DIM, INIT_LOG_STD))
 
     def params(self):
         yield from self.actor.params()
@@ -43,7 +43,7 @@ class GaussianPolicy:
         zs = (actions - mu) / std
         return (-0.5 * (zs * zs).sum(axis=1)
                 - self.log_std.values.sum()
-                - 0.5 * self.act_dim * LOG_2PI)
+                - 0.5 * ACT_DIM * LOG_2PI)
 
     def evaluate(self, obs: np.ndarray, actions: np.ndarray):
         """Log-probs with a tape for the surrogate backward pass."""
@@ -64,10 +64,10 @@ class GaussianPolicy:
         self.log_std.grad += (g_logp[:, None] * d_logstd).sum(axis=0)
 
     def entropy(self) -> float:
-        return float(self.log_std.values.sum() + 0.5 * self.act_dim * (1.0 + LOG_2PI))
+        return float(self.log_std.values.sum() + 0.5 * ACT_DIM * (1.0 + LOG_2PI))
 
     def entropy_grad_logstd(self) -> np.ndarray:
-        return np.ones(self.act_dim)
+        return np.ones(ACT_DIM)
 
 
 class Critic:

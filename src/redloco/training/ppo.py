@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import PPOConfig
 from ..nn import Adam, clip_grad_norm
 from .policy import Critic, GaussianPolicy
 
@@ -23,11 +22,14 @@ ENTROPY_COEF = 0.005
 VALUE_COEF = 0.5
 MAX_GRAD_NORM = 1.0
 # the usual constants of Schulman et al. (2017): the Adam learning rate of the
-# policy and the critic, the ratio clip, and the discount and lambda of GAE
+# policy and the critic, the ratio clip, the discount and lambda of GAE, and
+# the passes over each rollout and the minibatches of each pass
 LR = 3e-4
 CLIP = 0.2
 DISCOUNT = 0.99
 GAE_LAMBDA = 0.95
+EPOCHS = 4
+MINIBATCHES = 4
 
 
 def mean_bound_loss(mu: np.ndarray) -> tuple[float, np.ndarray]:
@@ -54,18 +56,17 @@ def normalize_advantages(adv: np.ndarray) -> tuple[np.ndarray, bool]:
     return (adv - adv.mean()) / np.sqrt(var), False
 
 
-def surrogate_and_grad(ratio: np.ndarray, adv: np.ndarray, clip: float
-                       ) -> tuple[float, np.ndarray]:
+def surrogate_and_grad(ratio: np.ndarray, adv: np.ndarray) -> tuple[float, np.ndarray]:
     """Pessimistic clipped objective and its gradient w.r.t. the ratio.
 
     Gradient follows the selected branch: the clipped branch contributes
-    nothing once the ratio saturates outside [1-clip, 1+clip].
+    nothing once the ratio saturates outside [1-CLIP, 1+CLIP].
     """
     unclipped = ratio * adv
-    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip) * adv
+    clipped = np.clip(ratio, 1.0 - CLIP, 1.0 + CLIP) * adv
     take_unclipped = unclipped <= clipped
     value = float(np.minimum(unclipped, clipped).mean())
-    inside = (ratio > 1.0 - clip) & (ratio < 1.0 + clip)
+    inside = (ratio > 1.0 - CLIP) & (ratio < 1.0 + CLIP)
     dmin_dr = np.where(take_unclipped, adv, np.where(inside, adv, 0.0))
     return value, dmin_dr / ratio.size
 
@@ -73,19 +74,19 @@ def surrogate_and_grad(ratio: np.ndarray, adv: np.ndarray, clip: float
 def ppo_update(policy: GaussianPolicy, critic: Critic, policy_opt: Adam,
                critic_opt: Adam, obs: np.ndarray, critic_obs: np.ndarray,
                actions: np.ndarray, log_probs_old: np.ndarray, advantages: np.ndarray,
-               returns: np.ndarray, cfg: PPOConfig, rng: np.random.Generator) -> PPOStats:
+               returns: np.ndarray, rng: np.random.Generator) -> PPOStats:
     n = obs.shape[0]
     adv, skipped = normalize_advantages(advantages)
     surr_vals, v_losses, clip_fracs = [], [], []
-    for _ in range(cfg.epochs):
+    for _ in range(EPOCHS):
         perm = rng.permutation(n)
-        for mb in np.array_split(perm, cfg.minibatches):
+        for mb in np.array_split(perm, MINIBATCHES):
             o, co, a = obs[mb], critic_obs[mb], actions[mb]
             lp_old, ad, ret = log_probs_old[mb], adv[mb], returns[mb]
 
             lp, mu, tape = policy.evaluate(o, a)
             ratio = np.exp(lp - lp_old)
-            surr, g_min_dr = surrogate_and_grad(ratio, ad, CLIP)
+            surr, g_min_dr = surrogate_and_grad(ratio, ad)
             # loss = -surrogate - ENTROPY_COEF * entropy + mean bound
             g_logp = -g_min_dr * ratio
             _, g_bound = mean_bound_loss(mu)

@@ -18,7 +18,7 @@ from ..config import TrainConfig
 from ..errors import ContractError
 from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer,
                           VpEstimator, fuse_batch)
-from ..selector.autoencoder import PAIR_FRAMES, anomaly_scores
+from ..selector.autoencoder import anomaly_scores
 from ..sensor import edge_truncate_resize, render_batch
 from ..world import OBS_DIM, PROFILE_SAMPLES, BatchWorld, compute_reward, update_curriculum
 from ..nn import LayerStack
@@ -44,7 +44,6 @@ class TickData:
     resets_before: np.ndarray      # (E,) env reset since the previous tick
     next_obs: np.ndarray | None = None   # (E, od) filled one step later
     loss_valid: np.ndarray | None = None  # (E,) no episode boundary crossed
-    masks: np.ndarray | None = None
 
 
 @dataclass
@@ -86,8 +85,8 @@ class VecRunner:
         self.world = BatchWorld(cfg.world, kinds, env_rngs, start_levels)
         if fixed_commands is not None:
             self.world.reset(range(self.n), fixed_commands)
-        self.proprio = ProprioBuffer(self.n, cfg.net.history_len, OBS_DIM)
-        self.depth = DepthBuffer(self.n, PAIR_FRAMES, cfg.camera.height, cfg.camera.width)
+        self.proprio = ProprioBuffer(self.n, cfg.net.history_len)
+        self.depth = DepthBuffer(self.n, cfg.camera.height, cfg.camera.width)
         self.op_hidden = op.zero_hidden(self.n)
         self.vp_hidden = vp.zero_hidden(self.n)
         self.latents = np.zeros((self.n, 2 * cfg.net.latent))
@@ -142,7 +141,7 @@ class VecRunner:
         losses = None
         if self.ae is not None:
             recon, _, _ = self.ae.forward(depth_pairs)
-            losses = anomaly_scores(depth_pairs, recon, cam)
+            losses = anomaly_scores(depth_pairs, recon)
         priv = self.world.privileged()
         self.m_t_held = priv.m_t
         resets_before = self.resets_since_tick.copy()

@@ -13,8 +13,12 @@ import numpy as np
 from ..world.terrain import DIFFICULT_KINDS, TERRAIN_KINDS
 from ..errors import ContractError
 
-# the moving average of tracking that moves the command curriculum to phase 2
+# the moving average of tracking, over the last PHASE_WINDOW iterations, that
+# moves the command curriculum to phase 2; past PHASE_BUDGET_FRAC of the run's
+# iterations it moves anyway
 PHASE_THRESHOLD = 0.7
+PHASE_WINDOW = 20
+PHASE_BUDGET_FRAC = 0.6
 # iterations between flips of the simple envs' estimator mask
 FLIP_PERIOD = 20
 
@@ -26,8 +30,7 @@ def terrain_class(kind: str) -> str:
 
 
 class AdaptationSchedule:
-    def __init__(self, kinds: list[str], flip_period: int) -> None:
-        self.flip_period = flip_period
+    def __init__(self, kinds: list[str]) -> None:
         self.simple = np.array([terrain_class(k) == "simple" for k in kinds], dtype=bool)
         # stagger among the simple envs (by their rank among them) so both
         # estimators drive the policy somewhere every iteration
@@ -36,19 +39,17 @@ class AdaptationSchedule:
     def masks(self, iteration: int) -> np.ndarray:
         """(E,) int64 masks: 0 (vision) on difficult envs, the flipping
         phase XOR the env's offset on simple ones."""
-        phase = (iteration // self.flip_period) % 2
+        phase = (iteration // FLIP_PERIOD) % 2
         return np.where(self.simple, phase ^ self.offsets, 0)
 
 
 class PhaseTracker:
-    """Two-level command curriculum: phase 1 until the tracking moving average
-    crosses the threshold or the iteration budget runs out, then phase 2
-    forever."""
+    """Two-level command curriculum for a run of ``iterations``: phase 1 until
+    the tracking moving average crosses the threshold or the iteration budget
+    runs out, then phase 2 forever."""
 
-    def __init__(self, threshold: float, budget_iterations: int, window: int = 20) -> None:
-        self.threshold = threshold
-        self.budget = budget_iterations
-        self.window = window
+    def __init__(self, iterations: int) -> None:
+        self.budget = int(PHASE_BUDGET_FRAC * iterations)
         self._history: list[float] = []
         self.phase = 1
 
@@ -56,8 +57,8 @@ class PhaseTracker:
         if self.phase == 2:
             return 2
         self._history.append(float(tracking_value))
-        ma = float(np.mean(self._history[-self.window:]))
-        if (len(self._history) >= self.window and ma >= self.threshold) \
+        ma = float(np.mean(self._history[-PHASE_WINDOW:]))
+        if (len(self._history) >= PHASE_WINDOW and ma >= PHASE_THRESHOLD) \
                 or iteration >= self.budget:
             self.phase = 2
         return self.phase

@@ -82,7 +82,9 @@ def _bptt(net, outs, tapes, sels, loss, ticks: list[TickData], him: HimTargetEnc
 
 def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
                       op_opt: Adam, vp_opt: Adam, him_opt: Adam,
-                      ticks: list[TickData]) -> SupervisedStats:
+                      ticks: list[TickData], masks: np.ndarray) -> SupervisedStats:
+    """One step of each estimator and the target encoder on a rollout's
+    ``ticks``; ``masks`` is the rollout's (E,) estimator mask row."""
     if not ticks:
         return SupervisedStats(float("nan"), float("nan"), 0, 0)
     for net in (op, vp, him):
@@ -102,7 +104,8 @@ def supervised_update(op: OpEstimator, vp: VpEstimator, him: HimTargetEncoder,
         ticks, him, him_out, him_tapes)
 
     # the vision estimator only learns from vision-mode records
-    vp_sel = [tk.loss_valid & (tk.masks == 0) for tk in ticks]
+    vision = masks == 0
+    vp_sel = [tk.loss_valid & vision for tk in ticks]
     n_vp_rows = int(sum(s.sum() for s in vp_sel))
     vp_loss_sum, vp_ticks = 0.0, 0
     if n_vp_rows:

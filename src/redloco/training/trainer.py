@@ -22,10 +22,10 @@ from ..errors import ConfigError, RolloutAbort
 from ..nn import Adam, LayerStack
 from ..world import TERRAIN_KINDS
 from .bundle import Networks, build_networks, critic_obs_dim, policy_obs_dim, save_bundle
-from .ppo import DISCOUNT, GAE_LAMBDA, LR, PPOStats, ppo_update
+from .ppo import LR, PPOStats, ppo_update
 from .rollout import RolloutBuffer
 from .runner import VecRunner
-from .schedule import FLIP_PERIOD, PHASE_THRESHOLD, AdaptationSchedule, PhaseTracker, terrain_class
+from .schedule import AdaptationSchedule, PhaseTracker, terrain_class
 from .supervised import (AE_LR, EST_LR, AutoencoderStats, SupervisedStats,
                          autoencoder_update, clean_pairs, supervised_update)
 
@@ -138,9 +138,8 @@ class Trainer:
         mix = list(cfg.terrain_mix)
         self.kinds = [mix[i % len(mix)] for i in range(cfg.n_envs)]
         self.runner = VecRunner(cfg, self.kinds, env_rngs, self.nets.op, self.nets.vp)
-        self.schedule = AdaptationSchedule(self.kinds, FLIP_PERIOD)
-        self.phase = PhaseTracker(PHASE_THRESHOLD,
-                                  int(cfg.phase_budget_frac * cfg.iterations))
+        self.schedule = AdaptationSchedule(self.kinds)
+        self.phase = PhaseTracker(cfg.iterations)
         self.policy_opt = Adam(self.nets.policy.params(), LR)
         self.critic_opt = Adam(self.nets.critic.params(), LR)
         self.op_opt = Adam(self.nets.op.params(), EST_LR)
@@ -158,12 +157,12 @@ class Trainer:
         masks = self.schedule.masks(iteration)
         buf = RolloutBuffer(cfg.n_envs, cfg.horizon, policy_obs_dim(cfg),
                             critic_obs_dim(cfg))
+        buf.masks[...] = masks
         pending = None
         for _ in range(cfg.horizon):
             if runner.is_tick_step():
                 tick = runner.tick_estimators()
                 runner.set_latents(masks)
-                tick.masks = masks.copy()
                 buf.add_tick(tick)
                 pending = tick
             obs_p = runner.policy_obs()
@@ -182,8 +181,7 @@ class Trainer:
                 pending.loss_valid = ~sd.resets
                 pending = None
             buf.add_step(obs_p, obs_c, actions, log_probs, values, sd.rewards,
-                         sd.lin_vel, sd.terminated, sd.truncated, masks,
-                         sd.collisions)
+                         sd.lin_vel, sd.terminated, sd.truncated, sd.collisions)
         bootstrap = self.nets.critic.value(runner.critic_obs())
         return buf, bootstrap
 
@@ -221,7 +219,7 @@ class Trainer:
                 self.runner.phase = self.phase.phase
                 buf, bootstrap = self.collect(it)
                 lane.join()          # the previous update ran beside this collect
-                adv, ret = buf.compute_advantages(bootstrap, DISCOUNT, GAE_LAMBDA)
+                adv, ret = buf.compute_advantages(bootstrap)
                 # the autoencoder shares no parameter, optimizer or generator with
                 # PPO and the estimators, so the order of their steps cannot change a bit
                 lane.submit(clean_pairs(buf.ticks))
@@ -229,9 +227,10 @@ class Trainer:
                     self.nets.policy, self.nets.critic, self.policy_opt,
                     self.critic_opt, buf.flat(buf.obs), buf.flat(buf.critic_obs),
                     buf.flat(buf.actions), buf.flat(buf.log_probs),
-                    adv.reshape(-1), ret.reshape(-1), cfg.ppo, self.shuffle_rng)
+                    adv.reshape(-1), ret.reshape(-1), self.shuffle_rng)
                 sup = supervised_update(self.nets.op, self.nets.vp, self.nets.him,
-                                        self.op_opt, self.vp_opt, self.him_opt, buf.ticks)
+                                        self.op_opt, self.vp_opt, self.him_opt, buf.ticks,
+                                        buf.masks)
                 mean_lin = float(buf.lin_vel[:buf.ptr].mean())
                 self.phase.update(it, mean_lin)
                 lane.on_stats = self._row_writer(mfile, kfile, it, buf, stats, sup, mean_lin)
@@ -261,10 +260,10 @@ class Trainer:
         head = (it, float(buf.rewards[:buf.ptr].mean()), mean_lin, sup.loss_op, sup.loss_vp)
         tail = (stats.surrogate, stats.value_loss, stats.entropy, stats.clip_fraction,
                 float(np.mean(self.runner.levels())), self.phase.phase,
-                float(np.mean(buf.masks[:buf.ptr] == 0)),
+                float(np.mean(buf.masks == 0)),
                 int(buf.terminated[:buf.ptr].sum() + buf.truncated[:buf.ptr].sum()),
                 int(buf.collisions[:buf.ptr].sum()), int(stats.adv_norm_skipped))
-        masks = self.schedule.masks(it)
+        masks = buf.masks
 
         def write(ae: AutoencoderStats) -> None:
             row = head + (ae.loss_ad,) + tail + (sup.rejected_updates + ae.rejected_updates,)

@@ -26,6 +26,7 @@ from .commands import Command, sample_command
 from .terrain import CELL_SIZE, SPAWN_X, TERRAIN_CELLS, Heightfield, generate_terrain
 
 OBS_DIM = 14
+ACT_DIM = 2                  # forward drive, hop
 DT = 0.02                    # s, one sim step
 JOINT_PHASE0 = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
 
@@ -107,10 +108,10 @@ class BatchWorld:
         self.ax, self.az, self.pitch_rate = (np.zeros(n) for _ in range(3))
         self.airborne = np.zeros(n, dtype=bool)
         self.joint_phase = np.tile(JOINT_PHASE0, (n, 1))
-        self.last_action = np.zeros((n, 2))
+        self.last_action = np.zeros((n, ACT_DIM))
         # the previous step's ax and action, which the reward compares against
         self.prev_ax = np.zeros(n)
-        self.prev_action = np.zeros((n, 2))
+        self.prev_action = np.zeros((n, ACT_DIM))
         self.motor_gain = np.ones(n)
         self.episode_step = np.zeros(n, dtype=np.int64)
         self.start_x = np.full(n, SPAWN_X)
@@ -184,8 +185,9 @@ class BatchWorld:
     # -- dynamics ----------------------------------------------------------------
     def _check_actions(self, actions) -> np.ndarray:
         a = np.array(actions, dtype=np.float64)
-        if a.shape != (len(self), 2):
-            raise ContractError(f"actions must have shape ({len(self)}, 2), got {a.shape}")
+        if a.shape != (len(self), ACT_DIM):
+            raise ContractError(f"actions must have shape ({len(self)}, {ACT_DIM}), "
+                                f"got {a.shape}")
         bad = ~np.isfinite(a).all(axis=1) | (np.abs(a) > 1.0 + 1e-9).any(axis=1)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])

@@ -24,7 +24,6 @@ from redloco.sensor import (edge_truncate_resize, inject_gaussian, inject_salt_p
 from redloco.sensor.camera import FOV_H, FOV_V, MAX_RANGE, MIN_DEPTH, MOUNT_PITCH
 from redloco.training import load_bundle, train
 from redloco.training.runner import TICK_PERIOD
-from redloco.training.schedule import FLIP_PERIOD
 from redloco.world import BatchWorld, generate_terrain, linear_velocity_reward
 from redloco.world.batch import STAND_HEIGHT
 from redloco.world.terrain import CELL_SIZE
@@ -164,8 +163,8 @@ def test_criterion_4_raycast_oracle():
     for stage in (img, img2,
                   randomized(),
                   edge_truncate_resize(randomized(), 2),
-                  inject_gaussian(randomized(), 100.0, rng, MAX_RANGE, MIN_DEPTH),
-                  inject_salt_pepper(randomized(), 70.0, rng, MAX_RANGE, MIN_DEPTH)):
+                  inject_gaussian(randomized(), 100.0, rng),
+                  inject_salt_pepper(randomized(), 70.0, rng)):
         in_range &= stage.min() > 0 and stage.max() <= 2.0
     ok = worst < 1e-6 and in_range
     report(4, ok, f"max closed-form deviation {worst:.2e} m; all stages in (0, 2]: {in_range}")
@@ -288,7 +287,7 @@ def test_criterion_9_adaptation_schedule_audit(tmp_path):
     rows = [ln.split(",") for ln in res.masks_log.read_text().splitlines()[2:]]
     assert len(rows) == 100 * cfg.n_envs
     from redloco.training import AdaptationSchedule
-    sched = AdaptationSchedule(list(cfg.terrain_mix), FLIP_PERIOD)
+    sched = AdaptationSchedule(list(cfg.terrain_mix))
     violations = 0
     for it_s, env_s, kind, cls, mask_s in rows:
         it, env, mask = int(it_s), int(env_s), int(mask_s)

@@ -4,7 +4,6 @@ import ast
 import dataclasses
 import importlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -39,10 +38,13 @@ DELETED_KEYS = ("selector.beta", "selector.gamma", "reward.hip_bias", "net.depth
                 "camera.mount_pitch", "camera.max_range", "camera.min_depth",
                 "camera.prop_noise_std", "camera.add_noise_std", "selector.tick_period",
                 "flip_period", "ppo.lr", "ppo.clip", "ppo.discount", "ppo.gae_lambda",
-                "ppo.est_lr", "ppo.ae_lr", "ppo.ae_epochs", "ppo.ae_batch")
+                "ppo.est_lr", "ppo.ae_lr", "ppo.ae_epochs", "ppo.ae_batch",
+                "phase_budget_frac", "camera.pos_jitter", "camera.ang_jitter", "ppo.epochs",
+                "ppo.minibatches")
 
-# the keys no run set, each now one constant in the module that reads it,
-# holding the literal that was its default: (key, module, constant, value)
+# the keys no run, preset, flag or benchmark workload set, each now one
+# constant in the module that reads it, holding the literal that was its
+# default: (key, module, constant, value)
 RETIRED_CONSTANTS = (
     ("world.dt", "world.batch", "DT", 0.02),
     ("world.cell_size", "world.terrain", "CELL_SIZE", 0.05),
@@ -65,7 +67,18 @@ RETIRED_CONSTANTS = (
     ("ppo.ae_lr", "training.supervised", "AE_LR", 2e-3),
     ("ppo.ae_epochs", "training.supervised", "AE_EPOCHS", 4),
     ("ppo.ae_batch", "training.supervised", "AE_BATCH", 256),
+    ("phase_budget_frac", "training.schedule", "PHASE_BUDGET_FRAC", 0.6),
+    ("camera.pos_jitter", "sensor.camera", "POS_JITTER", 0.01),
+    ("camera.ang_jitter", "sensor.camera", "ANG_JITTER", 0.0872664626),
+    ("ppo.epochs", "training.ppo", "EPOCHS", 4),
+    ("ppo.minibatches", "training.ppo", "MINIBATCHES", 4),
 )
+# keys that decide which files a run writes, not any figure it computes
+SETTER_EXEMPT = ("out_dir", "checkpoint_every")
+# the config classes and presets, with the section their keywords set
+CONFIG_CALLS = {"TrainConfig": "", "desk_config": "", "paper_shape_config": "",
+                "tiny_config": "", "WorldConfig": "world.", "CameraConfig": "camera.",
+                "NetConfig": "net.", "SelectorConfig": "selector."}
 
 
 def config_keys() -> list[str]:
@@ -82,21 +95,8 @@ def default_value(key: str):
 
 
 def outside_bounds() -> list[tuple[str, str]]:
-    """(key, text) for a value just outside each end of every bound, and NaN
-    for every float key; each text is the repr of the value it parses to."""
-    cases = []
-    for key, bound in config_mod.BOUNDS.items():
-        if isinstance(default_value(key), int):
-            raws = [str(int(bound.low) - 1)]
-            if bound.high != np.inf:
-                raws.append(str(int(bound.high) + 1))
-            cases += [(key, raw) for raw in raws]
-            continue
-        values = [np.nextafter(bound.low, -np.inf)]
-        if bound.high != np.inf:
-            values.append(np.nextafter(bound.high, np.inf))
-        cases += [(key, repr(float(v))) for v in values] + [(key, "nan")]
-    return cases
+    """(key, text) for the value just below every bound."""
+    return [(key, str(bound.low - 1)) for key, bound in config_mod.BOUNDS.items()]
 
 
 def module_level_names(path: Path) -> set[str]:
@@ -110,21 +110,52 @@ def module_level_names(path: Path) -> set[str]:
     return names
 
 
+def config_setters(paths) -> set[str]:
+    """The dotted config keys that the code in ``paths`` sets: by assignment to
+    an attribute (``cfg.camera.height = 12``, ``cfg.seed = args.seed``; not to
+    ``self.x``), by keyword to a config class or preset
+    (``NetConfig(history_len=2)``), or by keyword to ``dataclasses.replace`` of
+    a section (``replace(cfg.world, episode_steps=n)``)."""
+    sections = set(CONFIG_CALLS.values()) - {""}
+    keys: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    for attr in ast.walk(target):
+                        if not isinstance(attr, ast.Attribute) or (
+                                isinstance(attr.value, ast.Name) and attr.value.id == "self"):
+                            continue
+                        owner = getattr(attr.value, "attr", "") + "."
+                        keys.add((owner if owner in sections else "") + attr.attr)
+            elif isinstance(node, ast.Call):
+                func = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if func in CONFIG_CALLS:
+                    prefix = CONFIG_CALLS[func]
+                elif func == "replace" and node.args:
+                    owner = getattr(node.args[0], "attr", "") + "."
+                    prefix = owner if owner in sections else ""
+                else:
+                    continue
+                keys |= {prefix + kw.arg for kw in node.keywords if kw.arg}
+    return keys
+
+
 class TestConfig:
     def test_text_round_trip_preserves_every_field(self):
         cfg = config_mod.desk_config()
         cfg.seed = 9
         cfg.terrain_mix = ("flat", "gap")
-        cfg.camera.pos_jitter = 0.02
-        cfg.ppo.minibatches = 3
+        cfg.camera.edge_border = 2
+        cfg.net.z_dim = 3
         back = config_mod.parse_text(config_mod.to_text(cfg))
         assert back == cfg
 
     def test_dotted_keys_reach_nested_sections(self):
-        cfg = config_mod.parse_text("selector.ae_bottleneck = 4\ncamera.pos_jitter = 0.02\n"
+        cfg = config_mod.parse_text("selector.ae_bottleneck = 4\ncamera.edge_border = 2\n"
                                     "seed = 3\n")
         assert cfg.selector.ae_bottleneck == 4
-        assert cfg.camera.pos_jitter == 0.02
+        assert cfg.camera.edge_border == 2
         assert cfg.seed == 3
 
     def test_unknown_key_rejected(self):
@@ -135,7 +166,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_mod.parse_text("just some words\n")
 
-    @pytest.mark.parametrize("key, raw, bad", [("camera.pos_jitter", "abc", "abc"),
+    @pytest.mark.parametrize("key, raw, bad", [("camera.edge_border", "abc", "abc"),
                                                ("n_envs", "2.5", "2.5"),
                                                ("net.cnn_channels", "4, x, 16", "x")])
     def test_malformed_value_names_the_key_and_the_value(self, key, raw, bad):
@@ -159,13 +190,12 @@ class TestConfig:
         # a key no run reads cannot change a run. Record every field read on
         # the config classes, except reads inside config.py (text round trips)
         # and the dataclasses module (bulk copies); this run reaches resets,
-        # phase 2, rough terrain and the AE epochs
+        # rough terrain, the AE epochs and, past its iteration budget, phase 2
         cfg = config_mod.tiny_config()
         cfg.n_envs = 8
         cfg.terrain_mix = config_mod.TrainConfig().terrain_mix
-        cfg.iterations = 2
+        cfg.iterations = 3
         cfg.world.episode_steps = 12
-        cfg.phase_budget_frac = 0.0
         cfg.out_dir = str(tmp_path)
         keys = config_keys()
         ignored = {config_mod.__file__, dataclasses.__file__}
@@ -181,15 +211,17 @@ class TestConfig:
 
         for cls in prefix:
             monkeypatch.setattr(cls, "__getattribute__", hook)
-        Trainer(cfg).run()
+        tr = Trainer(cfg)
+        tr.run()
         monkeypatch.undo()
         assert (tmp_path / "checkpoint.ckpt").exists()
+        assert tr.phase.budget == 1 and tr.phase.phase == 2
         unread = [k for k in keys if k not in read]
         assert unread == [], f"keys the run never reads: {unread}"
 
     def test_a_key_set_twice_names_the_key_and_both_lines(self):
         with pytest.raises(ConfigError, match=r"seed: set twice, on lines 1 and 3"):
-            config_mod.parse_text("seed = 1\ncamera.pos_jitter = 0.02\nseed = 2\n")
+            config_mod.parse_text("seed = 1\ncamera.edge_border = 2\nseed = 2\n")
 
     def test_the_base_presets_values_are_not_repeats(self):
         cfg = config_mod.parse_text("camera.height = 20\n", base=config_mod.desk_config())
@@ -205,23 +237,14 @@ class TestConfig:
         numeric = [k for k in config_keys() if isinstance(default_value(k), (int, float))]
         assert numeric and [k for k in numeric if k not in config_mod.BOUNDS] == []
         assert sorted(config_mod.BOUNDS) == sorted(numeric)
+        # every numeric key counts something; none is a float
+        assert [k for k in numeric if not isinstance(default_value(k), int)] == []
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), key=st.sampled_from(sorted(config_mod.BOUNDS)))
     def test_any_value_outside_a_bound_is_refused_naming_the_key(self, data, key):
         bound = config_mod.BOUNDS[key]
-        integer = isinstance(default_value(key), int)
-        sides = (["below"] + (["above"] if bound.high != math.inf else [])
-                 + ([] if integer else ["nan"]))
-        side = data.draw(st.sampled_from(sides))
-        if integer:
-            value = data.draw(st.integers(max_value=int(bound.low) - 1) if side == "below"
-                              else st.integers(min_value=int(bound.high) + 1))
-        elif side == "below":
-            value = data.draw(st.floats(max_value=bound.low, exclude_max=True, allow_nan=False))
-        else:
-            value = math.nan if side == "nan" else data.draw(
-                st.floats(min_value=bound.high, exclude_min=True, allow_nan=False))
+        value = data.draw(st.integers(max_value=bound.low - 1))
         cfg = config_mod.TrainConfig()
         *path, name = key.split(".")
         section = cfg
@@ -258,10 +281,35 @@ class TestConfig:
                    if name in module_level_names(path)]
         assert binders == [module]
 
+    def test_every_config_key_is_set_outside_the_tests(self):
+        # a key stays only while a preset, a CLI flag, a program path or a
+        # benchmark workload sets it; tests and examples are not callers
+        src = Path(redloco.__file__).parent
+        bench = src.parents[1] / "bench"
+        paths = sorted(src.rglob("*.py")) + sorted(p for p in bench.glob("*.py")
+                                                   if not p.name.startswith("test_"))
+        assert any(p.parent == bench for p in paths)
+        setters = config_setters(paths)
+        unset = [k for k in config_keys() if k not in setters and k not in SETTER_EXEMPT]
+        assert unset == [], f"keys only tests set, or nothing: {unset}"
+
+    @pytest.mark.parametrize("code, keys", [
+        ("cfg.camera.height = 12\ncfg.seed += 1\n", {"camera.height", "camera", "seed"}),
+        ("self.seed = 3\n", set()),
+        ("NetConfig(history_len=2)\nconfig_mod.tiny_config(seed=1, **kw)\n",
+         {"net.history_len", "seed"}),
+        ("dataclasses.replace(cfg.world, episode_steps=9)\nreplace(cfg, n_envs=2)\n",
+         {"world.episode_steps", "n_envs"}),
+        ("f(height=12)\nx = cfg.camera.width\n", set()),
+    ], ids=["assignment", "self", "constructor", "replace", "reads"])
+    def test_the_setter_scan_rules(self, tmp_path, code, keys):
+        path = tmp_path / "case.py"
+        path.write_text(code)
+        assert config_setters([path]) == keys
+
     def test_camera_test_settings_lie_inside_the_bounds(self):
         for cam in (config_mod.CameraConfig(height=12, width=16),
-                    config_mod.CameraConfig(height=48, width=64, ang_jitter=0.0,
-                                            pos_jitter=0.0)):
+                    config_mod.CameraConfig(height=48, width=64)):
             config_mod.validate(config_mod.TrainConfig(camera=cam))
 
     def test_presets_differ_in_camera_resolution(self):
@@ -366,13 +414,13 @@ class TestCli:
 
     def test_malformed_config_value_is_a_structured_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("camera.pos_jitter = abc\n")
+        cfg_file.write_text("camera.edge_border = abc\n")
         code = cli(["train", "--preset", "tiny", "--config", str(cfg_file),
                     "--out", str(tmp_path / "run")])
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
-        assert "camera.pos_jitter" in payload["message"] and "'abc'" in payload["message"]
+        assert "camera.edge_border" in payload["message"] and "'abc'" in payload["message"]
 
     @pytest.mark.parametrize("text, named, out", [
         pytest.param("seed = 1\nseed = 2\n", "seed: set twice, on lines 1 and 2", "run",
@@ -388,10 +436,8 @@ class TestCli:
                        f"{config_mod.BOUNDS[key]}", "run", id=f"{key}={raw}")
           for key, raw, shown in [
               ("n_envs", "0", "0"), ("horizon", "0", "0"),
-              ("ppo.epochs", "0", "0"), ("ppo.minibatches", "0", "0"),
               ("net.history_len", "0", "0"), ("world.episode_steps", "0", "0"),
-              ("camera.edge_border", "-1", "-1"), ("camera.pos_jitter", "nan", "nan"),
-              ("camera.ang_jitter", "-1", "-1.0"), ("phase_budget_frac", "2", "2.0")]),
+              ("camera.edge_border", "-1", "-1")]),
         *(pytest.param(f"{key} = {raw}\n", f"{key} = {raw} is outside its range "
                        f"{config_mod.BOUNDS[key]}", "run", id=f"bound:{key}={raw}")
           for key, raw in outside_bounds()),
@@ -603,6 +649,27 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ConfigError"
         assert str(beta_file) in payload["message"] and named in payload["message"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["--beta", "--beta-file"])
+    @pytest.mark.parametrize("cmd", ["eval-noise", "sweep-gamma", "trace"])
+    def test_a_non_finite_beta_is_refused_naming_its_source_before_loading(
+            self, tmp_path, capsys, monkeypatch, cmd, source, value):
+        monkeypatch.chdir(tmp_path)
+        if source == "--beta":
+            given, named = ["--beta", value], f"--beta: bad value {value}, want a finite number"
+        else:
+            Path("beta.cfg").write_text(f"# schema: beta-calibration/v1\nbeta = {value}\n")
+            given = ["--beta-file", "beta.cfg"]
+            named = f"beta.cfg: beta value '{value}' is not finite"
+        # the checkpoint is missing, so refusing after the load would name the file
+        assert cli([cmd, "--checkpoint", "missing.ckpt", *given, "--out", "out"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ConfigError", "message": named}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["beta.cfg"] * (source != "--beta")
 
     @pytest.mark.parametrize("text, want", [
         ("# schema: beta-calibration/v1\nbetamax = 3\nbeta = 0.02\n", 0.02),

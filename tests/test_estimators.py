@@ -9,6 +9,8 @@ from redloco.config import NetConfig
 from redloco.errors import ContractError
 from redloco.estimators import (DepthBuffer, HimTargetEncoder, OpEstimator, ProprioBuffer,
                                 VpEstimator, fuse_batch, loss_op, loss_vp, mse)
+from redloco.selector.autoencoder import PAIR_FRAMES
+from redloco.world import OBS_DIM
 
 CFG = NetConfig(history_len=4, embed_hidden=8, embed_out=6, cnn_channels=(2, 3, 4),
                 encoder_hidden=8, encoder_out=6, gru_hidden=8, latent=5, z_dim=4,
@@ -38,21 +40,21 @@ class _EnvHistory:
 
 class TestBuffers:
     def test_proprio_warmup_is_zero_padded_then_exact_length(self):
-        buf = ProprioBuffer(2, 4, 3)
-        assert buf.flat().shape == (2, 12)
+        buf = ProprioBuffer(2, 4)
+        assert buf.flat().shape == (2, 4 * OBS_DIM)
         np.testing.assert_array_equal(buf.flat(), 0.0)
         for k in range(6):
-            buf.push(np.full((2, 3), float(k)))
+            buf.push(np.full((2, OBS_DIM), float(k)))
         np.testing.assert_array_equal(buf.data[:, :, 0], [[2, 3, 4, 5]] * 2)
 
     def test_flat_is_oldest_first(self):
-        buf = ProprioBuffer(1, 3, 2)
+        buf = ProprioBuffer(1, 3)
         for k in range(3):
-            buf.push([[k, k]])
-        np.testing.assert_array_equal(buf.flat(), [[0, 0, 1, 1, 2, 2]])
+            buf.push([[k] * OBS_DIM])
+        np.testing.assert_array_equal(buf.flat(), [np.repeat([0, 1, 2], OBS_DIM)])
 
     def test_depth_buffer_tracks_rendered_and_clean_slots(self):
-        buf = DepthBuffer(2, 2, *HW)
+        buf = DepthBuffer(2, *HW)
         assert not buf.rendered.any() and not buf.clean.any()
         buf.push(np.ones((2,) + HW), np.array([False, True]))
         np.testing.assert_array_equal(buf.rendered, [[False, True], [False, True]])
@@ -68,21 +70,21 @@ class TestBuffers:
 
     def test_wrong_shapes_rejected(self):
         with pytest.raises(ContractError):
-            ProprioBuffer(2, 4, 3).push(np.zeros((2, 2)))
+            ProprioBuffer(2, 4).push(np.zeros((2, OBS_DIM - 1)))
         with pytest.raises(ContractError):
-            ProprioBuffer(2, 4, 3).push(np.zeros(3))
+            ProprioBuffer(2, 4).push(np.zeros(OBS_DIM))
         with pytest.raises(ContractError):
-            DepthBuffer(2, 2, *HW).push(np.ones((2, 3, 3)), np.zeros(2, dtype=bool))
+            DepthBuffer(2, *HW).push(np.ones((2, 3, 3)), np.zeros(2, dtype=bool))
         with pytest.raises(ContractError):
-            DepthBuffer(2, 2, *HW).push(np.ones(HW), np.zeros(2, dtype=bool))
+            DepthBuffer(2, *HW).push(np.ones(HW), np.zeros(2, dtype=bool))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_buffers_match_per_env_reference(self, seed):
         # random pushes, corruptions and resets of env subsets, checked
         # against one plain list-of-slots history per env
         rng = np.random.default_rng(seed)
-        n, h, od, d = 5, 4, 3, 3
-        pbuf, dbuf = ProprioBuffer(n, h, od), DepthBuffer(n, d, *HW)
+        n, h, od, d = 5, 4, OBS_DIM, PAIR_FRAMES
+        pbuf, dbuf = ProprioBuffer(n, h), DepthBuffer(n, *HW)
         p_ref = [_EnvHistory(h) for _ in range(n)]
         d_ref = [_EnvHistory(d) for _ in range(n)]
         for _ in range(40):

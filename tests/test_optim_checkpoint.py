@@ -321,7 +321,10 @@ class TestBundleLoading:
                                       "flip_period = 20", "ppo.lr = 3e-4", "ppo.clip = 0.2",
                                       "ppo.gae_lambda = 0.95", "ppo.est_lr = 1e-3",
                                       "ppo.ae_lr = 2e-3", "ppo.ae_epochs = 4",
-                                      "ppo.ae_batch = 256"])
+                                      "ppo.ae_batch = 256", "phase_budget_frac = 0.6",
+                                      "camera.pos_jitter = 0.01",
+                                      "camera.ang_jitter = 0.0872664626", "ppo.epochs = 4",
+                                      "ppo.minibatches = 4"])
     def test_embedded_config_naming_a_key_no_run_read_is_refused(self, bundle, line):
         path, arrays, meta = bundle
         meta["config"] += line + "\n"

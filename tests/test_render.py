@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from redloco.config import CameraConfig, WorldConfig
 from redloco.errors import ContractError
 from redloco.sensor import dump_text, edge_truncate_resize, march_rays, render_batch
-from redloco.sensor.camera import (ADD_NOISE_STD, FOV_H, FOV_V, MAX_RANGE, MIN_DEPTH,
-                                   MOUNT_PITCH, PROP_NOISE_STD)
+from redloco.sensor.camera import (ADD_NOISE_STD, ANG_JITTER, FOV_H, FOV_V, MAX_RANGE,
+                                   MIN_DEPTH, MOUNT_PITCH, POS_JITTER, PROP_NOISE_STD)
 from redloco.world import TERRAIN_KINDS, BatchWorld, generate_terrain, make_command
 from redloco.world.batch import STAND_HEIGHT
 from redloco.world.terrain import CELL_SIZE, SPAWN_X
@@ -298,7 +298,7 @@ class TestInvariantsAndDeterminism:
         frames, _ = render_batch(world, cam, [np.random.default_rng([4, i]) for i in range(n)])
 
         rngs = [np.random.default_rng([4, i]) for i in range(n)]
-        p, a = cam.pos_jitter, cam.ang_jitter
+        p, a = POS_JITTER, ANG_JITTER
         jitter = np.array([[r.uniform(-p, p), r.uniform(-p, p), r.uniform(-a, a),
                             r.uniform(-a, a)] for r in rngs])
         assert seen["jitter"].tobytes() == jitter.tobytes()
@@ -309,21 +309,27 @@ class TestInvariantsAndDeterminism:
         want = np.clip(want + ADD_NOISE_STD * add, MIN_DEPTH, MAX_RANGE)
         assert frames.tobytes() == want.tobytes()
 
-    def test_noise_statistics_match_the_model(self):
-        # empirical std of randomized depths vs sqrt(var_add + (prop*d)^2)
-        cam = CameraConfig(height=48, width=64, ang_jitter=0.0, pos_jitter=0.0)
+    def test_noise_statistics_match_the_model(self, monkeypatch):
+        # randomized depths about the depths d their jittered rays marched to,
+        # in units of the model's std sqrt(var_add + (prop*d)^2)
+        cam = CameraConfig(height=48, width=64)
         w = flat_world()
-        raw, _ = render_one(w, cam)
+        marched = []
+
+        def march(*args, **kw):
+            marched.append(march_rays(*args, **kw))
+            return marched[-1]
+
+        monkeypatch.setattr(render_mod, "march_rays", march)
         rng = np.random.default_rng(123)
         samples = np.stack([
             render_one(w, cam, rng, randomize=True)[0] for _ in range(40)])
-        inner = raw < MAX_RANGE - 0.3   # keep away from the clip
-        inner &= raw > 0.4
-        d = raw[inner]
-        emp_std = samples[:, inner].std(axis=0)
-        want = np.sqrt(ADD_NOISE_STD ** 2 + (PROP_NOISE_STD * d) ** 2)
-        ratio = emp_std.mean() / want.mean()
-        assert 0.9 < ratio < 1.1
+        depth = np.stack(marched).reshape(samples.shape)
+        inner = (depth < MAX_RANGE - 0.3) & (depth > 0.4)   # keep away from the clip
+        want = np.sqrt(ADD_NOISE_STD ** 2 + (PROP_NOISE_STD * depth[inner]) ** 2)
+        z = (samples[inner] - depth[inner]) / want
+        assert z.size > 10_000
+        assert abs(z.mean()) < 0.1 and 0.9 < z.std() < 1.1
 
 
 class TestEdgeTruncateResize:

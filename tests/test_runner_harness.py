@@ -16,7 +16,6 @@ from redloco.harness import protocols
 from redloco.harness.protocols import _make_noise_hook, max_switch_delay, switch_delays
 from redloco.selector.autoencoder import PAIR_FRAMES
 from redloco.sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
-from redloco.sensor.camera import MAX_RANGE, MIN_DEPTH
 from redloco.training import Trainer, build_networks, load_bundle, train
 from redloco.training.runner import TICK_PERIOD, VecRunner
 
@@ -98,13 +97,11 @@ class TestRunner:
                     if not ev.active(step):
                         continue
                     if ev.kind == "gaussian":
-                        want[i] = inject_gaussian(want[i], ev.level, rng, MAX_RANGE,
-                                                  MIN_DEPTH)
+                        want[i] = inject_gaussian(want[i], ev.level, rng)
                     elif ev.kind == "salt_pepper":
-                        want[i] = inject_salt_pepper(want[i], ev.level, rng, MAX_RANGE,
-                                                     MIN_DEPTH)
+                        want[i] = inject_salt_pepper(want[i], ev.level, rng)
                     else:
-                        want[i] = inject_occlusion(want[i], MIN_DEPTH)
+                        want[i] = inject_occlusion(want[i])
             got, corrupted = hook(frames.copy(), step)
             assert got.tobytes() == want.tobytes(), step
             assert corrupted.tolist() == [any(ev.active(step) for ev in events)] * 3

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from redloco.config import SelectorConfig, desk_config
 from redloco.errors import ContractError
-from redloco.selector import (MODE_OP, MODE_VP, anomaly_scores, build_autoencoder,
-                              calibrate_beta, filter_step, filter_update, implausibility,
-                              loss_ad_batch, make_selector, min_flip_ticks, near_depth_bound,
+from redloco.selector import (MODE_OP, MODE_VP, NEAR_DEPTH, anomaly_scores,
+                              build_autoencoder, calibrate_beta, filter_step, filter_update,
+                              implausibility, loss_ad_batch, make_selector, min_flip_ticks,
                               trace_record)
 from redloco.sensor import edge_truncate_resize, inject_occlusion, render_batch
 from redloco.sensor.camera import MAX_RANGE, MIN_DEPTH
@@ -204,31 +204,27 @@ class TestAutoencoder:
 
 
 class TestAnomalyScore:
-    CAM = desk_config().camera
-
     def test_near_bound_comes_from_the_mount_geometry(self):
-        near = near_depth_bound(self.CAM)
-        assert near == pytest.approx(0.15 - 0.10 - 0.01, abs=1e-12)
-        assert near > MIN_DEPTH
+        assert NEAR_DEPTH == pytest.approx(0.15 - 0.10 - 0.01, abs=1e-12)
+        assert NEAR_DEPTH > MIN_DEPTH
 
     def test_occluded_pair_scores_above_any_clean_range_beta(self):
         rng = np.random.default_rng(6)
         ae = build_autoencoder(SelectorConfig(), 12, 16, rng)
-        near = near_depth_bound(self.CAM)
         # clean-range frames sit at or beyond the near bound; reconstructions
         # anywhere in the camera range
-        clean = rng.uniform(near, MAX_RANGE, (256, 2, 12, 16))
+        clean = rng.uniform(NEAR_DEPTH, MAX_RANGE, (256, 2, 12, 16))
         recon = rng.uniform(MIN_DEPTH, MAX_RANGE, clean.shape)
-        beta = calibrate_beta(anomaly_scores(clean, recon, self.CAM))
+        beta = calibrate_beta(anomaly_scores(clean, recon))
         occluded = np.full((1, 2, 12, 16), MIN_DEPTH)
         onset = np.stack([clean[0, 1], occluded[0, 0]])[None]
         for pair in (occluded, onset):
-            score = anomaly_scores(pair, ae.forward(pair)[0], self.CAM)
+            score = anomaly_scores(pair, ae.forward(pair)[0])
             assert score[0] > beta
 
     def test_occlusion_is_anomalous_even_when_reconstructed_exactly(self):
         occluded = np.full((3, 2, 12, 16), MIN_DEPTH)
-        scores = anomaly_scores(occluded, occluded.copy(), self.CAM)
+        scores = anomaly_scores(occluded, occluded.copy())
         span = MAX_RANGE - MIN_DEPTH
         np.testing.assert_allclose(scores, span * span, rtol=1e-12)
 
@@ -238,21 +234,18 @@ class TestAnomalyScore:
         world = BatchWorld(cfg.world, kinds, [np.random.default_rng(i) for i in range(6)],
                            [9] * 6)
         rngs = [np.random.default_rng(10 + i) for i in range(len(kinds))]
-        near = near_depth_bound(cfg.camera)
         for _ in range(40):
             frames = edge_truncate_resize(render_batch(world, cfg.camera, rngs)[0],
                                           cfg.camera.edge_border)
             pairs = np.stack([frames, frames], axis=1)
-            assert (implausibility(pairs, near, MIN_DEPTH) == 0.0).all()
+            assert (implausibility(pairs) == 0.0).all()
             recon = pairs + 0.05
-            np.testing.assert_array_equal(
-                anomaly_scores(pairs, recon, cfg.camera),
-                loss_ad_batch(pairs, recon))
+            np.testing.assert_array_equal(anomaly_scores(pairs, recon),
+                                          loss_ad_batch(pairs, recon))
             for _ in range(4):
                 world.reset(np.flatnonzero(world.step(np.tile([0.6, 0.0], (6, 1))).done))
-        occ = inject_occlusion(frames[0], MIN_DEPTH)
-        assert implausibility(np.stack([occ, occ])[None], near,
-                              MIN_DEPTH)[0] == 1.0
+        occ = inject_occlusion(frames[0])
+        assert implausibility(np.stack([occ, occ])[None])[0] == 1.0
 
 
 class TestTraceExport:

@@ -14,13 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redloco.config import desk_config, tiny_config
+from redloco.config import SelectorConfig, desk_config, tiny_config
 from redloco.errors import ContractError, RolloutAbort
 from redloco.nn import load_checkpoint
+from redloco.nn.gradcheck import fd_grad, rel_err
+from redloco.selector.autoencoder import PAIR_FRAMES, build_autoencoder
+from redloco.sensor.camera import MAX_RANGE, MIN_DEPTH
 from redloco.training import RolloutBuffer, Trainer, load_bundle, ppo_update, train
 from redloco.training.ppo import DISCOUNT, GAE_LAMBDA
 from redloco.training.runner import TICK_PERIOD
-from redloco.training.supervised import autoencoder_update, clean_pairs, supervised_update
+from redloco.training.supervised import (AE_BATCH, autoencoder_update, clean_pairs,
+                                        supervised_update)
 
 trainer_mod = importlib.import_module("redloco.training.trainer")
 
@@ -30,14 +34,12 @@ def test_buffer_holds_exactly_horizon_times_envs_records():
     for _ in range(100):
         buf.add_step(np.zeros((8, 5)), np.zeros((8, 7)), np.zeros((8, 2)),
                      np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8),
-                     np.zeros(8, bool), np.zeros(8, bool), np.zeros(8, dtype=int),
-                     np.zeros(8, bool))
+                     np.zeros(8, bool), np.zeros(8, bool), np.zeros(8, bool))
     assert buf.size == 800
     with pytest.raises(RolloutAbort):
         buf.add_step(np.zeros((8, 5)), np.zeros((8, 7)), np.zeros((8, 2)),
                      np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8),
-                     np.zeros(8, bool), np.zeros(8, bool), np.zeros(8, dtype=int),
-                     np.zeros(8, bool))
+                     np.zeros(8, bool), np.zeros(8, bool), np.zeros(8, bool))
 
 
 def test_gae_matches_reference_recursion():
@@ -47,11 +49,11 @@ def test_gae_matches_reference_recursion():
     for t in range(4):
         buf.add_step(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 2)),
                      np.zeros(1), np.array([values[t]]), np.array([rewards[t]]),
-                     np.zeros(1), np.zeros(1, bool), np.zeros(1, bool),
-                     np.zeros(1, dtype=int), np.zeros(1, bool))
+                     np.zeros(1), np.zeros(1, bool), np.zeros(1, bool), np.zeros(1, bool))
     bootstrap = np.array([0.7])
-    adv, ret = buf.compute_advantages(bootstrap, 0.99, 0.95)
+    adv, ret = buf.compute_advantages(bootstrap)
     # reference recursion, coded independently
+    assert (DISCOUNT, GAE_LAMBDA) == (0.99, 0.95)
     want = np.zeros(4)
     lastgae = 0.0
     vals = values + [0.7]
@@ -68,9 +70,8 @@ def test_termination_cuts_the_advantage_chain():
     for t, done in enumerate([False, True, False]):
         buf.add_step(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 2)),
                      np.zeros(1), np.array([0.5]), np.array([1.0]), np.zeros(1),
-                     np.array([done]), np.zeros(1, bool), np.zeros(1, dtype=int),
-                     np.zeros(1, bool))
-    adv, _ = buf.compute_advantages(np.array([0.0]), 0.99, 0.95)
+                     np.array([done]), np.zeros(1, bool), np.zeros(1, bool))
+    adv, _ = buf.compute_advantages(np.array([0.0]))
     # step 1 is terminal: its advantage sees no bootstrap from step 2
     assert adv[1, 0] == pytest.approx(1.0 - 0.5, abs=1e-12)
 
@@ -191,22 +192,21 @@ class TestTapeReplay:
         cfg.horizon = 32
         return Trainer(cfg, tmp_path / "run")
 
-    def _grads(self, tr, ticks):
+    def _grads(self, tr, ticks, masks):
         grabs = [GradGrab(net.params()) for net in (tr.nets.op, tr.nets.vp, tr.nets.him)]
-        stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, *grabs, ticks)
+        stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him, *grabs, ticks, masks)
         return stats, [g.grads for g in grabs]
 
     def test_replayed_tapes_give_the_grads_of_a_recompute(self, tmp_path):
         tr = self._short_episode_trainer(tmp_path)
         tr.collect(0)                         # carry hiddens into the next rollout
         buf, op_h0, vp_h0 = collect_with_hiddens(tr, 1)
-        for tick in buf.ticks:
-            tick.masks = np.zeros_like(tick.masks)   # every row trains the vision estimator
+        vision = np.zeros_like(buf.masks)    # every row trains the vision estimator
         assert any(tk.resets_before.any() for tk in buf.ticks)
         assert op_h0.any() and vp_h0.any()   # the chain starts mid-episode
         reference = recompute_tapes(tr.nets.op, tr.nets.vp, buf.ticks, op_h0, vp_h0)
-        got_stats, got = self._grads(tr, buf.ticks)
-        want_stats, want = self._grads(tr, reference)
+        got_stats, got = self._grads(tr, buf.ticks, vision)
+        want_stats, want = self._grads(tr, reference, vision)
         assert (got_stats.loss_op, got_stats.loss_vp) == (want_stats.loss_op, want_stats.loss_vp)
         assert got_stats.n_vp_rows > 0
         for net_got, net_want in zip(got, want):
@@ -241,15 +241,19 @@ class TestSupervisedGating:
 
     def test_all_proprio_masks_skip_the_vision_update(self, tmp_path):
         tr, buf = self._setup(tmp_path)
-        for tick in buf.ticks:
-            tick.masks = np.ones_like(tick.masks)
         before = [p.values.copy() for p in tr.nets.vp.params()]
         stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him,
-                                  tr.op_opt, tr.vp_opt, tr.him_opt, buf.ticks)
+                                  tr.op_opt, tr.vp_opt, tr.him_opt, buf.ticks,
+                                  np.ones_like(buf.masks))
         assert stats.n_vp_rows == 0
         assert np.isnan(stats.loss_vp)
         for p, b in zip(tr.nets.vp.params(), before):
             np.testing.assert_array_equal(p.values, b)
+
+    def test_a_rollout_stores_its_mask_row_once(self, tmp_path):
+        tr, buf = self._setup(tmp_path)
+        assert buf.masks.shape == (tr.cfg.n_envs,) and buf.masks.dtype == np.int64
+        assert buf.masks.tolist() == tr.schedule.masks(0).tolist()
 
     def test_deployment_noised_pairs_never_reach_the_autoencoder(self, tmp_path):
         tr, buf = self._setup(tmp_path)
@@ -264,7 +268,7 @@ class TestSupervisedGating:
     def test_a_second_update_on_one_rollout_refuses_its_stale_tapes(self, tmp_path):
         tr, buf = self._setup(tmp_path)
         args = (tr.nets.op, tr.nets.vp, tr.nets.him, tr.op_opt, tr.vp_opt, tr.him_opt,
-                buf.ticks)
+                buf.ticks, buf.masks)
         supervised_update(*args)
         # the first update stepped the weights the tapes were recorded under
         with pytest.raises(ContractError, match="stepped"):
@@ -278,13 +282,35 @@ class TestSupervisedGating:
             # the update replays tapes, so each pass records them under the new weights
             ticks = recompute_tapes(tr.nets.op, tr.nets.vp, buf.ticks, op_h0, vp_h0)
             stats = supervised_update(tr.nets.op, tr.nets.vp, tr.nets.him,
-                                      tr.op_opt, tr.vp_opt, tr.him_opt, ticks)
+                                      tr.op_opt, tr.vp_opt, tr.him_opt, ticks, buf.masks)
             ae_stats = autoencoder_update(tr.nets.ae, tr.ae_opt, clean_pairs(ticks), tr.ae_rng)
             if k == 0:
                 first, first_ae = stats, ae_stats
             last, last_ae = stats, ae_stats
         assert last.loss_op < first.loss_op
         assert last_ae.loss_ad < first_ae.loss_ad
+
+
+def test_autoencoder_update_applies_the_gradient_of_its_weighted_loss():
+    # the applied gradient is that of mean_i(w_i * per_i) over the pool's
+    # pairs, each weight w_i = per_i / mean(per) held at its first-forward value
+    rng = np.random.default_rng(41)
+    ae = build_autoencoder(SelectorConfig(ae_channels=(2, 2, 2), ae_bottleneck=4), 4, 4, rng)
+    pool = rng.uniform(MIN_DEPTH, MAX_RANGE, (5, PAIR_FRAMES, 4, 4))
+    assert len(pool) <= AE_BATCH       # the whole pool in every step, no draw
+    grab = GradGrab(ae.params())       # moves no weight, so every step's grads agree
+    autoencoder_update(ae, grab, pool, np.random.default_rng(0))
+
+    def per_pair():
+        recon, _, _ = ae.forward(pool)
+        diff = recon - pool
+        return np.mean(diff * diff, axis=(1, 2, 3))
+
+    per = per_pair()
+    weight = per / per.mean()
+    worst = max(rel_err(got, fd_grad(lambda: float(np.mean(weight * per_pair())), p.values))
+                for p, got in zip(grab.params, grab.grads))
+    assert worst < 1e-4
 
 
 class Boom(Exception):
@@ -305,14 +331,15 @@ class TestUpdateLanes:
         for it in range(cfg.iterations):
             serial.runner.phase = serial.phase.phase
             buf, bootstrap = serial.collect(it)
-            adv, ret = buf.compute_advantages(bootstrap, DISCOUNT, GAE_LAMBDA)
+            adv, ret = buf.compute_advantages(bootstrap)
             stats = ppo_update(serial.nets.policy, serial.nets.critic, serial.policy_opt,
                                serial.critic_opt, buf.flat(buf.obs),
                                buf.flat(buf.critic_obs), buf.flat(buf.actions),
                                buf.flat(buf.log_probs), adv.reshape(-1), ret.reshape(-1),
-                               cfg.ppo, serial.shuffle_rng)
+                               serial.shuffle_rng)
             sup = supervised_update(serial.nets.op, serial.nets.vp, serial.nets.him,
-                                    serial.op_opt, serial.vp_opt, serial.him_opt, buf.ticks)
+                                    serial.op_opt, serial.vp_opt, serial.him_opt, buf.ticks,
+                                    buf.masks)
             ae = autoencoder_update(serial.nets.ae, serial.ae_opt, clean_pairs(buf.ticks),
                                     serial.ae_rng)
             mean_lin = float(buf.lin_vel[:buf.ptr].mean())
