@@ -3,7 +3,9 @@
 Nested fields are addressed with dotted keys (``camera.height = 12``).
 Tuples are comma separated. A training run reads every key, and a key
 stays only while a preset, a CLI flag, a program path or a benchmark
-workload sets it; any other value is a constant in the module that reads it.
+workload sets it; any other value is a constant in the module that reads it,
+and the one network architecture is the networks' own default
+(``estimators.networks.NET``, ``selector.autoencoder.AE_NET``).
 """
 
 from __future__ import annotations
@@ -30,28 +32,6 @@ class CameraConfig:
 
 
 @dataclass
-class NetConfig:
-    history_len: int = 10        # proprioception buffer length
-    embed_hidden: int = 64
-    embed_out: int = 32
-    cnn_channels: tuple[int, int, int] = (8, 16, 32)
-    encoder_hidden: int = 64
-    encoder_out: int = 32
-    gru_hidden: int = 64
-    latent: int = 32
-    z_dim: int = 16
-    him_hidden: int = 32
-
-
-@dataclass
-class SelectorConfig:
-    # the deployed beta and gamma are not training settings: beta comes from
-    # calibration (--beta/--beta-file), gamma from ExperimentSpec.gamma
-    ae_channels: tuple[int, int, int] = (8, 16, 32)
-    ae_bottleneck: int = 128
-
-
-@dataclass
 class TrainConfig:
     """Defaults are the joint run: 24 envs x 48 steps for 600 iterations
     over the 8-terrain mix."""
@@ -65,8 +45,6 @@ class TrainConfig:
     out_dir: str = "runs/default"
     world: WorldConfig = field(default_factory=WorldConfig)
     camera: CameraConfig = field(default_factory=CameraConfig)
-    net: NetConfig = field(default_factory=NetConfig)
-    selector: SelectorConfig = field(default_factory=SelectorConfig)
 
 
 def desk_config(**overrides: Any) -> TrainConfig:
@@ -79,7 +57,7 @@ def desk_config(**overrides: Any) -> TrainConfig:
 
 
 def paper_shape_config(**overrides: Any) -> TrainConfig:
-    """Full-resolution preset: 48x64 depth, 10-step history."""
+    """Full-resolution preset: the defaults, 48x64 depth."""
     return TrainConfig(**overrides)
 
 
@@ -109,8 +87,8 @@ class Bound:
         return f"[{self.low}, inf)"
 
 
-# One range per integer key. Periods, lengths, counts and layer widths count
-# steps, iterations or units, so they start at 1. The camera renders at least
+# One range per integer key. Lengths and counts count envs, steps or
+# iterations, so they start at 1. The camera renders at least
 # 4x4 pixels.
 BOUNDS = {
     "seed": Bound(0),
@@ -119,16 +97,6 @@ BOUNDS = {
     "iterations": Bound(1),
     "checkpoint_every": Bound(0),
     "world.episode_steps": Bound(1),
-    "net.history_len": Bound(1),
-    "net.embed_hidden": Bound(1),
-    "net.embed_out": Bound(1),
-    "net.encoder_hidden": Bound(1),
-    "net.encoder_out": Bound(1),
-    "net.gru_hidden": Bound(1),
-    "net.latent": Bound(1),
-    "net.z_dim": Bound(1),
-    "net.him_hidden": Bound(1),
-    "selector.ae_bottleneck": Bound(1),
     "camera.height": Bound(4),
     "camera.width": Bound(4),
     "camera.edge_border": Bound(0),
@@ -137,13 +105,20 @@ BOUNDS = {
 
 def validate(cfg: TrainConfig) -> TrainConfig:
     """Refuse a value outside its key's bound, naming the key, the value and
-    the range; then a camera border that leaves no interior to resample."""
+    the range; then an empty terrain mix or one naming an unknown kind; then
+    a camera border that leaves no interior to resample."""
+    from .world import TERRAIN_KINDS     # here, not at the top: world imports config
     for key, bound in BOUNDS.items():
         value = cfg
         for part in key.split("."):
             value = getattr(value, part)
         if not bound.admits(value):
             raise ConfigError(f"{key} = {value!r} is outside its range {bound}")
+    if not cfg.terrain_mix:
+        raise ConfigError("terrain_mix: expected at least one terrain kind")
+    if unknown := [k for k in cfg.terrain_mix if k not in TERRAIN_KINDS]:
+        raise ConfigError(f"terrain_mix: unknown terrain kind {unknown[0]!r}; known "
+                          f"kinds: {', '.join(TERRAIN_KINDS)}")
     cam = cfg.camera
     if 2 * cam.edge_border >= min(cam.height, cam.width):
         raise ConfigError(f"camera.edge_border = {cam.edge_border} crops the whole "
@@ -155,16 +130,11 @@ def validate(cfg: TrainConfig) -> TrainConfig:
 def _coerce(raw: str, typ: Any, key: str) -> Any:
     raw = raw.strip()
     origin = getattr(typ, "__origin__", None)
-    if origin is tuple:
-        args = typ.__args__
+    if origin is tuple:      # tuple[T, ...]
         parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-        if len(args) == 2 and args[1] is Ellipsis:
-            if not parts:
-                raise ConfigError(f"{key}: expected at least one comma-separated value")
-            return tuple(_coerce(p, args[0], key) for p in parts)
-        if len(parts) != len(args):
-            raise ConfigError(f"{key}: expected {len(args)} comma-separated values, got {len(parts)}")
-        return tuple(_coerce(p, a, key) for p, a in zip(parts, args))
+        if not parts:
+            raise ConfigError(f"{key}: expected at least one comma-separated value")
+        return tuple(_coerce(p, typ.__args__[0], key) for p in parts)
     if typ is int:
         try:
             return int(raw)

@@ -1,9 +1,9 @@
 from .buffers import DepthBuffer, ProprioBuffer
 from .fusion import fuse_batch
 from .losses import loss_op, loss_vp, mse
-from .networks import EstimatorOutput, HimTargetEncoder, OpEstimator, VpEstimator
+from .networks import NET, EstimatorOutput, HimTargetEncoder, NetConfig, OpEstimator, VpEstimator
 
 __all__ = [
     "DepthBuffer", "ProprioBuffer", "fuse_batch", "loss_op", "loss_vp", "mse",
-    "EstimatorOutput", "HimTargetEncoder", "OpEstimator", "VpEstimator",
+    "NET", "EstimatorOutput", "HimTargetEncoder", "NetConfig", "OpEstimator", "VpEstimator",
 ]

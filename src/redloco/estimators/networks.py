@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import NetConfig
 from ..errors import ContractError
 from ..nn import Conv2d, Elu, Flatten, GruCell, LayerStack, Linear, Tanh, conv_shape
 from ..selector.autoencoder import PAIR_FRAMES
@@ -22,6 +21,25 @@ from ..selector.autoencoder import PAIR_FRAMES
 # every conv of the depth embedding halves the frame: 3x3 kernels, stride 2,
 # padding 1
 CNN_KERNEL, CNN_STRIDE, CNN_PAD = 3, 2, 1
+
+
+@dataclass(frozen=True)
+class NetConfig:
+    """The layer widths of the estimators and the target encoder."""
+    history_len: int = 10        # proprioception buffer length
+    embed_hidden: int = 64
+    embed_out: int = 32
+    cnn_channels: tuple[int, int, int] = (8, 16, 32)
+    encoder_hidden: int = 64
+    encoder_out: int = 32
+    gru_hidden: int = 64
+    latent: int = 32
+    z_dim: int = 16
+    him_hidden: int = 32
+
+
+# the architecture every run builds; the gradcheck builds a tiny one
+NET = NetConfig()
 
 
 @dataclass

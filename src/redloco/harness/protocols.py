@@ -13,8 +13,8 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import ConfigError, ContractError
-from ..selector import (MODE_VP, calibrate_beta, filter_step, filter_update, make_selector,
-                        min_flip_ticks, trace_record)
+from ..selector import (MODE_VP, anomaly_scores, calibrate_beta, filter_step, filter_update,
+                        make_selector, min_flip_ticks, runs_vision, trace_record)
 from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from ..training.bundle import Networks, load_bundle
 from ..training.runner import TICK_PERIOD, RunnerState, VecRunner
@@ -139,7 +139,7 @@ def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], leve
     driven by the policy mean for ``steps`` sim steps; no episode times out
     within them. Each estimator tick scores the frame pairs if ``score``,
     advances every robot's vision trust P, which starts at 1, by one
-    `filter_step` if ``filt = (beta, gamma)``, and selects vision where P > 0.5.
+    `filter_step` if ``filt = (beta, gamma)``, and selects vision by `runs_vision`.
     With ``start`` the loop resumes at ``start.fork``: the runner is restored
     from the prefix's capture, the prefix's steps and ticks are logged as they
     were (its scores only if ``score``), and P restarts at 1, where the prefix
@@ -147,8 +147,8 @@ def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], leve
     prefix is a shorter run of this loop, and `clean_prefix` captures that
     runner once."""
     cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, episode_steps=steps + 1))
-    runner = VecRunner(cfg, kinds, env_rngs, nets.op, nets.vp, ae=nets.ae if score else None,
-                       fixed_commands=commands, start_levels=levels)
+    runner = VecRunner(cfg, kinds, env_rngs, nets.op, nets.vp, fixed_commands=commands,
+                       start_levels=levels)
     n = len(kinds)
     vx, rewards, xz = np.zeros((steps, n)), np.zeros((steps, n)), np.zeros((steps, n, 2))
     terminated = np.zeros((steps, n), dtype=bool)
@@ -166,20 +166,23 @@ def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], leve
     for t in range(t0, steps):
         if runner.is_tick_step():
             tick = runner.tick_estimators(hook)
+            scores = np.full(n, np.nan)
+            if score:
+                recon, _, _ = nets.ae.forward(tick.depth_pairs)
+                scores = anomaly_scores(tick.depth_pairs, recon)
             if filt is not None:
-                p = filter_step(p, tick.losses, tick.pair_valid, *filt)
-            runner.set_latents((p <= 0.5).astype(np.int64))
+                p = filter_step(p, scores, tick.pair_valid, *filt)
+            runner.set_latents((~runs_vision(p)).astype(np.int64))
             tick_steps.append(t)
             p_log.append(p)
             # nan where the pair is invalid or nothing scored
-            losses_log.append(np.full(n, np.nan) if tick.losses is None
-                              else np.where(tick.pair_valid, tick.losses, np.nan))
+            losses_log.append(np.where(tick.pair_valid, scores, np.nan))
         sd = runner.step(np.clip(nets.policy.mean(runner.policy_obs()), -1.0, 1.0))
         vx[t], rewards[t], terminated[t] = runner.world.vx, sd.rewards, sd.terminated
         xz[t, :, 0], xz[t, :, 1] = runner.world.x, runner.world.z
     p_ticks = np.array(p_log)
     return EpisodeResult(vx, rewards, xz, terminated, tick_steps, p_ticks,
-                         (p_ticks > 0.5).astype(np.int64), np.array(losses_log)), runner
+                         runs_vision(p_ticks).astype(np.int64), np.array(losses_log)), runner
 
 
 def clean_prefix(cfg: TrainConfig, nets: Networks, spec: ExperimentSpec,

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import NetConfig, SelectorConfig
 from ..errors import ContractError
-from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator, loss_op, loss_vp
+from ..estimators import (HimTargetEncoder, NetConfig, OpEstimator, VpEstimator, loss_op,
+                          loss_vp)
 from ..nn.gradcheck import fd_grad, rel_err, run_layer_suite
-from ..selector.autoencoder import PAIR_FRAMES, build_autoencoder
+from ..selector.autoencoder import PAIR_FRAMES, SelectorConfig, build_autoencoder
 
 TINY_NET = NetConfig(history_len=2, embed_hidden=4, embed_out=3, cnn_channels=(2, 2, 2),
                      encoder_hidden=4, encoder_out=3, gru_hidden=4, latent=3, z_dim=2,

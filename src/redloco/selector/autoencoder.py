@@ -15,9 +15,10 @@ adds up to the largest squared error an in-range pixel can have.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..config import SelectorConfig
 from ..errors import ContractError
 from ..nn import (Conv2d, Deconv2d, Elu, Flatten, LayerStack, Linear, Reshape,
                   conv_shape, mirror_out_pad)
@@ -35,6 +36,17 @@ AE_KERNEL, AE_STRIDE, AE_PAD = 3, 2, 1
 # the camera mount, so no surface is nearer than that lead less the camera's
 # position jitter.
 NEAR_DEPTH = max(FOOT_OFFSETS) - MOUNT_FORWARD - POS_JITTER
+
+
+@dataclass(frozen=True)
+class SelectorConfig:
+    """The autoencoder's conv channels and bottleneck width."""
+    ae_channels: tuple[int, int, int] = (8, 16, 32)
+    ae_bottleneck: int = 128
+
+
+# the autoencoder every run builds; the gradcheck builds a tiny one
+AE_NET = SelectorConfig()
 
 
 def build_autoencoder(cfg: SelectorConfig, height: int, width: int,

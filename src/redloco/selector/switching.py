@@ -4,7 +4,8 @@ Each update thresholds the anomaly score (the autoencoder's reconstruction
 loss plus its plausibility term, see ``autoencoder.anomaly_scores``) against
 beta into a binary vote, low-passes the vote into a vision-trust probability
 P <- (1-gamma) P + gamma vote, and selects the vision estimator exactly when
-P > 0.5 (strict). gamma = 1 disables the filter (instantaneous switching).
+P > 0.5 (strict; `runs_vision`). gamma = 1 disables the filter (instantaneous
+switching).
 Updates are order-dependent. `filter_step` advances every robot's P as arrays;
 the one-robot `SelectorState`/`filter_update` form is its reference.
 """
@@ -36,10 +37,16 @@ class SelectorState:
             raise ContractError(f"gamma must lie in (0, 1], got {self.gamma}")
 
 
+def runs_vision(p):
+    """The vision rule: a robot runs the vision estimator exactly where its
+    trust P > 0.5 (strict). ``p`` is one P or an array of them."""
+    return p > 0.5
+
+
 def make_selector(beta: float, gamma: float, init_p: float = 1.0) -> SelectorState:
     if not np.isfinite(beta):
         raise ContractError("selector requires a calibrated finite beta")
-    mode = MODE_VP if init_p > 0.5 else MODE_OP
+    mode = MODE_VP if runs_vision(init_p) else MODE_OP
     return SelectorState(p=init_p, beta=float(beta), gamma=float(gamma), mode=mode)
 
 
@@ -55,14 +62,14 @@ def filter_update(state: SelectorState, loss_value: float) -> SelectorState:
     """One selector tick: threshold vote, low-pass, mode decision."""
     vote = 1.0 if loss_value < state.beta else 0.0
     p = (1.0 - state.gamma) * state.p + state.gamma * vote
-    mode = MODE_VP if p > 0.5 else MODE_OP
+    mode = MODE_VP if runs_vision(p) else MODE_OP
     return replace(state, p=p, mode=mode, switched=mode != state.mode)
 
 
 def filter_step(p: np.ndarray, losses: np.ndarray, valid: np.ndarray, beta: float,
                 gamma: float) -> np.ndarray:
     """`filter_update` over a robot axis: the new (robots,) P, where a robot
-    without a valid pair keeps its P. A robot runs vision exactly where P > 0.5."""
+    without a valid pair keeps its P; `runs_vision` reads the mode off it."""
     vote = np.where(losses < beta, 1.0, 0.0)
     return np.where(valid, (1.0 - gamma) * p + gamma * vote, p)
 
@@ -82,4 +89,4 @@ def trace_record(sim_step: int, loss_value: float, beta: float, p: float, switch
     """One selector tick as a JSON-ready record; ``p`` is P after the tick."""
     return {"schema": "selector-trace/v1", "step": int(sim_step),
             "loss_ad": float(loss_value), "beta": float(beta), "P": float(p),
-            "mode": MODE_VP if p > 0.5 else MODE_OP, "switched": bool(switched)}
+            "mode": MODE_VP if runs_vision(p) else MODE_OP, "switched": bool(switched)}

@@ -1,4 +1,5 @@
-from .bundle import Networks, build_networks, critic_obs_dim, load_bundle, policy_obs_dim, save_bundle
+from .bundle import (CRITIC_OBS_DIM, POLICY_OBS_DIM, Networks, build_networks, load_bundle,
+                     save_bundle)
 from .policy import Critic, GaussianPolicy
 from .ppo import PPOStats, normalize_advantages, ppo_update, surrogate_and_grad
 from .rollout import RolloutBuffer
@@ -8,7 +9,7 @@ from .supervised import AutoencoderStats, SupervisedStats, autoencoder_update, s
 from .trainer import TrainResult, Trainer, train
 
 __all__ = [
-    "Networks", "build_networks", "critic_obs_dim", "load_bundle", "policy_obs_dim",
+    "CRITIC_OBS_DIM", "POLICY_OBS_DIM", "Networks", "build_networks", "load_bundle",
     "save_bundle", "Critic", "GaussianPolicy", "PPOStats", "normalize_advantages",
     "ppo_update", "surrogate_and_grad", "RolloutBuffer", "RunnerState", "StepData",
     "TickData", "VecRunner", "AdaptationSchedule", "PhaseTracker", "terrain_class",

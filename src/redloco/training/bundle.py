@@ -10,19 +10,17 @@ import numpy as np
 from .. import config as config_mod
 from ..config import TrainConfig
 from ..errors import CheckpointError, ConfigError
-from ..estimators import HimTargetEncoder, OpEstimator, VpEstimator
+from ..estimators import NET, HimTargetEncoder, OpEstimator, VpEstimator
 from ..nn import LayerStack, TensorParam, load_checkpoint, save_checkpoint
-from ..selector.autoencoder import build_autoencoder
+from ..selector.autoencoder import AE_NET, build_autoencoder
 from ..world import OBS_DIM, PROFILE_SAMPLES
 from .policy import Critic, GaussianPolicy
 
 
-def policy_obs_dim(cfg: TrainConfig) -> int:
-    return 2 * cfg.net.latent + OBS_DIM
-
-
-def critic_obs_dim(cfg: TrainConfig) -> int:
-    return policy_obs_dim(cfg) + 2 + PROFILE_SAMPLES
+# the policy reads both estimator latents and the observation; the critic
+# adds the privileged velocity and terrain profile
+POLICY_OBS_DIM = 2 * NET.latent + OBS_DIM
+CRITIC_OBS_DIM = POLICY_OBS_DIM + 2 + PROFILE_SAMPLES
 
 
 @dataclass
@@ -49,13 +47,13 @@ class Networks:
 
 
 def build_networks(cfg: TrainConfig, rng: np.random.Generator) -> Networks:
-    op = OpEstimator(cfg.net, OBS_DIM, rng)
-    vp = VpEstimator(cfg.net, OBS_DIM, (cfg.camera.height, cfg.camera.width),
+    op = OpEstimator(NET, OBS_DIM, rng)
+    vp = VpEstimator(NET, OBS_DIM, (cfg.camera.height, cfg.camera.width),
                      PROFILE_SAMPLES, rng)
-    him = HimTargetEncoder(cfg.net, OBS_DIM, rng)
-    ae = build_autoencoder(cfg.selector, cfg.camera.height, cfg.camera.width, rng)
-    policy = GaussianPolicy(policy_obs_dim(cfg), rng)
-    critic = Critic(critic_obs_dim(cfg), rng)
+    him = HimTargetEncoder(NET, OBS_DIM, rng)
+    ae = build_autoencoder(AE_NET, cfg.camera.height, cfg.camera.width, rng)
+    policy = GaussianPolicy(POLICY_OBS_DIM, rng)
+    critic = Critic(CRITIC_OBS_DIM, rng)
     return Networks(op, vp, him, ae, policy, critic)
 
 

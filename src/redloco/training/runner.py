@@ -16,12 +16,10 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import ContractError
-from ..estimators import (DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer,
+from ..estimators import (NET, DepthBuffer, EstimatorOutput, OpEstimator, ProprioBuffer,
                           VpEstimator, fuse_batch)
-from ..selector.autoencoder import anomaly_scores
 from ..sensor import edge_truncate_resize, render_batch
 from ..world import OBS_DIM, PROFILE_SAMPLES, BatchWorld, compute_reward, update_curriculum
-from ..nn import LayerStack
 
 # sim steps per estimator tick: 10 Hz at the 0.02 s sim step
 TICK_PERIOD = 5
@@ -38,7 +36,6 @@ class TickData:
     v_true: np.ndarray             # (E, 2)
     h_f: np.ndarray                # (E, 2)
     m_t: np.ndarray                # (E, K)
-    losses: np.ndarray | None      # (E,) anomaly scores, when an AE is attached
     pair_valid: np.ndarray         # (E,) every buffered frame is a real render
     clean_stage: np.ndarray        # (E,) every buffered frame is randomize-stage only
     resets_before: np.ndarray      # (E,) env reset since the previous tick
@@ -71,31 +68,30 @@ class RunnerState:
 class VecRunner:
     def __init__(self, cfg: TrainConfig, kinds: list[str],
                  env_rngs: list[np.random.Generator],
-                 op: OpEstimator, vp: VpEstimator, ae: LayerStack | None = None,
-                 fixed_commands=None, start_levels: list[int] | None = None) -> None:
+                 op: OpEstimator, vp: VpEstimator, fixed_commands=None,
+                 start_levels: list[int] | None = None) -> None:
         self.cfg = cfg
         self.n = len(kinds)
         self.kinds = kinds
         self.op = op
         self.vp = vp
-        self.ae = ae
         # eval runs fix each env's command: resets keep it, the curriculum stays put
         self.fixed_commands = fixed_commands
         self.phase = 1
         self.world = BatchWorld(cfg.world, kinds, env_rngs, start_levels)
         if fixed_commands is not None:
             self.world.reset(range(self.n), fixed_commands)
-        self.proprio = ProprioBuffer(self.n, cfg.net.history_len)
+        self.proprio = ProprioBuffer(self.n, NET.history_len)
         self.depth = DepthBuffer(self.n, cfg.camera.height, cfg.camera.width)
         self.op_hidden = op.zero_hidden(self.n)
         self.vp_hidden = vp.zero_hidden(self.n)
-        self.latents = np.zeros((self.n, 2 * cfg.net.latent))
+        self.latents = np.zeros((self.n, 2 * NET.latent))
         self.m_t_held = np.zeros((self.n, PROFILE_SAMPLES))
         self.obs = np.zeros((self.n, OBS_DIM))
         self.global_step = 0
         self.resets_since_tick = np.ones(self.n, dtype=bool)
-        self._last_op_h = np.zeros((self.n, cfg.net.latent))
-        self._last_vp_h = np.zeros((self.n, cfg.net.latent))
+        self._last_op_h = np.zeros((self.n, NET.latent))
+        self._last_vp_h = np.zeros((self.n, NET.latent))
         self._push_obs()
 
     def _push_obs(self) -> None:
@@ -138,16 +134,12 @@ class VecRunner:
         self.vp_hidden = vp_out.gru_hidden
         self._last_op_h = op_out.h
         self._last_vp_h = vp_out.h
-        losses = None
-        if self.ae is not None:
-            recon, _, _ = self.ae.forward(depth_pairs)
-            losses = anomaly_scores(depth_pairs, recon)
         priv = self.world.privileged()
         self.m_t_held = priv.m_t
         resets_before = self.resets_since_tick.copy()
         self.resets_since_tick[...] = False
         return TickData(flat_obs, depth_pairs, op_out, vp_out, op_rec, vp_rec, priv.v_true,
-                        priv.h_f, priv.m_t, losses, pair_valid, clean_stage, resets_before)
+                        priv.h_f, priv.m_t, pair_valid, clean_stage, resets_before)
 
     def set_latents(self, masks: np.ndarray) -> None:
         self.latents = fuse_batch(self._last_op_h, self._last_vp_h, masks)

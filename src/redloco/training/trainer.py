@@ -18,10 +18,9 @@ import numpy as np
 
 from .. import config as config_mod
 from ..config import TrainConfig
-from ..errors import ConfigError, RolloutAbort
+from ..errors import RolloutAbort
 from ..nn import Adam, LayerStack
-from ..world import TERRAIN_KINDS
-from .bundle import Networks, build_networks, critic_obs_dim, policy_obs_dim, save_bundle
+from .bundle import CRITIC_OBS_DIM, POLICY_OBS_DIM, Networks, build_networks, save_bundle
 from .ppo import LR, PPOStats, ppo_update
 from .rollout import RolloutBuffer
 from .runner import VecRunner
@@ -122,11 +121,8 @@ class TrainResult:
 
 class Trainer:
     def __init__(self, cfg: TrainConfig, out_dir: str | Path | None = None) -> None:
-        # a config built in code gets the range checks a config file gets
+        # a config built in code gets the checks a config file gets
         self.cfg = config_mod.validate(cfg)
-        if unknown := [k for k in cfg.terrain_mix if k not in TERRAIN_KINDS]:
-            raise ConfigError(f"terrain_mix: unknown terrain kind {unknown[0]!r}; known "
-                              f"kinds: {', '.join(TERRAIN_KINDS)}")
         ss = np.random.SeedSequence(cfg.seed)
         child = ss.spawn(5 + cfg.n_envs)
         self.net_rng = np.random.default_rng(child[0])
@@ -155,8 +151,7 @@ class Trainer:
         cfg = self.cfg
         runner = self.runner
         masks = self.schedule.masks(iteration)
-        buf = RolloutBuffer(cfg.n_envs, cfg.horizon, policy_obs_dim(cfg),
-                            critic_obs_dim(cfg))
+        buf = RolloutBuffer(cfg.n_envs, cfg.horizon, POLICY_OBS_DIM, CRITIC_OBS_DIM)
         buf.masks[...] = masks
         pending = None
         for _ in range(cfg.horizon):

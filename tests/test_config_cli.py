@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 import redloco
 from redloco import config as config_mod
 from redloco.errors import ConfigError
+from redloco.estimators import NET
 from redloco.harness import read_beta_file
 from redloco.harness.cli import cli
+from redloco.selector import AE_NET, SelectorConfig, build_autoencoder
 from redloco.sensor import dump_text, render_batch
-from redloco.training import Trainer
+from redloco.training import CRITIC_OBS_DIM, POLICY_OBS_DIM, Trainer, build_networks
 from redloco.training import runner as runner_mod
-from redloco.world import BatchWorld
+from redloco.world import OBS_DIM, PROFILE_SAMPLES, BatchWorld
 
 cli_mod = importlib.import_module("redloco.harness.cli")
 
@@ -40,7 +42,10 @@ DELETED_KEYS = ("selector.beta", "selector.gamma", "reward.hip_bias", "net.depth
                 "flip_period", "ppo.lr", "ppo.clip", "ppo.discount", "ppo.gae_lambda",
                 "ppo.est_lr", "ppo.ae_lr", "ppo.ae_epochs", "ppo.ae_batch",
                 "phase_budget_frac", "camera.pos_jitter", "camera.ang_jitter", "ppo.epochs",
-                "ppo.minibatches")
+                "ppo.minibatches", "net.history_len", "net.embed_hidden", "net.embed_out",
+                "net.cnn_channels", "net.encoder_hidden", "net.encoder_out", "net.gru_hidden",
+                "net.latent", "net.z_dim", "net.him_hidden", "selector.ae_channels",
+                "selector.ae_bottleneck")
 
 # the keys no run, preset, flag or benchmark workload set, each now one
 # constant in the module that reads it, holding the literal that was its
@@ -77,8 +82,7 @@ RETIRED_CONSTANTS = (
 SETTER_EXEMPT = ("out_dir", "checkpoint_every")
 # the config classes and presets, with the section their keywords set
 CONFIG_CALLS = {"TrainConfig": "", "desk_config": "", "paper_shape_config": "",
-                "tiny_config": "", "WorldConfig": "world.", "CameraConfig": "camera.",
-                "NetConfig": "net.", "SelectorConfig": "selector."}
+                "tiny_config": "", "WorldConfig": "world.", "CameraConfig": "camera."}
 
 
 def config_keys() -> list[str]:
@@ -114,7 +118,7 @@ def config_setters(paths) -> set[str]:
     """The dotted config keys that the code in ``paths`` sets: by assignment to
     an attribute (``cfg.camera.height = 12``, ``cfg.seed = args.seed``; not to
     ``self.x``), by keyword to a config class or preset
-    (``NetConfig(history_len=2)``), or by keyword to ``dataclasses.replace`` of
+    (``WorldConfig(episode_steps=2)``), or by keyword to ``dataclasses.replace`` of
     a section (``replace(cfg.world, episode_steps=n)``)."""
     sections = set(CONFIG_CALLS.values()) - {""}
     keys: set[str] = set()
@@ -147,14 +151,14 @@ class TestConfig:
         cfg.seed = 9
         cfg.terrain_mix = ("flat", "gap")
         cfg.camera.edge_border = 2
-        cfg.net.z_dim = 3
+        cfg.world.episode_steps = 77
         back = config_mod.parse_text(config_mod.to_text(cfg))
         assert back == cfg
 
     def test_dotted_keys_reach_nested_sections(self):
-        cfg = config_mod.parse_text("selector.ae_bottleneck = 4\ncamera.edge_border = 2\n"
+        cfg = config_mod.parse_text("world.episode_steps = 4\ncamera.edge_border = 2\n"
                                     "seed = 3\n")
-        assert cfg.selector.ae_bottleneck == 4
+        assert cfg.world.episode_steps == 4
         assert cfg.camera.edge_border == 2
         assert cfg.seed == 3
 
@@ -168,7 +172,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, raw, bad", [("camera.edge_border", "abc", "abc"),
                                                ("n_envs", "2.5", "2.5"),
-                                               ("net.cnn_channels", "4, x, 16", "x")])
+                                               ("world.episode_steps", "4x", "4x")])
     def test_malformed_value_names_the_key_and_the_value(self, key, raw, bad):
         with pytest.raises(ConfigError) as exc:
             config_mod.parse_text(f"{key} = {raw}\n")
@@ -228,10 +232,8 @@ class TestConfig:
         assert (cfg.camera.height, cfg.camera.width) == (20, 16)
 
     def test_tuples_parse_from_comma_lists(self):
-        cfg = config_mod.parse_text("terrain_mix = flat, gap, rough\n"
-                                    "net.cnn_channels = 4, 8, 16\n")
+        cfg = config_mod.parse_text("terrain_mix = flat, gap, rough\n")
         assert cfg.terrain_mix == ("flat", "gap", "rough")
-        assert cfg.net.cnn_channels == (4, 8, 16)
 
     def test_every_numeric_key_has_a_bound(self):
         numeric = [k for k in config_keys() if isinstance(default_value(k), (int, float))]
@@ -266,6 +268,31 @@ class TestConfig:
             Trainer(cfg, tmp_path / "run")
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_empty_terrain_mix_built_in_code_is_refused_before_the_run_directory(
+            self, tmp_path):
+        cfg = config_mod.tiny_config()
+        cfg.terrain_mix = ()
+        with pytest.raises(ConfigError, match="terrain_mix: expected at least one"):
+            Trainer(cfg, tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_networks_are_built_with_the_retired_keys_old_values(self):
+        # the net.* and selector.* keys left the config at these defaults;
+        # every run builds exactly this architecture
+        assert dataclasses.asdict(NET) == {
+            "history_len": 10, "embed_hidden": 64, "embed_out": 32,
+            "cnn_channels": (8, 16, 32), "encoder_hidden": 64, "encoder_out": 32,
+            "gru_hidden": 64, "latent": 32, "z_dim": 16, "him_hidden": 32}
+        assert dataclasses.asdict(AE_NET) == {"ae_channels": (8, 16, 32),
+                                              "ae_bottleneck": 128}
+        nets = build_networks(config_mod.desk_config(), np.random.default_rng(0))
+        assert nets.op.cfg is NET and nets.vp.cfg is NET and nets.him.cfg is NET
+        ref = build_autoencoder(SelectorConfig((8, 16, 32), 128), 12, 16,
+                                np.random.default_rng(0))
+        assert [p.shape for p in nets.ae.params()] == [p.shape for p in ref.params()]
+        assert (POLICY_OBS_DIM, CRITIC_OBS_DIM) == (2 * 32 + OBS_DIM,
+                                                    2 * 32 + OBS_DIM + 2 + PROFILE_SAMPLES)
+
     @pytest.mark.parametrize("key, module, name, value", RETIRED_CONSTANTS,
                              ids=[case[0] for case in RETIRED_CONSTANTS])
     def test_a_retired_key_is_one_constant_with_its_old_value(self, key, module, name,
@@ -296,8 +323,8 @@ class TestConfig:
     @pytest.mark.parametrize("code, keys", [
         ("cfg.camera.height = 12\ncfg.seed += 1\n", {"camera.height", "camera", "seed"}),
         ("self.seed = 3\n", set()),
-        ("NetConfig(history_len=2)\nconfig_mod.tiny_config(seed=1, **kw)\n",
-         {"net.history_len", "seed"}),
+        ("WorldConfig(episode_steps=2)\nconfig_mod.tiny_config(seed=1, **kw)\n",
+         {"world.episode_steps", "seed"}),
         ("dataclasses.replace(cfg.world, episode_steps=9)\nreplace(cfg, n_envs=2)\n",
          {"world.episode_steps", "n_envs"}),
         ("f(height=12)\nx = cfg.camera.width\n", set()),
@@ -317,7 +344,6 @@ class TestConfig:
         paper = config_mod.paper_shape_config()
         assert (desk.camera.height, desk.camera.width) == (12, 16)
         assert (paper.camera.height, paper.camera.width) == (48, 64)
-        assert paper.net.history_len == 10
 
 
 class TestCli:
@@ -436,7 +462,7 @@ class TestCli:
                        f"{config_mod.BOUNDS[key]}", "run", id=f"{key}={raw}")
           for key, raw, shown in [
               ("n_envs", "0", "0"), ("horizon", "0", "0"),
-              ("net.history_len", "0", "0"), ("world.episode_steps", "0", "0"),
+              ("world.episode_steps", "0", "0"),
               ("camera.edge_border", "-1", "-1")]),
         *(pytest.param(f"{key} = {raw}\n", f"{key} = {raw} is outside its range "
                        f"{config_mod.BOUNDS[key]}", "run", id=f"bound:{key}={raw}")

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redloco.config import SelectorConfig
 from redloco.errors import ContractError
 from redloco.nn import conv_shape, deconv_shape, mirror_out_pad
-from redloco.selector import build_autoencoder
+from redloco.selector import AE_NET, SelectorConfig, build_autoencoder
 
 
 def test_full_frame_halves_under_kernel4_stride2_pad1():
@@ -60,16 +59,15 @@ def test_mirrored_deconv_inverts_conv(h, w, k, s, p):
 
 @pytest.mark.parametrize("hw", [(12, 16), (48, 64)])
 def test_autoencoder_reconstruction_shape_matches_input(hw):
-    ae = build_autoencoder(SelectorConfig(), *hw, np.random.default_rng(0))
+    ae = build_autoencoder(AE_NET, *hw, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(0.1, 2.0, (2, 2) + hw)
     y, _, _ = ae.forward(x)
     assert y.shape == x.shape
 
 
 def test_autoencoder_bottleneck_is_narrower_than_input():
-    cfg = SelectorConfig()
-    assert cfg.ae_bottleneck < 2 * 12 * 16
-    assert cfg.ae_bottleneck < 2 * 48 * 64
+    assert AE_NET.ae_bottleneck < 2 * 12 * 16
+    assert AE_NET.ae_bottleneck < 2 * 48 * 64
     with pytest.raises(ContractError):
         build_autoencoder(SelectorConfig(ae_bottleneck=2 * 4 * 4),
                           4, 4, np.random.default_rng(0))

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redloco.config import NetConfig
 from redloco.errors import ContractError
-from redloco.estimators import (DepthBuffer, HimTargetEncoder, OpEstimator, ProprioBuffer,
-                                VpEstimator, fuse_batch, loss_op, loss_vp, mse)
+from redloco.estimators import (DepthBuffer, HimTargetEncoder, NetConfig, OpEstimator,
+                                ProprioBuffer, VpEstimator, fuse_batch, loss_op, loss_vp, mse)
 from redloco.selector.autoencoder import PAIR_FRAMES
 from redloco.world import OBS_DIM
 

@@ -324,13 +324,30 @@ class TestBundleLoading:
                                       "ppo.ae_batch = 256", "phase_budget_frac = 0.6",
                                       "camera.pos_jitter = 0.01",
                                       "camera.ang_jitter = 0.0872664626", "ppo.epochs = 4",
-                                      "ppo.minibatches = 4"])
+                                      "ppo.minibatches = 4", "net.history_len = 10",
+                                      "net.embed_hidden = 64", "net.embed_out = 32",
+                                      "net.cnn_channels = 8, 16, 32",
+                                      "net.encoder_hidden = 64", "net.encoder_out = 32",
+                                      "net.gru_hidden = 64", "net.latent = 32",
+                                      "net.z_dim = 16", "net.him_hidden = 32",
+                                      "selector.ae_channels = 8, 16, 32",
+                                      "selector.ae_bottleneck = 128"])
     def test_embedded_config_naming_a_key_no_run_read_is_refused(self, bundle, line):
         path, arrays, meta = bundle
         meta["config"] += line + "\n"
         save_checkpoint(path, arrays, meta)
         key = line.partition(" ")[0]
         with pytest.raises(CheckpointError, match=rf"embedded config: unknown config key '{key}'"):
+            load_bundle(path)
+
+    def test_embedded_config_with_an_unknown_terrain_kind_names_the_file(self, bundle):
+        path, arrays, meta = bundle
+        meta["config"] = meta["config"].replace("terrain_mix = flat\n",
+                                                "terrain_mix = flat, lava\n")
+        assert "lava" in meta["config"]
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=rf"{path.name}: embedded config: "
+                                                  rf"terrain_mix: unknown terrain kind 'lava'"):
             load_bundle(path)
 
     @pytest.mark.parametrize("fault", ["unknown_key", "f32_tag", "version_1"])

@@ -30,13 +30,12 @@ def tiny_ckpt(tmp_path_factory):
 
 
 class TestRunner:
-    def _runner(self, n=3, ae=False, cfg=None):
+    def _runner(self, n=3, cfg=None):
         cfg = cfg or tiny_config()
         with tempfile.TemporaryDirectory() as unused:
             tr = Trainer(cfg, unused)
         rngs = [np.random.default_rng([9, i]) for i in range(n)]
-        return cfg, VecRunner(cfg, ["flat"] * n, rngs, tr.nets.op, tr.nets.vp,
-                              ae=tr.nets.ae if ae else None)
+        return cfg, VecRunner(cfg, ["flat"] * n, rngs, tr.nets.op, tr.nets.vp)
 
     def test_tick_marks_warmup_pairs_invalid_then_valid(self):
         _, runner = self._runner()
@@ -126,12 +125,6 @@ class TestRunner:
         for tick, m_t in ticks:
             assert (m_t != 0).any()
             np.testing.assert_array_equal(tick.m_t, m_t)
-
-    def test_anomaly_losses_need_an_attached_autoencoder(self):
-        _, plain = self._runner(ae=False)
-        assert plain.tick_estimators().losses is None
-        _, with_ae = self._runner(ae=True)
-        assert with_ae.tick_estimators().losses is not None
 
     def test_policy_obs_width_is_constant_across_mask_flips(self):
         _, runner = self._runner()

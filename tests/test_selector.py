@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redloco.config import SelectorConfig, desk_config
+from redloco.config import desk_config
 from redloco.errors import ContractError
-from redloco.selector import (MODE_OP, MODE_VP, NEAR_DEPTH, anomaly_scores,
+from redloco.selector import (AE_NET, MODE_OP, MODE_VP, NEAR_DEPTH, anomaly_scores,
                               build_autoencoder, calibrate_beta, filter_step, filter_update,
                               implausibility, loss_ad_batch, make_selector, min_flip_ticks,
-                              trace_record)
+                              runs_vision, trace_record)
 from redloco.sensor import edge_truncate_resize, inject_occlusion, render_batch
 from redloco.sensor.camera import MAX_RANGE, MIN_DEPTH
 from redloco.world import BatchWorld
@@ -154,6 +154,13 @@ class TestFilterStep:
         p = filter_step(np.ones(2), np.array([0.5, 0.4]), np.ones(2, bool), 0.5, 1.0)
         assert p.tolist() == [0.0, 1.0]
 
+    def test_vision_runs_strictly_above_half_for_one_p_and_for_an_array(self):
+        above = np.nextafter(0.5, 1.0)
+        assert runs_vision(above) and not runs_vision(0.5)
+        assert runs_vision(np.array([0.0, 0.5, above, 1.0])).tolist() == [False, False,
+                                                                           True, True]
+        assert make_selector(0.1, 0.5, init_p=0.5).mode == MODE_OP
+
 
 class TestCalibration:
     def test_beta_is_the_maximum(self):
@@ -173,7 +180,7 @@ class TestCalibration:
 
 class TestAutoencoder:
     def test_zero_initialized_net_reconstructs_a_constant(self):
-        ae = build_autoencoder(SelectorConfig(), 12, 16, np.random.default_rng(0))
+        ae = build_autoencoder(AE_NET, 12, 16, np.random.default_rng(0))
         for p in ae.params():
             p.values[...] = 0.0
         frames = np.random.default_rng(1).uniform(0.1, 2.0, (1, 2, 12, 16))
@@ -210,7 +217,7 @@ class TestAnomalyScore:
 
     def test_occluded_pair_scores_above_any_clean_range_beta(self):
         rng = np.random.default_rng(6)
-        ae = build_autoencoder(SelectorConfig(), 12, 16, rng)
+        ae = build_autoencoder(AE_NET, 12, 16, rng)
         # clean-range frames sit at or beyond the near bound; reconstructions
         # anywhere in the camera range
         clean = rng.uniform(NEAR_DEPTH, MAX_RANGE, (256, 2, 12, 16))

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redloco.config import SelectorConfig, desk_config, tiny_config
+from redloco.config import desk_config, tiny_config
 from redloco.errors import ContractError, RolloutAbort
 from redloco.nn import load_checkpoint
 from redloco.nn.gradcheck import fd_grad, rel_err
-from redloco.selector.autoencoder import PAIR_FRAMES, build_autoencoder
+from redloco.selector.autoencoder import PAIR_FRAMES, SelectorConfig, build_autoencoder
 from redloco.sensor.camera import MAX_RANGE, MIN_DEPTH
 from redloco.training import RolloutBuffer, Trainer, load_bundle, ppo_update, train
 from redloco.training.ppo import DISCOUNT, GAE_LAMBDA
