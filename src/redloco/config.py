@@ -131,10 +131,10 @@ def _coerce(raw: str, typ: Any, key: str) -> Any:
     raw = raw.strip()
     origin = getattr(typ, "__origin__", None)
     if origin is tuple:      # tuple[T, ...]
-        parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-        if not parts:
+        if not raw:
             raise ConfigError(f"{key}: expected at least one comma-separated value")
-        return tuple(_coerce(p, typ.__args__[0], key) for p in parts)
+        # an empty item is refused by the item's own type, never dropped
+        return tuple(_coerce(p, typ.__args__[0], key) for p in raw.split(","))
     if typ is int:
         try:
             return int(raw)

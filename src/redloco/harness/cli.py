@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""The command-line front end.
 
 Subcommands: train, eval-noise, sweep-gamma, trace, render-depth,
 calibrate-beta, gradcheck. Exit code 0 on success, 1 on a structured error,
@@ -153,7 +153,7 @@ def cli(argv: list[str]) -> int:
             print(f"metrics: {res.metrics}")
             print(f"final mean tracking: {res.final_mean_lin_vel:.4f}")
         elif args.cmd == "eval-noise":
-            conditions = DEFAULT_CONDITIONS if not args.conditions else tuple(
+            conditions = DEFAULT_CONDITIONS if args.conditions is None else tuple(
                 _flag("--conditions", "kind:level", tok, _condition)
                 for tok in args.conditions.split(","))
             spec = ExperimentSpec("eval-noise", args.checkpoint, _resolve_beta(args),

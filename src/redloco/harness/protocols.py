@@ -18,7 +18,7 @@ from ..selector import (MODE_VP, anomaly_scores, calibrate_beta, filter_step, fi
 from ..sensor import inject_gaussian, inject_occlusion, inject_salt_pepper
 from ..training.bundle import Networks, load_bundle
 from ..training.runner import TICK_PERIOD, RunnerState, VecRunner
-from ..world import make_command, sample_command
+from ..world import sample_command
 
 DEFAULT_CONDITIONS = (("gaussian", 30.0), ("gaussian", 70.0), ("gaussian", 100.0),
                       ("salt_pepper", 10.0), ("salt_pepper", 30.0), ("salt_pepper", 70.0))
@@ -123,23 +123,24 @@ class CleanPrefix:
 
 def _spec_robots(spec: ExperimentSpec) -> tuple[dict, list]:
     """`_deploy`'s robot arguments for the spec's robots (flat ground, level 0,
-    the spec's command; robot i steps with generator i of the spec's seed) and
-    their noise generators (robot i corrupts with generator n + i)."""
+    the command ``(spec.command, 0)``; robot i steps with generator i of the
+    spec's seed) and their noise generators (robot i corrupts with generator
+    n + i)."""
     n = spec.robots
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(spec.seed).spawn(2 * n)]
     return dict(kinds=["flat"] * n, levels=[0] * n,
-                commands=[make_command(spec.command) for _ in range(n)],
-                env_rngs=rngs[:n]), rngs[n:]
+                commands=np.tile([spec.command, 0.0], (n, 1)), env_rngs=rngs[:n]), rngs[n:]
 
 
 def _deploy(cfg: TrainConfig, nets: Networks, steps: int, kinds: list[str], levels: list[int],
-            commands, env_rngs, score: bool, filt: tuple[float, float] | None,
+            commands: np.ndarray, env_rngs, score: bool, filt: tuple[float, float] | None,
             hook, start: CleanPrefix | None = None) -> tuple[EpisodeResult, VecRunner]:
     """The deployment loop: one robot per entry of ``kinds`` on its fixed command,
-    driven by the policy mean for ``steps`` sim steps; no episode times out
-    within them. Each estimator tick scores the frame pairs if ``score``,
-    advances every robot's vision trust P, which starts at 1, by one
-    `filter_step` if ``filt = (beta, gamma)``, and selects vision by `runs_vision`.
+    row i of ``commands`` as ``(c_x, c_yaw)``, driven by the policy mean for
+    ``steps`` sim steps; no episode times out within them. Each estimator
+    tick scores the frame pairs if ``score``, advances every robot's vision
+    trust P, which starts at 1, by one `filter_step` if
+    ``filt = (beta, gamma)``, and selects vision by `runs_vision`.
     With ``start`` the loop resumes at ``start.fork``: the runner is restored
     from the prefix's capture, the prefix's steps and ticks are logged as they
     were (its scores only if ``score``), and P restarts at 1, where the prefix
@@ -412,7 +413,7 @@ def run_gamma_sweep(spec: ExperimentSpec, gammas, out_dir: str | Path) -> dict:
         f.write("gamma,first_onset_delay,predicted_delay_ticks,mean_delay_ticks,"
                 "switch_count,recurrence_max_p_err,recurrence_flips_match\n")
         for r in rows:
-            first = max(r["first_onset_delays"])
+            first = max_switch_delay(r["first_onset_delays"])
             mean = float("nan") if r["mean_delay_ticks"] is None else r["mean_delay_ticks"]
             f.write(f"{r['gamma']!r},{first},{r['predicted_delay_ticks']},"
                     f"{mean!r},{r['switch_count']},"
@@ -463,7 +464,7 @@ def calibrate_beta_run(checkpoint: str | Path, episodes: int, seed: int,
     env_rngs = [np.random.default_rng(c) for c in children[:episodes]]
     kinds = [mix[i % len(mix)] for i in range(episodes)]
     levels = [int(pick_rng.integers(0, 6)) for _ in range(episodes)]
-    commands = [sample_command(pick_rng, 2) for _ in range(episodes)]
+    commands = np.array([sample_command(pick_rng, 2) for _ in range(episodes)])
     ep, runner = _deploy(cfg, nets, steps, kinds, levels, commands, env_rngs, score=True,
                          filt=None, hook=None)
     w = runner.world

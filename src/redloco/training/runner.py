@@ -68,14 +68,15 @@ class RunnerState:
 class VecRunner:
     def __init__(self, cfg: TrainConfig, kinds: list[str],
                  env_rngs: list[np.random.Generator],
-                 op: OpEstimator, vp: VpEstimator, fixed_commands=None,
+                 op: OpEstimator, vp: VpEstimator, fixed_commands: np.ndarray | None = None,
                  start_levels: list[int] | None = None) -> None:
         self.cfg = cfg
         self.n = len(kinds)
         self.kinds = kinds
         self.op = op
         self.vp = vp
-        # eval runs fix each env's command: resets keep it, the curriculum stays put
+        # eval runs fix each env's command, row i = (c_x, c_yaw) of env i:
+        # resets keep it, the curriculum stays put
         self.fixed_commands = fixed_commands
         self.phase = 1
         self.world = BatchWorld(cfg.world, kinds, env_rngs, start_levels)
@@ -156,8 +157,7 @@ class VecRunner:
                 w.level[ids] = update_curriculum(w.level[ids], w.along[ids],
                                                  w.commanded_distance[ids])
                 w.curriculum_phase[ids] = self.phase
-            w.reset(ids, None if self.fixed_commands is None
-                    else [self.fixed_commands[i] for i in ids])
+            w.reset(ids, None if self.fixed_commands is None else self.fixed_commands[ids])
             self.proprio.reset(ids)
             self.depth.reset(ids)
             # rebind, never write in place: the last tick's tapes and labels

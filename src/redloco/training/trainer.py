@@ -13,6 +13,7 @@ import signal
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -162,15 +163,17 @@ class Trainer:
                 pending = tick
             obs_p = runner.policy_obs()
             obs_c = runner.critic_obs()
+            # the policy and the critic refuse a non-finite input, so check it
+            # first; the critic's observation holds the policy's columns
+            if not np.isfinite(obs_c).all():
+                self._abort(iteration, "observation", obs_c)
             actions, log_probs = self.nets.policy.act(obs_p, self.sample_rng)
             values = self.nets.critic.value(obs_c)
-            if not (np.isfinite(obs_p).all() and np.isfinite(actions).all()):
-                diag = self._dump_diagnostics(iteration, obs_p, actions)
-                raise RolloutAbort(f"non-finite rollout data at iteration {iteration}; see {diag}")
+            if not np.isfinite(actions).all():
+                self._abort(iteration, "action", obs_p, actions)
             sd = runner.step(np.clip(actions, -1.0, 1.0))
             if not np.isfinite(sd.rewards).all():
-                diag = self._dump_diagnostics(iteration, obs_p, actions)
-                raise RolloutAbort(f"non-finite reward at iteration {iteration}; see {diag}")
+                self._abort(iteration, "reward", obs_p, actions)
             if pending is not None:
                 pending.next_obs = runner.obs.copy()
                 pending.loss_valid = ~sd.resets
@@ -180,14 +183,18 @@ class Trainer:
         bootstrap = self.nets.critic.value(runner.critic_obs())
         return buf, bootstrap
 
-    def _dump_diagnostics(self, iteration: int, obs: np.ndarray, actions: np.ndarray) -> Path:
+    def _abort(self, iteration: int, what: str, obs: np.ndarray,
+               actions: np.ndarray | None = None) -> NoReturn:
+        """Write the envs with non-finite observations and actions (none
+        before the policy acted) and raise `RolloutAbort`."""
+        def rows(a):
+            return [] if a is None else np.flatnonzero(~np.isfinite(a).all(axis=1)).tolist()
+
         path = self.out_dir / f"diagnostics_iter{iteration}.json"
         path.write_text(json.dumps({
             "schema": "rollout-diagnostics/v1", "iteration": iteration,
-            "bad_obs_envs": np.where(~np.isfinite(obs).all(axis=1))[0].tolist(),
-            "bad_action_envs": np.where(~np.isfinite(actions).all(axis=1))[0].tolist(),
-        }, indent=2))
-        return path
+            "bad_obs_envs": rows(obs), "bad_action_envs": rows(actions)}, indent=2))
+        raise RolloutAbort(f"non-finite {what} at iteration {iteration}; see {path}")
 
     # ------------------------------------------------------------------
     def run(self) -> TrainResult:

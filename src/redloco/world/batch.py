@@ -22,8 +22,8 @@ import numpy as np
 
 from ..config import WorldConfig
 from ..errors import ContractError
-from .commands import Command, sample_command
-from .terrain import CELL_SIZE, SPAWN_X, TERRAIN_CELLS, Heightfield, generate_terrain
+from .commands import sample_command
+from .terrain import CELL_SIZE, SPAWN_X, TERRAIN_CELLS, generate_terrain
 
 OBS_DIM = 14
 ACT_DIM = 2                  # forward drive, hop
@@ -125,22 +125,25 @@ class BatchWorld:
         return len(self.kinds)
 
     # -- episode management --------------------------------------------------
-    def reset(self, ids, commands: list[Command] | None = None) -> None:
+    def reset(self, ids, commands: np.ndarray | None = None) -> None:
         """New episodes for envs ``ids``: fresh terrain at each env's level,
-        ``commands[k]`` for the k-th id (drawn when None), motor gain and
-        initial speed."""
+        the command ``commands[k] = (c_x, c_yaw)`` for the k-th id (drawn
+        when None), motor gain and initial speed."""
         ids = np.fromiter(ids, dtype=np.intp)
-        for k, i in enumerate(ids):
+        for i in ids:
             rng = self.rngs[i]
             seed = int(rng.integers(0, 2 ** 31 - 1))
-            self.set_terrain(i, generate_terrain(self.kinds[i], int(self.level[i]), seed))
+            self.heights[i], self.void[i] = generate_terrain(
+                self.kinds[i], int(self.level[i]), seed)
             solid = self.heights[i][~self.void[i]]
             self.fall_z[i] = (float(solid.min()) if solid.size else 0.0) - FALL_MARGIN
-            cmd = commands[k] if commands is not None else sample_command(
-                rng, int(self.curriculum_phase[i]))
-            self.c_x[i], self.c_yaw[i] = cmd.c_x, cmd.c_yaw
+            if commands is None:
+                self.c_x[i], self.c_yaw[i] = sample_command(rng, int(self.curriculum_phase[i]))
             self.motor_gain[i] = rng.uniform(*MOTOR_GAIN_RANGE)
             self.vx[i] = rng.uniform(*INIT_SPEED_RANGE)
+        if commands is not None:
+            # a fixed command draws nothing
+            self.c_x[ids], self.c_yaw[ids] = np.asarray(commands, dtype=np.float64).T
         self.x[ids] = SPAWN_X
         self.z[ids] = self.support(self.x[ids], ids) + STAND_HEIGHT
         for arr in (self.vz, self.pitch, self.ax, self.az, self.pitch_rate,
@@ -150,14 +153,6 @@ class BatchWorld:
         self.joint_phase[ids] = JOINT_PHASE0
         self.episode_step[ids] = 0
         self.start_x[ids] = self.x[ids]
-
-    def set_terrain(self, i: int, hf: Heightfield) -> None:
-        """Copy a heightfield into env i's rows of ``heights`` and ``void``."""
-        if hf.heights.shape != self.heights.shape[1:]:
-            raise ContractError(f"heightfield of {len(hf.heights)} cells does not match "
-                                f"the world's {self.heights.shape[1]}")
-        self.heights[i] = hf.heights
-        self.void[i] = hf.void
 
     @property
     def along(self) -> np.ndarray:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ContractError
@@ -16,18 +14,10 @@ PROMOTE_RATIO = 0.8
 DEMOTE_RATIO = 0.4
 
 
-@dataclass(frozen=True)
-class Command:
-    c_x: float                 # target forward speed, m/s
-    c_yaw: float               # target heading, fixed per episode
-
-
-def make_command(c_x: float, c_yaw: float = 0.0) -> Command:
-    return Command(float(c_x), float(c_yaw))
-
-
-def sample_command(rng: np.random.Generator, curriculum_phase: int) -> Command:
-    """Phase 1 draws speeds from [0.2, 1.0]; phase 2 widens to [0, 1.0].
+def sample_command(rng: np.random.Generator, curriculum_phase: int) -> tuple[float, float]:
+    """One command ``(c_x, c_yaw)``: the target forward speed in m/s and the
+    heading, fixed per episode. Phase 1 draws speeds from [0.2, 1.0];
+    phase 2 widens to [0, 1.0].
 
     Phase-2 draws below ``ZERO_CMD_SNAP`` collapse to an exact standstill
     command so zero-velocity episodes occur with positive probability.
@@ -41,7 +31,7 @@ def sample_command(rng: np.random.Generator, curriculum_phase: int) -> Command:
         if c_x < ZERO_CMD_SNAP:
             c_x = 0.0
     c_yaw = float(rng.uniform(-YAW_CMD_RANGE, YAW_CMD_RANGE))
-    return make_command(c_x, c_yaw)
+    return c_x, c_yaw
 
 
 def update_curriculum(level, distance, commanded):

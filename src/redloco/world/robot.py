@@ -2,7 +2,7 @@
 
 No program path or test uses `PlanarWorld`. It stays only because the
 benchmark's span map (`bench/spans.py`) wraps its five methods by name, and
-it goes once that map wraps `BatchWorld` (ROADMAP items 2 and 11).
+it goes once that map wraps `BatchWorld` (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import numpy as np
 
 from ..config import WorldConfig
 from .batch import BatchEvents, BatchWorld, PrivilegedInfo
-from .commands import Command
 
 
 class PlanarWorld:
@@ -35,5 +34,5 @@ class PlanarWorld:
     def observation(self) -> np.ndarray:
         return self.batch.observation()[0]
 
-    def reset_episode(self, command: Command | None = None) -> None:
+    def reset_episode(self, command: tuple[float, float] | None = None) -> None:
         self.batch.reset([0], None if command is None else [command])

@@ -7,8 +7,6 @@ Cells are piecewise constant columns; gap cells carry a dedicated void flag
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import ContractError
@@ -27,21 +25,13 @@ STEP_HEIGHT_RANGE = (0.05, 0.2)
 ROUGH_AMP_RANGE = (0.01, 0.1)
 
 
-@dataclass
-class Heightfield:
-    heights: np.ndarray          # meters, one per cell
-    void: np.ndarray             # bool, one per cell
-    kind: str
-    level: int
-    difficulty: dict = field(default_factory=dict)
-
-
 def _lerp(span: tuple[float, float], level: int) -> float:
     return span[0] + (span[1] - span[0]) * level / (N_LEVELS - 1)
 
 
-def generate_terrain(kind: str, level: int, seed: int) -> Heightfield:
-    """Build one heightfield. Difficulty grows linearly with level."""
+def generate_terrain(kind: str, level: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One heightfield as ``(heights, void)``: meters and a bool flag per
+    cell. Difficulty grows linearly with level."""
     if kind not in TERRAIN_KINDS:
         raise ContractError(f"unknown terrain kind {kind!r}")
     if not 0 <= level < N_LEVELS:
@@ -52,20 +42,17 @@ def generate_terrain(kind: str, level: int, seed: int) -> Heightfield:
     heights = np.zeros(n)
     void = np.zeros(n, dtype=bool)
     run_up = int((SPAWN_X + 1.0) / cell)           # flat approach before any feature
-    diff: dict[str, float] = {}
 
     if kind == "flat":
         pass
     elif kind == "rough":
         amp = _lerp(ROUGH_AMP_RANGE, level)
-        diff["roughness"] = amp
         raw = rng.uniform(-amp, amp, size=n)
         kernel = np.ones(5) / 5.0
         smooth = np.convolve(raw, kernel, mode="same")
         heights[run_up:] = smooth[run_up:]
     elif kind in ("stairs_up", "stairs_down"):
         step_h = _lerp(STEP_HEIGHT_RANGE, level)
-        diff["step_height"] = step_h
         tread = max(int(0.3 / cell), 1)
         n_steps = 8
         i = run_up
@@ -83,7 +70,6 @@ def generate_terrain(kind: str, level: int, seed: int) -> Heightfield:
         heights[i:] = heights[i - 1]
     elif kind == "gap":
         width = _lerp(GAP_WIDTH_RANGE, level)
-        diff["gap_width"] = width
         gap_cells = max(int(round(width / cell)), 1)
         solid = int(1.5 / cell)
         i = run_up + int(1.0 / cell)
@@ -92,7 +78,6 @@ def generate_terrain(kind: str, level: int, seed: int) -> Heightfield:
             i += gap_cells + solid
     elif kind == "platform":
         p_h = _lerp(PLATFORM_HEIGHT_RANGE, level)
-        diff["platform_height"] = p_h
         plat = int(1.2 / cell)
         spacing = int(2.0 / cell)
         i = run_up + int(1.0 / cell)
@@ -100,4 +85,4 @@ def generate_terrain(kind: str, level: int, seed: int) -> Heightfield:
             heights[i:i + plat] = p_h
             i += plat + spacing
 
-    return Heightfield(heights, void, kind, level, diff)
+    return heights, void

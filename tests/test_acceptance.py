@@ -127,10 +127,9 @@ def test_criterion_4_raycast_oracle():
     worst = max(worst, float(np.abs(img - expect[:, None]).max()))
 
     # single step: piecewise closed form per pixel
-    hf = generate_terrain("flat", 0, 0)
     step_x, step_h = 6.0, 0.4
-    hf.heights[int(step_x / CELL_SIZE):] = step_h
-    w.set_terrain(0, hf)
+    w.heights[0], w.void[0] = generate_terrain("flat", 0, 0)
+    w.heights[0, int(step_x / CELL_SIZE):] = step_h
     w.x[0], w.z[0] = 5.0, STAND_HEIGHT
     frames, poses = render_batch(w, cam, [None], randomize=False)
     img2, (cam_x, cam_z, _, _) = frames[0], poses[0]

@@ -1,4 +1,4 @@
-"""Command sampling ranges and the distance-based level curriculum."""
+"""Velocity-command sampling ranges and the distance-based level curriculum."""
 
 import numpy as np
 import pytest
@@ -12,23 +12,23 @@ class TestSampling:
     def test_phase_one_speeds_never_drop_below_point_two(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):
-            assert sample_command(rng, 1).c_x >= 0.2
+            assert sample_command(rng, 1)[0] >= 0.2
 
     def test_phase_two_reaches_near_zero_speeds(self):
         rng = np.random.default_rng(1)
-        draws = [sample_command(rng, 2).c_x for _ in range(10_000)]
+        draws = [sample_command(rng, 2)[0] for _ in range(10_000)]
         assert min(draws) < 0.02
         assert max(draws) <= 1.0
 
     def test_phase_two_draws_include_an_exact_standstill(self):
         rng = np.random.default_rng(2)
-        assert any(sample_command(rng, 2).c_x == 0.0 for _ in range(5000))
+        assert any(sample_command(rng, 2)[0] == 0.0 for _ in range(5000))
 
     def test_yaw_frozen_within_configured_range(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            c = sample_command(rng, 1)
-            assert abs(c.c_yaw) <= YAW_CMD_RANGE
+            _, c_yaw = sample_command(rng, 1)
+            assert abs(c_yaw) <= YAW_CMD_RANGE
 
     def test_invalid_phase_rejected(self):
         with pytest.raises(ContractError):

@@ -453,6 +453,10 @@ class TestCli:
                      id="repeat"),
         pytest.param("terrain_mix =\n", "terrain_mix: expected at least one", "run",
                      id="empty-mix"),
+        pytest.param("terrain_mix = flat,,gap\n", "terrain_mix: expected a value", "run",
+                     id="empty-mix-item"),
+        pytest.param("terrain_mix = flat,\n", "terrain_mix: expected a value", "run",
+                     id="trailing-mix-comma"),
         pytest.param("out_dir =\n", "out_dir: expected a value", "run", id="empty-out-dir"),
         pytest.param("seed = 1\n", "--out: expected a path", "", id="empty-out-flag"),
         pytest.param("terrain_mix = flat, volcano\n", "terrain_mix: unknown terrain kind "
@@ -624,6 +628,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, flag, token", [
+        (["eval-noise", "--conditions", ""], "--conditions", ""),
         (["eval-noise", "--conditions", "gaussian"], "--conditions", "gaussian"),
         (["eval-noise", "--conditions", "gaussian:30,foo:30"], "--conditions", "foo:30"),
         (["eval-noise", "--conditions", "salt_pepper:lots"], "--conditions", "salt_pepper:lots"),

@@ -14,7 +14,7 @@ from redloco.errors import ContractError
 from redloco.sensor import dump_text, edge_truncate_resize, march_rays, render_batch
 from redloco.sensor.camera import (ADD_NOISE_STD, ANG_JITTER, FOV_H, FOV_V, MAX_RANGE,
                                    MIN_DEPTH, MOUNT_PITCH, POS_JITTER, PROP_NOISE_STD)
-from redloco.world import TERRAIN_KINDS, BatchWorld, generate_terrain, make_command
+from redloco.world import TERRAIN_KINDS, BatchWorld, generate_terrain
 from redloco.world.batch import STAND_HEIGHT
 from redloco.world.terrain import CELL_SIZE, SPAWN_X
 
@@ -23,7 +23,7 @@ render_mod = importlib.import_module("redloco.sensor.render")
 
 def flat_world(seed=0, cfg=None):
     w = BatchWorld(cfg or WorldConfig(), ["flat"], [np.random.default_rng(seed)])
-    w.reset([0], [make_command(0.5)])
+    w.reset([0], [(0.5, 0.0)])
     w.pitch[0] = 0.0
     return w
 
@@ -64,11 +64,10 @@ class TestClosedForms:
         cfg = WorldConfig()
         cam = CameraConfig(height=12, width=16)
         w = flat_world(cfg=cfg)
-        hf = generate_terrain("flat", 0, 0)
         step_x, step_h = 6.0, 0.4
         i = int(step_x / CELL_SIZE)
-        hf.heights[i:] = step_h
-        w.set_terrain(0, hf)
+        w.heights[0], w.void[0] = generate_terrain("flat", 0, 0)
+        w.heights[0, i:] = step_h
         w.x[0] = 5.0
         w.z[0] = STAND_HEIGHT
         data, pose = render_one(w, cam)

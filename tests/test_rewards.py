@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redloco.config import WorldConfig
-from redloco.world import BatchWorld, compute_reward, linear_velocity_reward, make_command
+from redloco.world import BatchWorld, compute_reward, linear_velocity_reward
 from redloco.world.batch import ACCEL_MAX, DRAG, DT
 from redloco.world.rewards import TERM_SCALES
 
@@ -74,7 +74,7 @@ class TestRewardTable:
 
     def _step(self, command=0.6, action=(0.5, 0.0)):
         w = BatchWorld(WorldConfig(), ["flat"], [np.random.default_rng(0)])
-        w.reset([0], [make_command(command)])
+        w.reset([0], [(command, 0.0)])
         _, r = step_reward(w, action)
         return w, r
 
@@ -92,7 +92,7 @@ class TestRewardTable:
 
     def test_collision_contributes_scale_times_dt(self):
         w = BatchWorld(WorldConfig(), ["platform"], [np.random.default_rng(4)], [9])
-        w.reset([0], [make_command(1.0)])
+        w.reset([0], [(1.0, 0.0)])
         w.vx[0] = 1.5
         for _ in range(500):
             ev, r = step_reward(w, [1.0, 0.0])
@@ -104,7 +104,7 @@ class TestRewardTable:
 
     def test_tracking_term_uses_projection_on_heading(self):
         w = BatchWorld(WorldConfig(), ["flat"], [np.random.default_rng(1)])
-        w.reset([0], [make_command(0.6, c_yaw=0.3)])
+        w.reset([0], [(0.6, 0.3)])
         w.vx[0] = 0.5
         _, r = step_reward(w, [0.0, 0.0])
         expected = reference_tracking(0.6, w.vx[0] * np.cos(0.3), abs(w.vx[0]))
@@ -120,7 +120,7 @@ class TestOverspeedCost:
     def _hold(self, command, speed):
         """Total reward over STEPS of holding ``speed`` on flat ground."""
         w = BatchWorld(WorldConfig(), ["flat"], [np.random.default_rng(0)])
-        w.reset([0], [make_command(command)])
+        w.reset([0], [(command, 0.0)])
         w.vx[0] = speed
         # throttle that exactly balances drag at this speed
         action = [DRAG * speed / (ACCEL_MAX * float(w.motor_gain[0])), 0.0]

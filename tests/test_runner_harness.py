@@ -545,3 +545,24 @@ class TestNoiseProtocolReport:
         assert [r["mean_delay_ticks"] for r in res["rows"]] == [None, None]
         rows = (tmp_path / "gamma_sweep.csv").read_text().splitlines()[2:]
         assert [row.split(",")[3] for row in rows] == ["nan", "nan"]
+
+    def test_the_sweep_csv_shows_a_robot_that_never_switched(self, tiny_ckpt, tmp_path,
+                                                            monkeypatch):
+        # robot 0 leaves vision on the first onset's tick, robot 1 never does:
+        # the first-onset delay column reads -1, not robot 0's delay
+        first_onset = 200
+        real = protocols.run_episode
+
+        def one_robot_switches(*args):
+            ep = real(*args)
+            modes = np.ones_like(ep.modes)
+            modes[int(np.searchsorted(ep.tick_steps, first_onset)):, 0] = 0
+            return dataclasses.replace(ep, modes=modes)
+
+        monkeypatch.setattr(protocols, "run_episode", one_robot_switches)
+        spec = ExperimentSpec("t", str(tiny_ckpt), beta=1e9, robots=2, steps=560, seed=0)
+        res = run_gamma_sweep(spec, [1.0], tmp_path)
+        assert res["onsets"][0] == first_onset
+        assert res["rows"][0]["first_onset_delays"] == [1, -1]
+        row = (tmp_path / "gamma_sweep.csv").read_text().splitlines()[2]
+        assert row.split(",")[1] == "-1"

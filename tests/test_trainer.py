@@ -132,6 +132,19 @@ class TestTinyTraining:
         payload = json.loads(dumps[0].read_text())
         assert payload["schema"] == "rollout-diagnostics/v1"
 
+    def test_a_nan_latent_aborts_before_the_policy_and_names_the_envs(self, tmp_path):
+        # a NaN OP head reaches the policy input of the envs on the OP latent
+        # (mask 1); the policy and the critic would refuse that input
+        tr = Trainer(tiny_config(), tmp_path / "run")
+        for p in tr.nets.op.stacks["head_h"].params():
+            p.values[...] = np.nan
+        with pytest.raises(RolloutAbort, match="at iteration 0; see .*diagnostics_iter0"):
+            tr.collect(0)
+        payload = json.loads((tmp_path / "run" / "diagnostics_iter0.json").read_text())
+        op_envs = np.flatnonzero(tr.schedule.masks(0) == 1).tolist()
+        assert op_envs and payload["bad_obs_envs"] == op_envs
+        assert payload["bad_action_envs"] == []
+
 
 def recompute_tapes(op, vp, ticks, op_h0, vp_h0):
     """Reference for the tapes a rollout's ticks record: both estimators run

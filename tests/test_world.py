@@ -12,7 +12,7 @@ import pytest
 from redloco.config import WorldConfig
 from redloco.errors import ContractError
 from redloco.world import (OBS_DIM, TERRAIN_KINDS, BatchWorld, compute_reward,
-                           generate_terrain, make_command, sample_command)
+                           generate_terrain, sample_command)
 from redloco.world.batch import (ACCEL_MAX, DRAG, DT, FOOT_OFFSETS, FOOT_PATCH, GRAVITY,
                                  HOP_THRESHOLD, IMPACT_LOSS, INIT_SPEED_RANGE, MAX_CLEARANCE,
                                  MAX_PITCH, MAX_STEP, MOTOR_GAIN_RANGE, OSC_BASE_RATE,
@@ -32,7 +32,7 @@ def make_world(kind="flat", level=0, seed=0, command=0.6, **cfg_overrides):
     """A one-env `BatchWorld` in a fresh episode under ``command``."""
     cfg = WorldConfig(**cfg_overrides)
     w = BatchWorld(cfg, [kind], [np.random.default_rng(seed)], [level])
-    w.reset([0], [make_command(command)])
+    w.reset([0], [(command, 0.0)])
     return w
 
 
@@ -154,7 +154,7 @@ class TestObservation:
         acts = [np.array([0.8, 0.0])] * 400
         w_flat = make_world("flat", seed=21, command=1.0)
         w_gap = make_world("gap", level=6, seed=21, command=1.0)
-        w_gap.set_terrain(0, generate_terrain("gap", 6, 99))
+        w_gap.heights[0], w_gap.void[0] = generate_terrain("gap", 6, 99)
         terrain = ScalarEnv(w_gap)
         w_flat.vx[0] = w_gap.vx[0] = 0.5
         front = max(FOOT_OFFSETS)
@@ -352,11 +352,11 @@ class ScalarEnv:
     def reset(self, kind: str, level: int, phase: int):
         """Terrain, command, motor gain and initial speed of a new episode."""
         seed = int(self.rng.integers(0, 2 ** 31 - 1))
-        hf = generate_terrain(kind, level, seed)
+        terrain = generate_terrain(kind, level, seed)
         cmd = sample_command(self.rng, phase)
         gain = float(self.rng.uniform(*MOTOR_GAIN_RANGE))
         vx = float(self.rng.uniform(*INIT_SPEED_RANGE))
-        return hf, cmd, gain, vx
+        return terrain, cmd, gain, vx
 
 
 def same_bits(a, b) -> bool:
@@ -423,11 +423,12 @@ class TestBatchMatchesSingle:
             batch.reset(done)
             for i in done:
                 ref = ScalarEnv(singles[i])
-                hf, cmd, gain, vx = ref.reset(*self.CASES[i], phase=1)
+                (heights, void), cmd, gain, vx = ref.reset(*self.CASES[i], phase=1)
                 w = singles[i]
                 w.reset([0])
-                assert same_bits(w.heights[0], hf.heights)
-                assert make_command(w.c_x[0], w.c_yaw[0]) == cmd
+                assert same_bits(w.heights[0], heights)
+                assert np.array_equal(w.void[0], void)
+                assert same_bits([w.c_x[0], w.c_yaw[0]], cmd)
                 assert same_bits([w.motor_gain[0], w.vx[0]], [gain, vx])
                 assert ref.rng.bit_generator.state == w.rngs[0].bit_generator.state
                 resets[i] += 1
