@@ -435,6 +435,20 @@ class TestBatchMatchesSingle:
         assert (resets >= 1).all()
         assert hops > 0 and landings > 0
 
+    def test_a_fixed_command_reset_gives_row_k_to_the_kth_id_and_draws_no_command(self):
+        cmds = np.array([[0.3, 0.1], [0.7, -0.2]])
+        w = BatchWorld(WorldConfig(), ["flat", "gap"],
+                       [np.random.default_rng([5, i]) for i in range(2)], [0, 4])
+        refs = [copy.deepcopy(rng) for rng in w.rngs]
+        w.reset([1, 0], cmds)
+        for k, i in enumerate([1, 0]):
+            ref = refs[i]
+            ref.integers(0, 2 ** 31 - 1)          # the terrain seed
+            assert same_bits([w.motor_gain[i], w.vx[i]],
+                             [ref.uniform(*MOTOR_GAIN_RANGE), ref.uniform(*INIT_SPEED_RANGE)])
+            assert ref.bit_generator.state == w.rngs[i].bit_generator.state
+            assert same_bits([w.c_x[i], w.c_yaw[i]], cmds[k])
+
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -np.inf])
     def test_one_bad_action_row_is_a_contract_error_naming_the_env(self, bad):
         batch = BatchWorld(WorldConfig(), ["flat"] * 4,
